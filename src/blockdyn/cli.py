@@ -29,14 +29,7 @@ from .construction import (
 from .files import ConfigError, ExperimentConfig, frac_str, parse_frac
 from .frequency import count_embeddings, freq_table
 from .group import Shape, folner_box
-from .measures import (
-    CylinderMeasure,
-    block_measure,
-    dist,
-    dist_block,
-    dist_k,
-    dist_to_hull,
-)
+from .measures import CylinderMeasure, block_measure, dist, dist_block, dist_to_hull
 from .quasitiling import greedy_tile, verify as verify_tiling
 from .symbolic import Block, Corpus, enumerate_family, sample_bernoulli, sample_markov
 from .verification import (
@@ -176,22 +169,12 @@ def cmd_dist(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
         nu = files.read_measure(Path(args.nu))
         levels = min(args.levels or nu.depth, nu.depth, x_depth)
         fams = _families(corpus, levels)
-        for fam in fams:
-            if isinstance(x, Block):
-                table = freq_table(x, fam.base, fam.level)
-                total = sum(
-                    (abs(table.get(b.symbols, Fraction(0)) - nu.value(b))
-                     for b in fam.blocks),
-                    Fraction(0),
-                )
-                d_k = total / len(fam.blocks)
-            else:
-                d_k = dist_k(x, nu, fam)
-            rows.append(["d_k", fam.level, frac_str(d_k)])
         if isinstance(x, Block):
             interval = dist_block(x, nu, fams)
         else:
             interval = dist(x, nu, fams)
+        for level, d_k in enumerate(interval.levels, start=1):
+            rows.append(["d_k", level, frac_str(d_k)])
         rows.append(["lower", "", frac_str(interval.lower)])
         rows.append(["tail", "", frac_str(interval.tail)])
         print(f"distance in [{interval.lower}, {interval.upper}]")

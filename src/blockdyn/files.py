@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from .construction import StageSchedule
 from .group import Shape
@@ -24,6 +24,9 @@ from .symbolic import AlphabetStack, Block, BlockFamily, Corpus
 
 class ConfigError(Exception):
     """Malformed configuration or data file."""
+
+
+T = TypeVar("T")
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -123,10 +126,23 @@ def write_corpus(path: Path, corpus: Corpus) -> None:
     write_json(path, obj)
 
 
-def read_corpus(path: Path) -> Corpus:
+def _read_data(path: Path, kind: str, parse: Callable[[dict[str, Any]], T]) -> T:
+    """Parse a data file of the given kind; a wrong kind, a missing key or a
+    value of the wrong type or range is a ConfigError."""
     obj = read_json(path)
-    if obj.get("kind") != "corpus":
-        raise ConfigError(f"{path} is not a corpus file")
+    if not isinstance(obj, dict) or obj.get("kind") != kind:
+        raise ConfigError(f"{path} is not a {kind} file")
+    try:
+        return parse(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {kind} file {path}: {exc!r}") from exc
+
+
+def read_corpus(path: Path) -> Corpus:
+    return _read_data(path, "corpus", _corpus_from_obj)
+
+
+def _corpus_from_obj(obj: dict[str, Any]) -> Corpus:
     stack = AlphabetStack(tuple(int(s) for s in obj["alphabet"]))
     blocks = tuple(block_from_obj(b, stack.sizes) for b in obj["blocks"])
     return Corpus(stack, blocks)
@@ -153,9 +169,10 @@ def write_measure(path: Path, measure: CylinderMeasure) -> None:
 
 
 def read_measure(path: Path) -> CylinderMeasure:
-    obj = read_json(path)
-    if obj.get("kind") != "measure":
-        raise ConfigError(f"{path} is not a measure file")
+    return _read_data(path, "measure", _measure_from_obj)
+
+
+def _measure_from_obj(obj: dict[str, Any]) -> CylinderMeasure:
     sizes = tuple(int(s) for s in obj["alphabet"])
     depth = int(obj["depth"])
     base = Shape.box(obj["base_min"], obj["base_max"])
@@ -171,10 +188,7 @@ def read_measure(path: Path) -> CylinderMeasure:
             sizes,
         )
         masses[block] = parse_frac(entry["mass"])
-    try:
-        return CylinderMeasure(depth, base, masses, sizes)
-    except ValueError as exc:
-        raise ConfigError(f"invalid measure in {path}: {exc}") from exc
+    return CylinderMeasure(depth, base, masses, sizes)
 
 
 def write_tiling(path: Path, tiling: Quasitiling) -> None:
@@ -191,9 +205,10 @@ def write_tiling(path: Path, tiling: Quasitiling) -> None:
 
 
 def read_tiling(path: Path) -> Quasitiling:
-    obj = read_json(path)
-    if obj.get("kind") != "tiling":
-        raise ConfigError(f"{path} is not a tiling file")
+    return _read_data(path, "tiling", _tiling_from_obj)
+
+
+def _tiling_from_obj(obj: dict[str, Any]) -> Quasitiling:
     window = Shape.box(obj["window_min"], obj["window_max"])
     shapes = tuple(Shape.of([tuple(p) for p in pts]) for pts in obj["shapes"])
     centers = tuple(

@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .group import Point, Shape, folner_box, point_add
-from .symbolic import AlphabetStack, Block, Corpus, sample_bernoulli
+from .group import Point, Shape, _anchor_box, folner_box, point_add
+from .symbolic import AlphabetStack, Block, Corpus, sample_bernoulli, subblock_at
 
 if TYPE_CHECKING:
     from .measures import CylinderMeasure
@@ -23,13 +24,16 @@ def embedding_anchors(outer: Shape, inner: Shape) -> tuple[Point, ...]:
     """Anchors g in outer with inner + g contained in outer, sorted."""
     if outer.dim != inner.dim:
         raise ValueError("dimension mismatch")
+    if not outer.points or not inner.points:
+        # no anchors in an empty outer; an empty inner fits at every g
+        return outer.sorted_points
     pts = outer.points
+    anchors = (g for g in _anchor_box(outer, inner) if g in pts)
+    if outer.is_box():
+        # inner + g lies inside a box exactly when g lies in the anchor box
+        return tuple(anchors)
     inner_pts = inner.sorted_points
-    return tuple(
-        g
-        for g in outer.sorted_points
-        if all(point_add(p, g) in pts for p in inner_pts)
-    )
+    return tuple(g for g in anchors if all(point_add(p, g) in pts for p in inner_pts))
 
 
 def count_embeddings(outer: Shape, inner: Shape) -> int:
@@ -47,25 +51,27 @@ def pattern_counts(block: Block, inner: Shape, depth: int) -> dict[tuple[int, ..
         raise ValueError(f"depth must lie in 1..{block.depth}, got {depth}")
     counts: dict[tuple[int, ...], int] = {}
     inner_pts = inner.sorted_points
+    symbols, index = block.symbols, block.shape.index
+    rows = range(0, depth * len(block.shape), len(block.shape))
     for g in embedding_anchors(block.shape, inner):
-        moved = [point_add(p, g) for p in inner_pts]
-        key = tuple(block.get(q, r) for r in range(1, depth + 1) for q in moved)
+        cells = [index[point_add(p, g)] for p in inner_pts]
+        key = tuple(symbols[row + i] for row in rows for i in cells)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
 
 @lru_cache(maxsize=512)
-def freq_table(block: Block, inner: Shape, depth: int) -> dict[tuple[int, ...], Fraction]:
+def freq_table(
+    block: Block, inner: Shape, depth: int
+) -> Mapping[tuple[int, ...], Fraction]:
     """Frequencies of all patterns on inner x rows[1..depth] inside ``block``.
 
     Empty when no translate of ``inner`` embeds.  Values sum to exactly 1
-    otherwise.
+    otherwise.  The table is cached and shared, so it is read-only.
     """
     counts = pattern_counts(block, inner, depth)
     total = sum(counts.values())
-    if total == 0:
-        return {}
-    return {key: Fraction(c, total) for key, c in counts.items()}
+    return MappingProxyType({key: Fraction(c, total) for key, c in counts.items()})
 
 
 def count_occurrences(block: Block, pattern: Block) -> int:
@@ -85,9 +91,46 @@ def freq(block: Block, pattern: Block) -> Fraction:
     if pattern.sizes != block.sizes[: pattern.depth]:
         raise ValueError("alphabet stack mismatch")
     table = freq_table(block, pattern.shape, pattern.depth)
-    if not table:
-        return Fraction(0)
     return table.get(pattern.symbols, Fraction(0))
+
+
+def block_measure_gap_bound(delta: Fraction, folner_size: int) -> Fraction:
+    """Upper bound on |frequency - marginal of the block measure| for a block
+    on a (F, delta)-invariant shape, where folner_size = |F|.
+
+    The bound is u + u / (1 - u) with u = delta * |F|: the first summand
+    covers the embedding-count ratio deficit, the second the stray
+    occurrences that straddle the boundary.
+    """
+    delta = Fraction(delta)
+    if delta < 0:
+        raise ValueError("delta must be non-negative")
+    u = delta * folner_size
+    if u >= 1:
+        raise ValueError("delta * |F| must be below 1")
+    return u + u / (1 - u)
+
+
+def tiling_average_gap_bound(delta: Fraction, folner_size: int) -> Fraction:
+    """Upper bound on |frequency in the host block - tile-weighted average of
+    tile frequencies| for a host (1 - delta)-tiled by (F, delta)-invariant
+    tiles, where folner_size = |F|.
+
+    Sum of the three error terms: positions too close to tile boundaries,
+    the mismatch between the host's embedding count and the total tile
+    volume, and the per-tile embedding deficit.
+    """
+    delta = Fraction(delta)
+    if delta < 0:
+        raise ValueError("delta must be non-negative")
+    if delta >= 1 or delta * folner_size >= 1:
+        raise ValueError("delta and delta * |F| must be below 1")
+    s = folner_size
+    return (
+        delta * (s + 1)
+        + delta * (s + 2) / (1 - delta)
+        + delta * s / (1 - delta * s)
+    )
 
 
 @dataclass(frozen=True)
@@ -102,18 +145,10 @@ class TypicalBlock:
 def corpus_subblocks(corpus: Corpus, window: Shape, depth: int) -> Iterator[Block]:
     """All re-based patterns with domain window x rows[1..depth], in corpus
     order then anchor order."""
-    from .symbolic import subblock_at
-
     for block in corpus.blocks:
         if not block.shape.points:
             continue
-        lo, hi = block.shape.bounds()
-        wlo, whi = window.bounds()
-        anchors = Shape.box(
-            tuple(a - b for a, b in zip(lo, wlo)),
-            tuple(a - b for a, b in zip(hi, whi)),
-        )
-        for g in anchors.sorted_points:
+        for g in _anchor_box(block.shape, window):
             sub = subblock_at(block, window, g, depth)
             if sub is not None:
                 yield sub

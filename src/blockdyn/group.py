@@ -113,10 +113,17 @@ def translate(shape: Shape, g: Sequence[int]) -> Shape:
     return Shape(shape.dim, frozenset(point_add(p, gp) for p in shape.points))
 
 
-# In Z^d left and right translates coincide; both names are kept so that a
-# non-abelian backend could slot in without changing call sites.
-left_translate = translate
-right_translate = translate
+def _anchor_box(outer: Shape, inner: Shape) -> Iterator[Point]:
+    """Anchors g, in lexicographic order, with inner + g inside the bounding
+    box of outer.  Both shapes must be non-empty.
+
+    Every anchor g with inner + g within outer lies in this box, so scans
+    over embeddings start here and test containment themselves.
+    """
+    (lo, hi), (ilo, ihi) = outer.bounds(), inner.bounds()
+    return cartesian(
+        *(range(a - b, c - d + 1) for a, b, c, d in zip(lo, ilo, hi, ihi))
+    )
 
 
 def shape_product(a: Shape, f: Shape) -> Shape:

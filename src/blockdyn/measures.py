@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .frequency import freq_table
@@ -52,7 +53,7 @@ class CylinderMeasure:
         self.base = base
         self.sizes = inferred
         self._masses = dict(sorted(items.items(), key=lambda kv: kv[0].symbols))
-        self._marginals: dict[tuple[Shape, int], dict[tuple[int, ...], Fraction]] = {}
+        self._marginals: dict[tuple[Shape, int], Mapping[tuple[int, ...], Fraction]] = {}
 
     def items(self) -> tuple[tuple[Block, Fraction], ...]:
         return tuple(self._masses.items())
@@ -76,8 +77,11 @@ class CylinderMeasure:
             f"support={len(self._masses)})"
         )
 
-    def marginal(self, e: Shape, level: int) -> dict[tuple[int, ...], Fraction]:
-        """Marginal over e x rows[1..level], keyed by row-major symbol tuples."""
+    def marginal(self, e: Shape, level: int) -> Mapping[tuple[int, ...], Fraction]:
+        """Marginal over e x rows[1..level], keyed by row-major symbol tuples.
+
+        The result is cached and shared, so it is read-only.
+        """
         key = (e, level)
         cached = self._marginals.get(key)
         if cached is not None:
@@ -91,8 +95,8 @@ class CylinderMeasure:
         for block, mass in self._masses.items():
             sub = tuple(block.get(p, r) for r in range(1, level + 1) for p in pts)
             out[sub] = out.get(sub, Fraction(0)) + mass
-        self._marginals[key] = out
-        return out
+        view = self._marginals[key] = MappingProxyType(out)
+        return view
 
     def value(self, pattern: Block) -> Fraction:
         """Mass of the cylinder given by a pattern at level <= depth."""
@@ -141,16 +145,32 @@ def mix(weights: Sequence[Fraction], measures: Sequence[CylinderMeasure]) -> Cyl
     return CylinderMeasure(first.depth, first.base, out, first.sizes)
 
 
+def _x_values(x: Block | CylinderMeasure, family: BlockFamily) -> list[Fraction]:
+    """Per-pattern values of x on a family: frequencies for a block, masses
+    for a measure."""
+    if isinstance(x, Block):
+        table = freq_table(x, family.base, family.level)
+        return [table.get(b.symbols, Fraction(0)) for b in family.blocks]
+    return [x.value(b) for b in family.blocks]
+
+
+def _level_term(
+    x: Block | CylinderMeasure, nu: CylinderMeasure, family: BlockFamily
+) -> Fraction:
+    """d_k: the average of |x - nu| over one family."""
+    total = Fraction(0)
+    for xv, b in zip(_x_values(x, family), family.blocks):
+        total += abs(xv - nu.value(b))
+    return total / len(family.blocks)
+
+
 def dist_k(mu: CylinderMeasure, nu: CylinderMeasure, family: BlockFamily) -> Fraction:
     """Average absolute mass difference over a family of same-level blocks."""
     if not family.blocks:
         raise ValueError("empty family")
     if family.level > mu.depth or family.level > nu.depth:
         raise ValueError("family level exceeds a measure depth")
-    total = Fraction(0)
-    for b in family.blocks:
-        total += abs(mu.value(b) - nu.value(b))
-    return total / len(family.blocks)
+    return _level_term(mu, nu, family)
 
 
 @dataclass(frozen=True)
@@ -158,11 +178,13 @@ class DistanceInterval:
     """Certified enclosure of the weak-star series distance.
 
     The true value lies in [lower, lower + tail]; tail is 2^-J for a
-    truncation at depth J.
+    truncation at depth J.  ``levels`` holds d_1, ..., d_J, so that
+    lower = sum_k 2^-k d_k.
     """
 
     lower: Fraction
     tail: Fraction
+    levels: tuple[Fraction, ...]
 
     @property
     def upper(self) -> Fraction:
@@ -179,6 +201,16 @@ def _check_families(families: Sequence[BlockFamily]) -> None:
             raise ValueError(f"family at level {i} is empty")
 
 
+def _series(levels: Sequence[Fraction]) -> DistanceInterval:
+    """The truncated series over per-level terms d_1, ..., d_J."""
+    lower = sum(
+        (Fraction(1, 2**k) * d for k, d in enumerate(levels, start=1)), Fraction(0)
+    )
+    return DistanceInterval(
+        lower=lower, tail=Fraction(1, 2 ** len(levels)), levels=tuple(levels)
+    )
+
+
 def dist(
     mu: CylinderMeasure, nu: CylinderMeasure, families: Sequence[BlockFamily]
 ) -> DistanceInterval:
@@ -188,10 +220,7 @@ def dist(
     the discarded levels contribute at most sum_{k>J} 2^-k = 2^-J.
     """
     _check_families(families)
-    lower = Fraction(0)
-    for fam in families:
-        lower += Fraction(1, 2**fam.level) * dist_k(mu, nu, fam)
-    return DistanceInterval(lower=lower, tail=Fraction(1, 2 ** len(families)))
+    return _series([dist_k(mu, nu, fam) for fam in families])
 
 
 def dist_block(
@@ -201,14 +230,7 @@ def dist_block(
     _check_families(families)
     if block.depth < len(families):
         raise ValueError("block shallower than the deepest family level")
-    lower = Fraction(0)
-    for fam in families:
-        table = freq_table(block, fam.base, fam.level)
-        level_sum = Fraction(0)
-        for b in fam.blocks:
-            level_sum += abs(table.get(b.symbols, Fraction(0)) - nu.value(b))
-        lower += Fraction(1, 2**fam.level) * level_sum / len(fam.blocks)
-    return DistanceInterval(lower=lower, tail=Fraction(1, 2 ** len(families)))
+    return _series([_level_term(block, nu, fam) for fam in families])
 
 
 def tail_depth(eps: Fraction) -> int:
@@ -279,12 +301,7 @@ def _objective_terms(
     terms: list[tuple[Fraction, Fraction, tuple[Fraction, ...]]] = []
     for fam in families:
         coeff = Fraction(1, (2**fam.level) * len(fam.blocks))
-        if isinstance(x, Block):
-            table = freq_table(x, fam.base, fam.level)
-            xvals = [table.get(b.symbols, Fraction(0)) for b in fam.blocks]
-        else:
-            xvals = [x.value(b) for b in fam.blocks]
-        for b, xv in zip(fam.blocks, xvals):
+        for b, xv in zip(fam.blocks, _x_values(x, fam)):
             vv = tuple(v.value(b) for v in target.vertices)
             terms.append((coeff, xv, vv))
     return terms

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .group import Point, Shape, invariance_ratio, point_add
+from .group import Point, Shape, _anchor_box, invariance_ratio, point_add
 from .symbolic import Block
 
 
@@ -128,16 +128,10 @@ def greedy_tile(window: Shape, shapes: Sequence[Shape], eps: Fraction) -> Greedy
     )
     occupied: set[Point] = set()
     centers: list[set[Point]] = [set() for _ in shapes]
-    wlo, whi = window.bounds()
     for idx in order:
         shape = shapes[idx]
-        slo, shi = shape.bounds()
-        anchors = Shape.box(
-            tuple(a - b for a, b in zip(wlo, slo)),
-            tuple(a - b for a, b in zip(whi, shi)),
-        )
         pts = shape.sorted_points
-        for c in anchors.sorted_points:
+        for c in _anchor_box(window, shape):
             cells = [point_add(p, c) for p in pts]
             if any(q not in window.points for q in cells):
                 continue

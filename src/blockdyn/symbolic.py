@@ -8,10 +8,12 @@ hashable so they can key measures and form families.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
-from .group import Point, Shape, folner_box, point_add, point_neg, translate
+from .group import Point, Shape, _anchor_box, folner_box, point_add, point_neg, translate
 
 
 @dataclass(frozen=True)
@@ -194,26 +196,12 @@ def enumerate_family(corpus: Corpus, k: int) -> BlockFamily:
         raise ValueError("cannot enumerate a family from an empty corpus")
     if not 1 <= k <= corpus.stack.depth:
         raise ValueError(f"level {k} outside stack of depth {corpus.stack.depth}")
-    dim = corpus.dim
-    base = folner_box(k, dim)
+    from .frequency import pattern_counts  # frequency imports this module
+
+    base = folner_box(k, corpus.dim)
     seen: set[tuple[int, ...]] = set()
-    base_pts = base.sorted_points
     for block in corpus.blocks:
-        outer = block.shape.points
-        if not outer:
-            continue
-        lo, hi = block.shape.bounds()
-        blo, bhi = base.bounds()
-        anchor_box = Shape.box(
-            tuple(a - b for a, b in zip(lo, blo)),
-            tuple(a - b for a, b in zip(hi, bhi)),
-        )
-        for g in anchor_box.sorted_points:
-            moved = [point_add(p, g) for p in base_pts]
-            if any(q not in outer for q in moved):
-                continue
-            key = tuple(block.get(q, r) for r in range(1, k + 1) for q in moved)
-            seen.add(key)
+        seen.update(pattern_counts(block, base, k))
     sizes = corpus.stack.sizes[:k]
     blocks = tuple(Block(base, k, sizes, key) for key in sorted(seen))
     return BlockFamily(k, base, blocks)
@@ -265,13 +253,7 @@ def _contains_any(block: Block, patterns: Sequence[Block]) -> bool:
     for pat in patterns:
         if pat.depth > block.depth:
             continue
-        lo, hi = block.shape.bounds()
-        plo, phi = pat.shape.bounds()
-        anchors = Shape.box(
-            tuple(a - b for a, b in zip(lo, plo)),
-            tuple(a - b for a, b in zip(hi, phi)),
-        )
-        for g in anchors.sorted_points:
+        for g in _anchor_box(block.shape, pat.shape):
             sub = subblock_at(block, pat.shape, g, pat.depth)
             if sub is not None and sub.symbols == pat.symbols:
                 return True
@@ -291,17 +273,8 @@ def sample_bernoulli(
     """
     thresholds = _cumulative(stack, probabilities)
     rng = random.Random(seed)
-    pts = window.sorted_points
-    symbols: list[int] = []
-    for row in range(stack.depth):
-        cum = thresholds[row]
-        for _ in pts:
-            u = rng.random()
-            s = 0
-            while s < len(cum) - 1 and u >= cum[s]:
-                s += 1
-            symbols.append(s)
-    return Block(window, stack.depth, stack.sizes, tuple(symbols))
+    symbols = tuple(_draw(rng, cum) for cum in thresholds for _ in range(len(window)))
+    return Block(window, stack.depth, stack.sizes, symbols)
 
 
 def _cumulative(
@@ -319,14 +292,15 @@ def _cumulative(
         total = sum(vals)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"row {row + 1} probabilities sum to {total}, not 1")
-        cum: list[float] = []
-        acc = 0.0
-        for v in vals:
-            acc += v
-            cum.append(acc)
-        cum[-1] = 1.0
-        out.append(cum)
+        out.append(list(accumulate(vals)))
     return out
+
+
+def _draw(rng: random.Random, cumulative: Sequence[float]) -> int:
+    """Index of one categorical draw: the first cumulative weight above a
+    uniform variate, or the last index when rounding leaves the variate at
+    or above the final sum."""
+    return min(bisect_right(cumulative, rng.random()), len(cumulative) - 1)
 
 
 def sample_markov(
@@ -351,19 +325,11 @@ def sample_markov(
     ):
         raise ValueError("malformed transition matrix")
     rng = random.Random(seed)
-
-    def draw(dist: list[float]) -> int:
-        u = rng.random()
-        acc = 0.0
-        for i, v in enumerate(dist):
-            acc += v
-            if u < acc or i == len(dist) - 1:
-                return i
-        return len(dist) - 1
-
+    init_cum = list(accumulate(init))
+    row_cums = [list(accumulate(r)) for r in rows]
     symbols: list[int] = []
     state: int | None = None
     for _ in window.sorted_points:
-        state = draw(init) if state is None else draw(rows[state])
+        state = _draw(rng, init_cum if state is None else row_cums[state])
         symbols.append(state)
     return Block(window, 1, stack.sizes, tuple(symbols))

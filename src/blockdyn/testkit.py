@@ -1,8 +1,9 @@
-"""Independent brute-force oracles and bound calculators.
+"""Independent brute-force oracles.
 
 Everything here is written directly from the defining formulas, with no
 code shared with the optimized counting/marginal paths, so that exact
-agreement between the two is a meaningful check.
+agreement between the two is a meaningful check.  The two gap-bound
+calculators live in ``blockdyn.frequency`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .frequency import block_measure_gap_bound, tiling_average_gap_bound  # noqa: F401
 from .group import Shape, point_add
 from .measures import ConvexTarget, CylinderMeasure
 from .symbolic import Block, BlockFamily
@@ -59,45 +61,6 @@ def oracle_measure_value(measure: CylinderMeasure, pattern: Block) -> Fraction:
         if sub == pattern.symbols:
             total += mass
     return total
-
-
-def block_measure_gap_bound(delta: Fraction, folner_size: int) -> Fraction:
-    """Upper bound on |frequency - marginal of the block measure| for a block
-    on a (F, delta)-invariant shape, where folner_size = |F|.
-
-    The bound is u + u / (1 - u) with u = delta * |F|: the first summand
-    covers the embedding-count ratio deficit, the second the stray
-    occurrences that straddle the boundary.
-    """
-    delta = Fraction(delta)
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    u = delta * folner_size
-    if u >= 1:
-        raise ValueError("delta * |F| must be below 1")
-    return u + u / (1 - u)
-
-
-def tiling_average_gap_bound(delta: Fraction, folner_size: int) -> Fraction:
-    """Upper bound on |frequency in the host block - tile-weighted average of
-    tile frequencies| for a host (1 - delta)-tiled by (F, delta)-invariant
-    tiles, where folner_size = |F|.
-
-    Sum of the three error terms: positions too close to tile boundaries,
-    the mismatch between the host's embedding count and the total tile
-    volume, and the per-tile embedding deficit.
-    """
-    delta = Fraction(delta)
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    if delta >= 1 or delta * folner_size >= 1:
-        raise ValueError("delta and delta * |F| must be below 1")
-    s = folner_size
-    return (
-        delta * (s + 1)
-        + delta * (s + 2) / (1 - delta)
-        + delta * s / (1 - delta * s)
-    )
 
 
 def _simplex_grid(m: int, step: Fraction) -> Iterator[tuple[Fraction, ...]]:

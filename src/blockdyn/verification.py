@@ -12,19 +12,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .frequency import freq_table
+from .construction import _concatenation_check
+from .frequency import block_measure_gap_bound, freq_table
 from .group import Shape, folner_box, invariance_ratio
 from .measures import CylinderMeasure, block_measure, dist, dist_k
-from .quasitiling import Quasitiling, verify as verify_tiling
-from .symbolic import (
-    AlphabetStack,
-    Block,
-    BlockFamily,
-    Corpus,
-    restrict,
-    sample_bernoulli,
-)
-from .testkit import block_measure_gap_bound, tiling_average_gap_bound
+from .quasitiling import Quasitiling
+from .symbolic import AlphabetStack, Block, BlockFamily, Corpus, sample_bernoulli
 
 
 @dataclass(frozen=True)
@@ -161,38 +154,19 @@ def _tiled_instance(
 def tiling_average_gap_suite(seed: int, instances: int = 100) -> SuiteResult:
     """Host-vs-tile-average frequency gap against its bound.
 
-    Each instance derives its deficiency from the tiling itself: the
-    largest tile invariance ratio and the uncovered fraction, nudged up by
-    1/1000 because the invariance definition is strict.
+    Each instance is scored by the concatenation check of the staged run,
+    which derives the deficiency from the tiling itself.
     """
     result = SuiteResult("tiling average gap bound")
     rng = random.Random(seed)
-    f1 = folner_box(1, 1)
     for i in range(instances):
         side = rng.choice([30, 36, 44, 50, 60])
         tiles = rng.randint(2, 6)
         block, tiling = _tiled_instance(rng, side, tiles)
-        report = verify_tiling(tiling, f1)
-        assert report.invariance_ratios is not None
-        delta = max(
-            max(report.invariance_ratios), 1 - report.covered_fraction
-        ) + Fraction(1, 1000)
-        bound = tiling_average_gap_bound(delta, len(f1))
-        host_table = freq_table(block, f1, 1)
-        weighted: dict[tuple[int, ...], Fraction] = {}
-        total_cells = 0
-        for _c, _idx, cells in tiling.tiles():
-            tile_block = restrict(block, Shape(block.dim, cells), 1)
-            table = freq_table(tile_block, f1, 1)
-            n = len(cells)
-            total_cells += n
-            for key, v in table.items():
-                weighted[key] = weighted.get(key, Fraction(0)) + n * v
-        dev = Fraction(0)
-        for key in set(host_table) | set(weighted):
-            avg = weighted.get(key, Fraction(0)) / total_cells
-            dev = max(dev, abs(host_table.get(key, Fraction(0)) - avg))
-        result.cases.append(SuiteCase(f"tiled-{i}", dev, bound, dev > bound))
+        dev, bound = _concatenation_check(block, tiling)
+        assert dev is not None
+        violation = bound is None or dev > bound
+        result.cases.append(SuiteCase(f"tiled-{i}", dev, bound, violation))
     return result
 
 
