@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -64,27 +65,39 @@ def _families(corpus: Corpus, levels: int):
     return [enumerate_family(corpus, k) for k in range(1, levels + 1)]
 
 
+def _section(cfg: ExperimentConfig, name: str, default: dict | None = None) -> dict:
+    section = cfg.raw.get(name, default)
+    if not isinstance(section, dict):
+        raise ConfigError(f"the {name} section is missing or not an object")
+    return section
+
+
+def _int_option(section: dict, key: str, default: int) -> int:
+    value = section.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from exc
+
+
 def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> int:
-    gen_cfg = cfg.raw.get("gen")
-    if not isinstance(gen_cfg, dict):
-        raise ConfigError("the configuration has no gen section")
+    gen_cfg = _section(cfg, "gen")
     seed = cfg.require_seed()
-    count = int(gen_cfg.get("count", 1))
+    count = _int_option(gen_cfg, "count", 1)
     kind = gen_cfg.get("kind", "bernoulli")
-    blocks = []
-    for i in range(count):
-        block_seed = seed + 7919 * i
+    try:
         if kind == "bernoulli":
             probs = [[parse_frac(p) for p in row] for row in gen_cfg["probs"]]
-            blocks.append(sample_bernoulli(cfg.window, cfg.stack, probs, block_seed))
+            draw = partial(sample_bernoulli, cfg.window, cfg.stack, probs)
         elif kind == "markov":
             init = [parse_frac(p) for p in gen_cfg["init"]]
             trans = [[parse_frac(p) for p in row] for row in gen_cfg["transition"]]
-            blocks.append(
-                sample_markov(cfg.window, cfg.stack, init, trans, block_seed)
-            )
+            draw = partial(sample_markov, cfg.window, cfg.stack, init, trans)
         else:
             raise ConfigError(f"unknown generator kind: {kind}")
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed gen section: {exc!r}") from exc
+    blocks = [draw(seed + 7919 * i) for i in range(count)]
     corpus = Corpus(cfg.stack, tuple(blocks))
     files.write_corpus(rundir / "corpus.json", corpus)
     print(f"wrote {count} block(s) to {rundir / 'corpus.json'}")
@@ -156,10 +169,9 @@ def cmd_dist(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
         target = _load_vertices(cfg)
         levels = min(args.levels or target.depth, target.depth, x_depth)
         fams = _families(corpus, levels)
-        hd = dist_to_hull(x, target, fams, cfg.tol)
+        hd = dist_to_hull(x, target, fams)
         rows.append(["hull_lower", "", frac_str(hd.value)])
         rows.append(["tail", "", frac_str(hd.tail)])
-        rows.append(["gap", "", frac_str(hd.gap)])
         for i, w in enumerate(hd.weights):
             rows.append([f"weight_{i}", "", frac_str(w)])
         print(f"hull distance in [{hd.value}, {hd.value + hd.tail}]")
@@ -183,12 +195,13 @@ def cmd_dist(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
 
 
 def cmd_tile(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> int:
-    sides = args.sides or cfg.raw.get("tile_sides")
+    try:
+        sides = [int(s) for s in args.sides or cfg.raw.get("tile_sides") or []]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"tile_sides must be a list of integers: {exc}") from exc
     if not sides:
         raise ConfigError("tile needs --sides or tile_sides in the configuration")
-    shapes = [
-        Shape.box((0,) * cfg.dim, (int(s) - 1,) * cfg.dim) for s in sides
-    ]
+    shapes = [Shape.box((0,) * cfg.dim, (s - 1,) * cfg.dim) for s in sides]
     eps = parse_frac(args.eps)
     result = greedy_tile(cfg.window, shapes, eps)
     report = verify_tiling(result.tiling, folner_box(1, cfg.dim))
@@ -197,7 +210,7 @@ def cmd_tile(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
     rows = [
         [
             i,
-            int(s),
+            s,
             len(result.tiling.centers[i]),
             frac_str(report.invariance_ratios[i]),
             frac_str(result.covered_fraction),
@@ -229,21 +242,17 @@ def cmd_construct(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path)
     if not 0 <= args.block < len(corpus.blocks):
         raise ConfigError(f"corpus has no block {args.block}")
     initial = corpus.blocks[args.block]
-    rep_cfg = cfg.raw.get("representatives", {"source": "corpus"})
+    rep_cfg = _section(cfg, "representatives", {"source": "corpus"})
     if rep_cfg.get("source") == "vertex":
         seed = cfg.require_seed()
-        source = vertex_rep_source(
-            target,
-            int(rep_cfg.get("vertex", 0)),
-            seed,
-            int(rep_cfg.get("count", 8)),
-            sizes=cfg.stack.sizes,
-        )
+        vertex = _int_option(rep_cfg, "vertex", 0)
+        if not 0 <= vertex < len(target):
+            raise ConfigError(f"the target has no vertex {vertex}")
+        count = _int_option(rep_cfg, "count", 8)
+        source = vertex_rep_source(target, vertex, seed, count, sizes=cfg.stack.sizes)
     else:
-        source = corpus_rep_source(corpus, int(rep_cfg.get("limit", 64)))
-    result: RunResult = run_stages(
-        initial, cfg.schedule, target, fams, source, cfg.tol
-    )
+        source = corpus_rep_source(corpus, _int_option(rep_cfg, "limit", 64))
+    result: RunResult = run_stages(initial, cfg.schedule, target, fams, source)
     _write_run(rundir, cfg, result)
     last = result.stages[-1]
     print(

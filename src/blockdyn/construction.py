@@ -161,7 +161,6 @@ def select_representative(
     target: ConvexTarget,
     candidates: Sequence[Block],
     families: Sequence[BlockFamily],
-    tol: Fraction = Fraction(1, 1000),
 ) -> tuple[Block, HullDistance]:
     """The candidate whose empirical measure is closest to the target hull.
 
@@ -175,7 +174,7 @@ def select_representative(
     for cand in candidates:
         if cand.shape != shape:
             raise ValueError("candidate with a different shape")
-        hd = dist_to_hull(block_measure(cand, target.depth), target, families, tol)
+        hd = dist_to_hull(block_measure(cand, target.depth), target, families)
         key = (hd.value, cand.symbols)
         if best is None or key < best:
             best = key
@@ -190,7 +189,6 @@ def _tile_distances(
     target: ConvexTarget,
     families: Sequence[BlockFamily],
     depth: int,
-    tol: Fraction,
 ) -> list[tuple[Point, int, Block, Fraction]]:
     """(center, shape index, re-based tile block, hull distance lower bound)
     for every tile, ordered by center; distances are cached per distinct
@@ -204,7 +202,7 @@ def _tile_distances(
         key = (i, sub.symbols)
         lower = cache.get(key)
         if lower is None:
-            lower = dist_to_hull(sub, target, families, tol).value
+            lower = dist_to_hull(sub, target, families).value
             cache[key] = lower
         out.append((c, i, sub, lower))
     return out
@@ -217,14 +215,13 @@ def far_mass(
     delta: Fraction,
     families: Sequence[BlockFamily],
     depth: int | None = None,
-    tol: Fraction = Fraction(1, 1000),
 ) -> Fraction:
     """Fraction of window cells covered by tiles whose block is certified
     farther than delta from the target hull."""
     delta = Fraction(delta)
     k = target.depth if depth is None else depth
     total = 0
-    for _, i, _, lower in _tile_distances(config, tiling, target, families, k, tol):
+    for _, i, _, lower in _tile_distances(config, tiling, target, families, k):
         if lower > delta:
             total += len(tiling.shapes[i])
     return Fraction(total, len(tiling.window))
@@ -237,7 +234,6 @@ def stage_transform(
     delta: Fraction,
     representatives: Mapping[Shape, Block],
     families: Sequence[BlockFamily],
-    tol: Fraction = Fraction(1, 1000),
 ) -> tuple[Block, StageReport]:
     """Overwrite the leading rows of every far tile with its shape's
     representative; leave everything else untouched.
@@ -266,7 +262,7 @@ def stage_transform(
         if reps[shape].shape != shape:
             raise ValueError("representative does not live on its shape")
 
-    distances = _tile_distances(config, tiling, target, families, k, tol)
+    distances = _tile_distances(config, tiling, target, families, k)
     tile_records = []
     changes = []
     far_cells = 0
@@ -284,7 +280,7 @@ def stage_transform(
         )
     out = apply_changes(config, changes)
     far_before = Fraction(far_cells, len(tiling.window))
-    far_after = far_mass(out, tiling, target, delta, families, k, tol)
+    far_after = far_mass(out, tiling, target, delta, families, k)
     report = StageReport(
         stage=0,
         eps=Fraction(0),
@@ -419,7 +415,6 @@ def run(
     target: ConvexTarget,
     families: Sequence[BlockFamily],
     rep_source: RepSource,
-    tol: Fraction = Fraction(1, 1000),
 ) -> RunResult:
     """Apply the staged transform with congruent coarsening grid tilings.
 
@@ -435,6 +430,8 @@ def run(
     reports: list[StageReport] = []
     current = config
     previous_tiling: Quasitiling | None = None
+    # A stage starts from the previous output, so at its window distance.
+    wd_before = dist_to_hull(block_measure(config, target.depth), target, families).value
     for st in schedule.stages:
         if st.depth > config.depth or st.depth < target.depth:
             raise ValueError(
@@ -446,14 +443,11 @@ def run(
         if previous_tiling is not None and not congruent(tiling, previous_tiling):
             raise ValueError(f"stage {st.index} tiling not congruent with stage {st.index - 1}")
         candidates = rep_source(box, st.depth)
-        rep, _rep_dist = select_representative(box, target, candidates, families, tol)
-        before_measure = block_measure(current, target.depth)
-        wd_before = dist_to_hull(before_measure, target, families, tol).value
+        rep, _rep_dist = select_representative(box, target, candidates, families)
         out, rep_report = stage_transform(
-            current, tiling, target, st.delta, {box: rep}, families, tol
+            current, tiling, target, st.delta, {box: rep}, families
         )
-        after_measure = block_measure(out, target.depth)
-        wd_after = dist_to_hull(after_measure, target, families, tol).value
+        wd_after = dist_to_hull(block_measure(out, target.depth), target, families).value
         dev, bound = _concatenation_check(out, tiling)
         reports.append(
             StageReport(
@@ -474,7 +468,7 @@ def run(
             )
         )
         previous_tiling = tiling
-        current = out
+        current, wd_before = out, wd_after
     return RunResult(initial=config, final=current, stages=tuple(reports))
 
 

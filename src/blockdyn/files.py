@@ -244,7 +244,6 @@ class ExperimentConfig:
     vertex_paths: tuple[Path, ...]
     schedule: StageSchedule | None
     seed: int | None
-    tol: Fraction
 
     @classmethod
     def load(cls, path: Path, seed_override: int | None = None) -> ExperimentConfig:
@@ -255,11 +254,13 @@ class ExperimentConfig:
             dim = int(obj["dim"])
             stack = AlphabetStack(tuple(int(s) for s in obj["alphabet"]))
             window = Shape.box(obj["window"]["min"], obj["window"]["max"])
+            folner_levels = int(obj.get("folner_levels", 1))
+            seed = obj.get("seed") if seed_override is None else seed_override
+            seed = None if seed is None else int(seed)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         if window.dim != dim:
             raise ConfigError(f"{path}: window dimension differs from dim")
-        folner_levels = int(obj.get("folner_levels", 1))
         base = path.parent
         corpus_paths = tuple(base / p for p in obj.get("corpus", []))
         vertex_paths = tuple(base / p for p in obj.get("target_vertices", []))
@@ -276,14 +277,6 @@ class ExperimentConfig:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: bad schedule: {exc}") from exc
-        seed = obj.get("seed")
-        if seed_override is not None:
-            seed = seed_override
-        if seed is not None:
-            seed = int(seed)
-        tol = parse_frac(obj.get("tol", "1/1000"))
-        if tol <= 0:
-            raise ConfigError(f"{path}: tol must be positive")
         return cls(
             path=path,
             raw=obj,
@@ -295,7 +288,6 @@ class ExperimentConfig:
             vertex_paths=vertex_paths,
             schedule=schedule,
             seed=seed,
-            tol=tol,
         )
 
     def require_seed(self) -> int:

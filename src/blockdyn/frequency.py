@@ -133,6 +133,25 @@ def tiling_average_gap_bound(delta: Fraction, folner_size: int) -> Fraction:
     )
 
 
+def marginal_deviation(
+    block: Block, measure: "CylinderMeasure", depth: int, stop: Fraction | None = None
+) -> Fraction:
+    """Max over levels 1..depth of |frequency in block - marginal of measure|
+    over the patterns on F_level x rows[1..level]; returns early once the
+    running maximum reaches ``stop``."""
+    worst = Fraction(0)
+    for level in range(1, depth + 1):
+        base = folner_box(level, block.dim)
+        table = freq_table(block, base, level)
+        marg = measure.marginal(base, level)
+        for key in set(table) | set(marg):
+            dev = abs(table.get(key, Fraction(0)) - marg.get(key, Fraction(0)))
+            worst = max(worst, dev)
+            if stop is not None and worst >= stop:
+                return worst
+    return worst
+
+
 @dataclass(frozen=True)
 class TypicalBlock:
     """Search outcome: a block whose pattern frequencies track a target."""
@@ -197,21 +216,7 @@ def find_typical_block(
         tried += 1
         if cand.shape != window or cand.depth < depth:
             raise ValueError("candidate does not live on the requested domain")
-        worst = Fraction(0)
-        ok = True
-        for level in range(1, depth + 1):
-            base = folner_box(level, window.dim)
-            table = freq_table(cand, base, level)
-            marg = target.marginal(base, level)
-            for key in set(table) | set(marg):
-                dev = abs(table.get(key, Fraction(0)) - marg.get(key, Fraction(0)))
-                if dev > worst:
-                    worst = dev
-                if worst >= eps:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        worst = marginal_deviation(cand, target, depth, stop=eps)
+        if worst < eps:
             return TypicalBlock(block=cand, deviation=worst, candidates_tried=tried)
     return None

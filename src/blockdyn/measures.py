@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -276,29 +278,28 @@ class ConvexTarget:
 
 @dataclass(frozen=True)
 class HullDistance:
-    """Result of minimizing the truncated distance over the weight simplex.
-
-    ``value`` is the lower part at the returned weights; the true hull
-    distance lies in [value, value + tail].  ``gap`` is the refinement gap
-    of the final sweep (0 means the last full sweep made no progress).
-    """
+    """Exact minimum ``value`` of the truncated distance over the weight
+    simplex, attained at ``weights`` and certified by an equal dual value;
+    the true hull distance lies in [value, value + tail]."""
 
     value: Fraction
     weights: tuple[Fraction, ...]
-    gap: Fraction
     tail: Fraction
+
+
+# One objective term per family pattern: (coeff, x value, vertex values).
+Term = tuple[Fraction, Fraction, tuple[Fraction, ...]]
 
 
 def _objective_terms(
     x: Block | CylinderMeasure,
     target: ConvexTarget,
     families: Sequence[BlockFamily],
-) -> list[tuple[Fraction, Fraction, tuple[Fraction, ...]]]:
-    """Per-pattern terms (coeff, x value, vertex values)."""
+) -> list[Term]:
     _check_families(families)
     if len(families) > target.depth:
         raise ValueError("more family levels than target depth")
-    terms: list[tuple[Fraction, Fraction, tuple[Fraction, ...]]] = []
+    terms: list[Term] = []
     for fam in families:
         coeff = Fraction(1, (2**fam.level) * len(fam.blocks))
         for b, xv in zip(fam.blocks, _x_values(x, fam)):
@@ -307,10 +308,7 @@ def _objective_terms(
     return terms
 
 
-def _objective(
-    terms: Sequence[tuple[Fraction, Fraction, tuple[Fraction, ...]]],
-    weights: Sequence[Fraction],
-) -> Fraction:
+def _objective(terms: Sequence[Term], weights: Sequence[Fraction]) -> Fraction:
     total = Fraction(0)
     for coeff, xv, vv in terms:
         acc = xv
@@ -320,95 +318,103 @@ def _objective(
     return total
 
 
-def _weighted_median(points: list[tuple[Fraction, Fraction]]) -> Fraction:
-    """Minimizer of sum w |t - t_i| (first point where cumulative weight
-    reaches half the total)."""
-    points.sort(key=lambda tw: tw[0])
-    total = sum(w for _, w in points)
-    half = total / 2
-    acc = Fraction(0)
-    for t, w in points:
-        acc += w
-        if acc >= half:
-            return t
-    return points[-1][0]
+def _hull_lp(terms: Sequence[Term], m: int) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Optimal weights (the row multipliers) and optimal value of the dual LP
+
+        max  y.x - t   s.t.  (V^T y)_j <= t for each vertex j,  -c_i <= y_i <= c_i
+
+    by a bounded-variable primal simplex in exact arithmetic on an m-row
+    basis, which the free variable t never leaves.  Reduced costs are priced
+    once per basis change; the largest |reduced cost| enters, except right
+    after a degenerate pivot, where Bland's rule picks.  A cycle would be
+    degenerate pivots only, all by Bland's rule, so the method terminates.
+    """
+    n = len(terms)
+    t_var = n + m  # variables: y_0..y_{n-1}, the row slacks, then t
+    cols = [vv for _, _, vv in terms]
+    cols += [[int(i == j) for i in range(m)] for j in range(m)] + [[-1] * m]
+    cost = [xv for _, xv, _ in terms] + [0] * m + [-1]
+    upper: list[Fraction | None] = [c for c, _, _ in terms] + [None] * (m + 1)
+    lower = [-c for c, _, _ in terms] + [Fraction(0)] * m + [None]
+    # Integer copies of x and V over one denominator, for pricing.
+    den = lcm(*(v.denominator for _, xv, vv in terms for v in (xv, *vv)))
+    xs = [int(xv * den) for xv in cost[:n]]
+    vs = [[int(v * den) for v in vv] for vv in cols[:n]]
+
+    # Start at y_i = c_i sign(x_i - mean vertex value) and t = max_j (V^T y)_j,
+    # with t basic in the row of that maximum and the other slacks basic.
+    at_upper = [m * xv >= sum(vv) for _, xv, vv in terms] + [False] * (m + 1)
+    value = [upper[k] if at_upper[k] else lower[k] for k in range(n)]
+    g = [sum(y * vv[j] for y, vv in zip(value, cols)) for j in range(m)]
+    top = max(range(m), key=g.__getitem__)
+    value += [g[top] - gj for gj in g] + [g[top]]
+    basis = [t_var if j == top else n + j for j in range(m)]
+    binv = [[Fraction(-1 if i == top else int(i == j != top)) for i in range(m)]
+            for j in range(m)]
+    reduced: list[int] = []
+    bland = False
+    while True:
+        if not reduced:
+            pi = [sum(cost[k] * row[j] for k, row in zip(basis, binv)) for j in range(m)]
+            q = lcm(*(p.denominator for p in pi))
+            ps = [int(p * q) for p in pi]
+            # den * q * (cost_k - pi . column_k): the reduced costs, scaled
+            reduced = [xv * q - sum(map(mul, ps, vv)) for xv, vv in zip(xs, vs)]
+            reduced += [-p * den for p in ps]
+            basic = set(basis)
+        eligible = [k for k, d in enumerate(reduced)
+                    if k not in basic and (d < 0 if at_upper[k] else d > 0)]
+        if not eligible:
+            break
+        k = eligible[0] if bland else max(eligible, key=lambda e: abs(reduced[e]))
+        sigma = -1 if at_upper[k] else 1
+        alpha = [sum(map(mul, row, cols[k])) for row in binv]
+        # Ratio test: the step that first brings the entering variable (a
+        # bound flip, ranked -1) or a basic variable to a bound; ties go to
+        # the flip, then to the lowest variable index.
+        best = None if upper[k] is None else (upper[k] - lower[k], -1)
+        for r, a in enumerate(alpha):
+            limit = lower[basis[r]] if sigma * a > 0 else upper[basis[r]]
+            if a and limit is not None:
+                step = ((value[basis[r]] - limit) / (sigma * a), basis[r])
+                best = step if best is None else min(best, step)
+        if best is None:
+            raise RuntimeError("hull LP is unbounded")
+        theta, out = best
+        for r, a in enumerate(alpha):
+            value[basis[r]] -= sigma * theta * a
+        value[k] += sigma * theta
+        if out < 0:
+            at_upper[k] = not at_upper[k]
+            bland = False
+            continue
+        at_upper[out] = value[out] == upper[out]
+        leave = basis.index(out)
+        basis[leave] = k
+        prow = [b / alpha[leave] for b in binv[leave]]
+        binv = [
+            prow if r == leave else [b - a * p for b, p in zip(row, prow)]
+            for r, (row, a) in enumerate(zip(binv, alpha))
+        ]
+        bland = theta == 0
+        reduced = []
+    return tuple(pi), sum(map(mul, cost, value))
 
 
 def dist_to_hull(
     x: Block | CylinderMeasure,
     target: ConvexTarget,
     families: Sequence[BlockFamily],
-    tol: Fraction = Fraction(1, 1000),
-    max_sweeps: int = 60,
+    tol: object = None,
 ) -> HullDistance:
-    """Minimize the truncated distance from x to conv(vertices) over weights.
-
-    The objective is convex and piecewise linear in the weights.  Pairwise
-    coordinate descent transfers mass between two vertices at a time; each
-    transfer is minimized exactly (weighted median over the breakpoints of
-    the segment), and full sweeps repeat until the improvement of a sweep
-    drops below tol/10.  Deterministic: fixed sweep order and a fixed set
-    of starting points (uniform plus every vertex).
+    """Exact minimum over the weight simplex of the truncated distance
+    sum_i c_i |x_i - (V w)_i| from x to conv(vertices), from one exact solve
+    of its dual LP; the value at the optimal weights must equal the dual
+    optimum, which certifies it.  ``tol`` is deprecated and ignored.
     """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     terms = _objective_terms(x, target, families)
-    m = len(target)
-    tail = Fraction(1, 2 ** len(families))
-    if m == 1:
-        w = (Fraction(1),)
-        return HullDistance(_objective(terms, w), w, Fraction(0), tail)
-
-    pair_diffs: dict[tuple[int, int], list[Fraction]] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            pair_diffs[(i, j)] = [vv[i] - vv[j] for _, _, vv in terms]
-
-    starts: list[list[Fraction]] = [[Fraction(1, m)] * m]
-    for i in range(m):
-        starts.append([Fraction(1) if k == i else Fraction(0) for k in range(m)])
-
-    best_w: list[Fraction] | None = None
-    best_val: Fraction | None = None
-    best_gap = Fraction(0)
-    for start in starts:
-        w = list(start)
-        residual = [xv - sum(wi * vi for wi, vi in zip(w, vv)) for _, xv, vv in terms]
-        val = sum(c * abs(r) for (c, _, _), r in zip(terms, residual))
-        gap = val
-        for _ in range(max_sweeps):
-            sweep_start = val
-            for (i, j), diffs in pair_diffs.items():
-                lo, hi = -w[i], w[j]
-                if lo == hi:
-                    continue
-                pts = [
-                    (r / b, c * abs(b))
-                    for (c, _, _), r, b in zip(terms, residual, diffs)
-                    if b != 0
-                ]
-                if not pts:
-                    continue
-                t = _weighted_median(pts)
-                t = min(max(t, lo), hi)
-                if t == 0:
-                    continue
-                new_residual = [r - t * b for r, b in zip(residual, diffs)]
-                new_val = sum(
-                    c * abs(r) for (c, _, _), r in zip(terms, new_residual)
-                )
-                if new_val < val:
-                    residual = new_residual
-                    val = new_val
-                    w[i] += t
-                    w[j] -= t
-            gap = sweep_start - val
-            if gap < tol / 10 or val == 0:
-                break
-        if best_val is None or val < best_val or (val == best_val and w < best_w):
-            best_val = val
-            best_w = w
-            best_gap = gap
-    assert best_w is not None and best_val is not None
-    return HullDistance(best_val, tuple(best_w), best_gap, tail)
+    weights, dual = _hull_lp(terms, len(target))
+    value = _objective(terms, weights)
+    if value != dual:
+        raise RuntimeError(f"hull LP: primal value {value} differs from dual {dual}")
+    return HullDistance(value, weights, Fraction(1, 2 ** len(families)))

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .group import Point, Shape, _anchor_box, invariance_ratio, point_add
+from .frequency import embedding_anchors
+from .group import Point, Shape, invariance_ratio, point_add
 from .symbolic import Block
 
 
@@ -109,11 +110,11 @@ class GreedyTiling:
 def greedy_tile(window: Shape, shapes: Sequence[Shape], eps: Fraction) -> GreedyTiling:
     """Deterministic greedy quasitiling of a finite window.
 
-    Translates of the largest shape are placed at candidate centers in
-    lexicographic order wherever they fit without overlap, then the next
-    shape fills remaining space, and so on.  The achieved covering
-    fraction is reported against the 1 - eps target; falling short is not
-    an error.
+    Translates of the largest shape are placed at its embedding anchors
+    (centers in the window at which it fits) in lexicographic order
+    wherever they miss the tiles placed so far, then the next shape fills
+    remaining space, and so on.  The achieved covering fraction is
+    reported against the 1 - eps target; falling short is not an error.
     """
     if not shapes:
         raise ValueError("at least one shape is required")
@@ -131,10 +132,8 @@ def greedy_tile(window: Shape, shapes: Sequence[Shape], eps: Fraction) -> Greedy
     for idx in order:
         shape = shapes[idx]
         pts = shape.sorted_points
-        for c in _anchor_box(window, shape):
+        for c in embedding_anchors(window, shape):
             cells = [point_add(p, c) for p in pts]
-            if any(q not in window.points for q in cells):
-                continue
             if any(q in occupied for q in cells):
                 continue
             occupied.update(cells)

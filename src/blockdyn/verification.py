@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .construction import _concatenation_check
-from .frequency import block_measure_gap_bound, freq_table
+from .frequency import block_measure_gap_bound, marginal_deviation
 from .group import Shape, folner_box, invariance_ratio
 from .measures import CylinderMeasure, block_measure, dist, dist_k
 from .quasitiling import Quasitiling
@@ -64,16 +64,7 @@ class SuiteResult:
 
 def _measure_gap(block: Block, depth: int) -> Fraction:
     """Max |frequency - block-measure marginal| over all levels <= depth."""
-    mu = block_measure(block, depth)
-    worst = Fraction(0)
-    for level in range(1, depth + 1):
-        base = folner_box(level, block.dim)
-        table = freq_table(block, base, level)
-        marg = mu.marginal(base, level)
-        for key in set(table) | set(marg):
-            gap = abs(table.get(key, Fraction(0)) - marg.get(key, Fraction(0)))
-            worst = max(worst, gap)
-    return worst
+    return marginal_deviation(block, block_measure(block, depth), depth)
 
 
 def block_measure_gap_suite(

@@ -99,6 +99,60 @@ def test_malformed_data_file_exits_2(tmp_path, capsys, corpus, measure, argv):
     assert "Traceback" not in err
 
 
+BERNOULLI = {"kind": "bernoulli", "probs": [["1/2", "1/2"]]}
+SCHEDULE = {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [3]}
+
+
+@pytest.mark.parametrize(
+    "extra, argv",
+    [
+        ({"seed": 1, "gen": {"kind": "bernoulli"}}, ["gen"]),
+        ({"seed": 1, "gen": dict(BERNOULLI, count="two")}, ["gen"]),
+        ({"folner_levels": "x"}, ["blocks", "--level", "1"]),
+        ({"seed": "abc", "gen": BERNOULLI}, ["gen"]),
+        ({"tile_sides": ["x"]}, ["tile"]),
+        ({"seed": 1, "schedule": SCHEDULE, "representatives": ["vertex"]}, ["construct"]),
+        (
+            {"seed": 1, "schedule": SCHEDULE,
+             "representatives": {"source": "vertex", "vertex": "a"}},
+            ["construct"],
+        ),
+        (
+            {"seed": 1, "schedule": SCHEDULE,
+             "representatives": {"source": "vertex", "vertex": 5}},
+            ["construct"],
+        ),
+    ],
+    ids=[
+        "gen-without-probs", "gen-count-not-int", "folner-levels-not-int",
+        "seed-not-int", "tile-sides-not-int", "representatives-as-list",
+        "vertex-not-int", "vertex-out-of-range",
+    ],
+)
+def test_malformed_config_section_exits_2(tmp_path, capsys, extra, argv):
+    (tmp_path / "corpus.json").write_text(json.dumps(GOOD_CORPUS))
+    (tmp_path / "v0.json").write_text(json.dumps(GOOD_MEASURE))
+    config = _config(tmp_path)
+    config.write_text(canonical_json(dict(json.loads(config.read_text()), **extra)))
+    out = tmp_path / "out"
+    rc = cli.main(["--config", str(config), "--out", str(out)] + argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_hull_distance_writes_no_gap_row(tmp_path):
+    (tmp_path / "corpus.json").write_text(json.dumps(GOOD_CORPUS))
+    (tmp_path / "v0.json").write_text(json.dumps(GOOD_MEASURE))
+    out = tmp_path / "out"
+    argv = ["--config", str(_config(tmp_path)), "--out", str(out), "dist", "--block", "0", "--hull"]
+    assert cli.main(argv) == 0
+    (csv,) = out.glob("run-*/dist.csv")
+    rows = [line.split(",")[0] for line in csv.read_text().splitlines()[1:]]
+    assert rows == ["hull_lower", "tail", "weight_0"]
+
+
 def test_production_code_does_not_import_testkit():
     offenders = []
     for path in sorted(Path(blockdyn.__file__).parent.glob("*.py")):

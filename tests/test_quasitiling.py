@@ -152,3 +152,12 @@ def test_encode_decode_round_trip():
 def test_greedy_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         greedy_tile(W10, [Shape.box((0, 0), (1, 1))], Fraction(1, 10))
+
+
+def test_greedy_centers_lie_in_the_window():
+    # A shape without the origin: every center is an embedding anchor, so
+    # the symbolic encoding keeps every tile.
+    shape = Shape.of([(1,), (2,)])
+    got = greedy_tile(W10, [shape], Fraction(1))
+    assert got.tiling.centers == (frozenset({(0,), (2,), (4,), (6,)}),)
+    assert decode_symbolic(encode_symbolic(got.tiling), [shape]) == got.tiling
