@@ -9,7 +9,7 @@ stage is exactly invertible from its report.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Mapping, Sequence
@@ -28,7 +28,7 @@ from .measures import (
     block_measure,
     dist_to_hull,
 )
-from .quasitiling import GreedyTiling, Quasitiling, congruent, greedy_tile, verify
+from .quasitiling import Quasitiling, congruent, greedy_tile, verify
 from .symbolic import Block, BlockFamily, Corpus, _draw, subblock_at
 
 
@@ -169,18 +169,15 @@ def select_representative(
     """
     if not candidates:
         raise ValueError("empty candidate list")
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    chosen: tuple[Block, HullDistance] | None = None
-    for cand in candidates:
-        if cand.shape != shape:
-            raise ValueError("candidate with a different shape")
-        hd = dist_to_hull(block_measure(cand, target.depth), target, families)
-        key = (hd.value, cand.symbols)
-        if best is None or key < best:
-            best = key
-            chosen = (cand, hd)
-    assert chosen is not None
-    return chosen
+    if any(cand.shape != shape for cand in candidates):
+        raise ValueError("candidate with a different shape")
+    return min(
+        (
+            (cand, dist_to_hull(block_measure(cand, target.depth), target, families))
+            for cand in candidates
+        ),
+        key=lambda scored: (scored[1].value, scored[0].symbols),
+    )
 
 
 def _tile_distances(
@@ -262,11 +259,16 @@ def stage_transform(
         if reps[shape].shape != shape:
             raise ValueError("representative does not live on its shape")
 
-    distances = _tile_distances(config, tiling, target, families, k)
+    # Tiles are disjoint and writes touch only replaced tiles, so a kept tile
+    # keeps its distance (at most delta) and a replaced one reads back as
+    # exactly its representative: the far mass after the stage needs only
+    # one solve per representative.
+    rep_far: dict[Shape, bool] = {}
     tile_records = []
     changes = []
     far_cells = 0
-    for c, i, sub, lower in distances:
+    far_cells_after = 0
+    for c, i, sub, lower in _tile_distances(config, tiling, target, families, k):
         far = lower > delta
         tile_records.append(
             TileRecord(center=c, shape_index=i, distance_lower=lower, replaced=far)
@@ -274,13 +276,17 @@ def stage_transform(
         if not far:
             continue
         shape = tiling.shapes[i]
+        if shape not in rep_far:
+            back = Block(shape, k, config.sizes[:k], reps[shape].symbols)
+            rep_far[shape] = dist_to_hull(back, target, families).value > delta
         far_cells += len(shape)
+        if rep_far[shape]:
+            far_cells_after += len(shape)
         changes.append(
             ChangeRecord(center=c, shape_index=i, before=sub, after=reps[shape])
         )
     out = apply_changes(config, changes)
     far_before = Fraction(far_cells, len(tiling.window))
-    far_after = far_mass(out, tiling, target, delta, families, k)
     report = StageReport(
         stage=0,
         eps=Fraction(0),
@@ -288,7 +294,7 @@ def stage_transform(
         depth=k,
         covered_fraction=report0.covered_fraction,
         far_mass_before=far_before,
-        far_mass_after=far_after,
+        far_mass_after=Fraction(far_cells_after, len(tiling.window)),
         replaced_fraction=far_before,
         tiles=tuple(tile_records),
         changes=tuple(changes),
@@ -438,8 +444,7 @@ def run(
                 f"stage {st.index}: depth {st.depth} incompatible with the data"
             )
         box = Shape.box((0,) * config.dim, (st.tile_side - 1,) * config.dim)
-        greedy: GreedyTiling = greedy_tile(window, [box], Fraction(1))
-        tiling = greedy.tiling
+        tiling = greedy_tile(window, [box], Fraction(1)).tiling
         if previous_tiling is not None and not congruent(tiling, previous_tiling):
             raise ValueError(f"stage {st.index} tiling not congruent with stage {st.index - 1}")
         candidates = rep_source(box, st.depth)
@@ -450,17 +455,10 @@ def run(
         wd_after = dist_to_hull(block_measure(out, target.depth), target, families).value
         dev, bound = _concatenation_check(out, tiling)
         reports.append(
-            StageReport(
+            replace(
+                rep_report,
                 stage=st.index,
                 eps=st.eps,
-                delta=st.delta,
-                depth=rep_report.depth,
-                covered_fraction=rep_report.covered_fraction,
-                far_mass_before=rep_report.far_mass_before,
-                far_mass_after=rep_report.far_mass_after,
-                replaced_fraction=rep_report.replaced_fraction,
-                tiles=rep_report.tiles,
-                changes=rep_report.changes,
                 window_distance_before=wd_before,
                 window_distance_after=wd_after,
                 concat_deviation=dev,

@@ -91,12 +91,17 @@ def congruent(tiling: Quasitiling, previous: Quasitiling) -> bool:
     tile of ``previous``.  Not symmetric in general."""
     if tiling.window != previous.window:
         raise ValueError("congruence requires a common window")
-    coarse = [cells for _, _, cells in tiling.tiles()]
-    fine = [cells for _, _, cells in previous.tiles()]
-    for big in coarse:
-        for small in fine:
-            if not (big >= small or not (big & small)):
-                return False
+    # A fine tile passes when every coarse tile owning one of its cells owns
+    # all of them: the union of its cells' owner sets equals their
+    # intersection.
+    owners: dict[Point, set[int]] = {}
+    for n, (_, _, cells) in enumerate(tiling.tiles()):
+        for q in cells:
+            owners.setdefault(q, set()).add(n)
+    for _, _, cells in previous.tiles():
+        sets = [owners.get(q, set()) for q in cells]
+        if set().union(*sets) != sets[0].intersection(*sets[1:]):
+            return False
     return True
 
 
@@ -133,10 +138,9 @@ def greedy_tile(window: Shape, shapes: Sequence[Shape], eps: Fraction) -> Greedy
         shape = shapes[idx]
         pts = shape.sorted_points
         for c in embedding_anchors(window, shape):
-            cells = [point_add(p, c) for p in pts]
-            if any(q in occupied for q in cells):
+            if any(point_add(p, c) in occupied for p in pts):
                 continue
-            occupied.update(cells)
+            occupied.update(point_add(p, c) for p in pts)
             centers[idx].add(c)
     tiling = Quasitiling(
         window=window,
@@ -153,10 +157,12 @@ def greedy_tile(window: Shape, shapes: Sequence[Shape], eps: Fraction) -> Greedy
 
 def encode_symbolic(tiling: Quasitiling) -> Block:
     """One-row block over the window: value i at centers of shape i
-    (1-based), 0 elsewhere."""
+    (1-based), 0 elsewhere.  Every center must be a point of the window."""
     labels: dict[Point, int] = {}
     for i, cents in enumerate(tiling.centers):
         for c in cents:
+            if c not in tiling.window.points:
+                raise ValueError(f"center {c} lies outside the window")
             if c in labels:
                 raise ValueError(f"center {c} carries two shapes")
             labels[c] = i + 1

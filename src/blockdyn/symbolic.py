@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Callable, Iterator, Sequence
 
 from .group import Point, Shape, _anchor_box, folner_box, point_add, point_neg, translate
@@ -228,20 +228,9 @@ def enumerate_full_family(
         if total > cap:
             raise ValueError(f"exhaustive enumeration would exceed {cap} candidates")
     sizes = stack.sizes[:k]
-    cells = len(base)
-
-    def symbol_rows(row: int) -> Iterator[tuple[int, ...]]:
-        size = sizes[row]
-        values: list[tuple[int, ...]] = [()]
-        for _ in range(cells):
-            values = [v + (s,) for v in values for s in range(size)]
-        return iter(values)
-
-    combos: list[tuple[int, ...]] = [()]
-    for r in range(k):
-        combos = [c + row for c in combos for row in symbol_rows(r)]
+    # product yields the row-major keys in lexicographic order.
     blocks = []
-    for key in sorted(combos):
+    for key in product(*(range(size) for size in sizes for _ in range(len(base)))):
         cand = Block(base, k, sizes, key)
         if forbidden and _contains_any(cand, forbidden):
             continue
