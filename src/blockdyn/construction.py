@@ -447,6 +447,8 @@ def run(
         tiling = greedy_tile(window, [box], Fraction(1)).tiling
         if previous_tiling is not None and not congruent(tiling, previous_tiling):
             raise ValueError(f"stage {st.index} tiling not congruent with stage {st.index - 1}")
+        # Dropping the previous tiling here frees its cached tiles.
+        previous_tiling = tiling
         candidates = rep_source(box, st.depth)
         rep, _rep_dist = select_representative(box, target, candidates, families)
         out, rep_report = stage_transform(
@@ -465,7 +467,6 @@ def run(
                 concat_bound=bound,
             )
         )
-        previous_tiling = tiling
         current, wd_before = out, wd_after
     return RunResult(initial=config, final=current, stages=tuple(reports))
 

@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .group import Point, Shape, _anchor_box, folner_box, point_add
-from .symbolic import AlphabetStack, Block, Corpus, sample_bernoulli, subblock_at
+from .symbolic import AlphabetStack, Block, Corpus, _box_runs, sample_bernoulli, subblock_at
 
 if TYPE_CHECKING:
     from .measures import CylinderMeasure
@@ -45,15 +45,31 @@ def pattern_counts(block: Block, inner: Shape, depth: int) -> dict[tuple[int, ..
     """Occurrence counts of every pattern on inner x rows[1..depth] in one scan.
 
     Keys are row-major symbol tuples relative to the sorted points of
-    ``inner``, i.e. exactly ``Block.symbols`` of the re-based patterns.
+    ``inner``, i.e. exactly ``Block.symbols`` of the re-based patterns, in
+    the order of their first anchor in ``embedding_anchors``.  When the
+    block shape and ``inner`` are both boxes, each key is read as
+    contiguous slices of ``block.symbols`` (``symbolic._box_runs``);
+    otherwise each cell is looked up by point.  Both paths give the same
+    keys, order and counts.
     """
     if not 1 <= depth <= block.depth:
         raise ValueError(f"depth must lie in 1..{block.depth}, got {depth}")
     counts: dict[tuple[int, ...], int] = {}
+    anchors = embedding_anchors(block.shape, inner)
+    symbols = block.symbols
+    runs = _box_runs(block, inner, depth)
+    if runs is not None:
+        starts, length, flat = runs
+        for a in map(flat, anchors):
+            key: tuple[int, ...] = ()
+            for s in starts:
+                key += symbols[a + s : a + s + length]
+            counts[key] = counts.get(key, 0) + 1
+        return counts
     inner_pts = inner.sorted_points
-    symbols, index = block.symbols, block.shape.index
+    index = block.shape.index
     rows = range(0, depth * len(block.shape), len(block.shape))
-    for g in embedding_anchors(block.shape, inner):
+    for g in anchors:
         cells = [index[point_add(p, g)] for p in inner_pts]
         key = tuple(symbols[row + i] for row in rows for i in cells)
         counts[key] = counts.get(key, 0) + 1

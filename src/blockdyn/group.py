@@ -83,19 +83,24 @@ class Shape:
     def issubset(self, other: Shape) -> bool:
         return self.points <= other.points
 
-    def bounds(self) -> tuple[Point, Point]:
+    @cached_property
+    def _bounds(self) -> tuple[Point, Point] | None:
+        """Lower and upper corners of the bounding box; None when empty."""
         if not self.points:
+            return None
+        axes = list(zip(*self.points))
+        return tuple(map(min, axes)), tuple(map(max, axes))
+
+    def bounds(self) -> tuple[Point, Point]:
+        if self._bounds is None:
             raise ValueError("empty shape has no bounds")
-        lo = tuple(min(p[i] for p in self.points) for i in range(self.dim))
-        hi = tuple(max(p[i] for p in self.points) for i in range(self.dim))
-        return lo, hi
+        return self._bounds
 
     def is_box(self) -> bool:
-        if not self.points:
+        if self._bounds is None:
             return False
-        lo, hi = self.bounds()
         volume = 1
-        for a, b in zip(lo, hi):
+        for a, b in zip(*self._bounds):
             volume *= b - a + 1
         return volume == len(self.points)
 

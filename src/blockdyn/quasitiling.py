@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .frequency import embedding_anchors
@@ -29,15 +30,24 @@ class Quasitiling:
             if not s.points:
                 raise ValueError("empty tile shape")
 
-    def tiles(self) -> list[tuple[Point, int, frozenset[Point]]]:
-        """All tiles as (center, shape index, cells), ordered by center then index."""
+    def tiles(self) -> tuple[tuple[Point, int, frozenset[Point]], ...]:
+        """All tiles as (center, shape index, cells), ordered by center then
+        index.  Built once per tiling; the tuple is immutable and shared."""
+        return self._tiles
+
+    @cached_property
+    def _tiles(self) -> tuple[tuple[Point, int, frozenset[Point]], ...]:
+        # Cells reuse the window's point objects, so the cache held for the
+        # tiling's lifetime adds no second copy of the covered points.
+        own = {p: p for p in self.window.points}
         out = []
         for i, (shape, cents) in enumerate(zip(self.shapes, self.centers)):
             for c in cents:
-                cells = frozenset(point_add(p, c) for p in shape.points)
+                moved = (point_add(p, c) for p in shape.points)
+                cells = frozenset([own.get(q, q) for q in moved])
                 out.append((c, i, cells))
         out.sort(key=lambda t: (t[0], t[1]))
-        return out
+        return tuple(out)
 
     def tile_count(self) -> int:
         return sum(len(c) for c in self.centers)

@@ -11,6 +11,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, product
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .group import Point, Shape, _anchor_box, folner_box, point_add, point_neg, translate
@@ -124,14 +125,62 @@ def block_translate(block: Block, g: Sequence[int]) -> Block:
     return Block(new_shape, block.depth, block.sizes, symbols)
 
 
+def _box_runs(
+    block: Block, inner: Shape, depth: int
+) -> tuple[tuple[int, ...], int, Callable[[Point], int]] | None:
+    """Contiguous runs of an inner box pattern inside a box block.
+
+    Returns (starts, length, flat), or None unless both shapes are boxes.
+    ``block.symbols`` of a box is in C order, so the entries of
+    (inner + g) x rows[1..depth] in ``Block.symbols`` order are the
+    concatenation of ``symbols[flat(g) + s : flat(g) + s + length]`` over s
+    in ``starts``: one last-axis run per row of the inner box, rows of the
+    stack outermost.  ``flat`` is the linear index of a point in the
+    block's box; the caller checks that inner + g lies inside it.
+    """
+    outer = block.shape
+    if not (outer.is_box() and inner.is_box()):
+        return None
+    (lo, hi), (ilo, ihi) = outer.bounds(), inner.bounds()
+    strides = [1] * outer.dim
+    for i in range(outer.dim - 1, 0, -1):
+        strides[i - 1] = strides[i] * (hi[i] - lo[i] + 1)
+    origin = sum(map(mul, lo, strides))
+
+    def flat(p: Point) -> int:
+        return sum(map(mul, p, strides)) - origin
+
+    heads = product(*(range(a, b + 1) for a, b in zip(ilo[:-1], ihi[:-1])))
+    rel = [sum(map(mul, q, strides)) + ilo[-1] for q in heads]
+    n = len(outer)
+    starts = tuple(r * n + s for r in range(depth) for s in rel)
+    return starts, ihi[-1] - ilo[-1] + 1, flat
+
+
 def subblock_at(block: Block, f: Shape, g: Sequence[int], depth: int) -> Block | None:
     """The pattern of ``block`` read at f + g, re-based to f; None if f + g
-    does not fit inside the block shape."""
+    does not fit inside the block shape.
+
+    When the block shape and f are both boxes, the entries are read as
+    contiguous slices of ``block.symbols`` (``_box_runs``); otherwise each
+    cell is looked up by point.  Both paths give the same block.
+    """
     gp = tuple(int(c) for c in g)
     if len(gp) != block.dim or f.dim != block.dim:
         raise ValueError("dimension mismatch")
     if not 0 <= depth <= block.depth:
         raise ValueError(f"depth {depth} exceeds block depth {block.depth}")
+    runs = _box_runs(block, f, depth)
+    if runs is not None:
+        (lo, hi), (flo, fhi) = block.shape.bounds(), f.bounds()
+        if any(a + c < l or b + c > h for a, b, c, l, h in zip(flo, fhi, gp, lo, hi)):
+            return None
+        starts, length, flat = runs
+        a = flat(gp)
+        symbols: tuple[int, ...] = ()
+        for s in starts:
+            symbols += block.symbols[a + s : a + s + length]
+        return Block(f, depth, block.sizes[:depth], symbols)
     outer = block.shape.points
     pts = f.sorted_points
     moved = [point_add(p, gp) for p in pts]
@@ -189,19 +238,21 @@ class BlockFamily:
 def enumerate_family(corpus: Corpus, k: int) -> BlockFamily:
     """All distinct patterns with domain F_k x rows[1..k] observed in the corpus.
 
-    Scans every admissible translate of the Folner box F_k = [-k, k]^d inside
-    every corpus block; the result is ordered lexicographically on entries.
+    The keys are those of ``freq_table(block, F_k, k)`` for every corpus
+    block, with F_k = [-k, k]^d, so a later frequency lookup on the same
+    block and level reuses the cached count; the result is ordered
+    lexicographically on entries.
     """
     if not corpus.blocks:
         raise ValueError("cannot enumerate a family from an empty corpus")
     if not 1 <= k <= corpus.stack.depth:
         raise ValueError(f"level {k} outside stack of depth {corpus.stack.depth}")
-    from .frequency import pattern_counts  # frequency imports this module
+    from .frequency import freq_table  # frequency imports this module
 
     base = folner_box(k, corpus.dim)
     seen: set[tuple[int, ...]] = set()
     for block in corpus.blocks:
-        seen.update(pattern_counts(block, base, k))
+        seen.update(freq_table(block, base, k))
     sizes = corpus.stack.sizes[:k]
     blocks = tuple(Block(base, k, sizes, key) for key in sorted(seen))
     return BlockFamily(k, base, blocks)

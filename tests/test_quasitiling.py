@@ -161,3 +161,24 @@ def test_greedy_centers_lie_in_the_window():
     got = greedy_tile(W10, [shape], Fraction(1))
     assert got.tiling.centers == (frozenset({(0,), (2,), (4,), (6,)}),)
     assert decode_symbolic(encode_symbolic(got.tiling), [shape]) == got.tiling
+
+
+def test_tiles_are_built_once_as_an_immutable_tuple():
+    # A tile that overlaps another and one that escapes the window.
+    t = Quasitiling(
+        W10,
+        (PAIR, TRIPLE),
+        (frozenset({(8,), (0,), (4,), (9,)}), frozenset({(3,), (0,)})),
+    )
+    tiles = t.tiles()
+    assert isinstance(tiles, tuple)
+    assert t.tiles() is tiles
+    expected = sorted(
+        (c, i, frozenset((p[0] + c[0],) for p in shape.points))
+        for i, (shape, cents) in enumerate(zip(t.shapes, t.centers))
+        for c in cents
+    )
+    assert list(tiles) == expected
+    assert tiles[-1] == ((9,), 0, frozenset({(9,), (10,)}))
+    with pytest.raises(ValueError, match="escapes the window"):
+        verify(t)
