@@ -9,27 +9,18 @@ stage is exactly invertible from its report.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
-from .frequency import (
-    block_measure_gap_bound,
-    corpus_subblocks,
-    freq_table,
-    tiling_average_gap_bound,
-)
-from .group import Point, Shape, folner_box, point_add
-from .measures import (
-    ConvexTarget,
-    CylinderMeasure,
-    HullDistance,
-    block_measure,
-    dist_to_hull,
-)
+from .frequency import block_measure_gap_bound, corpus_subblocks, embedding_anchors
+from .frequency import freq_table, tiling_average_gap_bound
+from .group import Point, Shape, folner_box
+from .measures import ConvexTarget, CylinderMeasure, HullDistance, block_measure, dist_to_hull
 from .quasitiling import Quasitiling, congruent, greedy_tile, verify
-from .symbolic import Block, BlockFamily, Corpus, _draw, subblock_at
+from .symbolic import Block, BlockFamily, Corpus, _draw, _read, _runs_at, _write, subblock_at
 
 
 @dataclass(frozen=True)
@@ -309,20 +300,11 @@ def apply_changes(
     symbols = list(config.symbols)
     for ch in changes:
         source = ch.before if undo else ch.after
-        _write_block(symbols, config.shape, source, ch.center, source.depth)
+        runs = _runs_at(config.shape, source.shape, source.depth, ch.center)
+        if runs is None or source.depth > config.depth:
+            raise ValueError(f"change at {ch.center} escapes the configuration")
+        _write(symbols, runs, source.symbols)
     return Block(config.shape, config.depth, config.sizes, tuple(symbols))
-
-
-def _write_block(
-    symbols: list, window: Shape, source: Block, center: Point, depth: int
-) -> None:
-    """Write rows 1..depth of ``source`` at ``source.shape + center`` into
-    the row-major symbol list of a block on ``window``."""
-    n = len(window)
-    pts = source.shape.sorted_points
-    for r in range(1, depth + 1):
-        for p, value in zip(pts, source.row(r)):
-            symbols[(r - 1) * n + window.index[point_add(p, center)]] = value
 
 
 RepSource = Callable[[Shape, int], Sequence[Block]]
@@ -368,17 +350,18 @@ def sample_from_measure(
     placed = greedy_tile(shape, [measure.base], Fraction(1)).tiling
     n_shape = len(shape)
     symbols: list[int | None] = [None] * (n_shape * depth)
+    rows = min(depth, measure.depth)
     for c in sorted(placed.centers[0]):
-        pattern = support[_draw(rng, cumulative)]
-        _write_block(symbols, shape, pattern, c, min(depth, measure.depth))
+        runs = _runs_at(shape, measure.base, rows, c)
+        _write(symbols, runs, support[_draw(rng, cumulative)].symbols)
 
     row_cumulative: list[list[float]] = []
     for r in range(1, depth + 1):
         if r <= measure.depth:
             acc = [Fraction(0)] * full_sizes[r - 1]
             for full, mass in measure.items():
-                for p in measure.base.sorted_points:
-                    acc[full.get(p, r)] += mass
+                for v in full.row(r):
+                    acc[v] += mass
             total = sum(acc)
             row_cumulative.append(list(accumulate(float(a / total) for a in acc)))
         else:
@@ -488,23 +471,24 @@ def _concatenation_check(
         1 - report.covered_fraction,
     ) + Fraction(1, 1000)
     host_table = freq_table(config, base, level)
-    tile_tables: list[tuple[int, dict[tuple[int, ...], Fraction]]] = []
-    for c, i, _ in tiling.tiles():
-        sub = subblock_at(config, tiling.shapes[i], c, level)
-        assert sub is not None
-        tile_tables.append((len(tiling.shapes[i]), freq_table(sub, base, level)))
-    total_cells = sum(n for n, _ in tile_tables)
+    total_cells = sum(len(s) * len(cs) for s, cs in zip(tiling.shapes, tiling.centers))
     if total_cells == 0:
         return None, None
+    # The tile-weighted average of tile frequencies, one term per shape: the
+    # counts summed over its tiles, each tile read once from the output and
+    # its level-1 patterns read at the shape's anchors.
+    weighted: list[tuple[Fraction, Counter]] = []
     keys = set(host_table)
-    for _, t in tile_tables:
-        keys |= set(t)
+    for shape, centers in zip(tiling.shapes, tiling.centers):
+        reads = [_runs_at(shape, base, level, g) for g in embedding_anchors(shape, base)]
+        tiles = [_read(config.symbols, _runs_at(config.shape, shape, level, c)) for c in centers]
+        counts = Counter(_read(tile, read) for tile in tiles for read in reads)
+        keys |= counts.keys()
+        if reads:
+            weighted.append((Fraction(len(shape), len(reads) * total_cells), counts))
     dev = Fraction(0)
     for key in keys:
-        avg = (
-            sum((n * t.get(key, Fraction(0)) for n, t in tile_tables), Fraction(0))
-            / total_cells
-        )
+        avg = sum((w * counts[key] for w, counts in weighted), Fraction(0))
         dev = max(dev, abs(host_table.get(key, Fraction(0)) - avg))
     if deficiency >= 1 or deficiency * len(base) >= 1:
         return dev, None

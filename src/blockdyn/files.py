@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
@@ -100,20 +101,35 @@ def block_to_obj(block: Block) -> dict[str, Any]:
     }
 
 
+# The most cells a box read from a file may have: about 105 times the largest
+# benchmark window (20,001 cells).  Shape.box takes about 230 bytes per cell
+# on CPython 3.11, so a box at the limit costs about 0.5 GB.
+MAX_BOX_CELLS = 2**21
+
+
+def _box_cells(lo: Sequence[int], hi: Sequence[int]) -> int:
+    """Cell count of the box with corners lo and hi, from the corners alone;
+    a ConfigError above MAX_BOX_CELLS."""
+    cells = prod(max(0, b - a + 1) for a, b in zip(lo, hi))
+    if cells > MAX_BOX_CELLS:
+        raise ConfigError(f"a box of {cells} cells exceeds the limit of {MAX_BOX_CELLS}")
+    return cells
+
+
+def _symbols(rows: Any, depth: int, cells: int) -> tuple[int, ...]:
+    """The row-major entries of ``depth`` rows of exactly ``cells`` entries."""
+    if len(rows) != depth or any(not isinstance(r, list) or len(r) != cells for r in rows):
+        raise ConfigError(f"need {depth} rows of exactly {cells} entries, one per cell")
+    return tuple(int(s) for row in rows for s in row)
+
+
 def block_from_obj(obj: dict[str, Any], sizes: Sequence[int]) -> Block:
     try:
-        window = Shape.box(obj["min"], obj["max"])
         depth = int(obj["depth"])
-        rows = obj["rows"]
+        symbols = _symbols(obj["rows"], depth, _box_cells(obj["min"], obj["max"]))
+        return Block(Shape.box(obj["min"], obj["max"]), depth, tuple(sizes)[:depth], symbols)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed block entry: {exc}") from exc
-    if len(rows) != depth:
-        raise ConfigError("block entry row count does not match its depth")
-    symbols = tuple(int(s) for row in rows for s in row)
-    try:
-        return Block(window, depth, tuple(sizes)[:depth], symbols)
-    except ValueError as exc:
-        raise ConfigError(f"invalid block entry: {exc}") from exc
 
 
 def write_corpus(path: Path, corpus: Corpus) -> None:
@@ -175,19 +191,11 @@ def read_measure(path: Path) -> CylinderMeasure:
 def _measure_from_obj(obj: dict[str, Any]) -> CylinderMeasure:
     sizes = tuple(int(s) for s in obj["alphabet"])
     depth = int(obj["depth"])
-    base = Shape.box(obj["base_min"], obj["base_max"])
-    masses: dict[Block, Fraction] = {}
-    for entry in obj["masses"]:
-        block = block_from_obj(
-            {
-                "min": obj["base_min"],
-                "max": obj["base_max"],
-                "depth": depth,
-                "rows": entry["pattern"],
-            },
-            sizes,
-        )
-        masses[block] = parse_frac(entry["mass"])
+    lo, hi = obj["base_min"], obj["base_max"]
+    cells = _box_cells(lo, hi)
+    atoms = [(_symbols(e["pattern"], depth, cells), parse_frac(e["mass"])) for e in obj["masses"]]
+    base = Shape.box(lo, hi)
+    masses = {Block(base, depth, sizes[:depth], symbols): m for symbols, m in atoms}
     return CylinderMeasure(depth, base, masses, sizes)
 
 
@@ -209,6 +217,7 @@ def read_tiling(path: Path) -> Quasitiling:
 
 
 def _tiling_from_obj(obj: dict[str, Any]) -> Quasitiling:
+    _box_cells(obj["window_min"], obj["window_max"])
     window = Shape.box(obj["window_min"], obj["window_max"])
     shapes = tuple(Shape.of([tuple(p) for p in pts]) for pts in obj["shapes"])
     centers = tuple(
@@ -253,17 +262,17 @@ class ExperimentConfig:
         try:
             dim = int(obj["dim"])
             stack = AlphabetStack(tuple(int(s) for s in obj["alphabet"]))
+            _box_cells(obj["window"]["min"], obj["window"]["max"])
             window = Shape.box(obj["window"]["min"], obj["window"]["max"])
             folner_levels = int(obj.get("folner_levels", 1))
             seed = obj.get("seed") if seed_override is None else seed_override
             seed = None if seed is None else int(seed)
+            corpus_paths = tuple(path.parent / p for p in obj.get("corpus", []))
+            vertex_paths = tuple(path.parent / p for p in obj.get("target_vertices", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         if window.dim != dim:
             raise ConfigError(f"{path}: window dimension differs from dim")
-        base = path.parent
-        corpus_paths = tuple(base / p for p in obj.get("corpus", []))
-        vertex_paths = tuple(base / p for p in obj.get("target_vertices", []))
         schedule = None
         if "schedule" in obj:
             s = obj["schedule"]

@@ -13,8 +13,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .group import Point, Shape, _anchor_box, folner_box, point_add
-from .symbolic import AlphabetStack, Block, Corpus, _box_runs, sample_bernoulli, subblock_at
+from .group import Point, Shape, _anchor_box, folner_box
+from .symbolic import AlphabetStack, Block, Corpus, _box_runs, _read, _runs_at
+from .symbolic import sample_bernoulli, subblock_at
 
 if TYPE_CHECKING:
     from .measures import CylinderMeasure
@@ -27,13 +28,13 @@ def embedding_anchors(outer: Shape, inner: Shape) -> tuple[Point, ...]:
     if not outer.points or not inner.points:
         # no anchors in an empty outer; an empty inner fits at every g
         return outer.sorted_points
-    pts = outer.points
-    anchors = (g for g in _anchor_box(outer, inner) if g in pts)
-    if outer.is_box():
-        # inner + g lies inside a box exactly when g lies in the anchor box
-        return tuple(anchors)
-    inner_pts = inner.sorted_points
-    return tuple(g for g in anchors if all(point_add(p, g) in pts for p in inner_pts))
+    # inner + g lies inside a box exactly when g lies in the anchor box;
+    # other shapes ask the cell kernel whether inner + g fits
+    pts, box = outer.points, outer.is_box()
+    return tuple(
+        g for g in _anchor_box(outer, inner)
+        if g in pts and (box or _runs_at(outer, inner, 0, g) is not None)
+    )
 
 
 def count_embeddings(outer: Shape, inner: Shape) -> int:
@@ -46,32 +47,26 @@ def pattern_counts(block: Block, inner: Shape, depth: int) -> dict[tuple[int, ..
 
     Keys are row-major symbol tuples relative to the sorted points of
     ``inner``, i.e. exactly ``Block.symbols`` of the re-based patterns, in
-    the order of their first anchor in ``embedding_anchors``.  When the
-    block shape and ``inner`` are both boxes, each key is read as
-    contiguous slices of ``block.symbols`` (``symbolic._box_runs``);
-    otherwise each cell is looked up by point.  Both paths give the same
-    keys, order and counts.
+    the order of their first anchor in ``embedding_anchors``.  Keys are read
+    through ``symbolic._runs_at``, except on two boxes, the hot path, which
+    loops over the kernel's cached ``_box_runs`` inline with the same result.
     """
     if not 1 <= depth <= block.depth:
         raise ValueError(f"depth must lie in 1..{block.depth}, got {depth}")
     counts: dict[tuple[int, ...], int] = {}
     anchors = embedding_anchors(block.shape, inner)
     symbols = block.symbols
-    runs = _box_runs(block, inner, depth)
+    runs = _box_runs(block.shape, inner, depth)
     if runs is not None:
-        starts, length, flat = runs
+        starts, length, flat, _, _ = runs
         for a in map(flat, anchors):
             key: tuple[int, ...] = ()
             for s in starts:
                 key += symbols[a + s : a + s + length]
             counts[key] = counts.get(key, 0) + 1
         return counts
-    inner_pts = inner.sorted_points
-    index = block.shape.index
-    rows = range(0, depth * len(block.shape), len(block.shape))
     for g in anchors:
-        cells = [index[point_add(p, g)] for p in inner_pts]
-        key = tuple(symbols[row + i] for row in rows for i in cells)
+        key = _read(symbols, _runs_at(block.shape, inner, depth, g))
         counts[key] = counts.get(key, 0) + 1
     return counts
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .frequency import freq_table
 from .group import Shape, folner_box
-from .symbolic import Block, BlockFamily
+from .symbolic import Block, BlockFamily, _runs_at
 
 
 class CylinderMeasure:
@@ -92,10 +92,13 @@ class CylinderMeasure:
             raise ValueError("marginal shape is not a subset of the base")
         if not 1 <= level <= self.depth:
             raise ValueError(f"level {level} outside depth {self.depth}")
-        pts = e.sorted_points
+        # One gather of the positions of e x rows[1..level] serves every atom.
+        runs = _runs_at(self.base, e, level, (0,) * e.dim)
+        cells = [i for a, b in runs for i in range(a, b)]
+        get = itemgetter(*cells) if len(cells) > 1 else lambda s: tuple(s[i] for i in cells)
         out: dict[tuple[int, ...], Fraction] = {}
         for block, mass in self._masses.items():
-            sub = tuple(block.get(p, r) for r in range(1, level + 1) for p in pts)
+            sub = get(block.symbols)
             out[sub] = out.get(sub, Fraction(0)) + mass
         view = self._marginals[key] = MappingProxyType(out)
         return view

@@ -10,7 +10,7 @@ from typing import Sequence
 
 from .frequency import embedding_anchors
 from .group import Point, Shape, invariance_ratio, point_add
-from .symbolic import Block
+from .symbolic import Block, _runs_at, _write
 
 
 @dataclass(frozen=True)
@@ -142,22 +142,23 @@ def greedy_tile(window: Shape, shapes: Sequence[Shape], eps: Fraction) -> Greedy
         range(len(shapes)),
         key=lambda i: (-len(shapes[i]), shapes[i].sorted_points),
     )
-    occupied: set[Point] = set()
+    occupied = bytearray(len(window))  # one byte per cell, in symbol order
     centers: list[set[Point]] = [set() for _ in shapes]
     for idx in order:
         shape = shapes[idx]
-        pts = shape.sorted_points
+        ones = b"\x01" * len(shape)
         for c in embedding_anchors(window, shape):
-            if any(point_add(p, c) in occupied for p in pts):
+            runs = _runs_at(window, shape, 1, c)
+            if any(occupied.find(1, a, b) >= 0 for a, b in runs):
                 continue
-            occupied.update(point_add(p, c) for p in pts)
+            _write(occupied, runs, ones)
             centers[idx].add(c)
     tiling = Quasitiling(
         window=window,
         shapes=tuple(shapes),
         centers=tuple(frozenset(c) for c in centers),
     )
-    covered = Fraction(len(occupied), len(window))
+    covered = Fraction(occupied.count(1), len(window))
     return GreedyTiling(
         tiling=tiling,
         covered_fraction=covered,
@@ -187,8 +188,7 @@ def decode_symbolic(block: Block, shapes: Sequence[Shape]) -> Quasitiling:
     if block.depth != 1:
         raise ValueError("a symbolic tiling is a one-row block")
     centers: list[set[Point]] = [set() for _ in shapes]
-    for p in block.shape.sorted_points:
-        v = block.get(p, 1)
+    for p, v in zip(block.shape.sorted_points, block.row(1)):
         if v == 0:
             continue
         if v > len(shapes):

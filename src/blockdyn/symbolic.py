@@ -10,11 +10,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, product
-from operator import mul
+from operator import le, mul, sub
 from typing import Callable, Iterator, Sequence
 
-from .group import Point, Shape, _anchor_box, folner_box, point_add, point_neg, translate
+from .group import Point, Shape, _anchor_box, folner_box, point_add, translate
 
 
 @dataclass(frozen=True)
@@ -101,44 +102,30 @@ class Block:
 
 
 def restrict(block: Block, e: Shape, depth: int | None = None) -> Block:
-    """Restriction of a block to a sub-shape and a row prefix."""
-    j = block.depth if depth is None else depth
-    if not e.issubset(block.shape):
+    """Restriction of a block to a sub-shape and a row prefix (a read at 0)."""
+    sub = subblock_at(block, e, (0,) * block.dim, block.depth if depth is None else depth)
+    if sub is None:
         raise ValueError("restriction target is not a subset of the block shape")
-    if not 0 <= j <= block.depth:
-        raise ValueError(f"depth {j} exceeds block depth {block.depth}")
-    pts = e.sorted_points
-    symbols = tuple(block.get(p, r) for r in range(1, j + 1) for p in pts)
-    return Block(e, j, block.sizes[:j], symbols)
+    return sub
 
 
 def block_translate(block: Block, g: Sequence[int]) -> Block:
-    """The same entries moved to shape + g."""
-    new_shape = translate(block.shape, g)
-    gp = tuple(int(c) for c in g)
-    pts = new_shape.sorted_points
-    symbols = tuple(
-        block.get(point_add(p, point_neg(gp)), r)
-        for r in range(1, block.depth + 1)
-        for p in pts
-    )
-    return Block(new_shape, block.depth, block.sizes, symbols)
+    """The same entries moved to shape + g.  Translation keeps the
+    lexicographic order of the points, so the symbols carry over as they are."""
+    return Block(translate(block.shape, g), block.depth, block.sizes, block.symbols)
 
 
+@lru_cache(maxsize=64)
 def _box_runs(
-    block: Block, inner: Shape, depth: int
-) -> tuple[tuple[int, ...], int, Callable[[Point], int]] | None:
-    """Contiguous runs of an inner box pattern inside a box block.
+    outer: Shape, inner: Shape, depth: int
+) -> tuple[tuple[int, ...], int, Callable[[Point], int], Point, Point] | None:
+    """(starts, length, flat, lo, hi) for two boxes, else None; cached.
 
-    Returns (starts, length, flat), or None unless both shapes are boxes.
-    ``block.symbols`` of a box is in C order, so the entries of
-    (inner + g) x rows[1..depth] in ``Block.symbols`` order are the
-    concatenation of ``symbols[flat(g) + s : flat(g) + s + length]`` over s
-    in ``starts``: one last-axis run per row of the inner box, rows of the
-    stack outermost.  ``flat`` is the linear index of a point in the
-    block's box; the caller checks that inner + g lies inside it.
+    A block on a box stores its symbols in C order, so the entries of
+    (inner + g) x rows[1..depth] are ``symbols[flat(g) + s :][:length]``
+    for s in ``starts``: one last-axis run per row of the inner box, rows
+    of the stack outermost.  inner + g fits when lo <= g <= hi per axis.
     """
-    outer = block.shape
     if not (outer.is_box() and inner.is_box()):
         return None
     (lo, hi), (ilo, ihi) = outer.bounds(), inner.bounds()
@@ -154,40 +141,60 @@ def _box_runs(
     rel = [sum(map(mul, q, strides)) + ilo[-1] for q in heads]
     n = len(outer)
     starts = tuple(r * n + s for r in range(depth) for s in rel)
-    return starts, ihi[-1] - ilo[-1] + 1, flat
+    glo, ghi = tuple(map(sub, lo, ilo)), tuple(map(sub, hi, ihi))
+    return starts, ihi[-1] - ilo[-1] + 1, flat, glo, ghi
+
+
+def _runs_at(outer: Shape, inner: Shape, depth: int, g: Point) -> list[tuple[int, int]] | None:
+    """The cell-addressing kernel: (start, stop) slices of the row-major
+    symbols of a block on ``outer`` that list (inner + g) x rows[1..depth]
+    in ``Block.symbols`` order, or None when inner + g does not fit.
+
+    Two boxes give one slice per ``_box_runs`` run, other shapes one
+    single-cell slice per point.
+    """
+    runs = _box_runs(outer, inner, depth)
+    if runs is not None:
+        starts, length, flat, lo, hi = runs
+        if not (all(map(le, lo, g)) and all(map(le, g, hi))):
+            return None
+        a = flat(g)
+        return [(a + s, a + s + length) for s in starts]
+    cells = [outer.index.get(point_add(p, g)) for p in inner.sorted_points]
+    if None in cells:
+        return None
+    n = len(outer)
+    return [(r + i, r + i + 1) for r in range(0, depth * n, n) for i in cells]
+
+
+def _read(symbols: Sequence[int], runs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The entries at ``runs``, in order."""
+    out: list[int] = []
+    for a, b in runs:
+        out += symbols[a:b]
+    return tuple(out)
+
+
+def _write(symbols: list, runs: list[tuple[int, int]], values: Sequence) -> None:
+    """Overwrite the entries at ``runs`` with the leading ``values``."""
+    j = 0
+    for a, b in runs:
+        symbols[a:b] = values[j : j + b - a]
+        j += b - a
 
 
 def subblock_at(block: Block, f: Shape, g: Sequence[int], depth: int) -> Block | None:
     """The pattern of ``block`` read at f + g, re-based to f; None if f + g
-    does not fit inside the block shape.
-
-    When the block shape and f are both boxes, the entries are read as
-    contiguous slices of ``block.symbols`` (``_box_runs``); otherwise each
-    cell is looked up by point.  Both paths give the same block.
-    """
+    does not fit inside the block shape."""
     gp = tuple(int(c) for c in g)
     if len(gp) != block.dim or f.dim != block.dim:
         raise ValueError("dimension mismatch")
     if not 0 <= depth <= block.depth:
         raise ValueError(f"depth {depth} exceeds block depth {block.depth}")
-    runs = _box_runs(block, f, depth)
-    if runs is not None:
-        (lo, hi), (flo, fhi) = block.shape.bounds(), f.bounds()
-        if any(a + c < l or b + c > h for a, b, c, l, h in zip(flo, fhi, gp, lo, hi)):
-            return None
-        starts, length, flat = runs
-        a = flat(gp)
-        symbols: tuple[int, ...] = ()
-        for s in starts:
-            symbols += block.symbols[a + s : a + s + length]
-        return Block(f, depth, block.sizes[:depth], symbols)
-    outer = block.shape.points
-    pts = f.sorted_points
-    moved = [point_add(p, gp) for p in pts]
-    if any(q not in outer for q in moved):
+    runs = _runs_at(block.shape, f, depth, gp)
+    if runs is None:
         return None
-    symbols = tuple(block.get(q, r) for r in range(1, depth + 1) for q in moved)
-    return Block(f, depth, block.sizes[:depth], symbols)
+    return Block(f, depth, block.sizes[:depth], _read(block.symbols, runs))
 
 
 @dataclass(frozen=True)

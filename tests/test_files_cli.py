@@ -306,3 +306,75 @@ def test_cli_exit_codes(tmp_path):
     assert (
         cli.main(["--config", str(p), "--out", str(out), "blocks", "--level", "2"]) == 3
     )
+
+
+def test_rows_must_have_one_entry_per_cell(tmp_path):
+    ragged = {"min": [0], "max": [2], "depth": 2, "rows": [[0, 1], [1, 0, 1, 1]]}
+    corpus = {"kind": "corpus", "dim": 1, "alphabet": [2, 2], "blocks": [ragged]}
+    (tmp_path / "corpus.json").write_text(canonical_json(corpus))
+    with pytest.raises(ConfigError):
+        files.read_corpus(tmp_path / "corpus.json")
+    p = write_config(tmp_path, alphabet=[2, 2], window={"min": [0], "max": [2]})
+    out = str(tmp_path / "out")
+    assert cli.main(["--config", str(p), "--out", out, "blocks", "--level", "1"]) == 2
+
+    seeded_corpus(tmp_path)
+    (name,) = write_vertices(tmp_path)[:1]
+    mu = json.loads((tmp_path / name).read_text())
+    mu["masses"][0]["pattern"] = [[1, 1], [1]]  # three cells, split unevenly
+    (tmp_path / name).write_text(canonical_json(mu))
+    p = write_config(tmp_path)
+    args = ["--config", str(p), "--out", out, "dist", "--block", "0", "--nu", str(tmp_path / name)]
+    assert cli.main(args) == 2
+
+
+def test_oversized_boxes_exit_2_before_any_allocation(tmp_path, monkeypatch):
+    def boom(cls, lo, hi):
+        raise AssertionError("Shape.box called")
+
+    monkeypatch.setattr(Shape, "box", classmethod(boom))
+    huge = {"min": [0, 0], "max": [10**6 - 1, 10**6 - 1]}  # 10^12 cells
+    p = write_config(tmp_path, dim=2, window=huge)
+    out = str(tmp_path / "out")
+    assert cli.main(["--config", str(p), "--out", out, "tile", "--sides", "2"]) == 2
+    # a block entry at the limit whose rows are short fails on the row check
+    side = files.MAX_BOX_CELLS
+    entry = {"min": [0], "max": [side - 1], "depth": 1, "rows": [[0, 1]]}
+    corpus = {"kind": "corpus", "dim": 1, "alphabet": [2], "blocks": [entry]}
+    (tmp_path / "corpus.json").write_text(canonical_json(corpus))
+    with pytest.raises(ConfigError):
+        files.read_corpus(tmp_path / "corpus.json")
+    entry["max"] = [side]
+    (tmp_path / "corpus.json").write_text(canonical_json(corpus))
+    with pytest.raises(ConfigError, match="exceeds the limit"):
+        files.read_corpus(tmp_path / "corpus.json")
+
+
+def test_every_command_runs_without_block_get(tmp_path, monkeypatch):
+    def no_get(self, p, row):
+        raise AssertionError("Block.get called")
+
+    p = write_config(
+        tmp_path,
+        target_vertices=["v0.json", "v1.json"],
+        schedule={"eps1": "1/2", "depths": [1, 1], "folner_indices": [1, 4], "tile_sides": [3, 9]},
+        representatives={"source": "vertex", "vertex": 0, "count": 2},
+    )
+    seeded_corpus(tmp_path)
+    write_vertices(tmp_path)
+    monkeypatch.setattr(Block, "get", no_get)
+    base = ["--config", str(p), "--out", str(tmp_path / "out")]
+    nu = str(tmp_path / "v1.json")
+    for args in (
+        ["gen"],
+        ["blocks", "--level", "1"],
+        ["freq", "--level", "1"],
+        ["measure", "--depth", "1"],
+        ["dist", "--block", "0", "--nu", nu],
+        ["dist", "--mu", nu, "--nu", str(tmp_path / "v0.json")],
+        ["dist", "--block", "0", "--hull"],
+        ["tile", "--sides", "5", "2"],
+        ["construct"],
+        ["verify"],
+    ):
+        assert cli.main(base + args) == 0, args
