@@ -201,6 +201,8 @@ def cmd_tile(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
         raise ConfigError(f"tile_sides must be a list of integers: {exc}") from exc
     if not sides:
         raise ConfigError("tile needs --sides or tile_sides in the configuration")
+    for s in sides:
+        files._box_cells((0,) * cfg.dim, (s - 1,) * cfg.dim)
     shapes = [Shape.box((0,) * cfg.dim, (s - 1,) * cfg.dim) for s in sides]
     eps = parse_frac(args.eps)
     result = greedy_tile(cfg.window, shapes, eps)

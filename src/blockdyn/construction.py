@@ -183,7 +183,7 @@ def _tile_distances(
     tile content."""
     cache: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     out = []
-    for c, i, _cells in tiling.tiles():
+    for c, i in tiling.tiles():
         sub = subblock_at(config, tiling.shapes[i], c, depth)
         if sub is None:
             raise ValueError(f"tile at {c} escapes the configuration")
@@ -430,8 +430,6 @@ def run(
         tiling = greedy_tile(window, [box], Fraction(1)).tiling
         if previous_tiling is not None and not congruent(tiling, previous_tiling):
             raise ValueError(f"stage {st.index} tiling not congruent with stage {st.index - 1}")
-        # Dropping the previous tiling here frees its cached tiles.
-        previous_tiling = tiling
         candidates = rep_source(box, st.depth)
         rep, _rep_dist = select_representative(box, target, candidates, families)
         out, rep_report = stage_transform(
@@ -450,7 +448,7 @@ def run(
                 concat_bound=bound,
             )
         )
-        current, wd_before = out, wd_after
+        current, wd_before, previous_tiling = out, wd_after, tiling
     return RunResult(initial=config, final=current, stages=tuple(reports))
 
 

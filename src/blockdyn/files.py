@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import prod
 from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
@@ -117,10 +118,14 @@ def _box_cells(lo: Sequence[int], hi: Sequence[int]) -> int:
 
 
 def _symbols(rows: Any, depth: int, cells: int) -> tuple[int, ...]:
-    """The row-major entries of ``depth`` rows of exactly ``cells`` entries."""
+    """The row-major entries of ``depth`` rows of exactly ``cells`` JSON
+    integers each; a float, bool or string entry is a ConfigError."""
     if len(rows) != depth or any(not isinstance(r, list) or len(r) != cells for r in rows):
         raise ConfigError(f"need {depth} rows of exactly {cells} entries, one per cell")
-    return tuple(int(s) for row in rows for s in row)
+    symbols = tuple(chain.from_iterable(rows))
+    if not set(map(type, symbols)) <= {int}:
+        raise ConfigError("block and measure entries must be integers")
+    return symbols
 
 
 def block_from_obj(obj: dict[str, Any], sizes: Sequence[int]) -> Block:
@@ -277,12 +282,15 @@ class ExperimentConfig:
         if "schedule" in obj:
             s = obj["schedule"]
             try:
+                tile_sides = [int(x) for x in s["tile_sides"]]
+                for side in tile_sides:
+                    _box_cells((0,) * dim, (side - 1,) * dim)
                 schedule = StageSchedule.geometric(
                     dim=dim,
                     eps1=parse_frac(s["eps1"]),
                     depths=[int(x) for x in s["depths"]],
                     folner_indices=[int(x) for x in s["folner_indices"]],
-                    tile_sides=[int(x) for x in s["tile_sides"]],
+                    tile_sides=tile_sides,
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: bad schedule: {exc}") from exc

@@ -156,17 +156,7 @@ def invariance_ratio(f: Shape, a: Shape) -> Fraction:
 
 
 def is_invariant(f: Shape, a: Shape, delta: Fraction) -> bool:
-    """Exact (A, delta)-invariance test.
-
-    When the identity belongs to A this reduces to |AF| < (1 + delta)|F|,
-    which avoids building the symmetric difference.
-    """
-    _require_same_dim(f, a)
-    if not f.points:
-        raise ValueError("invariance test undefined for an empty shape")
-    if (0,) * f.dim in a.points:
-        af = shape_product(a, f)
-        return Fraction(len(af)) < (1 + Fraction(delta)) * len(f)
+    """Exact (A, delta)-invariance test: the invariance ratio is below delta."""
     return invariance_ratio(f, a) < Fraction(delta)
 
 

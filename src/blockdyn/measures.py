@@ -408,12 +408,11 @@ def dist_to_hull(
     x: Block | CylinderMeasure,
     target: ConvexTarget,
     families: Sequence[BlockFamily],
-    tol: object = None,
 ) -> HullDistance:
     """Exact minimum over the weight simplex of the truncated distance
     sum_i c_i |x_i - (V w)_i| from x to conv(vertices), from one exact solve
     of its dual LP; the value at the optimal weights must equal the dual
-    optimum, which certifies it.  ``tol`` is deprecated and ignored.
+    optimum, which certifies it.
     """
     terms = _objective_terms(x, target, families)
     weights, dual = _hull_lp(terms, len(target))

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .frequency import embedding_anchors
-from .group import Point, Shape, invariance_ratio, point_add
+from .group import Point, Shape, invariance_ratio
 from .symbolic import Block, _runs_at, _write
 
 
@@ -30,24 +29,10 @@ class Quasitiling:
             if not s.points:
                 raise ValueError("empty tile shape")
 
-    def tiles(self) -> tuple[tuple[Point, int, frozenset[Point]], ...]:
-        """All tiles as (center, shape index, cells), ordered by center then
-        index.  Built once per tiling; the tuple is immutable and shared."""
-        return self._tiles
-
-    @cached_property
-    def _tiles(self) -> tuple[tuple[Point, int, frozenset[Point]], ...]:
-        # Cells reuse the window's point objects, so the cache held for the
-        # tiling's lifetime adds no second copy of the covered points.
-        own = {p: p for p in self.window.points}
-        out = []
-        for i, (shape, cents) in enumerate(zip(self.shapes, self.centers)):
-            for c in cents:
-                moved = (point_add(p, c) for p in shape.points)
-                cells = frozenset([own.get(q, q) for q in moved])
-                out.append((c, i, cells))
-        out.sort(key=lambda t: (t[0], t[1]))
-        return tuple(out)
+    def tiles(self) -> list[tuple[Point, int]]:
+        """All tiles as (center, shape index) pairs, ordered by center then
+        index; tile (c, i) covers shapes[i] + c."""
+        return sorted((c, i) for i, cents in enumerate(self.centers) for c in cents)
 
     def tile_count(self) -> int:
         return sum(len(c) for c in self.centers)
@@ -62,6 +47,15 @@ class TilingReport:
     invariance_ratios: tuple[Fraction, ...] | None
 
 
+def _tile_runs(tiling: Quasitiling, c: Point, i: int) -> list[tuple[int, int]]:
+    """Window positions of tile (c, i) as ``_runs_at`` slices; raises if the
+    tile escapes the window."""
+    runs = _runs_at(tiling.window, tiling.shapes[i], 1, c)
+    if runs is None:
+        raise ValueError(f"tile {i} at {c} escapes the window")
+    return runs
+
+
 def verify(tiling: Quasitiling, folner: Shape | None = None) -> TilingReport:
     """Check disjointness and coverage; optionally rate each shape's
     invariance against a supplied Folner shape.
@@ -71,45 +65,48 @@ def verify(tiling: Quasitiling, folner: Shape | None = None) -> TilingReport:
     window = tiling.window
     if not window.points:
         raise ValueError("empty window")
-    seen: set[Point] = set()
+    seen = bytearray(len(window))  # one byte per cell, in symbol order
     disjoint = True
-    tile_sets: set[frozenset[Point]] = set()
-    unique = True
-    for c, i, cells in tiling.tiles():
-        if not cells <= window.points:
-            raise ValueError(f"tile {i} at {c} escapes the window")
-        if seen & cells:
+    # The runs of a tile list its positions in order, one run per row of a
+    # box or one per cell, so two tiles cover the same cells exactly when
+    # their runs are equal.
+    tile_runs: set[tuple[tuple[int, int], ...]] = set()
+    for c, i in tiling.tiles():
+        runs = _tile_runs(tiling, c, i)
+        if any(seen.find(1, a, b) >= 0 for a, b in runs):
             disjoint = False
-        seen |= cells
-        if cells in tile_sets:
-            unique = False
-        tile_sets.add(cells)
+        _write(seen, runs, b"\x01" * len(tiling.shapes[i]))
+        tile_runs.add(tuple(runs))
     ratios = None
     if folner is not None:
         ratios = tuple(invariance_ratio(s, folner) for s in tiling.shapes)
+    covered = seen.count(1)
     return TilingReport(
         disjoint=disjoint,
-        covered_cells=len(seen),
-        covered_fraction=Fraction(len(seen), len(window)),
-        unique_representation=unique,
+        covered_cells=covered,
+        covered_fraction=Fraction(covered, len(window)),
+        unique_representation=len(tile_runs) == tiling.tile_count(),
         invariance_ratios=ratios,
     )
 
 
 def congruent(tiling: Quasitiling, previous: Quasitiling) -> bool:
     """True when every tile of ``tiling`` either contains or misses every
-    tile of ``previous``.  Not symmetric in general."""
+    tile of ``previous``.  Not symmetric in general.  Raises if a tile
+    escapes the window."""
     if tiling.window != previous.window:
         raise ValueError("congruence requires a common window")
     # A fine tile passes when every coarse tile owning one of its cells owns
     # all of them: the union of its cells' owner sets equals their
     # intersection.
-    owners: dict[Point, set[int]] = {}
-    for n, (_, _, cells) in enumerate(tiling.tiles()):
-        for q in cells:
-            owners.setdefault(q, set()).add(n)
-    for _, _, cells in previous.tiles():
-        sets = [owners.get(q, set()) for q in cells]
+    owners: dict[int, set[int]] = {}
+    for n, (c, i) in enumerate(tiling.tiles()):
+        for a, b in _tile_runs(tiling, c, i):
+            for q in range(a, b):
+                owners.setdefault(q, set()).add(n)
+    for c, i in previous.tiles():
+        runs = _tile_runs(previous, c, i)
+        sets = [owners.get(q, set()) for a, b in runs for q in range(a, b)]
         if set().union(*sets) != sets[0].intersection(*sets[1:]):
             return False
     return True

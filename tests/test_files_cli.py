@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -348,6 +349,70 @@ def test_oversized_boxes_exit_2_before_any_allocation(tmp_path, monkeypatch):
     (tmp_path / "corpus.json").write_text(canonical_json(corpus))
     with pytest.raises(ConfigError, match="exceeds the limit"):
         files.read_corpus(tmp_path / "corpus.json")
+
+
+def test_tile_sides_over_the_cell_limit_exit_2_before_any_tile_is_built(tmp_path, monkeypatch):
+    real_box = Shape.box.__func__
+
+    def guarded(cls, lo, hi):
+        if prod(b - a + 1 for a, b in zip(lo, hi)) > files.MAX_BOX_CELLS:
+            raise AssertionError(f"Shape.box called for {lo}..{hi}")
+        return real_box(cls, lo, hi)
+
+    monkeypatch.setattr(Shape, "box", classmethod(guarded))
+    planar = {"min": [0, 0], "max": [3, 3]}
+    out = str(tmp_path / "out")
+    p = write_config(tmp_path, dim=2, window=planar)
+    assert cli.main(["--config", str(p), "--out", out, "tile", "--sides", str(10**6)]) == 2
+    # side^dim = 1448^2 is at most the limit; 1449^2 is above it
+    assert 1448**2 <= files.MAX_BOX_CELLS < 1449**2
+    p = write_config(tmp_path, dim=2, window=planar, tile_sides=[2, 1449])
+    assert cli.main(["--config", str(p), "--out", out, "tile"]) == 2
+    schedule = {"eps1": "1/2", "depths": [1, 1], "folner_indices": [1, 4],
+                "tile_sides": [2, 10**6]}
+    p = write_config(tmp_path, dim=2, window=planar, schedule=schedule)
+    with pytest.raises(ConfigError, match="exceeds the limit"):
+        ExperimentConfig.load(p)
+    assert cli.main(["--config", str(p), "--out", out, "construct"]) == 2
+    assert cli.main(["--config", str(p), "--out", out, "tile", "--sides", "2"]) == 2
+    p = write_config(tmp_path, dim=2, window=planar, tile_sides=[2, 3])
+    assert cli.main(["--config", str(p), "--out", out, "tile"]) == 0
+
+
+@pytest.mark.parametrize("entry", [0.9, 1.0, True, False, "1", None, [1]])
+def test_block_and_measure_entries_must_be_json_integers(tmp_path, entry):
+    out = str(tmp_path / "out")
+    rows = [[0, 1, entry]]
+    corpus = {"kind": "corpus", "dim": 1, "alphabet": [2],
+              "blocks": [{"min": [0], "max": [2], "depth": 1, "rows": rows}]}
+    (tmp_path / "corpus.json").write_text(canonical_json(corpus))
+    with pytest.raises(ConfigError, match="must be integers"):
+        files.read_corpus(tmp_path / "corpus.json")
+    p = write_config(tmp_path, window={"min": [0], "max": [2]})
+    assert cli.main(["--config", str(p), "--out", out, "blocks", "--level", "1"]) == 2
+
+    seeded_corpus(tmp_path)
+    name = write_vertices(tmp_path)[0]
+    mu = json.loads((tmp_path / name).read_text())
+    mu["masses"][0]["pattern"] = rows
+    (tmp_path / name).write_text(canonical_json(mu))
+    with pytest.raises(ConfigError, match="must be integers"):
+        files.read_measure(tmp_path / name)
+    p = write_config(tmp_path)
+    args = ["--config", str(p), "--out", out, "dist", "--block", "0", "--nu", str(tmp_path / name)]
+    assert cli.main(args) == 2
+
+
+def test_the_corpus_row_of_a_float_and_a_bool_no_longer_reads_as_symbols(tmp_path):
+    corpus = {"kind": "corpus", "dim": 1, "alphabet": [2],
+              "blocks": [{"min": [0], "max": [1], "depth": 1, "rows": [[0.9, True]]}]}
+    (tmp_path / "corpus.json").write_text(canonical_json(corpus))
+    with pytest.raises(ConfigError):
+        files.read_corpus(tmp_path / "corpus.json")
+    corpus["blocks"][0]["rows"] = [[0, 1]]
+    (tmp_path / "corpus.json").write_text(canonical_json(corpus))
+    (block,) = files.read_corpus(tmp_path / "corpus.json").blocks
+    assert block.symbols == (0, 1) and all(type(s) is int for s in block.symbols)
 
 
 def test_every_command_runs_without_block_get(tmp_path, monkeypatch):

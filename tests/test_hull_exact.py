@@ -68,8 +68,3 @@ def test_pinned_instance_where_descent_stalled():
     hd = dist_to_hull(x, target, fams)
     assert hd.value == Fraction(14765, 272448)
     assert hd.weights == (0, 0, 0, Fraction(1523, 1892), Fraction(369, 1892))
-
-
-def test_tol_is_ignored():
-    x, target, fams = SWEEP[0]
-    assert dist_to_hull(x, target, fams, Fraction(1, 2)) == dist_to_hull(x, target, fams)

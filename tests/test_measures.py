@@ -326,7 +326,7 @@ def test_hull_solver_agrees_with_grid_on_random_instances():
         except ValueError:
             continue
         fams = _families_for(measures)
-        hd = dist_to_hull(x, target, fams, tol)
+        hd = dist_to_hull(x, target, fams)
         grid = grid_hull_distance(x, target, fams, step)
         assert hd.value <= grid + tol
         assert grid <= hd.value + 2 * step + tol

@@ -1,7 +1,9 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+from blockdyn import group, symbolic
 from blockdyn.group import Shape, folner_box
 from blockdyn.quasitiling import (
     Quasitiling,
@@ -163,7 +165,7 @@ def test_greedy_centers_lie_in_the_window():
     assert decode_symbolic(encode_symbolic(got.tiling), [shape]) == got.tiling
 
 
-def test_tiles_are_built_once_as_an_immutable_tuple():
+def test_tiles_are_center_index_pairs_ordered_by_center_then_index():
     # A tile that overlaps another and one that escapes the window.
     t = Quasitiling(
         W10,
@@ -171,14 +173,54 @@ def test_tiles_are_built_once_as_an_immutable_tuple():
         (frozenset({(8,), (0,), (4,), (9,)}), frozenset({(3,), (0,)})),
     )
     tiles = t.tiles()
-    assert isinstance(tiles, tuple)
-    assert t.tiles() is tiles
-    expected = sorted(
-        (c, i, frozenset((p[0] + c[0],) for p in shape.points))
-        for i, (shape, cents) in enumerate(zip(t.shapes, t.centers))
-        for c in cents
-    )
-    assert list(tiles) == expected
-    assert tiles[-1] == ((9,), 0, frozenset({(9,), (10,)}))
-    with pytest.raises(ValueError, match="escapes the window"):
+    assert tiles == [((0,), 0), ((0,), 1), ((3,), 1), ((4,), 0), ((8,), 0), ((9,), 0)]
+    tiles.clear()  # a fresh list per call, so a caller cannot change the next
+    assert len(t.tiles()) == t.tile_count() == 6
+    with pytest.raises(ValueError, match="tile 0 at \\(9,\\) escapes the window"):
         verify(t)
+    planar = Quasitiling(
+        Shape.box((0, 0), (3, 3)),
+        (Shape.box((0, 0), (1, 1)), Shape.of([(0, 0), (1, 1)])),
+        (frozenset({(2, 0), (0, 2), (0, 0)}), frozenset({(0, 1), (2, 0)})),
+    )
+    assert planar.tiles() == [
+        ((0, 0), 0), ((0, 1), 1), ((0, 2), 0), ((2, 0), 0), ((2, 0), 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "window",
+    [W10, Shape.of([(0,), (1,), (2,), (5,), (6,)]), Shape.box((0, 0), (2, 3))],
+    ids=["box", "holes", "planar"],
+)
+def test_a_tile_that_escapes_its_window_raises_in_verify_and_congruent(window):
+    shape = PAIR if window.dim == 1 else Shape.box((0, 0), (0, 1))
+    inside = Quasitiling(window, (shape,), (frozenset({(0,) * window.dim}),))
+    # The last point of the window plus the shape's second cell leaves it.
+    out = Quasitiling(window, (shape,), (frozenset({window.sorted_points[-1]}),))
+    with pytest.raises(ValueError, match="escapes the window"):
+        verify(out)
+    empty = Quasitiling(window, (shape,), (frozenset(),))
+    for coarse, fine in ((out, empty), (empty, out), (out, inside), (inside, out)):
+        with pytest.raises(ValueError, match="escapes the window"):
+            congruent(coarse, fine)
+    assert verify(inside).covered_cells == 2 and congruent(inside, inside)
+
+
+def test_tiling_on_boxes_makes_no_point_add_call(monkeypatch):
+    def no_point_add(a, b):
+        raise AssertionError("point_add called")
+
+    window = Shape.box((0, 0), (11, 8))
+    coarse = greedy_tile(window, [Shape.box((0, 0), (5, 2))], Fraction(1, 2)).tiling
+    tiles = coarse.tiles()
+    # group and symbolic, and any other module that imports point_add
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("blockdyn") and hasattr(module, "point_add"):
+            monkeypatch.setattr(module, "point_add", no_point_add)
+    assert group.point_add is no_point_add and symbolic.point_add is no_point_add
+    fine = greedy_tile(window, [Shape.box((0, 0), (2, 2)), Shape.box((0, 0), (0, 1))],
+                       Fraction(1, 2)).tiling
+    assert coarse.tiles() == tiles and fine.tiles()
+    assert verify(coarse).covered_fraction == 1 and verify(fine).disjoint
+    assert congruent(coarse, fine) and not congruent(fine, coarse)

@@ -14,7 +14,7 @@ from blockdyn import cli
 from blockdyn.construction import far_mass, stage_transform
 from blockdyn.group import Shape, point_add
 from blockdyn.measures import ConvexTarget, CylinderMeasure
-from blockdyn.quasitiling import Quasitiling, congruent, encode_symbolic, greedy_tile
+from blockdyn.quasitiling import Quasitiling, congruent, encode_symbolic, greedy_tile, verify
 from blockdyn.symbolic import AlphabetStack, Block, enumerate_full_family, sample_bernoulli
 
 STACK = AlphabetStack((2,))
@@ -64,10 +64,19 @@ def test_far_mass_after_equals_far_mass_of_the_output():
     assert all(count >= 5 for count in seen.values()), seen
 
 
+def tile_cells(tiling: Quasitiling) -> list[frozenset]:
+    """Each tile's cells, translated point by point, ordered by center then
+    shape index."""
+    pairs = sorted((c, i) for i, cents in enumerate(tiling.centers) for c in cents)
+    return [
+        frozenset(tuple(x + y for x, y in zip(p, c)) for p in tiling.shapes[i].points)
+        for c, i in pairs
+    ]
+
+
 def pairwise_congruent(tiling: Quasitiling, previous: Quasitiling) -> bool:
     """The definition: every coarse tile contains or misses every fine tile."""
-    coarse = [cells for _, _, cells in tiling.tiles()]
-    fine = [cells for _, _, cells in previous.tiles()]
+    coarse, fine = tile_cells(tiling), tile_cells(previous)
     return all(big >= small or not big & small for big in coarse for small in fine)
 
 
@@ -97,9 +106,46 @@ def test_congruent_matches_the_pairwise_definition():
         got = congruent(coarse, fine)
         assert got == pairwise_congruent(coarse, fine), (coarse, fine)
         outcomes[got] += 1
-        cells = [c for _, _, c in coarse.tiles()]
+        cells = tile_cells(coarse)
         overlapping += any(a & b for a, b in zip(cells, cells[1:]))
     assert min(outcomes.values()) >= 300 and overlapping >= 300, (outcomes, overlapping)
+
+
+def test_verify_and_congruent_match_the_definitions_on_any_window():
+    # Box and non-box windows and shapes: box pairs go through the cached
+    # row runs, any other pair through one run per cell.
+    rng = random.Random(12)
+    windows = [
+        Shape.interval(0, 9),
+        Shape.of([(0,), (1,), (2,), (4,), (5,), (6,), (7,), (9,)]),
+        Shape.box((0, 0), (3, 3)),
+        Shape.of([p for p in product(range(4), repeat=2) if p != (1, 2)]),
+    ]
+    seen = {"overlap": 0, "repeat": 0, "congruent": 0, "not congruent": 0}
+    for n in range(1200):
+        window = windows[n % len(windows)]
+        coarse, fine = random_tiling(rng, window), random_tiling(rng, window)
+        if n % 3 == 0 and coarse.centers[0]:
+            # A translated copy of the first shape covering one of its tiles.
+            d = rng.choice([(1,), (-2,)]) * window.dim
+            c = min(coarse.centers[0])
+            moved = Shape.of([tuple(x + y for x, y in zip(p, d)) for p in coarse.shapes[0].points])
+            center = tuple(x - y for x, y in zip(c, d))
+            coarse = Quasitiling(
+                window, coarse.shapes + (moved,), coarse.centers + (frozenset({center}),)
+            )
+        cells = tile_cells(coarse)
+        covered = frozenset().union(*cells)
+        rep = verify(coarse)
+        assert rep.covered_cells == len(covered)
+        assert rep.disjoint == (sum(map(len, cells)) == len(covered))
+        assert rep.unique_representation == (len(set(cells)) == len(cells))
+        got = congruent(coarse, fine)
+        assert got == pairwise_congruent(coarse, fine), (coarse, fine)
+        seen["overlap"] += not rep.disjoint
+        seen["repeat"] += not rep.unique_representation
+        seen["congruent" if got else "not congruent"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_congruent_with_empty_center_sets():
