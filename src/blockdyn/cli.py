@@ -73,11 +73,7 @@ def _section(cfg: ExperimentConfig, name: str, default: dict | None = None) -> d
 
 
 def _int_option(section: dict, key: str, default: int) -> int:
-    value = section.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from exc
+    return files._int(section.get(key, default), key)
 
 
 def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> int:
@@ -195,10 +191,7 @@ def cmd_dist(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
 
 
 def cmd_tile(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> int:
-    try:
-        sides = [int(s) for s in args.sides or cfg.raw.get("tile_sides") or []]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tile_sides must be a list of integers: {exc}") from exc
+    sides = args.sides or files._ints(cfg.raw.get("tile_sides") or [], "tile_sides")
     if not sides:
         raise ConfigError("tile needs --sides or tile_sides in the configuration")
     for s in sides:

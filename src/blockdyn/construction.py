@@ -171,31 +171,6 @@ def select_representative(
     )
 
 
-def _tile_distances(
-    config: Block,
-    tiling: Quasitiling,
-    target: ConvexTarget,
-    families: Sequence[BlockFamily],
-    depth: int,
-) -> list[tuple[Point, int, Block, Fraction]]:
-    """(center, shape index, re-based tile block, hull distance lower bound)
-    for every tile, ordered by center; distances are cached per distinct
-    tile content."""
-    cache: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    out = []
-    for c, i in tiling.tiles():
-        sub = subblock_at(config, tiling.shapes[i], c, depth)
-        if sub is None:
-            raise ValueError(f"tile at {c} escapes the configuration")
-        key = (i, sub.symbols)
-        lower = cache.get(key)
-        if lower is None:
-            lower = dist_to_hull(sub, target, families).value
-            cache[key] = lower
-        out.append((c, i, sub, lower))
-    return out
-
-
 def far_mass(
     config: Block,
     tiling: Quasitiling,
@@ -205,13 +180,17 @@ def far_mass(
     depth: int | None = None,
 ) -> Fraction:
     """Fraction of window cells covered by tiles whose block is certified
-    farther than delta from the target hull."""
+    farther than delta from the target hull: one solve per tile, no cache."""
     delta = Fraction(delta)
     k = target.depth if depth is None else depth
     total = 0
-    for _, i, _, lower in _tile_distances(config, tiling, target, families, k):
-        if lower > delta:
-            total += len(tiling.shapes[i])
+    for shape, centers in zip(tiling.shapes, tiling.centers):
+        for c in centers:
+            sub = subblock_at(config, shape, c, k)
+            if sub is None:
+                raise ValueError(f"tile at {c} escapes the configuration")
+            if dist_to_hull(sub, target, families).value > delta:
+                total += len(shape)
     return Fraction(total, len(tiling.window))
 
 
@@ -250,28 +229,35 @@ def stage_transform(
         if reps[shape].shape != shape:
             raise ValueError("representative does not live on its shape")
 
+    # The stage's one hull-distance memo, keyed by (shape index, content).
     # Tiles are disjoint and writes touch only replaced tiles, so a kept tile
     # keeps its distance (at most delta) and a replaced one reads back as
-    # exactly its representative: the far mass after the stage needs only
-    # one solve per representative.
-    rep_far: dict[Shape, bool] = {}
+    # exactly its representative: the far mass after the stage reads the
+    # representative's entry.
+    memo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+
+    def lower(i: int, block: Block) -> Fraction:
+        key = (i, block.symbols)
+        if key not in memo:
+            memo[key] = dist_to_hull(block, target, families).value
+        return memo[key]
+
     tile_records = []
     changes = []
     far_cells = 0
     far_cells_after = 0
-    for c, i, sub, lower in _tile_distances(config, tiling, target, families, k):
-        far = lower > delta
-        tile_records.append(
-            TileRecord(center=c, shape_index=i, distance_lower=lower, replaced=far)
-        )
+    for c, i in tiling.tiles():
+        shape = tiling.shapes[i]
+        sub = subblock_at(config, shape, c, k)
+        if sub is None:
+            raise ValueError(f"tile at {c} escapes the configuration")
+        d = lower(i, sub)
+        far = d > delta
+        tile_records.append(TileRecord(center=c, shape_index=i, distance_lower=d, replaced=far))
         if not far:
             continue
-        shape = tiling.shapes[i]
-        if shape not in rep_far:
-            back = Block(shape, k, config.sizes[:k], reps[shape].symbols)
-            rep_far[shape] = dist_to_hull(back, target, families).value > delta
         far_cells += len(shape)
-        if rep_far[shape]:
+        if lower(i, reps[shape]) > delta:
             far_cells_after += len(shape)
         changes.append(
             ChangeRecord(center=c, shape_index=i, before=sub, after=reps[shape])

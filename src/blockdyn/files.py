@@ -108,9 +108,27 @@ def block_to_obj(block: Block) -> dict[str, Any]:
 MAX_BOX_CELLS = 2**21
 
 
+def _ints(values: Any, field: str) -> tuple[int, ...]:
+    """A list of JSON integers as a tuple.  This is the one type test for
+    every integer in a file or config: int() would quietly take a float, a
+    bool or a numeric string, so each of those is a ConfigError."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{field} must be a list of integers, got {values!r}")
+    bad = set(map(type, values)) - {int}
+    if bad:
+        names = ", ".join(sorted(t.__name__ for t in bad))
+        raise ConfigError(f"{field} must be integers, got {names}")
+    return tuple(values)
+
+
+def _int(value: Any, field: str) -> int:
+    return _ints([value], field)[0]
+
+
 def _box_cells(lo: Sequence[int], hi: Sequence[int]) -> int:
     """Cell count of the box with corners lo and hi, from the corners alone;
-    a ConfigError above MAX_BOX_CELLS."""
+    a ConfigError for a non-integer corner or above MAX_BOX_CELLS."""
+    lo, hi = _ints(lo, "box corners"), _ints(hi, "box corners")
     cells = prod(max(0, b - a + 1) for a, b in zip(lo, hi))
     if cells > MAX_BOX_CELLS:
         raise ConfigError(f"a box of {cells} cells exceeds the limit of {MAX_BOX_CELLS}")
@@ -122,15 +140,12 @@ def _symbols(rows: Any, depth: int, cells: int) -> tuple[int, ...]:
     integers each; a float, bool or string entry is a ConfigError."""
     if len(rows) != depth or any(not isinstance(r, list) or len(r) != cells for r in rows):
         raise ConfigError(f"need {depth} rows of exactly {cells} entries, one per cell")
-    symbols = tuple(chain.from_iterable(rows))
-    if not set(map(type, symbols)) <= {int}:
-        raise ConfigError("block and measure entries must be integers")
-    return symbols
+    return _ints(tuple(chain.from_iterable(rows)), "block and measure entries")
 
 
 def block_from_obj(obj: dict[str, Any], sizes: Sequence[int]) -> Block:
     try:
-        depth = int(obj["depth"])
+        depth = _int(obj["depth"], "depth")
         symbols = _symbols(obj["rows"], depth, _box_cells(obj["min"], obj["max"]))
         return Block(Shape.box(obj["min"], obj["max"]), depth, tuple(sizes)[:depth], symbols)
     except (KeyError, TypeError, ValueError) as exc:
@@ -155,7 +170,7 @@ def _read_data(path: Path, kind: str, parse: Callable[[dict[str, Any]], T]) -> T
         raise ConfigError(f"{path} is not a {kind} file")
     try:
         return parse(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {kind} file {path}: {exc!r}") from exc
 
 
@@ -164,7 +179,7 @@ def read_corpus(path: Path) -> Corpus:
 
 
 def _corpus_from_obj(obj: dict[str, Any]) -> Corpus:
-    stack = AlphabetStack(tuple(int(s) for s in obj["alphabet"]))
+    stack = AlphabetStack(_ints(obj["alphabet"], "alphabet"))
     blocks = tuple(block_from_obj(b, stack.sizes) for b in obj["blocks"])
     return Corpus(stack, blocks)
 
@@ -194,8 +209,8 @@ def read_measure(path: Path) -> CylinderMeasure:
 
 
 def _measure_from_obj(obj: dict[str, Any]) -> CylinderMeasure:
-    sizes = tuple(int(s) for s in obj["alphabet"])
-    depth = int(obj["depth"])
+    sizes = _ints(obj["alphabet"], "alphabet")
+    depth = _int(obj["depth"], "depth")
     lo, hi = obj["base_min"], obj["base_max"]
     cells = _box_cells(lo, hi)
     atoms = [(_symbols(e["pattern"], depth, cells), parse_frac(e["mass"])) for e in obj["masses"]]
@@ -224,10 +239,8 @@ def read_tiling(path: Path) -> Quasitiling:
 def _tiling_from_obj(obj: dict[str, Any]) -> Quasitiling:
     _box_cells(obj["window_min"], obj["window_max"])
     window = Shape.box(obj["window_min"], obj["window_max"])
-    shapes = tuple(Shape.of([tuple(p) for p in pts]) for pts in obj["shapes"])
-    centers = tuple(
-        frozenset(tuple(int(x) for x in c) for c in cs) for cs in obj["centers"]
-    )
+    shapes = tuple(Shape.of([_ints(p, "shape points") for p in pts]) for pts in obj["shapes"])
+    centers = tuple(frozenset(_ints(c, "tile centers") for c in cs) for cs in obj["centers"])
     return Quasitiling(window=window, shapes=shapes, centers=centers)
 
 
@@ -253,7 +266,6 @@ class ExperimentConfig:
     dim: int
     stack: AlphabetStack
     window: Shape
-    folner_levels: int
     corpus_paths: tuple[Path, ...]
     vertex_paths: tuple[Path, ...]
     schedule: StageSchedule | None
@@ -265,16 +277,15 @@ class ExperimentConfig:
         if not isinstance(obj, dict):
             raise ConfigError(f"{path}: configuration must be a JSON object")
         try:
-            dim = int(obj["dim"])
-            stack = AlphabetStack(tuple(int(s) for s in obj["alphabet"]))
+            dim = _int(obj["dim"], "dim")
+            stack = AlphabetStack(_ints(obj["alphabet"], "alphabet"))
             _box_cells(obj["window"]["min"], obj["window"]["max"])
             window = Shape.box(obj["window"]["min"], obj["window"]["max"])
-            folner_levels = int(obj.get("folner_levels", 1))
             seed = obj.get("seed") if seed_override is None else seed_override
-            seed = None if seed is None else int(seed)
+            seed = None if seed is None else _int(seed, "seed")
             corpus_paths = tuple(path.parent / p for p in obj.get("corpus", []))
             vertex_paths = tuple(path.parent / p for p in obj.get("target_vertices", []))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         if window.dim != dim:
             raise ConfigError(f"{path}: window dimension differs from dim")
@@ -282,17 +293,17 @@ class ExperimentConfig:
         if "schedule" in obj:
             s = obj["schedule"]
             try:
-                tile_sides = [int(x) for x in s["tile_sides"]]
+                tile_sides = _ints(s["tile_sides"], "tile_sides")
                 for side in tile_sides:
                     _box_cells((0,) * dim, (side - 1,) * dim)
                 schedule = StageSchedule.geometric(
                     dim=dim,
                     eps1=parse_frac(s["eps1"]),
-                    depths=[int(x) for x in s["depths"]],
-                    folner_indices=[int(x) for x in s["folner_indices"]],
+                    depths=_ints(s["depths"], "depths"),
+                    folner_indices=_ints(s["folner_indices"], "folner_indices"),
                     tile_sides=tile_sides,
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (ConfigError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: bad schedule: {exc}") from exc
         return cls(
             path=path,
@@ -300,7 +311,6 @@ class ExperimentConfig:
             dim=dim,
             stack=stack,
             window=window,
-            folner_levels=folner_levels,
             corpus_paths=corpus_paths,
             vertex_paths=vertex_paths,
             schedule=schedule,

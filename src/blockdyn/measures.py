@@ -107,8 +107,6 @@ class CylinderMeasure:
         """Mass of the cylinder given by a pattern at level <= depth."""
         if pattern.sizes != self.sizes[: pattern.depth]:
             raise ValueError("alphabet stack mismatch")
-        if pattern.shape == self.base and pattern.depth == self.depth:
-            return self._masses.get(pattern, Fraction(0))
         marg = self.marginal(pattern.shape, pattern.depth)
         return marg.get(pattern.symbols, Fraction(0))
 
@@ -151,22 +149,23 @@ def mix(weights: Sequence[Fraction], measures: Sequence[CylinderMeasure]) -> Cyl
 
 
 def _x_values(x: Block | CylinderMeasure, family: BlockFamily) -> list[Fraction]:
-    """Per-pattern values of x on a family: frequencies for a block, masses
-    for a measure."""
+    """Per-pattern values of x on a family, read from one table: the
+    frequency table of a block, the family-level marginal of a measure."""
     if isinstance(x, Block):
         table = freq_table(x, family.base, family.level)
-        return [table.get(b.symbols, Fraction(0)) for b in family.blocks]
-    return [x.value(b) for b in family.blocks]
+    elif any(b.sizes != x.sizes[: family.level] for b in family.blocks):
+        raise ValueError("alphabet stack mismatch")
+    else:
+        table = x.marginal(family.base, family.level)
+    return [table.get(b.symbols, Fraction(0)) for b in family.blocks]
 
 
 def _level_term(
     x: Block | CylinderMeasure, nu: CylinderMeasure, family: BlockFamily
 ) -> Fraction:
     """d_k: the average of |x - nu| over one family."""
-    total = Fraction(0)
-    for xv, b in zip(_x_values(x, family), family.blocks):
-        total += abs(xv - nu.value(b))
-    return total / len(family.blocks)
+    pairs = zip(_x_values(x, family), _x_values(nu, family))
+    return sum((abs(xv - nv) for xv, nv in pairs), Fraction(0)) / len(family.blocks)
 
 
 def dist_k(mu: CylinderMeasure, nu: CylinderMeasure, family: BlockFamily) -> Fraction:
@@ -305,9 +304,9 @@ def _objective_terms(
     terms: list[Term] = []
     for fam in families:
         coeff = Fraction(1, (2**fam.level) * len(fam.blocks))
-        for b, xv in zip(fam.blocks, _x_values(x, fam)):
-            vv = tuple(v.value(b) for v in target.vertices)
-            terms.append((coeff, xv, vv))
+        xs = _x_values(x, fam)
+        columns = [_x_values(v, fam) for v in target.vertices]
+        terms += [(coeff, xv, vv) for xv, vv in zip(xs, zip(*columns))]
     return terms
 
 

@@ -329,18 +329,24 @@ def _cumulative(
 ) -> list[list[float]]:
     if len(probabilities) != stack.depth:
         raise ValueError("one probability vector per row is required")
-    out: list[list[float]] = []
-    for row, probs in enumerate(probabilities):
-        if len(probs) != stack.sizes[row]:
-            raise ValueError(f"row {row + 1} needs {stack.sizes[row]} probabilities")
-        vals = [float(p) for p in probs]
-        if any(v < 0 for v in vals):
-            raise ValueError("probabilities must be non-negative")
-        total = sum(vals)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"row {row + 1} probabilities sum to {total}, not 1")
-        out.append(list(accumulate(vals)))
-    return out
+    return [
+        _categorical(probs, size, f"row {row}")
+        for row, (probs, size) in enumerate(zip(probabilities, stack.sizes), start=1)
+    ]
+
+
+def _categorical(probs: Sequence[object], n: int, name: str) -> list[float]:
+    """Cumulative weights of one distribution over n symbols: exactly n
+    non-negative probabilities that sum to 1 within 1e-9."""
+    if len(probs) != n:
+        raise ValueError(f"{name} needs {n} probabilities")
+    vals = [float(p) for p in probs]
+    if any(v < 0 for v in vals):
+        raise ValueError(f"{name}: probabilities must be non-negative")
+    total = sum(vals)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{name} probabilities sum to {total}, not 1")
+    return list(accumulate(vals))
 
 
 def _draw(rng: random.Random, cumulative: Sequence[float]) -> int:
@@ -363,17 +369,13 @@ def sample_markov(
     if stack.depth != 1:
         raise ValueError("Markov sampling is only supported for depth-1 stacks")
     n = stack.sizes[0]
-    init = [float(p) for p in initial]
-    if len(init) != n or abs(sum(init) - 1.0) > 1e-9 or any(v < 0 for v in init):
-        raise ValueError("malformed initial distribution")
-    rows = [[float(p) for p in row] for row in transition]
-    if len(rows) != n or any(
-        len(r) != n or abs(sum(r) - 1.0) > 1e-9 or any(v < 0 for v in r) for r in rows
-    ):
-        raise ValueError("malformed transition matrix")
+    init_cum = _categorical(initial, n, "initial distribution")
+    if len(transition) != n:
+        raise ValueError(f"transition matrix needs {n} rows")
+    row_cums = [
+        _categorical(row, n, f"transition row {i}") for i, row in enumerate(transition, start=1)
+    ]
     rng = random.Random(seed)
-    init_cum = list(accumulate(init))
-    row_cums = [list(accumulate(r)) for r in rows]
     symbols: list[int] = []
     state: int | None = None
     for _ in window.sorted_points:

@@ -108,7 +108,6 @@ SCHEDULE = {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [
     [
         ({"seed": 1, "gen": {"kind": "bernoulli"}}, ["gen"]),
         ({"seed": 1, "gen": dict(BERNOULLI, count="two")}, ["gen"]),
-        ({"folner_levels": "x"}, ["blocks", "--level", "1"]),
         ({"seed": "abc", "gen": BERNOULLI}, ["gen"]),
         ({"tile_sides": ["x"]}, ["tile"]),
         ({"seed": 1, "schedule": SCHEDULE, "representatives": ["vertex"]}, ["construct"]),
@@ -124,7 +123,7 @@ SCHEDULE = {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [
         ),
     ],
     ids=[
-        "gen-without-probs", "gen-count-not-int", "folner-levels-not-int",
+        "gen-without-probs", "gen-count-not-int",
         "seed-not-int", "tile-sides-not-int", "representatives-as-list",
         "vertex-not-int", "vertex-out-of-range",
     ],

@@ -443,3 +443,85 @@ def test_every_command_runs_without_block_get(tmp_path, monkeypatch):
         ["verify"],
     ):
         assert cli.main(base + args) == 0, args
+
+
+SCHEDULE = {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [3]}
+VERTEX_REPS = {"source": "vertex", "vertex": 0, "count": 2}
+BLOCKS, HULL, TILE = ["blocks", "--level", "1"], ["dist", "--block", "0", "--hull"], ["tile"]
+
+# (file, path to the holder, key, command or None for a tiling read, config
+# extras); a list value has its first entry replaced, a scalar itself.
+INTEGER_FIELDS = {
+    "block-depth": ("corpus.json", ["blocks", 0], "depth", BLOCKS, {}),
+    "block-min": ("corpus.json", ["blocks", 0], "min", BLOCKS, {}),
+    "corpus-alphabet": ("corpus.json", [], "alphabet", BLOCKS, {}),
+    "measure-depth": ("v0.json", [], "depth", HULL, {}),
+    "measure-base-min": ("v0.json", [], "base_min", HULL, {}),
+    "measure-alphabet": ("v0.json", [], "alphabet", HULL, {}),
+    "config-alphabet": ("config.json", [], "alphabet", BLOCKS, {}),
+    "config-dim": ("config.json", [], "dim", BLOCKS, {}),
+    "config-seed": ("config.json", [], "seed", ["gen"], {}),
+    "config-window-min": ("config.json", ["window"], "min", BLOCKS, {}),
+    "config-tile-sides": ("config.json", [], "tile_sides", TILE, {}),
+    "schedule-depths": ("config.json", ["schedule"], "depths", ["construct"], {}),
+    "schedule-folner-indices": (
+        "config.json", ["schedule"], "folner_indices", ["construct"], {}
+    ),
+    "schedule-tile-sides": ("config.json", ["schedule"], "tile_sides", ["construct"], {}),
+    "gen-count": ("config.json", ["gen"], "count", ["gen"], {}),
+    "representatives-vertex": (
+        "config.json", ["representatives"], "vertex", ["construct"],
+        {"representatives": VERTEX_REPS},
+    ),
+    "representatives-count": (
+        "config.json", ["representatives"], "count", ["construct"],
+        {"representatives": VERTEX_REPS},
+    ),
+    "representatives-limit": (
+        "config.json", ["representatives"], "limit", ["construct"],
+        {"representatives": {"source": "corpus", "limit": 4}},
+    ),
+    "tiling-window-min": ("tiling.json", [], "window_min", None, {}),
+    "tiling-shape-point": ("tiling.json", ["shapes", 0], 0, None, {}),
+    "tiling-center": ("tiling.json", ["centers", 0], 0, None, {}),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, True, "1"], ids=["1.5", "1.0", "true", "str-1"])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_every_integer_field_must_be_a_json_integer(tmp_path, capsys, field, value):
+    name, holder_path, key, argv, extra = INTEGER_FIELDS[field]
+    seeded_corpus(tmp_path)
+    vertices = write_vertices(tmp_path)
+    files.write_tiling(
+        tmp_path / "tiling.json",
+        Quasitiling(Shape.interval(0, 8), (Shape.interval(0, 2),), (frozenset({(0,), (3,)}),)),
+    )
+    overrides = dict(target_vertices=vertices, schedule=SCHEDULE, tile_sides=[3])
+    config = write_config(tmp_path, **dict(overrides, **extra))
+    path = tmp_path / name
+
+    def run(out: str) -> int:
+        if argv is None:
+            files.read_tiling(path)
+            return 0
+        return cli.main(["--config", str(config), "--out", str(tmp_path / out)] + argv)
+
+    assert run("good") == 0
+    obj = json.loads(path.read_text())
+    holder = obj
+    for step in holder_path:
+        holder = holder[step]
+    if isinstance(holder[key], list):
+        holder[key][0] = value
+    else:
+        holder[key] = value
+    path.write_text(canonical_json(obj))
+    capsys.readouterr()
+    if argv is None:
+        with pytest.raises(ConfigError, match="must be integers"):
+            run("bad")
+        return
+    assert run("bad") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be integers" in err
