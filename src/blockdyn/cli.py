@@ -121,7 +121,7 @@ def cmd_freq(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
     rows = []
     for key in sorted(table):
         pat = Block(base, args.level, cfg.stack.sizes[: args.level], key)
-        occurrences = table[key] * embeddings
+        occurrences = table.counts[key]
         rows.append(
             [args.block, args.level, _pattern_str(pat), occurrences, embeddings,
              frac_str(table[key])]

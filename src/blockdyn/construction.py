@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from .frequency import block_measure_gap_bound, corpus_subblocks, embedding_anchors
@@ -331,21 +332,21 @@ def sample_from_measure(
     if len(full_sizes) < depth or full_sizes[: measure.depth] != measure.sizes:
         raise ValueError("alphabet sizes incompatible with the measure")
     rng = random.Random(seed)
-    support = measure.support()
-    cumulative = list(accumulate(float(m) for _, m in measure.items()))
+    items = measure.items()
+    cumulative = list(accumulate(float(m) for _, m in items))
     placed = greedy_tile(shape, [measure.base], Fraction(1)).tiling
     n_shape = len(shape)
     symbols: list[int | None] = [None] * (n_shape * depth)
     rows = min(depth, measure.depth)
     for c in sorted(placed.centers[0]):
         runs = _runs_at(shape, measure.base, rows, c)
-        _write(symbols, runs, support[_draw(rng, cumulative)].symbols)
+        _write(symbols, runs, items[_draw(rng, cumulative)][0].symbols)
 
     row_cumulative: list[list[float]] = []
     for r in range(1, depth + 1):
         if r <= measure.depth:
             acc = [Fraction(0)] * full_sizes[r - 1]
-            for full, mass in measure.items():
+            for full, mass in items:
                 for v in full.row(r):
                     acc[v] += mass
             total = sum(acc)
@@ -470,10 +471,16 @@ def _concatenation_check(
         keys |= counts.keys()
         if reads:
             weighted.append((Fraction(len(shape), len(reads) * total_cells), counts))
-    dev = Fraction(0)
+    # |c/t - a/avg_den| = |c avg_den - t a| / (t avg_den), with the average
+    # a/avg_den over the weights' common denominator
+    avg_den = lcm(*(w.denominator for w, _ in weighted))
+    scaled = [(w.numerator * (avg_den // w.denominator), counts) for w, counts in weighted]
+    host, t = host_table.counts, host_table.total
+    top = 0
     for key in keys:
-        avg = sum((w * counts[key] for w, counts in weighted), Fraction(0))
-        dev = max(dev, abs(host_table.get(key, Fraction(0)) - avg))
+        avg = sum(w * counts[key] for w, counts in scaled)
+        top = max(top, abs(host.get(key, 0) * avg_den - t * avg))
+    dev = Fraction(top, t * avg_den)
     if deficiency >= 1 or deficiency * len(base) >= 1:
         return dev, None
     return dev, tiling_average_gap_bound(deficiency, len(base))

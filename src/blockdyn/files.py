@@ -211,11 +211,16 @@ def read_measure(path: Path) -> CylinderMeasure:
 def _measure_from_obj(obj: dict[str, Any]) -> CylinderMeasure:
     sizes = _ints(obj["alphabet"], "alphabet")
     depth = _int(obj["depth"], "depth")
+    if len(sizes) != depth:
+        raise ConfigError(
+            f"alphabet lists {len(sizes)} sizes but depth is {depth}: "
+            "a measure needs one alphabet size per row"
+        )
     lo, hi = obj["base_min"], obj["base_max"]
     cells = _box_cells(lo, hi)
     atoms = [(_symbols(e["pattern"], depth, cells), parse_frac(e["mass"])) for e in obj["masses"]]
     base = Shape.box(lo, hi)
-    masses = {Block(base, depth, sizes[:depth], symbols): m for symbols, m in atoms}
+    masses = {Block(base, depth, sizes, symbols): m for symbols, m in atoms}
     return CylinderMeasure(depth, base, masses, sizes)
 
 

@@ -7,11 +7,12 @@ exactly quantifiable.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .group import Point, Shape, _anchor_box, folner_box
 from .symbolic import AlphabetStack, Block, Corpus, _box_runs, _read, _runs_at
@@ -71,18 +72,51 @@ def pattern_counts(block: Block, inner: Shape, depth: int) -> dict[tuple[int, ..
     return counts
 
 
+class CountTable(Mapping[tuple[int, ...], Fraction]):
+    """Integer numerators over one positive denominator, read as Fractions:
+    ``table[key]`` is ``Fraction(counts[key], total)``.
+
+    Every value of a frequency table or a marginal shares its denominator,
+    so readers compare cross-multiplied ``counts`` and build one Fraction
+    per value they return.  An empty table has total 1.  Tables are cached
+    and shared, so ``counts`` is a read-only view of the dict it is given,
+    which no one may change afterwards, and neither field can be set.
+    """
+
+    __slots__ = ("counts", "total")
+    counts: Mapping[tuple[int, ...], int]
+    total: int
+
+    def __init__(self, counts: dict[tuple[int, ...], int], total: int) -> None:
+        object.__setattr__(self, "counts", MappingProxyType(counts))
+        object.__setattr__(self, "total", total)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("a CountTable is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("a CountTable is read-only")
+
+    def __getitem__(self, key: tuple[int, ...]) -> Fraction:
+        return Fraction(self.counts[key], self.total)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.counts)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+
 @lru_cache(maxsize=512)
-def freq_table(
-    block: Block, inner: Shape, depth: int
-) -> Mapping[tuple[int, ...], Fraction]:
-    """Frequencies of all patterns on inner x rows[1..depth] inside ``block``.
+def freq_table(block: Block, inner: Shape, depth: int) -> CountTable:
+    """Frequencies of all patterns on inner x rows[1..depth] inside ``block``:
+    the occurrence counts over the embedding count.
 
     Empty when no translate of ``inner`` embeds.  Values sum to exactly 1
     otherwise.  The table is cached and shared, so it is read-only.
     """
     counts = pattern_counts(block, inner, depth)
-    total = sum(counts.values())
-    return MappingProxyType({key: Fraction(c, total) for key, c in counts.items()})
+    return CountTable(counts, sum(counts.values()) or 1)
 
 
 def count_occurrences(block: Block, pattern: Block) -> int:
@@ -155,11 +189,20 @@ def marginal_deviation(
         base = folner_box(level, block.dim)
         table = freq_table(block, base, level)
         marg = measure.marginal(base, level)
-        for key in set(table) | set(marg):
-            dev = abs(table.get(key, Fraction(0)) - marg.get(key, Fraction(0)))
-            worst = max(worst, dev)
-            if stop is not None and worst >= stop:
-                return worst
+        counts, t = table.counts, table.total
+        nums, d = marg.counts, marg.total
+        # |c/t - n/d| = |c d - n t| / (t d); ``top`` is the running maximum
+        # numerator, and it reaches ``stop`` once it reaches ``reach``.
+        den = t * d
+        reach = den + 1 if stop is None else -(-stop.numerator * den // stop.denominator)
+        top = 0
+        for key in set(counts) | set(nums):
+            dev = abs(counts.get(key, 0) * d - nums.get(key, 0) * t)
+            if dev > top:
+                top = dev
+            if top >= reach:
+                return max(worst, Fraction(top, den))
+        worst = max(worst, Fraction(top, den))
     return worst
 
 

@@ -63,6 +63,15 @@ class Shape:
         return cls.box((lo,), (hi,))
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.points))
+
+    def __hash__(self) -> int:
+        # Shapes key the kernel's run cache, which hashes both shapes on every
+        # lookup; the dataclass hash would build a new tuple each time.
+        return self._hash
+
+    @cached_property
     def sorted_points(self) -> tuple[Point, ...]:
         return tuple(sorted(self.points))
 

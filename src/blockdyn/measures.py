@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .frequency import freq_table
+from .frequency import CountTable, freq_table
 from .group import Shape, folner_box
 from .symbolic import Block, BlockFamily, _runs_at
 
@@ -25,11 +24,13 @@ from .symbolic import Block, BlockFamily, _runs_at
 class CylinderMeasure:
     """A probability distribution over full patterns on base x rows[1..depth].
 
-    Stored sparsely; queries at shallower levels are marginal sums and are
-    additive by construction.  Immutable after construction.
+    Stored sparsely as integer numerators over one denominator, reduced so
+    that equal measures store equal numbers; queries at shallower levels
+    are marginal sums and are additive by construction.  Immutable after
+    construction.
     """
 
-    __slots__ = ("depth", "base", "sizes", "_masses", "_marginals")
+    __slots__ = ("depth", "base", "sizes", "_nums", "_den", "_marginals")
 
     def __init__(
         self,
@@ -49,19 +50,52 @@ class CylinderMeasure:
                 raise ValueError("mass assigned outside base x rows[1..depth]")
             if m < 0:
                 raise ValueError("negative mass")
-        if sum(items.values()) != 1:
+        den = lcm(*(m.denominator for m in items.values()))
+        nums = {b.symbols: m.numerator * (den // m.denominator) for b, m in items.items()}
+        if sum(nums.values()) != den:
             raise ValueError("masses must sum to exactly 1")
+        self._set(depth, base, inferred, nums, den)
+
+    @classmethod
+    def _from_counts(
+        cls,
+        depth: int,
+        base: Shape,
+        sizes: tuple[int, ...],
+        nums: Mapping[tuple[int, ...], int],
+        den: int,
+    ) -> CylinderMeasure:
+        """The measure with mass nums[s] / den on the full pattern with
+        symbols s, unchecked: callers pass valid patterns and positive
+        numerators that sum to ``den``."""
+        self = cls.__new__(cls)
+        self._set(depth, base, sizes, nums, den)
+        return self
+
+    def _set(
+        self,
+        depth: int,
+        base: Shape,
+        sizes: tuple[int, ...],
+        nums: Mapping[tuple[int, ...], int],
+        den: int,
+    ) -> None:
+        g = gcd(den, *nums.values())
         self.depth = depth
         self.base = base
-        self.sizes = inferred
-        self._masses = dict(sorted(items.items(), key=lambda kv: kv[0].symbols))
-        self._marginals: dict[tuple[Shape, int], Mapping[tuple[int, ...], Fraction]] = {}
+        self.sizes = sizes
+        self._nums = {key: n // g for key, n in sorted(nums.items())}
+        self._den = den // g
+        self._marginals: dict[tuple[Shape, int], CountTable] = {}
 
     def items(self) -> tuple[tuple[Block, Fraction], ...]:
-        return tuple(self._masses.items())
+        return tuple(
+            (Block(self.base, self.depth, self.sizes, key), Fraction(n, self._den))
+            for key, n in self._nums.items()
+        )
 
     def support(self) -> tuple[Block, ...]:
-        return tuple(self._masses.keys())
+        return tuple(Block(self.base, self.depth, self.sizes, key) for key in self._nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CylinderMeasure):
@@ -70,16 +104,17 @@ class CylinderMeasure:
             self.depth == other.depth
             and self.base == other.base
             and self.sizes == other.sizes
-            and self._masses == other._masses
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __repr__(self) -> str:
         return (
             f"CylinderMeasure(depth={self.depth}, base={len(self.base)} cells, "
-            f"support={len(self._masses)})"
+            f"support={len(self._nums)})"
         )
 
-    def marginal(self, e: Shape, level: int) -> Mapping[tuple[int, ...], Fraction]:
+    def marginal(self, e: Shape, level: int) -> CountTable:
         """Marginal over e x rows[1..level], keyed by row-major symbol tuples.
 
         The result is cached and shared, so it is read-only.
@@ -96,11 +131,11 @@ class CylinderMeasure:
         runs = _runs_at(self.base, e, level, (0,) * e.dim)
         cells = [i for a, b in runs for i in range(a, b)]
         get = itemgetter(*cells) if len(cells) > 1 else lambda s: tuple(s[i] for i in cells)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for block, mass in self._masses.items():
-            sub = get(block.symbols)
-            out[sub] = out.get(sub, Fraction(0)) + mass
-        view = self._marginals[key] = MappingProxyType(out)
+        out: dict[tuple[int, ...], int] = {}
+        for symbols, n in self._nums.items():
+            sub = get(symbols)
+            out[sub] = out.get(sub, 0) + n
+        view = self._marginals[key] = CountTable(out, self._den)
         return view
 
     def value(self, pattern: Block) -> Fraction:
@@ -123,9 +158,10 @@ def block_measure(block: Block, depth: int) -> CylinderMeasure:
     table = freq_table(block, base, depth)
     if not table:
         raise ValueError("the block admits no embedding of the base box")
-    sizes = block.sizes[:depth]
-    masses = {Block(base, depth, sizes, key): m for key, m in table.items()}
-    return CylinderMeasure(depth, base, masses, sizes)
+    # The patterns are reads of a valid block, so they need no new check.
+    return CylinderMeasure._from_counts(
+        depth, base, block.sizes[:depth], table.counts, table.total
+    )
 
 
 def mix(weights: Sequence[Fraction], measures: Sequence[CylinderMeasure]) -> CylinderMeasure:
@@ -139,33 +175,36 @@ def mix(weights: Sequence[Fraction], measures: Sequence[CylinderMeasure]) -> Cyl
     for m in measures[1:]:
         if m.depth != first.depth or m.base != first.base or m.sizes != first.sizes:
             raise ValueError("measures live on different bases")
-    out: dict[Block, Fraction] = {}
-    for w, m in zip(ws, measures):
-        if w == 0:
-            continue
-        for b, mass in m.items():
-            out[b] = out.get(b, Fraction(0)) + w * mass
-    return CylinderMeasure(first.depth, first.base, out, first.sizes)
+    # sum_j w_j n_ij / d_j over den = lcm_j(denominator(w_j) d_j)
+    parts = [(w, m) for w, m in zip(ws, measures) if w != 0]
+    den = lcm(*(w.denominator * m._den for w, m in parts))
+    out: dict[tuple[int, ...], int] = {}
+    for w, m in parts:
+        scale = w.numerator * (den // (w.denominator * m._den))
+        for key, n in m._nums.items():
+            out[key] = out.get(key, 0) + scale * n
+    return CylinderMeasure._from_counts(first.depth, first.base, first.sizes, out, den)
 
 
-def _x_values(x: Block | CylinderMeasure, family: BlockFamily) -> list[Fraction]:
-    """Per-pattern values of x on a family, read from one table: the
-    frequency table of a block, the family-level marginal of a measure."""
+def _x_table(x: Block | CylinderMeasure, family: BlockFamily) -> CountTable:
+    """The one table that holds x on a family: the frequency table of a
+    block, the family-level marginal of a measure."""
     if isinstance(x, Block):
-        table = freq_table(x, family.base, family.level)
-    elif any(b.sizes != x.sizes[: family.level] for b in family.blocks):
+        return freq_table(x, family.base, family.level)
+    if any(b.sizes != x.sizes[: family.level] for b in family.blocks):
         raise ValueError("alphabet stack mismatch")
-    else:
-        table = x.marginal(family.base, family.level)
-    return [table.get(b.symbols, Fraction(0)) for b in family.blocks]
+    return x.marginal(family.base, family.level)
 
 
 def _level_term(
     x: Block | CylinderMeasure, nu: CylinderMeasure, family: BlockFamily
 ) -> Fraction:
     """d_k: the average of |x - nu| over one family."""
-    pairs = zip(_x_values(x, family), _x_values(nu, family))
-    return sum((abs(xv - nv) for xv, nv in pairs), Fraction(0)) / len(family.blocks)
+    xt, nt = _x_table(x, family), _x_table(nu, family)
+    xc, t, nc, d = xt.counts, xt.total, nt.counts, nt.total
+    keys = [b.symbols for b in family.blocks]
+    total = sum(abs(xc.get(key, 0) * d - nc.get(key, 0) * t) for key in keys)
+    return Fraction(total, t * d * len(keys))
 
 
 def dist_k(mu: CylinderMeasure, nu: CylinderMeasure, family: BlockFamily) -> Fraction:
@@ -304,8 +343,8 @@ def _objective_terms(
     terms: list[Term] = []
     for fam in families:
         coeff = Fraction(1, (2**fam.level) * len(fam.blocks))
-        xs = _x_values(x, fam)
-        columns = [_x_values(v, fam) for v in target.vertices]
+        tables = [_x_table(v, fam) for v in (x, *target.vertices)]
+        xs, *columns = [[t.get(b.symbols, Fraction(0)) for b in fam.blocks] for t in tables]
         terms += [(coeff, xv, vv) for xv, vv in zip(xs, zip(*columns))]
     return terms
 

@@ -26,6 +26,10 @@ def test_freq_table_is_read_only():
         table[ABA.symbols] = Fraction(9)
     with pytest.raises(AttributeError):
         table.clear()
+    with pytest.raises(TypeError):
+        table.counts[ABA.symbols] = 9
+    with pytest.raises(AttributeError):
+        table.total = 9
     assert freq(WORD, ABA) == Fraction(2, 5)
 
 
@@ -38,6 +42,10 @@ def test_marginal_is_read_only():
         marg[center_b.symbols] = Fraction(9)
     with pytest.raises(AttributeError):
         marg.clear()
+    with pytest.raises(TypeError):
+        marg.counts[center_b.symbols] = 9
+    with pytest.raises(AttributeError):
+        marg.total = 9
     assert mu.value(center_b) == before == Fraction(1, 2)
 
 

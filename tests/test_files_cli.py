@@ -403,6 +403,25 @@ def test_block_and_measure_entries_must_be_json_integers(tmp_path, entry):
     assert cli.main(args) == 2
 
 
+@pytest.mark.parametrize("alphabet,depth", [([2, 2], 1), ([2], 2), ([], 1)])
+def test_measure_alphabet_must_list_one_size_per_row(tmp_path, capsys, alphabet, depth):
+    seeded_corpus(tmp_path)
+    name = write_vertices(tmp_path)[0]
+    p = write_config(tmp_path)
+    out = str(tmp_path / "out")
+    args = ["--config", str(p), "--out", out, "dist", "--block", "0", "--nu", str(tmp_path / name)]
+    assert cli.main(args) == 0
+    mu = json.loads((tmp_path / name).read_text())
+    mu["alphabet"], mu["depth"] = alphabet, depth
+    (tmp_path / name).write_text(canonical_json(mu))
+    message = f"alphabet lists {len(alphabet)} sizes but depth is {depth}"
+    with pytest.raises(ConfigError, match=message):
+        files.read_measure(tmp_path / name)
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_the_corpus_row_of_a_float_and_a_bool_no_longer_reads_as_symbols(tmp_path):
     corpus = {"kind": "corpus", "dim": 1, "alphabet": [2],
               "blocks": [{"min": [0], "max": [1], "depth": 1, "rows": [[0.9, True]]}]}

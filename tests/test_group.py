@@ -38,6 +38,32 @@ def test_translate_preserves_cardinality():
     assert len(translate(s, (7, -2))) == len(s)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)), min_size=1, max_size=2),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=6),
+)
+def test_equal_shapes_hash_equal_and_each_shape_hashes_its_points_once(axes, pts):
+    lo = [a for a, _ in axes]
+    hi = [a + w for a, w in axes]
+    box = Shape.box(lo, hi)
+    listed = Shape.of(sorted(box.points), dim=len(lo))
+    assert box == listed and hash(box) == hash(listed)
+    assert hash(box) == hash((box.dim, box.points))  # the dataclass field hash
+    # a shape built from points that happen to fill a box equals that box
+    planar = Shape.of(pts, dim=2)
+    if planar.points and planar.is_box():
+        same = Shape.box(*planar.bounds())
+        assert same == planar and hash(same) == hash(planar)
+    assert {box: 1}[translate(box, (0,) * box.dim)] == 1
+    # the hash is stored on first use, so the kernel's run cache, which
+    # hashes both shapes per lookup, rebuilds no tuple
+    shape = Shape.of(pts + [(9, 9)])
+    assert "_hash" not in vars(shape)
+    hash(shape)
+    assert vars(shape)["_hash"] == hash(shape)
+
+
 def test_translate_dimension_mismatch():
     with pytest.raises(ValueError):
         translate(Shape.interval(0, 1), (1, 2))
