@@ -5,6 +5,8 @@ certified tails, quasitilings of finite windows and a staged, invertible
 block-replacement transform, all in exact rational arithmetic.
 """
 
+import types
+
 from .group import (
     BanachDensity,
     FolnerBox,
@@ -70,55 +72,8 @@ from .construction import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphabetStack",
-    "BanachDensity",
-    "Block",
-    "BlockFamily",
-    "ConvexTarget",
-    "Corpus",
-    "CylinderMeasure",
-    "DistanceInterval",
-    "FolnerBox",
-    "HullDistance",
-    "PeriodicSubset",
-    "Quasitiling",
-    "Shape",
-    "StageSchedule",
-    "apply_changes",
-    "banach_density",
-    "block_measure",
-    "block_translate",
-    "boundary_part",
-    "congruent",
-    "count_embeddings",
-    "count_occurrences",
-    "decode_symbolic",
-    "dist",
-    "dist_block",
-    "dist_k",
-    "dist_to_hull",
-    "encode_symbolic",
-    "enumerate_family",
-    "enumerate_full_family",
-    "far_mass",
-    "find_typical_block",
-    "folner_box",
-    "freq",
-    "freq_table",
-    "greedy_tile",
-    "invariance_ratio",
-    "is_invariant",
-    "is_tempered_prefix",
-    "mix",
-    "restrict",
-    "run",
-    "sample_bernoulli",
-    "select_representative",
-    "shape_product",
-    "stage_transform",
-    "subblock_at",
-    "tail_depth",
-    "translate",
-    "verify",
-]
+# The public names are the ones imported above.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -163,7 +163,7 @@ def cmd_dist(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
     rows = []
     if args.hull:
         target = _load_vertices(cfg)
-        levels = min(args.levels or target.depth, target.depth, x_depth)
+        levels = min(target.depth if args.levels is None else args.levels, target.depth, x_depth)
         fams = _families(corpus, levels)
         hd = dist_to_hull(x, target, fams)
         rows.append(["hull_lower", "", frac_str(hd.value)])
@@ -175,7 +175,7 @@ def cmd_dist(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
         if args.nu is None:
             raise ConfigError("dist needs --nu (or --hull)")
         nu = files.read_measure(Path(args.nu))
-        levels = min(args.levels or nu.depth, nu.depth, x_depth)
+        levels = min(nu.depth if args.levels is None else args.levels, nu.depth, x_depth)
         fams = _families(corpus, levels)
         if isinstance(x, Block):
             interval = dist_block(x, nu, fams)
@@ -194,9 +194,7 @@ def cmd_tile(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
     sides = args.sides or files._ints(cfg.raw.get("tile_sides") or [], "tile_sides")
     if not sides:
         raise ConfigError("tile needs --sides or tile_sides in the configuration")
-    for s in sides:
-        files._box_cells((0,) * cfg.dim, (s - 1,) * cfg.dim)
-    shapes = [Shape.box((0,) * cfg.dim, (s - 1,) * cfg.dim) for s in sides]
+    shapes = [files._box((0,) * cfg.dim, (s - 1,) * cfg.dim) for s in sides]
     eps = parse_frac(args.eps)
     result = greedy_tile(cfg.window, shapes, eps)
     report = verify_tiling(result.tiling, folner_box(1, cfg.dim))
@@ -238,7 +236,10 @@ def cmd_construct(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path)
         raise ConfigError(f"corpus has no block {args.block}")
     initial = corpus.blocks[args.block]
     rep_cfg = _section(cfg, "representatives", {"source": "corpus"})
-    if rep_cfg.get("source") == "vertex":
+    kind = rep_cfg.get("source", "corpus")
+    if kind not in ("vertex", "corpus"):
+        raise ConfigError(f'unknown representatives.source {kind!r}: use "vertex" or "corpus"')
+    if kind == "vertex":
         seed = cfg.require_seed()
         vertex = _int_option(rep_cfg, "vertex", 0)
         if not 0 <= vertex < len(target):

@@ -103,8 +103,9 @@ def block_to_obj(block: Block) -> dict[str, Any]:
 
 
 # The most cells a box read from a file may have: about 105 times the largest
-# benchmark window (20,001 cells).  Shape.box takes about 230 bytes per cell
-# on CPython 3.11, so a box at the limit costs about 0.5 GB.
+# benchmark window (20,001 cells).  A box is only its corners; the limit
+# guards what its blocks allocate: a symbol tuple over all cells and rows
+# and, to tile or construct, bytearrays and lists of one entry per cell.
 MAX_BOX_CELLS = 2**21
 
 
@@ -125,14 +126,14 @@ def _int(value: Any, field: str) -> int:
     return _ints([value], field)[0]
 
 
-def _box_cells(lo: Sequence[int], hi: Sequence[int]) -> int:
-    """Cell count of the box with corners lo and hi, from the corners alone;
-    a ConfigError for a non-integer corner or above MAX_BOX_CELLS."""
+def _box(lo: Sequence[int], hi: Sequence[int]) -> Shape:
+    """The box with corners lo and hi, checked from the corners first: a
+    ConfigError for a non-integer corner or above MAX_BOX_CELLS cells."""
     lo, hi = _ints(lo, "box corners"), _ints(hi, "box corners")
     cells = prod(max(0, b - a + 1) for a, b in zip(lo, hi))
     if cells > MAX_BOX_CELLS:
         raise ConfigError(f"a box of {cells} cells exceeds the limit of {MAX_BOX_CELLS}")
-    return cells
+    return Shape.box(lo, hi)
 
 
 def _symbols(rows: Any, depth: int, cells: int) -> tuple[int, ...]:
@@ -146,8 +147,8 @@ def _symbols(rows: Any, depth: int, cells: int) -> tuple[int, ...]:
 def block_from_obj(obj: dict[str, Any], sizes: Sequence[int]) -> Block:
     try:
         depth = _int(obj["depth"], "depth")
-        symbols = _symbols(obj["rows"], depth, _box_cells(obj["min"], obj["max"]))
-        return Block(Shape.box(obj["min"], obj["max"]), depth, tuple(sizes)[:depth], symbols)
+        box = _box(obj["min"], obj["max"])
+        return Block(box, depth, tuple(sizes)[:depth], _symbols(obj["rows"], depth, len(box)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed block entry: {exc}") from exc
 
@@ -216,11 +217,11 @@ def _measure_from_obj(obj: dict[str, Any]) -> CylinderMeasure:
             f"alphabet lists {len(sizes)} sizes but depth is {depth}: "
             "a measure needs one alphabet size per row"
         )
-    lo, hi = obj["base_min"], obj["base_max"]
-    cells = _box_cells(lo, hi)
-    atoms = [(_symbols(e["pattern"], depth, cells), parse_frac(e["mass"])) for e in obj["masses"]]
-    base = Shape.box(lo, hi)
-    masses = {Block(base, depth, sizes, symbols): m for symbols, m in atoms}
+    base = _box(obj["base_min"], obj["base_max"])
+    masses = {
+        Block(base, depth, sizes, _symbols(e["pattern"], depth, len(base))): parse_frac(e["mass"])
+        for e in obj["masses"]
+    }
     return CylinderMeasure(depth, base, masses, sizes)
 
 
@@ -242,8 +243,7 @@ def read_tiling(path: Path) -> Quasitiling:
 
 
 def _tiling_from_obj(obj: dict[str, Any]) -> Quasitiling:
-    _box_cells(obj["window_min"], obj["window_max"])
-    window = Shape.box(obj["window_min"], obj["window_max"])
+    window = _box(obj["window_min"], obj["window_max"])
     shapes = tuple(Shape.of([_ints(p, "shape points") for p in pts]) for pts in obj["shapes"])
     centers = tuple(frozenset(_ints(c, "tile centers") for c in cs) for cs in obj["centers"])
     return Quasitiling(window=window, shapes=shapes, centers=centers)
@@ -284,8 +284,7 @@ class ExperimentConfig:
         try:
             dim = _int(obj["dim"], "dim")
             stack = AlphabetStack(_ints(obj["alphabet"], "alphabet"))
-            _box_cells(obj["window"]["min"], obj["window"]["max"])
-            window = Shape.box(obj["window"]["min"], obj["window"]["max"])
+            window = _box(obj["window"]["min"], obj["window"]["max"])
             seed = obj.get("seed") if seed_override is None else seed_override
             seed = None if seed is None else _int(seed, "seed")
             corpus_paths = tuple(path.parent / p for p in obj.get("corpus", []))
@@ -300,7 +299,7 @@ class ExperimentConfig:
             try:
                 tile_sides = _ints(s["tile_sides"], "tile_sides")
                 for side in tile_sides:
-                    _box_cells((0,) * dim, (side - 1,) * dim)
+                    _box((0,) * dim, (side - 1,) * dim)
                 schedule = StageSchedule.geometric(
                     dim=dim,
                     eps1=parse_frac(s["eps1"]),

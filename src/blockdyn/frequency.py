@@ -11,6 +11,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as cartesian
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -26,15 +27,17 @@ def embedding_anchors(outer: Shape, inner: Shape) -> tuple[Point, ...]:
     """Anchors g in outer with inner + g contained in outer, sorted."""
     if outer.dim != inner.dim:
         raise ValueError("dimension mismatch")
-    if not outer.points or not inner.points:
+    if not outer or not inner:
         # no anchors in an empty outer; an empty inner fits at every g
         return outer.sorted_points
-    # inner + g lies inside a box exactly when g lies in the anchor box;
-    # other shapes ask the cell kernel whether inner + g fits
-    pts, box = outer.points, outer.is_box()
+    if outer.is_box():
+        # inner + g lies inside a box exactly when g lies in the anchor box
+        (lo, hi), (ilo, ihi) = outer.bounds(), inner.bounds()
+        ranges = (range(max(a, a - b), min(c, c - d) + 1) for a, b, c, d in zip(lo, ilo, hi, ihi))
+        return tuple(cartesian(*ranges))
     return tuple(
         g for g in _anchor_box(outer, inner)
-        if g in pts and (box or _runs_at(outer, inner, 0, g) is not None)
+        if g in outer and _runs_at(outer, inner, 0, g) is not None
     )
 
 
@@ -219,7 +222,7 @@ def corpus_subblocks(corpus: Corpus, window: Shape, depth: int) -> Iterator[Bloc
     """All re-based patterns with domain window x rows[1..depth], in corpus
     order then anchor order."""
     for block in corpus.blocks:
-        if not block.shape.points:
+        if not block.shape:
             continue
         for g in _anchor_box(block.shape, window):
             sub = subblock_at(block, window, g, depth)

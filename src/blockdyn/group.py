@@ -1,17 +1,20 @@
 """Point and shape algebra over the group Z^d.
 
-Shapes are finite point sets.  Translates, products, invariance ratios,
-boundary parts, temperedness of box families and Banach densities of
-periodic subsets are all computed with exact integer/rational arithmetic;
-no floats enter this module.
+Shapes are finite point sets, and a box is kept as its corners.
+Translates, products, invariance ratios, boundary parts, temperedness of
+box families and Banach densities of periodic subsets are all computed
+with exact integer/rational arithmetic; no floats enter this module.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as cartesian
+from math import prod
+from operator import add, le
 from typing import Iterable, Iterator, Sequence
 
 Point = tuple[int, ...]
@@ -25,19 +28,35 @@ def point_neg(a: Point) -> Point:
     return tuple(-x for x in a)
 
 
-@dataclass(frozen=True)
 class Shape:
-    """A finite subset of Z^d.  Immutable; operations never mutate inputs."""
+    """A finite subset of Z^d.  Immutable; operations never mutate inputs.
 
-    dim: int
-    points: frozenset[Point]
+    A box is kept as its corners: its length, bounds, membership and subset
+    tests are arithmetic, and ``points``, ``sorted_points`` and ``index``
+    are built on first read.  Other shapes keep their point set.  Shapes
+    with the same cells are equal and hash equal, however they were built.
+    """
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int, points: Iterable[Point]) -> None:
+        pts = frozenset(points)
+        for p in pts:
+            if len(p) != dim:
+                raise ValueError(f"point {p} does not have dimension {dim}")
+        axes = list(zip(*pts))
+        self._set(dim, (tuple(map(min, axes)), tuple(map(max, axes))) if pts else None, len(pts))
+        self.__dict__["points"] = pts
+
+    def _set(self, dim: int, bounds: tuple[Point, Point] | None, size: int) -> None:
+        if dim < 1:
             raise ValueError("dimension must be >= 1")
-        for p in self.points:
-            if len(p) != self.dim:
-                raise ValueError(f"point {p} does not have dimension {self.dim}")
+        box = bounds is not None and size == prod(b - a + 1 for a, b in zip(*bounds))
+        key = (dim, bounds, size)
+        self.__dict__.update(dim=dim, _bounds=bounds, _size=size, _box=box, _key=key)
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError("a Shape is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def of(cls, points: Iterable[Sequence[int]], dim: int | None = None) -> Shape:
@@ -51,28 +70,48 @@ class Shape:
     @classmethod
     def box(cls, lo: Sequence[int], hi: Sequence[int]) -> Shape:
         """Integer box [lo_1,hi_1] x ... x [lo_d,hi_d] (empty if some lo > hi)."""
+        lo, hi = tuple(map(operator.index, lo)), tuple(map(operator.index, hi))
         if len(lo) != len(hi):
             raise ValueError("box corners must share a dimension")
         if any(a > b for a, b in zip(lo, hi)):
             return cls(len(lo), frozenset())
-        ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-        return cls(len(lo), frozenset(cartesian(*ranges)))
+        shape = object.__new__(cls)
+        shape._set(len(lo), (lo, hi), prod(b - a + 1 for a, b in zip(lo, hi)))
+        return shape
 
     @classmethod
     def interval(cls, lo: int, hi: int) -> Shape:
         return cls.box((lo,), (hi,))
 
+    def __repr__(self) -> str:
+        if self._box:
+            return f"Shape.box{self._bounds}"
+        return f"Shape.of({list(self.sorted_points)}, dim={self.dim})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Shape):
+            return NotImplemented
+        # No other set of a box's size fits in the box's bounds.
+        return self._key == other._key and (self._box or self.points == other.points)
+
     @cached_property
     def _hash(self) -> int:
-        return hash((self.dim, self.points))
+        return hash(self._key)
 
     def __hash__(self) -> int:
         # Shapes key the kernel's run cache, which hashes both shapes on every
-        # lookup; the dataclass hash would build a new tuple each time.
+        # lookup; the hash is computed once.
         return self._hash
 
     @cached_property
+    def points(self) -> frozenset[Point]:
+        # Only a box gets here: other shapes store their points.
+        return frozenset(self.sorted_points)
+
+    @cached_property
     def sorted_points(self) -> tuple[Point, ...]:
+        if self._box:
+            return tuple(cartesian(*(range(a, b + 1) for a, b in zip(*self._bounds))))
         return tuple(sorted(self.points))
 
     @cached_property
@@ -81,37 +120,32 @@ class Shape:
         return {p: i for i, p in enumerate(self.sorted_points)}
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self._size
 
     def __contains__(self, p: object) -> bool:
-        return p in self.points
+        if not self._box:
+            return p in self.points
+        # equality with an integer of each axis range, as in a point set
+        inside = isinstance(p, tuple) and len(p) == self.dim
+        return inside and all(x in range(a, b + 1) for a, b, x in zip(*self._bounds, p))
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.sorted_points)
 
     def issubset(self, other: Shape) -> bool:
-        return self.points <= other.points
-
-    @cached_property
-    def _bounds(self) -> tuple[Point, Point] | None:
-        """Lower and upper corners of the bounding box; None when empty."""
-        if not self.points:
-            return None
-        axes = list(zip(*self.points))
-        return tuple(map(min, axes)), tuple(map(max, axes))
+        if self and other._box and self.dim == other.dim:
+            (lo, hi), (olo, ohi) = self._bounds, other._bounds
+            return all(map(le, olo, lo)) and all(map(le, hi, ohi))
+        return not self or self.points <= other.points
 
     def bounds(self) -> tuple[Point, Point]:
+        """Lower and upper corners of the bounding box."""
         if self._bounds is None:
             raise ValueError("empty shape has no bounds")
         return self._bounds
 
     def is_box(self) -> bool:
-        if self._bounds is None:
-            return False
-        volume = 1
-        for a, b in zip(*self._bounds):
-            volume *= b - a + 1
-        return volume == len(self.points)
+        return self._box
 
 
 def _require_same_dim(a: Shape, b: Shape) -> None:
@@ -124,7 +158,7 @@ def translate(shape: Shape, g: Sequence[int]) -> Shape:
     gp = tuple(int(c) for c in g)
     if len(gp) != shape.dim:
         raise ValueError(f"dimension mismatch: point {gp} vs shape dim {shape.dim}")
-    return Shape(shape.dim, frozenset(point_add(p, gp) for p in shape.points))
+    return shape_product(shape, Shape.box(gp, gp))
 
 
 def _anchor_box(outer: Shape, inner: Shape) -> Iterator[Point]:
@@ -140,9 +174,18 @@ def _anchor_box(outer: Shape, inner: Shape) -> Iterator[Point]:
     )
 
 
+def _overlap(a: Shape, b: Shape) -> int:
+    """Cell count of the intersection of two boxes of one dimension."""
+    (alo, ahi), (blo, bhi) = a.bounds(), b.bounds()
+    return prod(max(0, min(c, d) - max(x, y) + 1) for x, c, y, d in zip(alo, ahi, blo, bhi))
+
+
 def shape_product(a: Shape, f: Shape) -> Shape:
     """{x + y : x in a, y in f}, duplicates collapsed."""
     _require_same_dim(a, f)
+    if a.is_box() and f.is_box():
+        (alo, ahi), (flo, fhi) = a.bounds(), f.bounds()
+        return Shape.box(tuple(map(add, alo, flo)), tuple(map(add, ahi, fhi)))
     return Shape(a.dim, frozenset(point_add(x, y) for x in a.points for y in f.points))
 
 
@@ -158,10 +201,11 @@ def invariance_ratio(f: Shape, a: Shape) -> Fraction:
     (A, delta)-invariant when the ratio is strictly below delta.
     """
     _require_same_dim(f, a)
-    if not f.points:
+    if not f:
         raise ValueError("invariance ratio undefined for an empty shape")
-    af = shape_product(a, f).points
-    return Fraction(len(f.points ^ af), len(f.points))
+    af = shape_product(a, f)
+    common = _overlap(f, af) if f.is_box() and af.is_box() else len(f.points & af.points)
+    return Fraction(len(f) + len(af) - 2 * common, len(f))
 
 
 def is_invariant(f: Shape, a: Shape, delta: Fraction) -> bool:
@@ -269,10 +313,7 @@ class PeriodicSubset:
 
     @property
     def density(self) -> Fraction:
-        cell = 1
-        for p in self.periods:
-            cell *= p
-        return Fraction(len(self.residues), cell)
+        return Fraction(len(self.residues), prod(self.periods))
 
 
 @dataclass(frozen=True)
@@ -292,9 +333,9 @@ class BanachDensity:
 def banach_density(s: PeriodicSubset, f: Shape, probe: Shape) -> BanachDensity:
     if s.dim != f.dim or f.dim != probe.dim:
         raise ValueError("dimension mismatch")
-    if not f.points:
+    if not f:
         raise ValueError("density undefined for an empty averaging shape")
-    if not probe.points:
+    if not probe:
         raise ValueError("empty probe window")
     seen: set[Point] = set()
     counts: list[int] = []
@@ -304,10 +345,7 @@ def banach_density(s: PeriodicSubset, f: Shape, probe: Shape) -> BanachDensity:
             continue
         seen.add(r)
         counts.append(sum(1 for p in f.points if point_add(p, r) in s))
-    cell = 1
-    for q in s.periods:
-        cell *= q
-    certified = len(seen) == cell
+    certified = len(seen) == prod(s.periods)
     size = len(f.points)
     return BanachDensity(
         lower=Fraction(min(counts), size),

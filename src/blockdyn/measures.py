@@ -328,25 +328,30 @@ class HullDistance:
     tail: Fraction
 
 
-# One objective term per family pattern: (coeff, x value, vertex values).
-Term = tuple[Fraction, Fraction, tuple[Fraction, ...]]
+# One objective term per family pattern: (coeff, x value, vertex values),
+# the values as integer numerators over one shared denominator.
+Term = tuple[Fraction, int, tuple[int, ...]]
 
 
 def _objective_terms(
     x: Block | CylinderMeasure,
     target: ConvexTarget,
     families: Sequence[BlockFamily],
-) -> list[Term]:
+) -> tuple[list[Term], int]:
+    """The terms and their denominator, the lcm of the totals of the tables."""
     _check_families(families)
     if len(families) > target.depth:
         raise ValueError("more family levels than target depth")
+    tables = [[_x_table(v, fam) for v in (x, *target.vertices)] for fam in families]
+    den = lcm(*(t.total for ts in tables for t in ts))
     terms: list[Term] = []
-    for fam in families:
+    for fam, ts in zip(families, tables):
         coeff = Fraction(1, (2**fam.level) * len(fam.blocks))
-        tables = [_x_table(v, fam) for v in (x, *target.vertices)]
-        xs, *columns = [[t.get(b.symbols, Fraction(0)) for b in fam.blocks] for t in tables]
+        xs, *columns = [
+            [t.counts.get(b.symbols, 0) * (den // t.total) for b in fam.blocks] for t in ts
+        ]
         terms += [(coeff, xv, vv) for xv, vv in zip(xs, zip(*columns))]
-    return terms
+    return terms, den
 
 
 def _objective(terms: Sequence[Term], weights: Sequence[Fraction]) -> Fraction:
@@ -359,13 +364,15 @@ def _objective(terms: Sequence[Term], weights: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def _hull_lp(terms: Sequence[Term], m: int) -> tuple[tuple[Fraction, ...], Fraction]:
+def _hull_lp(terms: Sequence[Term], m: int, den: int) -> tuple[tuple[Fraction, ...], Fraction]:
     """Optimal weights (the row multipliers) and optimal value of the dual LP
 
         max  y.x - t   s.t.  (V^T y)_j <= t for each vertex j,  -c_i <= y_i <= c_i
 
-    by a bounded-variable primal simplex in exact arithmetic on an m-row
-    basis, which the free variable t never leaves.  Reduced costs are priced
+    on the numerators x and V over ``den`` (so the value is ``den`` times
+    that of the LP on the fractions, at the same weights), by a
+    bounded-variable primal simplex in exact arithmetic on an m-row basis,
+    which the free variable t never leaves.  Reduced costs are priced
     once per basis change; the largest |reduced cost| enters, except right
     after a degenerate pivot, where Bland's rule picks.  A cycle would be
     degenerate pivots only, all by Bland's rule, so the method terminates.
@@ -377,11 +384,6 @@ def _hull_lp(terms: Sequence[Term], m: int) -> tuple[tuple[Fraction, ...], Fract
     cost = [xv for _, xv, _ in terms] + [0] * m + [-1]
     upper: list[Fraction | None] = [c for c, _, _ in terms] + [None] * (m + 1)
     lower = [-c for c, _, _ in terms] + [Fraction(0)] * m + [None]
-    # Integer copies of x and V over one denominator, for pricing.
-    den = lcm(*(v.denominator for _, xv, vv in terms for v in (xv, *vv)))
-    xs = [int(xv * den) for xv in cost[:n]]
-    vs = [[int(v * den) for v in vv] for vv in cols[:n]]
-
     # Start at y_i = c_i sign(x_i - mean vertex value) and t = max_j (V^T y)_j,
     # with t basic in the row of that maximum and the other slacks basic.
     at_upper = [m * xv >= sum(vv) for _, xv, vv in terms] + [False] * (m + 1)
@@ -399,8 +401,9 @@ def _hull_lp(terms: Sequence[Term], m: int) -> tuple[tuple[Fraction, ...], Fract
             pi = [sum(cost[k] * row[j] for k, row in zip(basis, binv)) for j in range(m)]
             q = lcm(*(p.denominator for p in pi))
             ps = [int(p * q) for p in pi]
-            # den * q * (cost_k - pi . column_k): the reduced costs, scaled
-            reduced = [xv * q - sum(map(mul, ps, vv)) for xv, vv in zip(xs, vs)]
+            # q * (cost_k - pi . column_k): the reduced costs, scaled; a slack's
+            # is scaled by den too, to rank it as in the LP on the fractions
+            reduced = [xv * q - sum(map(mul, ps, vv)) for _, xv, vv in terms]
             reduced += [-p * den for p in ps]
             basic = set(basis)
         eligible = [k for k, d in enumerate(reduced)
@@ -452,9 +455,9 @@ def dist_to_hull(
     of its dual LP; the value at the optimal weights must equal the dual
     optimum, which certifies it.
     """
-    terms = _objective_terms(x, target, families)
-    weights, dual = _hull_lp(terms, len(target))
+    terms, den = _objective_terms(x, target, families)
+    weights, dual = _hull_lp(terms, len(target), den)
     value = _objective(terms, weights)
     if value != dual:
         raise RuntimeError(f"hull LP: primal value {value} differs from dual {dual}")
-    return HullDistance(value, weights, Fraction(1, 2 ** len(families)))
+    return HullDistance(value / den, weights, Fraction(1, 2 ** len(families)))

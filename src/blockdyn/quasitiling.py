@@ -26,7 +26,7 @@ class Quasitiling:
         for s in self.shapes:
             if s.dim != self.window.dim:
                 raise ValueError("shape dimension differs from the window")
-            if not s.points:
+            if not s:
                 raise ValueError("empty tile shape")
 
     def tiles(self) -> list[tuple[Point, int]]:
@@ -63,7 +63,7 @@ def verify(tiling: Quasitiling, folner: Shape | None = None) -> TilingReport:
     Raises if a tile escapes the window.
     """
     window = tiling.window
-    if not window.points:
+    if not window:
         raise ValueError("empty window")
     seen = bytearray(len(window))  # one byte per cell, in symbol order
     disjoint = True
@@ -130,14 +130,14 @@ def greedy_tile(window: Shape, shapes: Sequence[Shape], eps: Fraction) -> Greedy
     """
     if not shapes:
         raise ValueError("at least one shape is required")
-    if not window.points:
+    if not window:
         raise ValueError("empty window")
     for s in shapes:
-        if s.dim != window.dim or not s.points:
+        if s.dim != window.dim or not s:
             raise ValueError("shapes must be non-empty and match the window dimension")
-    order = sorted(
-        range(len(shapes)),
-        key=lambda i: (-len(shapes[i]), shapes[i].sorted_points),
+    # Larger shapes first, then by points; one shape keeps its points unbuilt.
+    order = [0] if len(shapes) == 1 else sorted(
+        range(len(shapes)), key=lambda i: (-len(shapes[i]), shapes[i].sorted_points)
     )
     occupied = bytearray(len(window))  # one byte per cell, in symbol order
     centers: list[set[Point]] = [set() for _ in shapes]
@@ -169,7 +169,7 @@ def encode_symbolic(tiling: Quasitiling) -> Block:
     labels: dict[Point, int] = {}
     for i, cents in enumerate(tiling.centers):
         for c in cents:
-            if c not in tiling.window.points:
+            if c not in tiling.window:
                 raise ValueError(f"center {c} lies outside the window")
             if c in labels:
                 raise ValueError(f"center {c} carries two shapes")

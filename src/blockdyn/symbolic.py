@@ -378,7 +378,7 @@ def sample_markov(
     rng = random.Random(seed)
     symbols: list[int] = []
     state: int | None = None
-    for _ in window.sorted_points:
+    for _ in range(len(window)):
         state = _draw(rng, init_cum if state is None else row_cums[state])
         symbols.append(state)
     return Block(window, 1, stack.sizes, tuple(symbols))

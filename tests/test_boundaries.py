@@ -175,3 +175,31 @@ def test_production_code_does_not_import_testkit():
             if any(n == "testkit" or n.endswith(".testkit") for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_unknown_representatives_source_exits_2_and_a_missing_one_is_corpus(tmp_path, capsys):
+    (tmp_path / "corpus.json").write_text(json.dumps(GOOD_CORPUS))
+    (tmp_path / "v0.json").write_text(json.dumps(GOOD_MEASURE))
+    config = _config(tmp_path)
+    base = dict(json.loads(config.read_text()), seed=1, schedule=SCHEDULE)
+    out = str(tmp_path / "out")
+    for reps, rc in [({"source": "vertx"}, 2), ({"limit": 4}, 0), ({"source": "corpus"}, 0)]:
+        config.write_text(canonical_json(dict(base, representatives=reps)))
+        assert cli.main(["--config", str(config), "--out", out, "construct"]) == rc
+    config.write_text(canonical_json(dict(base, representatives={"source": "vertx"})))
+    capsys.readouterr()
+    cli.main(["--config", str(config), "--out", out, "construct"])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(w in err for w in ("vertx", '"vertex"', '"corpus"'))
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_dist_with_no_family_level_exits_3(tmp_path, capsys, levels):
+    (tmp_path / "corpus.json").write_text(json.dumps(GOOD_CORPUS))
+    (tmp_path / "v0.json").write_text(json.dumps(GOOD_MEASURE))
+    base = ["--config", str(_config(tmp_path)), "--out", str(tmp_path / "out"), "dist"]
+    for argv in (["--block", "0", "--hull"], ["--block", "0", "--nu", str(tmp_path / "v0.json")]):
+        assert cli.main(base + argv) == 0
+        capsys.readouterr()
+        assert cli.main(base + argv + ["--levels", levels]) == 3
+        assert "at least one family level is required" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from pathlib import Path
 
@@ -330,10 +331,14 @@ def test_rows_must_have_one_entry_per_cell(tmp_path):
 
 
 def test_oversized_boxes_exit_2_before_any_allocation(tmp_path, monkeypatch):
-    def boom(cls, lo, hi):
-        raise AssertionError("Shape.box called")
+    # A box is its corners, so building one allocates nothing; building its
+    # cells does, and every cell list of a box is built from sorted_points.
+    def boom(self):
+        raise AssertionError("the points of a box were built")
 
-    monkeypatch.setattr(Shape, "box", classmethod(boom))
+    built = cached_property(boom)
+    built.__set_name__(Shape, "sorted_points")
+    monkeypatch.setattr(Shape, "sorted_points", built)
     huge = {"min": [0, 0], "max": [10**6 - 1, 10**6 - 1]}  # 10^12 cells
     p = write_config(tmp_path, dim=2, window=huge)
     out = str(tmp_path / "out")

@@ -50,7 +50,8 @@ def test_weights_on_simplex_and_value_is_objective_at_weights():
         hd = dist_to_hull(x, target, fams)
         assert len(hd.weights) == len(target)
         assert all(w >= 0 for w in hd.weights) and sum(hd.weights) == 1
-        assert hd.value == _objective(_objective_terms(x, target, fams), hd.weights)
+        terms, den = _objective_terms(x, target, fams)
+        assert hd.value == _objective(terms, hd.weights) / den
         assert hd.tail == Fraction(1, 4)
 
 
@@ -58,7 +59,8 @@ def test_value_matches_highs_on_sweep():
     pytest.importorskip("scipy")
     for x, target, fams in SWEEP:
         hd = dist_to_hull(x, target, fams)
-        terms = _objective_terms(x, target, fams)
+        terms, den = _objective_terms(x, target, fams)
+        terms = [(c, Fraction(xv, den), [Fraction(v, den) for v in vv]) for c, xv, vv in terms]
         assert abs(float(hd.value) - _highs_minimum(terms, len(target))) <= 1e-12
 
 
