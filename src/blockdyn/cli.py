@@ -142,7 +142,7 @@ def cmd_measure(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -
     mu = block_measure(corpus.blocks[args.block], args.depth)
     out = rundir / f"measure_b{args.block}_j{args.depth}.json"
     files.write_measure(out, mu)
-    print(f"wrote {out} ({len(mu.support())} atoms)")
+    print(f"wrote {out} ({len(mu.atoms())} atoms)")
     return 0
 
 

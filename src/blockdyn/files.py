@@ -12,14 +12,14 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import prod
 from pathlib import Path
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .construction import StageSchedule
 from .group import Shape
-from .measures import CylinderMeasure
+from .measures import CylinderMeasure, _numerators
 from .quasitiling import Quasitiling
 from .symbolic import AlphabetStack, Block, BlockFamily, Corpus
 
@@ -60,13 +60,72 @@ def parse_frac(s: Any) -> Fraction:
         raise ConfigError(f"not a rational: {s!r}") from exc
 
 
+_quote = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _dump(obj: Any, write: Callable[[str], Any], pad: str) -> None:
+    """Write the canonical JSON of ``obj`` in chunks; ``pad`` is a newline
+    plus the indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        write(_quote(obj))
+    elif obj is None or isinstance(obj, bool):
+        write(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) == {int}:
+        # A row of symbols, the bulk of every file, goes out as one join.
+        write("[" + pad + " " + ("," + pad + " ").join(map(int.__repr__, obj)) + pad + "]")
+    elif isinstance(obj, (list, tuple)):
+        _items(repeat(""), obj, "[]", write, pad)
+    elif isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("canonical JSON needs str keys")
+        keys = sorted(obj)
+        _items([_quote(k) + ": " for k in keys], [obj[k] for k in keys], "{}", write, pad)
+    else:
+        raise TypeError(f"canonical JSON has no encoding for {type(obj).__name__} {obj!r}")
+
+
+def _items(
+    heads: Iterable[str], values: Sequence[Any], brackets: str, write: Callable[[str], Any], pad: str
+) -> None:
+    """A container's values, one a line at one more space of indent, each
+    after its head (a quoted key and ": " in a dict, nothing in a list)."""
+    if not values:
+        write(brackets)
+        return
+    inner = pad + " "
+    write(brackets[0])
+    for i, (head, value) in enumerate(zip(heads, values)):
+        write(("," if i else "") + inner + head)
+        _dump(value, write, inner)
+    write(pad + brackets[1])
+
+
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=1)`` plus a newline, for the
+    values the file formats hold: str-keyed dicts, lists, tuples, str, int,
+    bool and None.  Anything else, a float included, is a TypeError."""
+    chunks: list[str] = []
+    _dump(obj, chunks.append, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def write_json(path: Path, obj: Any) -> None:
+    """Stream ``canonical_json(obj)`` to ``path`` through a temporary file
+    beside it, so that a value with no encoding leaves ``path`` as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(obj), encoding="utf-8")
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", encoding="utf-8") as f:
+            _dump(obj, f.write, "\n")
+            f.write("\n")
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def read_json(path: Path) -> Any:
@@ -85,11 +144,10 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _box_of(block: Block) -> tuple[list[int], list[int]]:
+def _box_of(block: Block) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not block.shape.is_box():
         raise ConfigError("file formats require box-shaped block domains")
-    lo, hi = block.shape.bounds()
-    return list(lo), list(hi)
+    return block.shape.bounds()
 
 
 def block_to_obj(block: Block) -> dict[str, Any]:
@@ -98,7 +156,7 @@ def block_to_obj(block: Block) -> dict[str, Any]:
         "min": lo,
         "max": hi,
         "depth": block.depth,
-        "rows": [list(block.row(r)) for r in range(1, block.depth + 1)],
+        "rows": _row_slices(block.symbols, len(block), block.depth),
     }
 
 
@@ -185,21 +243,25 @@ def _corpus_from_obj(obj: dict[str, Any]) -> Corpus:
     return Corpus(stack, blocks)
 
 
+def _row_slices(symbols: tuple[int, ...], cells: int, depth: int) -> list[tuple[int, ...]]:
+    """Row-major symbols cut into ``depth`` rows of ``cells`` entries."""
+    return [symbols[r * cells : (r + 1) * cells] for r in range(depth)]
+
+
 def write_measure(path: Path, measure: CylinderMeasure) -> None:
     lo, hi = measure.base.bounds()
+    atoms = measure.atoms()
+    cells, den = len(measure.base), atoms.total
     obj = {
         "kind": "measure",
         "dim": measure.base.dim,
-        "alphabet": list(measure.sizes),
+        "alphabet": measure.sizes,
         "depth": measure.depth,
-        "base_min": list(lo),
-        "base_max": list(hi),
+        "base_min": lo,
+        "base_max": hi,
         "masses": [
-            {
-                "pattern": [list(b.row(r)) for r in range(1, b.depth + 1)],
-                "mass": frac_str(m),
-            }
-            for b, m in measure.items()
+            {"pattern": _row_slices(key, cells, measure.depth), "mass": frac_str(Fraction(n, den))}
+            for key, n in atoms.counts.items()
         ],
     }
     write_json(path, obj)
@@ -217,12 +279,27 @@ def _measure_from_obj(obj: dict[str, Any]) -> CylinderMeasure:
             f"alphabet lists {len(sizes)} sizes but depth is {depth}: "
             "a measure needs one alphabet size per row"
         )
+    sizes = AlphabetStack(sizes).sizes
     base = _box(obj["base_min"], obj["base_max"])
-    masses = {
-        Block(base, depth, sizes, _symbols(e["pattern"], depth, len(base))): parse_frac(e["mass"])
-        for e in obj["masses"]
-    }
-    return CylinderMeasure(depth, base, masses, sizes)
+    width = depth * len(base)
+    patterns = [e["pattern"] for e in obj["masses"]]
+    if any(not isinstance(p, list) or len(p) != depth for p in patterns):
+        raise ConfigError(f"every pattern needs {depth} rows")
+    # Entry types and row lengths are checked over all rows at once, the
+    # alphabet range over all rows of each stack level.
+    rows = list(chain.from_iterable(patterns))
+    flat = _symbols(rows, len(rows), len(base))
+    for r, size in enumerate(sizes):
+        column = list(chain.from_iterable(rows[r::depth]))
+        if column and (min(column) < 0 or max(column) >= size):
+            raise ConfigError(f"row {r + 1} entry outside alphabet of size {size}")
+    masses: dict[tuple[int, ...], Fraction] = {}
+    for i, e in enumerate(obj["masses"]):
+        key = flat[i * width : (i + 1) * width]
+        if key in masses:
+            raise ConfigError(f"pattern {patterns[i]} is listed more than once")
+        masses[key] = parse_frac(e["mass"])
+    return CylinderMeasure._from_counts(depth, base, sizes, *_numerators(masses))
 
 
 def write_tiling(path: Path, tiling: Quasitiling) -> None:
@@ -255,9 +332,7 @@ def write_family(path: Path, family: BlockFamily, sizes: Sequence[int]) -> None:
         "dim": family.base.dim,
         "level": family.level,
         "alphabet": list(sizes),
-        "patterns": [
-            [list(b.row(r)) for r in range(1, b.depth + 1)] for b in family.blocks
-        ],
+        "patterns": [_row_slices(b.symbols, len(family.base), family.level) for b in family.blocks],
     }
     write_json(path, obj)
 

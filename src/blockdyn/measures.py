@@ -21,6 +21,22 @@ from .group import Shape, folner_box
 from .symbolic import Block, BlockFamily, _runs_at
 
 
+def _numerators(masses: Mapping) -> tuple[dict, int]:
+    """The non-zero masses as integer numerators over their least common
+    denominator; a ValueError unless some mass is positive, none is
+    negative and they sum to exactly 1."""
+    items = {key: Fraction(m) for key, m in masses.items() if m != 0}
+    if not items:
+        raise ValueError("a measure needs positive mass somewhere")
+    if any(m < 0 for m in items.values()):
+        raise ValueError("negative mass")
+    den = lcm(*(m.denominator for m in items.values()))
+    nums = {key: m.numerator * (den // m.denominator) for key, m in items.items()}
+    if sum(nums.values()) != den:
+        raise ValueError("masses must sum to exactly 1")
+    return nums, den
+
+
 class CylinderMeasure:
     """A probability distribution over full patterns on base x rows[1..depth].
 
@@ -41,20 +57,11 @@ class CylinderMeasure:
     ) -> None:
         if depth < 1:
             raise ValueError("depth must be at least 1")
-        items = {b: Fraction(m) for b, m in masses.items() if m != 0}
-        if not items:
-            raise ValueError("a measure needs positive mass somewhere")
-        inferred = next(iter(items)).sizes if sizes is None else tuple(sizes)
-        for b, m in items.items():
-            if b.shape != base or b.depth != depth or b.sizes != inferred:
-                raise ValueError("mass assigned outside base x rows[1..depth]")
-            if m < 0:
-                raise ValueError("negative mass")
-        den = lcm(*(m.denominator for m in items.values()))
-        nums = {b.symbols: m.numerator * (den // m.denominator) for b, m in items.items()}
-        if sum(nums.values()) != den:
-            raise ValueError("masses must sum to exactly 1")
-        self._set(depth, base, inferred, nums, den)
+        nums, den = _numerators(masses)
+        inferred = next(iter(nums)).sizes if sizes is None else tuple(sizes)
+        if any(b.shape != base or b.depth != depth or b.sizes != inferred for b in nums):
+            raise ValueError("mass assigned outside base x rows[1..depth]")
+        self._set(depth, base, inferred, {b.symbols: n for b, n in nums.items()}, den)
 
     @classmethod
     def _from_counts(
@@ -93,6 +100,12 @@ class CylinderMeasure:
             (Block(self.base, self.depth, self.sizes, key), Fraction(n, self._den))
             for key, n in self._nums.items()
         )
+
+    def atoms(self) -> CountTable:
+        """The masses of the full patterns as a read-only table: integer
+        numerators keyed by row-major symbol tuples, in key order, over
+        one denominator."""
+        return CountTable(self._nums, self._den)
 
     def support(self) -> tuple[Block, ...]:
         return tuple(Block(self.base, self.depth, self.sizes, key) for key in self._nums)

@@ -65,7 +65,7 @@ class Block:
         for r in range(self.depth):
             size = self.sizes[r]
             row = self.symbols[r * len(self.shape) : (r + 1) * len(self.shape)]
-            if any(not 0 <= s < size for s in row):
+            if row and (min(row) < 0 or max(row) >= size):
                 raise ValueError(f"row {r + 1} entry outside alphabet of size {size}")
 
     @classmethod
@@ -318,10 +318,13 @@ def sample_bernoulli(
     The same seed always yields the same block (cells filled row-major in
     lexicographic point order).
     """
-    thresholds = _cumulative(stack, probabilities)
-    rng = random.Random(seed)
-    symbols = tuple(_draw(rng, cum) for cum in thresholds for _ in range(len(window)))
-    return Block(window, stack.depth, stack.sizes, symbols)
+    uniform = random.Random(seed).random
+    cells = range(len(window))
+    symbols: list[int] = []
+    for cum in _cumulative(stack, probabilities):
+        # _draw inlined: bisecting all but the last weight is its min(..., n - 1).
+        symbols += [bisect_right(cum, uniform(), 0, len(cum) - 1) for _ in cells]
+    return Block(window, stack.depth, stack.sizes, tuple(symbols))
 
 
 def _cumulative(

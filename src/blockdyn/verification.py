@@ -179,12 +179,12 @@ def _random_measure(rng: random.Random, support: int = 8) -> CylinderMeasure:
 
 
 def _families_for(measures: Sequence[CylinderMeasure]) -> list[BlockFamily]:
-    """Observed families: the union of the measures' supports, marginalized."""
+    """Observed families: the union of the measures' atoms, marginalized."""
     base1 = folner_box(1, 1)
     level1: set[tuple[int, ...]] = set()
     level2: set[tuple[int, ...]] = set()
     for m in measures:
-        level2.update(b.symbols for b in m.support())
+        level2.update(m.atoms())
         level1.update(m.marginal(base1, 1).keys())
     fam1 = BlockFamily(
         1, base1, tuple(Block(base1, 1, (2,), k) for k in sorted(level1))

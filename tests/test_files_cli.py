@@ -390,7 +390,7 @@ def test_block_and_measure_entries_must_be_json_integers(tmp_path, entry):
     rows = [[0, 1, entry]]
     corpus = {"kind": "corpus", "dim": 1, "alphabet": [2],
               "blocks": [{"min": [0], "max": [2], "depth": 1, "rows": rows}]}
-    (tmp_path / "corpus.json").write_text(canonical_json(corpus))
+    (tmp_path / "corpus.json").write_text(json.dumps(corpus))
     with pytest.raises(ConfigError, match="must be integers"):
         files.read_corpus(tmp_path / "corpus.json")
     p = write_config(tmp_path, window={"min": [0], "max": [2]})
@@ -400,7 +400,7 @@ def test_block_and_measure_entries_must_be_json_integers(tmp_path, entry):
     name = write_vertices(tmp_path)[0]
     mu = json.loads((tmp_path / name).read_text())
     mu["masses"][0]["pattern"] = rows
-    (tmp_path / name).write_text(canonical_json(mu))
+    (tmp_path / name).write_text(json.dumps(mu))
     with pytest.raises(ConfigError, match="must be integers"):
         files.read_measure(tmp_path / name)
     p = write_config(tmp_path)
@@ -430,7 +430,7 @@ def test_measure_alphabet_must_list_one_size_per_row(tmp_path, capsys, alphabet,
 def test_the_corpus_row_of_a_float_and_a_bool_no_longer_reads_as_symbols(tmp_path):
     corpus = {"kind": "corpus", "dim": 1, "alphabet": [2],
               "blocks": [{"min": [0], "max": [1], "depth": 1, "rows": [[0.9, True]]}]}
-    (tmp_path / "corpus.json").write_text(canonical_json(corpus))
+    (tmp_path / "corpus.json").write_text(json.dumps(corpus))
     with pytest.raises(ConfigError):
         files.read_corpus(tmp_path / "corpus.json")
     corpus["blocks"][0]["rows"] = [[0, 1]]
@@ -540,7 +540,7 @@ def test_every_integer_field_must_be_a_json_integer(tmp_path, capsys, field, val
         holder[key][0] = value
     else:
         holder[key] = value
-    path.write_text(canonical_json(obj))
+    path.write_text(json.dumps(obj))
     capsys.readouterr()
     if argv is None:
         with pytest.raises(ConfigError, match="must be integers"):

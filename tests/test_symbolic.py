@@ -1,7 +1,11 @@
+import random
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockdyn import symbolic
 from blockdyn.files import block_from_word, block_to_word
 from blockdyn.group import Shape, point_neg
 from blockdyn.symbolic import (
@@ -59,6 +63,11 @@ def test_block_validates_entries():
         Block(Shape.interval(0, 1), 1, (2,), (0, 2))
     with pytest.raises(ValueError):
         Block(Shape.interval(0, 1), 1, (2,), (0, 1, 0))
+    with pytest.raises(ValueError, match="row 1 entry outside alphabet of size 2"):
+        Block(Shape.interval(0, 1), 1, (2,), (-1, 0))
+    with pytest.raises(ValueError, match="row 2 entry outside alphabet of size 3"):
+        Block(Shape.interval(0, 1), 2, (2, 3), (1, 1, 2, 3))
+    assert Block(Shape.interval(0, 1), 2, (2, 3), (1, 1, 2, 0)).row(2) == (2, 0)
 
 
 def test_enumerate_family_word():
@@ -121,6 +130,38 @@ def test_sample_bernoulli_deterministic_and_point_mass():
     assert b2 == b3
     b4 = sample_bernoulli(window, stack, [[0.3, 0.3, 0.4]], seed=43)
     assert b2 != b4
+
+
+@pytest.mark.parametrize("probs", [[0.25, 0.75], [0.2, 0.3, 0.1, 0.4], [0.1] * 10])
+def test_sample_bernoulli_equals_the_cell_by_cell_draw(probs):
+    """Weights that sum to exactly 1 and weights that sum to 1 only within
+    1e-9 (``[0.1] * 10``) give the block that one _draw per cell gives."""
+    stack = AlphabetStack((len(probs), len(probs)))
+    window = Shape.box((0, 0), (6, 8))
+    cum = list(accumulate(probs))
+    rng = random.Random(99)
+    expected = tuple(symbolic._draw(rng, cum) for _ in range(2 * len(window)))
+    assert sample_bernoulli(window, stack, [probs, probs], seed=99).symbols == expected
+
+
+def test_sample_bernoulli_draws_the_last_symbol_past_the_last_weight(monkeypatch):
+    """``[0.1] * 10`` sums to 1 - 2**-53, the largest value random() returns,
+    so that variate lies at the last cumulative weight and must still draw
+    the last symbol, as _draw does."""
+    top = 1 - 2**-53
+    assert list(accumulate([0.1] * 10))[-1] == top
+
+    class Top:
+        def __init__(self, seed):
+            pass
+
+        def random(self):
+            return top
+
+    assert symbolic._draw(Top(0), list(accumulate([0.1] * 10))) == 9
+    monkeypatch.setattr(symbolic.random, "Random", Top)
+    block = sample_bernoulli(Shape.interval(0, 3), AlphabetStack((10,)), [[0.1] * 10], seed=0)
+    assert block.symbols == (9, 9, 9, 9)
 
 
 def test_sample_bernoulli_statistics_planar():
