@@ -65,6 +65,12 @@ def _families(corpus: Corpus, levels: int):
     return [enumerate_family(corpus, k) for k in range(1, levels + 1)]
 
 
+def _corpus_block(corpus: Corpus, index: int) -> Block:
+    if not 0 <= index < len(corpus.blocks):
+        raise ConfigError(f"corpus has no block {index}")
+    return corpus.blocks[index]
+
+
 def _section(cfg: ExperimentConfig, name: str, default: dict | None = None) -> dict:
     section = cfg.raw.get(name, default)
     if not isinstance(section, dict):
@@ -101,20 +107,14 @@ def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> in
 
 
 def cmd_blocks(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> int:
-    corpus = cfg.load_corpus()
-    family = enumerate_family(corpus, args.level)
-    files.write_family(
-        rundir / f"family_k{args.level}.json", family, cfg.stack.sizes[: args.level]
-    )
+    family = enumerate_family(cfg.load_corpus(), args.level)
+    files.write_family(rundir / f"family_k{args.level}.json", family)
     print(f"level {args.level}: {len(family)} distinct pattern(s)")
     return 0
 
 
 def cmd_freq(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> int:
-    corpus = cfg.load_corpus()
-    if not 0 <= args.block < len(corpus.blocks):
-        raise ConfigError(f"corpus has no block {args.block}")
-    block = corpus.blocks[args.block]
+    block = _corpus_block(cfg.load_corpus(), args.block)
     base = folner_box(args.level, cfg.dim)
     table = freq_table(block, base, args.level)
     embeddings = count_embeddings(block.shape, base)
@@ -136,10 +136,7 @@ def cmd_freq(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
 
 
 def cmd_measure(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> int:
-    corpus = cfg.load_corpus()
-    if not 0 <= args.block < len(corpus.blocks):
-        raise ConfigError(f"corpus has no block {args.block}")
-    mu = block_measure(corpus.blocks[args.block], args.depth)
+    mu = block_measure(_corpus_block(cfg.load_corpus(), args.block), args.depth)
     out = rundir / f"measure_b{args.block}_j{args.depth}.json"
     files.write_measure(out, mu)
     print(f"wrote {out} ({len(mu.atoms())} atoms)")
@@ -153,9 +150,7 @@ def cmd_dist(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
         x = files.read_measure(Path(args.mu))
         x_depth = x.depth
     elif args.block is not None:
-        if not 0 <= args.block < len(corpus.blocks):
-            raise ConfigError(f"corpus has no block {args.block}")
-        x = corpus.blocks[args.block]
+        x = _corpus_block(corpus, args.block)
         x_depth = x.depth
     else:
         raise ConfigError("dist needs --mu or --block")
@@ -231,10 +226,8 @@ def cmd_construct(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path)
         raise ConfigError("construct needs a schedule in the configuration")
     corpus = cfg.load_corpus()
     target = _load_vertices(cfg)
+    initial = _corpus_block(corpus, args.block)
     fams = _families(corpus, target.depth)
-    if not 0 <= args.block < len(corpus.blocks):
-        raise ConfigError(f"corpus has no block {args.block}")
-    initial = corpus.blocks[args.block]
     rep_cfg = _section(cfg, "representatives", {"source": "corpus"})
     kind = rep_cfg.get("source", "corpus")
     if kind not in ("vertex", "corpus"):

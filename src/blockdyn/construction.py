@@ -12,7 +12,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
@@ -21,7 +20,8 @@ from .frequency import freq_table, tiling_average_gap_bound
 from .group import Point, Shape, folner_box
 from .measures import ConvexTarget, CylinderMeasure, HullDistance, block_measure, dist_to_hull
 from .quasitiling import Quasitiling, congruent, greedy_tile, verify
-from .symbolic import Block, BlockFamily, Corpus, _draw, _read, _runs_at, _write, subblock_at
+from .symbolic import Block, BlockFamily, Corpus, _categorical, _draw, _read, _runs_at
+from .symbolic import _write, subblock_at
 
 
 @dataclass(frozen=True)
@@ -332,28 +332,30 @@ def sample_from_measure(
     if len(full_sizes) < depth or full_sizes[: measure.depth] != measure.sizes:
         raise ValueError("alphabet sizes incompatible with the measure")
     rng = random.Random(seed)
-    items = measure.items()
-    cumulative = list(accumulate(float(m) for _, m in items))
+    atoms = measure.atoms()
+    keys = list(atoms.counts)
+    cumulative = _categorical(list(atoms.values()), len(keys), "measure atoms")
     placed = greedy_tile(shape, [measure.base], Fraction(1)).tiling
     n_shape = len(shape)
     symbols: list[int | None] = [None] * (n_shape * depth)
     rows = min(depth, measure.depth)
     for c in sorted(placed.centers[0]):
         runs = _runs_at(shape, measure.base, rows, c)
-        _write(symbols, runs, items[_draw(rng, cumulative)][0].symbols)
+        _write(symbols, runs, keys[_draw(rng, cumulative)])
 
+    cells = len(measure.base)
     row_cumulative: list[list[float]] = []
-    for r in range(1, depth + 1):
-        if r <= measure.depth:
-            acc = [Fraction(0)] * full_sizes[r - 1]
-            for full, mass in items:
-                for v in full.row(r):
-                    acc[v] += mass
-            total = sum(acc)
-            row_cumulative.append(list(accumulate(float(a / total) for a in acc)))
+    for r in range(depth):
+        n = full_sizes[r]
+        if r < measure.depth:
+            acc = [0] * n
+            for key, count in atoms.counts.items():
+                for v in key[r * cells : (r + 1) * cells]:
+                    acc[v] += count
+            probs = [Fraction(a, sum(acc)) for a in acc]
         else:
-            n = full_sizes[r - 1]
-            row_cumulative.append(list(accumulate([1.0 / n] * n)))
+            probs = [Fraction(1, n)] * n
+        row_cumulative.append(_categorical(probs, n, f"row {r + 1}"))
 
     for r in range(depth):
         for pos in range(r * n_shape, (r + 1) * n_shape):

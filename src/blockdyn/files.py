@@ -326,13 +326,13 @@ def _tiling_from_obj(obj: dict[str, Any]) -> Quasitiling:
     return Quasitiling(window=window, shapes=shapes, centers=centers)
 
 
-def write_family(path: Path, family: BlockFamily, sizes: Sequence[int]) -> None:
+def write_family(path: Path, family: BlockFamily) -> None:
     obj = {
         "kind": "family",
         "dim": family.base.dim,
         "level": family.level,
-        "alphabet": list(sizes),
-        "patterns": [_row_slices(b.symbols, len(family.base), family.level) for b in family.blocks],
+        "alphabet": list(family.sizes),
+        "patterns": [_row_slices(key, len(family.base), family.level) for key in family.keys],
     }
     write_json(path, obj)
 

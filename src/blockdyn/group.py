@@ -125,6 +125,7 @@ class Shape:
     def __contains__(self, p: object) -> bool:
         if not self._box:
             return p in self.points
+        hash(p)  # an unhashable probe raises TypeError, as in a point set
         # equality with an integer of each axis range, as in a point set
         inside = isinstance(p, tuple) and len(p) == self.dim
         return inside and all(x in range(a, b + 1) for a, b, x in zip(*self._bounds, p))

@@ -204,7 +204,7 @@ def _x_table(x: Block | CylinderMeasure, family: BlockFamily) -> CountTable:
     block, the family-level marginal of a measure."""
     if isinstance(x, Block):
         return freq_table(x, family.base, family.level)
-    if any(b.sizes != x.sizes[: family.level] for b in family.blocks):
+    if family.sizes != x.sizes[: family.level]:
         raise ValueError("alphabet stack mismatch")
     return x.marginal(family.base, family.level)
 
@@ -215,14 +215,13 @@ def _level_term(
     """d_k: the average of |x - nu| over one family."""
     xt, nt = _x_table(x, family), _x_table(nu, family)
     xc, t, nc, d = xt.counts, xt.total, nt.counts, nt.total
-    keys = [b.symbols for b in family.blocks]
-    total = sum(abs(xc.get(key, 0) * d - nc.get(key, 0) * t) for key in keys)
-    return Fraction(total, t * d * len(keys))
+    total = sum(abs(xc.get(key, 0) * d - nc.get(key, 0) * t) for key in family.keys)
+    return Fraction(total, t * d * len(family))
 
 
 def dist_k(mu: CylinderMeasure, nu: CylinderMeasure, family: BlockFamily) -> Fraction:
     """Average absolute mass difference over a family of same-level blocks."""
-    if not family.blocks:
+    if not family.keys:
         raise ValueError("empty family")
     if family.level > mu.depth or family.level > nu.depth:
         raise ValueError("family level exceeds a measure depth")
@@ -253,7 +252,7 @@ def _check_families(families: Sequence[BlockFamily]) -> None:
     for i, fam in enumerate(families, start=1):
         if fam.level != i:
             raise ValueError(f"family at position {i} has level {fam.level}")
-        if not fam.blocks:
+        if not fam.keys:
             raise ValueError(f"family at level {i} is empty")
 
 
@@ -359,10 +358,8 @@ def _objective_terms(
     den = lcm(*(t.total for ts in tables for t in ts))
     terms: list[Term] = []
     for fam, ts in zip(families, tables):
-        coeff = Fraction(1, (2**fam.level) * len(fam.blocks))
-        xs, *columns = [
-            [t.counts.get(b.symbols, 0) * (den // t.total) for b in fam.blocks] for t in ts
-        ]
+        coeff = Fraction(1, (2**fam.level) * len(fam))
+        xs, *columns = [[t.counts.get(key, 0) * (den // t.total) for key in fam.keys] for t in ts]
         terms += [(coeff, xv, vv) for xv, vv in zip(xs, zip(*columns))]
     return terms, den
 

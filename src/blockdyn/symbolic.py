@@ -10,9 +10,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, product
-from operator import le, mul, sub
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, product
+from operator import le, lt, mul, sub
 from typing import Callable, Iterator, Sequence
 
 from .group import Point, Shape, _anchor_box, folner_box, point_add, translate
@@ -221,22 +221,34 @@ class Corpus:
 
 @dataclass(frozen=True)
 class BlockFamily:
-    """Distinct blocks with domain base x rows[1..level], sorted by entries."""
+    """Distinct patterns with domain base x rows[1..level] over the alphabet
+    prefix ``sizes``, kept as their row-major symbol tuples in increasing
+    order.  ``blocks`` builds the ``Block`` of each key on first read."""
 
     level: int
     base: Shape
-    blocks: tuple[Block, ...]
+    sizes: tuple[int, ...]
+    keys: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        for b in self.blocks:
-            if b.shape != self.base or b.depth != self.level:
-                raise ValueError("family member with wrong domain")
-        keys = [b.symbols for b in self.blocks]
-        if keys != sorted(set(keys)):
+        if len(self.sizes) != self.level:
+            raise ValueError("one alphabet size per row is required")
+        cells = len(self.base)
+        if any(len(key) != cells * self.level for key in self.keys):
+            raise ValueError("family member with wrong domain")
+        if not all(map(lt, self.keys, self.keys[1:])):
             raise ValueError("family members must be distinct and sorted")
+        for r, size in enumerate(self.sizes):
+            row = set(chain.from_iterable(key[r * cells : (r + 1) * cells] for key in self.keys))
+            if row and (min(row) < 0 or max(row) >= size):
+                raise ValueError(f"row {r + 1} entry outside alphabet of size {size}")
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(Block(self.base, self.level, self.sizes, key) for key in self.keys)
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[Block]:
         return iter(self.blocks)
@@ -260,9 +272,7 @@ def enumerate_family(corpus: Corpus, k: int) -> BlockFamily:
     seen: set[tuple[int, ...]] = set()
     for block in corpus.blocks:
         seen.update(freq_table(block, base, k))
-    sizes = corpus.stack.sizes[:k]
-    blocks = tuple(Block(base, k, sizes, key) for key in sorted(seen))
-    return BlockFamily(k, base, blocks)
+    return BlockFamily(k, base, corpus.stack.sizes[:k], tuple(sorted(seen)))
 
 
 def enumerate_full_family(
@@ -287,13 +297,10 @@ def enumerate_full_family(
             raise ValueError(f"exhaustive enumeration would exceed {cap} candidates")
     sizes = stack.sizes[:k]
     # product yields the row-major keys in lexicographic order.
-    blocks = []
-    for key in product(*(range(size) for size in sizes for _ in range(len(base)))):
-        cand = Block(base, k, sizes, key)
-        if forbidden and _contains_any(cand, forbidden):
-            continue
-        blocks.append(cand)
-    return BlockFamily(k, base, tuple(blocks))
+    keys = product(*(range(size) for size in sizes for _ in range(len(base))))
+    if forbidden:
+        keys = (key for key in keys if not _contains_any(Block(base, k, sizes, key), forbidden))
+    return BlockFamily(k, base, sizes, tuple(keys))
 
 
 def _contains_any(block: Block, patterns: Sequence[Block]) -> bool:

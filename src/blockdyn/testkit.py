@@ -104,7 +104,7 @@ def grid_hull_distance(
     for weights in _simplex_grid(m, step):
         total = Fraction(0)
         for fam in families:
-            coeff = Fraction(1, (2**fam.level) * len(fam.blocks))
+            coeff = Fraction(1, (2**fam.level) * len(fam))
             for b in fam.blocks:
                 if isinstance(x, Block):
                     xv = oracle_freq(x, b)

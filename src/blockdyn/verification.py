@@ -186,14 +186,10 @@ def _families_for(measures: Sequence[CylinderMeasure]) -> list[BlockFamily]:
     for m in measures:
         level2.update(m.atoms())
         level1.update(m.marginal(base1, 1).keys())
-    fam1 = BlockFamily(
-        1, base1, tuple(Block(base1, 1, (2,), k) for k in sorted(level1))
-    )
-    base2 = folner_box(2, 1)
-    fam2 = BlockFamily(
-        2, base2, tuple(Block(base2, 2, (2, 2), k) for k in sorted(level2))
-    )
-    return [fam1, fam2]
+    return [
+        BlockFamily(1, base1, (2,), tuple(sorted(level1))),
+        BlockFamily(2, folner_box(2, 1), (2, 2), tuple(sorted(level2))),
+    ]
 
 
 def metric_axioms_suite(seed: int, triples: int = 50) -> SuiteResult:

@@ -148,3 +148,14 @@ def test_the_tiling_and_stage_layers_build_no_point_set_on_boxes(built, dim, sid
     out, report = stage_transform(config, fine, target, Fraction(1, 1000), reps, families)
     assert report.changes and out.shape == window
     assert built == []
+
+
+def test_a_non_tuple_probe_gets_the_same_answer_from_a_box_and_a_point_set():
+    shapes = [Shape.interval(0, 0), Shape.box((0, 0), (1, 2)), Shape.of([(0,), (2,)])]
+    assert [s.is_box() for s in shapes] == [True, True, False]
+    for shape in shapes:
+        for probe in ([0], {}, ([0],)):
+            with pytest.raises(TypeError):
+                probe in shape
+        for probe in (0, "a", None):
+            assert probe not in shape and probe not in shape.points

@@ -310,6 +310,31 @@ def test_cli_exit_codes(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["freq", "--level", "1"],
+        ["measure", "--depth", "1"],
+        ["dist", "--nu", "v1.json"],
+        ["construct"],
+    ],
+)
+def test_a_block_index_outside_the_corpus_exits_2_before_any_family(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_family(corpus, k):
+        raise AssertionError("a family was enumerated")
+
+    p = write_config(tmp_path, target_vertices=["v0.json", "v1.json"], schedule=SCHEDULE)
+    seeded_corpus(tmp_path)
+    write_vertices(tmp_path)
+    monkeypatch.setattr(cli, "enumerate_family", no_family)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--config", str(p), "--out", str(tmp_path / "out")] + command + ["--block", "5"]
+    assert cli.main(argv) == 2
+    assert "corpus has no block 5" in capsys.readouterr().err
+
+
 def test_rows_must_have_one_entry_per_cell(tmp_path):
     ragged = {"min": [0], "max": [2], "depth": 2, "rows": [[0, 1], [1, 0, 1, 1]]}
     corpus = {"kind": "corpus", "dim": 1, "alphabet": [2, 2], "blocks": [ragged]}

@@ -129,7 +129,7 @@ def test_marginal_deviation_equals_the_fraction_oracle(case, stop):
 def family_of(draw, dim: int, level: int, sizes: tuple[int, ...]) -> BlockFamily:
     base = folner_box(level, dim)
     keys = sorted(draw(st.lists(patterns(base, level, sizes), min_size=1, max_size=6, unique=True)))
-    return BlockFamily(level, base, tuple(Block(base, level, sizes[:level], k) for k in keys))
+    return BlockFamily(level, base, sizes[:level], tuple(keys))
 
 
 @settings(max_examples=30, deadline=None)

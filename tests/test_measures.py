@@ -30,7 +30,7 @@ BAB = block_from_word("bab", start=-1)
 
 
 def word_family():
-    return BlockFamily(1, F1, tuple(sorted([AAB, ABA, BAB], key=lambda b: b.symbols)))
+    return BlockFamily(1, F1, (2,), tuple(sorted(b.symbols for b in (AAB, ABA, BAB))))
 
 
 def test_block_measure_word():
@@ -144,7 +144,7 @@ def test_dist_k_point_masses():
 def test_dist_k_empty_family_errors():
     mu = block_measure(WORD, 1)
     with pytest.raises(ValueError):
-        dist_k(mu, mu, BlockFamily(1, F1, ()))
+        dist_k(mu, mu, BlockFamily(1, F1, (2,), ()))
 
 
 def test_dist_self_interval():
@@ -295,16 +295,7 @@ def test_hull_midpoint_two_point_masses():
     a = CylinderMeasure(1, F1, {Block(F1, 1, (2,), (0, 0, 0)): Fraction(1)})
     b = CylinderMeasure(1, F1, {Block(F1, 1, (2,), (1, 1, 1)): Fraction(1)})
     x = mix([Fraction(1, 2), Fraction(1, 2)], [a, b])
-    fam = BlockFamily(
-        1,
-        F1,
-        tuple(
-            sorted(
-                [Block(F1, 1, (2,), (0, 0, 0)), Block(F1, 1, (2,), (1, 1, 1))],
-                key=lambda blk: blk.symbols,
-            )
-        ),
-    )
+    fam = BlockFamily(1, F1, (2,), ((0, 0, 0), (1, 1, 1)))
     target = ConvexTarget((a, b))
     hd = dist_to_hull(x, target, [fam])
     grid = grid_hull_distance(x, target, [fam], Fraction(1, 1000))

@@ -88,20 +88,8 @@ def test_grid_oracle_single_vertex_exact():
     mu = block_measure(word, 1)
     f1 = folner_box(1, 1)
     nu = CylinderMeasure(1, f1, {block_from_word("aba", start=-1): Fraction(1)})
-    fam = BlockFamily(
-        1,
-        f1,
-        tuple(
-            sorted(
-                [
-                    block_from_word("aab", start=-1),
-                    block_from_word("aba", start=-1),
-                    block_from_word("bab", start=-1),
-                ],
-                key=lambda b: b.symbols,
-            )
-        ),
-    )
+    words = ("aab", "aba", "bab")
+    fam = BlockFamily(1, f1, (2,), tuple(sorted(block_from_word(w).symbols for w in words)))
     got = grid_hull_distance(mu, ConvexTarget((nu,)), [fam], Fraction(1, 10))
     assert got == Fraction(1, 5)
 
@@ -111,7 +99,7 @@ def test_grid_oracle_vertex_in_target_is_zero():
     mu = block_measure(word, 1)
     f1 = folner_box(1, 1)
     nu = CylinderMeasure(1, f1, {block_from_word("aba", start=-1): Fraction(1)})
-    fam = BlockFamily(1, f1, tuple(sorted(mu.support(), key=lambda b: b.symbols)))
+    fam = BlockFamily(1, f1, (2,), tuple(sorted(mu.atoms())))
     got = grid_hull_distance(mu, ConvexTarget((mu, nu)), [fam], Fraction(1, 20))
     assert got == 0
 
