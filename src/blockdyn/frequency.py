@@ -23,6 +23,14 @@ if TYPE_CHECKING:
     from .measures import CylinderMeasure
 
 
+def _anchor_ranges(outer: Shape, inner: Shape) -> list[range]:
+    """Per axis, the anchors g in the box ``outer`` at which the non-empty
+    ``inner`` fits: inner + g lies inside a box exactly when g lies in the
+    anchor box."""
+    (lo, hi), (ilo, ihi) = outer.bounds(), inner.bounds()
+    return [range(max(a, a - b), min(c, c - d) + 1) for a, b, c, d in zip(lo, ilo, hi, ihi)]
+
+
 def embedding_anchors(outer: Shape, inner: Shape) -> tuple[Point, ...]:
     """Anchors g in outer with inner + g contained in outer, sorted."""
     if outer.dim != inner.dim:
@@ -31,10 +39,7 @@ def embedding_anchors(outer: Shape, inner: Shape) -> tuple[Point, ...]:
         # no anchors in an empty outer; an empty inner fits at every g
         return outer.sorted_points
     if outer.is_box():
-        # inner + g lies inside a box exactly when g lies in the anchor box
-        (lo, hi), (ilo, ihi) = outer.bounds(), inner.bounds()
-        ranges = (range(max(a, a - b), min(c, c - d) + 1) for a, b, c, d in zip(lo, ilo, hi, ihi))
-        return tuple(cartesian(*ranges))
+        return tuple(cartesian(*_anchor_ranges(outer, inner)))
     return tuple(
         g for g in _anchor_box(outer, inner)
         if g in outer and _runs_at(outer, inner, 0, g) is not None
@@ -53,23 +58,27 @@ def pattern_counts(block: Block, inner: Shape, depth: int) -> dict[tuple[int, ..
     ``inner``, i.e. exactly ``Block.symbols`` of the re-based patterns, in
     the order of their first anchor in ``embedding_anchors``.  Keys are read
     through ``symbolic._runs_at``, except on two boxes, the hot path, which
-    loops over the kernel's cached ``_box_runs`` inline with the same result.
+    loops over the kernel's cached ``_box_runs`` inline with the same result:
+    the anchors on one last-axis run of the anchor box have consecutive flat
+    indices.
     """
     if not 1 <= depth <= block.depth:
         raise ValueError(f"depth must lie in 1..{block.depth}, got {depth}")
     counts: dict[tuple[int, ...], int] = {}
-    anchors = embedding_anchors(block.shape, inner)
     symbols = block.symbols
     runs = _box_runs(block.shape, inner, depth)
     if runs is not None:
         starts, length, flat, _, _ = runs
-        for a in map(flat, anchors):
-            key: tuple[int, ...] = ()
-            for s in starts:
-                key += symbols[a + s : a + s + length]
-            counts[key] = counts.get(key, 0) + 1
+        *heads, last = _anchor_ranges(block.shape, inner)
+        for head in cartesian(*heads):
+            first = flat((*head, last.start))
+            for a in range(first, first + len(last)):
+                key: tuple[int, ...] = ()
+                for s in starts:
+                    key += symbols[a + s : a + s + length]
+                counts[key] = counts.get(key, 0) + 1
         return counts
-    for g in anchors:
+    for g in embedding_anchors(block.shape, inner):
         key = _read(symbols, _runs_at(block.shape, inner, depth, g))
         counts[key] = counts.get(key, 0) + 1
     return counts

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
@@ -365,13 +366,18 @@ def _objective_terms(
 
 
 def _objective(terms: Sequence[Term], weights: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for coeff, xv, vv in terms:
-        acc = xv
-        for w, v in zip(weights, vv):
-            acc -= w * v
-        total += coeff * abs(acc)
-    return total
+    """sum_i c_i |x_i - (V w)_i| over the terms, in integers: with the weights
+    over their common denominator, one integer sum of |acc| per run of terms
+    sharing a coefficient (one per family level), and one Fraction at the end."""
+    d = lcm(*(w.denominator for w in weights))
+    ws = [w.numerator * (d // w.denominator) for w in weights]
+    sums = [
+        (coeff, sum(abs(xv * d - sum(map(mul, ws, vv))) for _, xv, vv in run))
+        for coeff, run in groupby(terms, key=itemgetter(0))
+    ]
+    scale = lcm(*(coeff.denominator for coeff, _ in sums))
+    top = sum(coeff.numerator * (scale // coeff.denominator) * s for coeff, s in sums)
+    return Fraction(top, scale * d)
 
 
 def _hull_lp(terms: Sequence[Term], m: int, den: int) -> tuple[tuple[Fraction, ...], Fraction]:

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as cartesian
+from math import prod
 from typing import Sequence
 
-from .frequency import embedding_anchors
+from .frequency import _anchor_ranges, embedding_anchors
 from .group import Point, Shape, invariance_ratio
 from .symbolic import Block, _runs_at, _write
 
@@ -56,46 +58,118 @@ def _tile_runs(tiling: Quasitiling, c: Point, i: int) -> list[tuple[int, int]]:
     return runs
 
 
+def _grid(
+    window: Shape, shapes: Sequence[Shape], centers: Sequence[frozenset[Point]] | None = None
+) -> list[range] | None:
+    """Per axis, the progression of center coordinates of a grid tiling: one
+    box shape on a box window, centers the product of the progressions, each
+    step at least the box side and every tile inside the window.  Without
+    ``centers``, the grid that greedy placement of the box on the empty
+    window gives: its anchors, stepped by its sides.  None for anything else.
+    """
+    if len(shapes) != 1 or not (window.is_box() and shapes[0].is_box()):
+        return None
+    (lo, hi), (ilo, ihi) = window.bounds(), shapes[0].bounds()
+    sides = [b - a + 1 for a, b in zip(ilo, ihi)]
+    if centers is None:
+        return [r[::side] for r, side in zip(_anchor_ranges(window, shapes[0]), sides)]
+    (cents,) = centers
+    if not cents:
+        return [range(0)] * window.dim
+    grid = []
+    for k, side in enumerate(sides):
+        values = sorted({c[k] for c in cents})
+        step = values[1] - values[0] if len(values) > 1 else side
+        axis = range(values[0], values[-1] + 1, step)
+        if step < side or values != list(axis):
+            return None
+        if values[0] + ilo[k] < lo[k] or values[-1] + ihi[k] > hi[k]:
+            return None
+        grid.append(axis)
+    return grid if prod(map(len, grid)) == len(cents) else None
+
+
 def verify(tiling: Quasitiling, folner: Shape | None = None) -> TilingReport:
     """Check disjointness and coverage; optionally rate each shape's
     invariance against a supplied Folner shape.
 
-    Raises if a tile escapes the window.
+    A grid tiling is checked by arithmetic, any other by a scan of its
+    tiles' cells.  Raises if a tile escapes the window.
     """
     window = tiling.window
     if not window:
         raise ValueError("empty window")
-    seen = bytearray(len(window))  # one byte per cell, in symbol order
-    disjoint = True
-    # The runs of a tile list its positions in order, one run per row of a
-    # box or one per cell, so two tiles cover the same cells exactly when
-    # their runs are equal.
-    tile_runs: set[tuple[tuple[int, int], ...]] = set()
-    for c, i in tiling.tiles():
-        runs = _tile_runs(tiling, c, i)
-        if any(seen.find(1, a, b) >= 0 for a, b in runs):
-            disjoint = False
-        _write(seen, runs, b"\x01" * len(tiling.shapes[i]))
-        tile_runs.add(tuple(runs))
+    if _grid(window, tiling.shapes, tiling.centers) is not None:
+        # Tiles at least a side apart on every axis are disjoint and distinct.
+        disjoint, unique = True, True
+        covered = tiling.tile_count() * len(tiling.shapes[0])
+    else:
+        seen = bytearray(len(window))  # one byte per cell, in symbol order
+        disjoint = True
+        # The runs of a tile list its positions in order, one run per row of
+        # a box or one per cell, so two tiles cover the same cells exactly
+        # when their runs are equal.
+        tile_runs: set[tuple[tuple[int, int], ...]] = set()
+        for c, i in tiling.tiles():
+            runs = _tile_runs(tiling, c, i)
+            if any(seen.find(1, a, b) >= 0 for a, b in runs):
+                disjoint = False
+            _write(seen, runs, b"\x01" * len(tiling.shapes[i]))
+            tile_runs.add(tuple(runs))
+        covered = seen.count(1)
+        unique = len(tile_runs) == tiling.tile_count()
     ratios = None
     if folner is not None:
         ratios = tuple(invariance_ratio(s, folner) for s in tiling.shapes)
-    covered = seen.count(1)
     return TilingReport(
         disjoint=disjoint,
         covered_cells=covered,
         covered_fraction=Fraction(covered, len(window)),
-        unique_representation=len(tile_runs) == tiling.tile_count(),
+        unique_representation=unique,
         invariance_ratios=ratios,
     )
 
 
+def _grids_congruent(
+    coarse: list[range], coarse_shape: Shape, fine: list[range], fine_shape: Shape
+) -> bool:
+    """``congruent`` for two grids, axis by axis.  On one axis the coarse
+    intervals are disjoint, and a fine interval misses them all, lies inside
+    one, or straddles.  A fine tile fails exactly when no axis misses and
+    some axis straddles, so some fine tile fails exactly when every axis has
+    a fine interval that does not miss and some axis has one that straddles.
+    """
+    hits, straddles = [], []
+    (clo, chi), (flo, fhi) = coarse_shape.bounds(), fine_shape.bounds()
+    for axis, a, b, values, fa, fb in zip(coarse, clo, chi, fine, flo, fhi):
+        s, t, n = axis.start, axis.step, len(axis)
+        hit = straddle = False
+        for v in values:
+            x0, x1 = v + fa, v + fb
+            # the coarse intervals s + j t + [a, b] that meet [x0, x1]
+            first, last = max(0, -((s + b - x0) // t)), min(n - 1, (x1 - s - a) // t)
+            if first > last:
+                continue
+            hit = True
+            start = s + first * t
+            # two coarse intervals that meet it cannot both contain it
+            straddle = straddle or not start + a <= x0 <= x1 <= start + b
+        hits.append(hit)
+        straddles.append(straddle)
+    return not (all(hits) and any(straddles))
+
+
 def congruent(tiling: Quasitiling, previous: Quasitiling) -> bool:
     """True when every tile of ``tiling`` either contains or misses every
-    tile of ``previous``.  Not symmetric in general.  Raises if a tile
-    escapes the window."""
+    tile of ``previous``.  Not symmetric in general.  Two grid tilings are
+    compared by arithmetic, any others by a scan of their tiles' cells.
+    Raises if a tile escapes the window."""
     if tiling.window != previous.window:
         raise ValueError("congruence requires a common window")
+    coarse = _grid(tiling.window, tiling.shapes, tiling.centers)
+    fine = _grid(previous.window, previous.shapes, previous.centers)
+    if coarse is not None and fine is not None:
+        return _grids_congruent(coarse, tiling.shapes[0], fine, previous.shapes[0])
     # A fine tile passes when every coarse tile owning one of its cells owns
     # all of them: the union of its cells' owner sets equals their
     # intersection.
@@ -125,8 +199,10 @@ def greedy_tile(window: Shape, shapes: Sequence[Shape], eps: Fraction) -> Greedy
     Translates of the largest shape are placed at its embedding anchors
     (centers in the window at which it fits) in lexicographic order
     wherever they miss the tiles placed so far, then the next shape fills
-    remaining space, and so on.  The achieved covering fraction is
-    reported against the 1 - eps target; falling short is not an error.
+    remaining space, and so on.  One box on a box window gives a grid,
+    which is placed by arithmetic; anything else is placed by a scan.  The
+    achieved covering fraction is reported against the 1 - eps target;
+    falling short is not an error.
     """
     if not shapes:
         raise ValueError("at least one shape is required")
@@ -135,27 +211,32 @@ def greedy_tile(window: Shape, shapes: Sequence[Shape], eps: Fraction) -> Greedy
     for s in shapes:
         if s.dim != window.dim or not s:
             raise ValueError("shapes must be non-empty and match the window dimension")
-    # Larger shapes first, then by points; one shape keeps its points unbuilt.
-    order = [0] if len(shapes) == 1 else sorted(
-        range(len(shapes)), key=lambda i: (-len(shapes[i]), shapes[i].sorted_points)
-    )
-    occupied = bytearray(len(window))  # one byte per cell, in symbol order
-    centers: list[set[Point]] = [set() for _ in shapes]
-    for idx in order:
-        shape = shapes[idx]
-        ones = b"\x01" * len(shape)
-        for c in embedding_anchors(window, shape):
-            runs = _runs_at(window, shape, 1, c)
-            if any(occupied.find(1, a, b) >= 0 for a, b in runs):
-                continue
-            _write(occupied, runs, ones)
-            centers[idx].add(c)
+    grid = _grid(window, shapes)
+    if grid is not None:
+        centers = [set(cartesian(*grid))]
+    else:
+        # Larger shapes first, then by points.
+        order = sorted(
+            range(len(shapes)), key=lambda i: (-len(shapes[i]), shapes[i].sorted_points)
+        )
+        occupied = bytearray(len(window))  # one byte per cell, in symbol order
+        centers = [set() for _ in shapes]
+        for idx in order:
+            shape = shapes[idx]
+            ones = b"\x01" * len(shape)
+            for c in embedding_anchors(window, shape):
+                runs = _runs_at(window, shape, 1, c)
+                if any(occupied.find(1, a, b) >= 0 for a, b in runs):
+                    continue
+                _write(occupied, runs, ones)
+                centers[idx].add(c)
     tiling = Quasitiling(
         window=window,
         shapes=tuple(shapes),
         centers=tuple(frozenset(c) for c in centers),
     )
-    covered = Fraction(occupied.count(1), len(window))
+    # Greedy tiles are disjoint.
+    covered = Fraction(sum(len(c) * len(s) for c, s in zip(centers, shapes)), len(window))
     return GreedyTiling(
         tiling=tiling,
         covered_fraction=covered,

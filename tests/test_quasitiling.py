@@ -1,9 +1,13 @@
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_stage_passes import pairwise_congruent, tile_cells
 
-from blockdyn import group, symbolic
+from blockdyn import group, quasitiling, symbolic
 from blockdyn.group import Shape, folner_box
 from blockdyn.quasitiling import (
     Quasitiling,
@@ -224,3 +228,171 @@ def test_tiling_on_boxes_makes_no_point_add_call(monkeypatch):
     assert coarse.tiles() == tiles and fine.tiles()
     assert verify(coarse).covered_fraction == 1 and verify(fine).disjoint
     assert congruent(coarse, fine) and not congruent(fine, coarse)
+
+
+# Grid tilings: one box shape on a box window, centers a product of per-axis
+# progressions.  They are placed, verified and compared by arithmetic; the
+# tests below check that path against point-set definitions.
+
+SIDES = {1: 12, 2: 6, 3: 4}  # the largest window side drawn per dimension
+
+
+@st.composite
+def box_for(draw, window):
+    """A box off the origin, on some draws wider than the window."""
+    lo, hi = window.bounds()
+    slo = [draw(st.integers(-2, 2)) for _ in lo]
+    sides = [draw(st.integers(1, b - a + 1)) + draw(st.sampled_from([0] * 5 + [b - a + 1]))
+             for a, b in zip(lo, hi)]
+    return Shape.box(slo, [c + n - 1 for c, n in zip(slo, sides)])
+
+
+@st.composite
+def box_and_window(draw):
+    dim = draw(st.integers(1, 3))
+    wlo = [draw(st.integers(-3, 3)) for _ in range(dim)]
+    window = Shape.box(wlo, [a + draw(st.integers(0, SIDES[dim] - 1)) for a in wlo])
+    return window, draw(box_for(window))
+
+
+@st.composite
+def grid_tiling(draw, window, shape, inside=True):
+    """A grid of ``shape`` translates: per axis a start, a step of at least
+    the side and a count; with ``inside`` every tile fits in the window."""
+    (lo, hi), (slo, shi) = window.bounds(), shape.bounds()
+    axes = []
+    for a, b, c, d in zip(lo, hi, slo, shi):
+        side = d - c + 1
+        step = side + draw(st.integers(0, 2))
+        # the centers at which a tile fits are a - c .. b - d
+        shift = draw(st.integers(0, min(2, max(b - d - a + c, 0))) if inside else st.integers(-2, 2))
+        first = a - c + shift
+        room = max((b - d - first) // step + 1, 0) if inside else 3
+        # mostly as many as fit; otherwise fewer, leaving a remainder
+        count = room if draw(st.integers(0, 3)) else draw(st.integers(0, room))
+        axes.append(range(first, first + step * count, step))
+    return Quasitiling(window, (shape,), (frozenset(product(*axes)),))
+
+
+def naive_greedy(window: Shape, shape: Shape) -> tuple[set, set]:
+    """Greedy placement over point sets: each window point in lexicographic
+    order is a center when the translate fits and misses every tile so far.
+    Returns the centers and the covered cells."""
+    occupied, centers = set(), set()
+    for g in sorted(window.points):
+        cells = {tuple(x + y for x, y in zip(p, g)) for p in shape.points}
+        if cells <= window.points and not cells & occupied:
+            occupied |= cells
+            centers.add(g)
+    return centers, occupied
+
+
+def escapes(tiling: Quasitiling) -> bool:
+    return not all(cells <= tiling.window.points for cells in tile_cells(tiling))
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_and_window())
+def test_greedy_grid_equals_point_set_greedy(case):
+    window, shape = case
+    got = greedy_tile(window, [shape], Fraction(1, 2))
+    centers, covered = naive_greedy(window, shape)
+    assert got.tiling.centers == (frozenset(centers),)
+    assert got.covered_fraction == Fraction(len(covered), len(window))
+    assert all(c in window for c in centers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_on_grids_equals_point_set_definitions(data):
+    window, shape = data.draw(box_and_window())
+    tiling = data.draw(grid_tiling(window, shape, inside=data.draw(st.booleans())))
+    if escapes(tiling):
+        with pytest.raises(ValueError, match="escapes the window"):
+            verify(tiling)
+        # Every coarse tile is read, and every fine tile when no tile fails
+        # before it.
+        empty = Quasitiling(window, (shape,), (frozenset(),))
+        placed = greedy_tile(window, [shape], Fraction(1)).tiling
+        for coarse, fine in ((tiling, tiling), (tiling, placed), (tiling, empty), (empty, tiling)):
+            with pytest.raises(ValueError, match="escapes the window"):
+                congruent(coarse, fine)
+        return
+    cells = tile_cells(tiling)
+    covered = frozenset().union(*cells)
+    rep = verify(tiling, folner_box(1, window.dim))
+    assert rep.covered_cells == len(covered)
+    assert rep.covered_fraction == Fraction(len(covered), len(window))
+    assert rep.disjoint and sum(map(len, cells)) == len(covered)
+    assert rep.unique_representation and len(set(cells)) == len(cells)
+    assert rep.invariance_ratios == (group.invariance_ratio(shape, folner_box(1, window.dim)),)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_congruent_on_grids_equals_the_pairwise_definition(data):
+    window, shape = data.draw(box_and_window())
+    # A second box of any size and origin, so sides need not divide and
+    # origins may be shifted.
+    other = data.draw(box_for(window))
+    first = data.draw(grid_tiling(window, shape))
+    second = data.draw(grid_tiling(window, other))
+    # Some tiles of a grid: no longer a product, so compared by the scan.
+    cents = sorted(first.centers[0])
+    keep = data.draw(st.lists(st.booleans(), min_size=len(cents), max_size=len(cents)))
+    part = Quasitiling(window, (shape,), (frozenset(c for c, k in zip(cents, keep) if k),))
+    for coarse, fine in ((first, second), (second, first), (first, first), (part, second)):
+        assert congruent(coarse, fine) == pairwise_congruent(coarse, fine)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_congruence_fails_on_shifted_origins_and_non_dividing_sides(dim):
+    window = Shape.box((0,) * dim, (11,) * dim)
+
+    def grid(side, start=0):
+        shape = Shape.box((0,) * dim, (side - 1,) * dim)
+        axis = range(start, 12 - side + 1, side)
+        return Quasitiling(window, (shape,), (frozenset(product(axis, repeat=dim)),))
+
+    cases = [
+        (grid(6), grid(2), True),  # dividing sides, a shared origin
+        (grid(6), grid(3), True),
+        (grid(6), grid(2, start=1), False),  # a shifted origin
+        (grid(6, start=1), grid(2), False),
+        (grid(6), grid(4), False),  # 4 does not divide 6
+        (grid(2), grid(6), False),  # finer over coarser
+        (grid(5), grid(5, start=1), False),
+        (grid(5), grid(5, start=5), True),
+    ]
+    for coarse, fine, expected in cases:
+        assert congruent(coarse, fine) is expected
+        assert pairwise_congruent(coarse, fine) is expected
+
+
+def test_congruence_of_part_of_a_grid_reads_only_its_tiles():
+    # Only the missing coarse tile at (0, 2) would cut the fine one.
+    window = Shape.box((0, 0), (5, 5))
+    coarse = Quasitiling(window, (Shape.box((0, 0), (1, 1)),), (frozenset({(0, 0), (2, 2)}),))
+    fine = Quasitiling(window, (Shape.box((0, 0), (1, 1)),), (frozenset({(0, 3)}),))
+    assert congruent(coarse, fine) and pairwise_congruent(coarse, fine)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_tilings_make_no_kernel_call(monkeypatch, dim):
+    def no_kernel(*args):
+        raise AssertionError("_runs_at called")
+
+    monkeypatch.setattr(quasitiling, "_runs_at", no_kernel)
+    window = Shape.box((0,) * dim, (9,) * dim)
+    coarse = greedy_tile(window, [Shape.box((0,) * dim, (3,) * dim)], Fraction(1)).tiling
+    fine = greedy_tile(window, [Shape.box((0,) * dim, (1,) * dim)], Fraction(1)).tiling
+    off = greedy_tile(window, [Shape.box((-1,) * dim, (1,) * dim)], Fraction(1)).tiling
+    assert coarse.tile_count() == 2**dim and fine.tile_count() == 5**dim
+    assert min(off.centers[0]) == (1,) * dim
+    assert verify(coarse).covered_cells == 8**dim and verify(fine).covered_fraction == 1
+    assert verify(off).disjoint
+    assert congruent(coarse, fine) and not congruent(fine, coarse)
+    assert not congruent(off, fine)
+    # Several shapes keep the scan.
+    with pytest.raises(AssertionError, match="_runs_at called"):
+        greedy_tile(window, [Shape.box((0,) * dim, (3,) * dim), fine.shapes[0]], Fraction(1))

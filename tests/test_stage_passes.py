@@ -165,16 +165,16 @@ def test_encode_symbolic_rejects_a_center_outside_the_window():
         encode_symbolic(t)
 
 
-def bernoulli_measure_obj(p: Fraction) -> dict:
+def bernoulli_measure_obj(p: Fraction, dim: int = 1) -> dict:
     masses = []
-    for key in product((0, 1), repeat=3):
+    for key in product((0, 1), repeat=3**dim):
         mass = Fraction(1)
         for x in key:
             mass *= p if x else 1 - p
         masses.append({"pattern": [list(key)], "mass": str(mass)})
     return {
-        "kind": "measure", "dim": 1, "alphabet": [2], "depth": 1,
-        "base_min": [-1], "base_max": [1], "masses": masses,
+        "kind": "measure", "dim": dim, "alphabet": [2], "depth": 1,
+        "base_min": [-1] * dim, "base_max": [1] * dim, "masses": masses,
     }
 
 
@@ -192,26 +192,26 @@ CONSTRUCT_DIGESTS = {
 }
 
 
-def test_construct_run_tree_is_pinned(tmp_path):
-    rng = random.Random("construct:1")
-    cells = 729
-    row = [1 if rng.random() < 0.5 else 0 for _ in range(cells)]
+def run_tree_digests(tmp_path, dim: int, cells: int, row: list[int], sides: list[int]) -> dict:
+    """SHA-256 of the pinned files of a seeded three-stage ``construct`` run
+    from ``row`` on the box window [0, cells - 1]^dim, with three Bernoulli
+    vertices on [-1, 1]^dim."""
     corpus = {
-        "kind": "corpus", "dim": 1, "alphabet": [2],
-        "blocks": [{"min": [0], "max": [cells - 1], "depth": 1, "rows": [row]}],
+        "kind": "corpus", "dim": dim, "alphabet": [2],
+        "blocks": [{"min": [0] * dim, "max": [cells - 1] * dim, "depth": 1, "rows": [row]}],
     }
     (tmp_path / "corpus.json").write_text(json.dumps(corpus))
     for i, p in enumerate([Fraction(1, 20), Fraction(1, 2), Fraction(19, 20)]):
-        (tmp_path / f"v{i}.json").write_text(json.dumps(bernoulli_measure_obj(p)))
+        (tmp_path / f"v{i}.json").write_text(json.dumps(bernoulli_measure_obj(p, dim)))
     cfg = {
-        "dim": 1,
+        "dim": dim,
         "alphabet": [2],
-        "window": {"min": [0], "max": [cells - 1]},
+        "window": {"min": [0] * dim, "max": [cells - 1] * dim},
         "corpus": ["corpus.json"],
         "target_vertices": ["v0.json", "v1.json", "v2.json"],
         "schedule": {
             "eps1": "2/5", "depths": [1, 1, 1],
-            "folner_indices": [1, 1, 1], "tile_sides": [3, 9, 27],
+            "folner_indices": [1, 1, 1], "tile_sides": sides,
         },
         "representatives": {"source": "vertex", "vertex": 0, "count": 4},
         "seed": 1,
@@ -224,7 +224,35 @@ def test_construct_run_tree_is_pinned(tmp_path):
         f"{stem}_t{t}{ext}" for t in (1, 2, 3)
         for stem, ext in (("stage", "_tiles.csv"), ("changes", ".json"))
     ]
-    got = {
+    return {
         name: hashlib.sha256((rundir / name).read_bytes()).hexdigest() for name in pinned
     }
-    assert got == CONSTRUCT_DIGESTS
+
+
+def test_construct_run_tree_is_pinned(tmp_path):
+    rng = random.Random("construct:1")
+    row = [1 if rng.random() < 0.5 else 0 for _ in range(729)]
+    assert run_tree_digests(tmp_path, 1, 729, row, [3, 9, 27]) == CONSTRUCT_DIGESTS
+
+
+# The same for a planar run, captured before stage tilings were placed by
+# arithmetic: a 26 x 26 window leaves an uncovered margin at every stage, and
+# the vertices' base [-1, 1]^2 does not start at the origin, so the sampled
+# representatives place it from the first anchor inside each tile.
+CONSTRUCT_DIGESTS_2D = {
+    "changes_t1.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    "changes_t2.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    "changes_t3.json": "52bc09bc6d897104070f909ec98f09993e53a903c2145ee889b9081e0cc8c942",
+    "final_block.json": "e0cec8a7ba08605b63321f17d8ede1e0032b58e9e0be115ef983415026621831",
+    "stage_t1_tiles.csv": "5dcea390e987706dc96adcbd7cd5c1f25a7145d2b28ec3982a0fa64a1c7eadff",
+    "stage_t2_tiles.csv": "a364460702ba873731e0626a8f4bf385bb0d8820f857e5920ed50e789570b7dd",
+    "stage_t3_tiles.csv": "ad91215de61a60e64db25515212ef64c6157c6d3dc8445555a76abae34071e21",
+    "stages.csv": "cf895f0a2f320f6417e04f77f923d9005967debdbbbdbcb9721131601b4c19b3",
+}
+
+
+def test_planar_construct_run_tree_is_pinned(tmp_path):
+    # A noisy checkerboard, far from every Bernoulli measure on most tiles.
+    rng = random.Random("construct:2")
+    row = [(x + y) % 2 ^ (rng.random() < 0.1) for x, y in product(range(26), repeat=2)]
+    assert run_tree_digests(tmp_path, 2, 26, row, [3, 6, 12]) == CONSTRUCT_DIGESTS_2D
