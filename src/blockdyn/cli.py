@@ -27,7 +27,7 @@ from .construction import (
     run as run_stages,
     vertex_rep_source,
 )
-from .files import ConfigError, ExperimentConfig, frac_str, parse_frac
+from .files import ConfigError, ExperimentConfig, frac_str, parse_frac, ratio_str
 from .frequency import count_embeddings, freq_table
 from .group import Shape, folner_box
 from .measures import CylinderMeasure, block_measure, dist, dist_block, dist_to_hull
@@ -39,13 +39,6 @@ from .verification import (
     metric_axioms_suite,
     tiling_average_gap_suite,
 )
-
-
-def _pattern_str(block: Block) -> str:
-    sep = "" if all(s <= 10 for s in block.sizes) else "-"
-    return "|".join(
-        sep.join(str(s) for s in block.row(r)) for r in range(1, block.depth + 1)
-    )
 
 
 def _run_dir(cfg: ExperimentConfig, out: str) -> Path:
@@ -118,14 +111,14 @@ def cmd_freq(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
     base = folner_box(args.level, cfg.dim)
     table = freq_table(block, base, args.level)
     embeddings = count_embeddings(block.shape, base)
-    rows = []
-    for key in sorted(table):
-        pat = Block(base, args.level, cfg.stack.sizes[: args.level], key)
-        occurrences = table.counts[key]
-        rows.append(
-            [args.block, args.level, _pattern_str(pat), occurrences, embeddings,
-             frac_str(table[key])]
-        )
+    # A pattern is its rows joined by "|", each row's symbols joined by ""
+    # when every alphabet size is at most 10 and by "-" otherwise.
+    sep = "" if all(s <= 10 for s in cfg.stack.sizes[: args.level]) else "-"
+    fmt = "|".join([sep.join(["%d"] * len(base))] * args.level)
+    rows = [
+        [args.block, args.level, fmt % key, n, embeddings, ratio_str(n, table.total)]
+        for key, n in sorted(table.counts.items())
+    ]
     files.write_csv(
         rundir / f"freq_k{args.level}_b{args.block}.csv",
         ["block_index", "level", "pattern", "N_B", "N_F", "fr_B"],

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
@@ -53,6 +53,15 @@ def frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def ratio_str(n: int, den: int) -> str:
+    """``str(Fraction(n, den))`` for integers, without building the Fraction."""
+    if den == 0:
+        raise ZeroDivisionError(f"ratio_str({n}, 0)")
+    g = gcd(n, den) if den > 0 else -gcd(n, den)
+    n, den = n // g, den // g
+    return str(n) if den == 1 else f"{n}/{den}"
+
+
 def parse_frac(s: Any) -> Fraction:
     try:
         return Fraction(str(s))
@@ -62,6 +71,29 @@ def parse_frac(s: Any) -> Fraction:
 
 _quote = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+# A varying leaf of a record layout.
+_HOLE = object()
+
+
+class _Records:
+    """A JSON list whose entries share one layout: ``layout`` is a value
+    with ``_HOLE`` at each varying leaf, and each of ``values`` is a tuple of
+    those leaves' JSON texts (ints, or quoted strings), in file order.  A
+    plain class: a dataclass costs about a millisecond at every import."""
+
+    __slots__ = ("layout", "values")
+
+    def __init__(self, layout: Any, values: Iterable[tuple[Any, ...]]) -> None:
+        self.layout, self.values = layout, values
+
+
+def _template(layout: Any, pad: str) -> str:
+    """The canonical JSON of ``layout`` as a %-format with %s at its holes."""
+    chunks: list[str] = []
+    # Every other chunk holds a bracket, a quote or a newline, so a chunk of
+    # exactly "%s" is a hole.
+    _dump(layout, lambda s: chunks.append(s if s == "%s" else s.replace("%", "%%")), pad)
+    return "".join(chunks)
 
 
 def _dump(obj: Any, write: Callable[[str], Any], pad: str) -> None:
@@ -83,6 +115,17 @@ def _dump(obj: Any, write: Callable[[str], Any], pad: str) -> None:
             raise TypeError("canonical JSON needs str keys")
         keys = sorted(obj)
         _items([_quote(k) + ": " for k in keys], [obj[k] for k in keys], "{}", write, pad)
+    elif isinstance(obj, _Records):
+        # One format per list and one write per record, so the list is never
+        # held as text; an empty list is "[]".
+        inner = pad + " "
+        fmt, sep = _template(obj.layout, inner), "[" + inner
+        for leaves in obj.values:
+            write(sep + fmt % leaves)
+            sep = "," + inner
+        write("[]" if sep[0] == "[" else pad + "]")
+    elif obj is _HOLE:
+        write("%s")
     else:
         raise TypeError(f"canonical JSON has no encoding for {type(obj).__name__} {obj!r}")
 
@@ -248,10 +291,16 @@ def _row_slices(symbols: tuple[int, ...], cells: int, depth: int) -> list[tuple[
     return [symbols[r * cells : (r + 1) * cells] for r in range(depth)]
 
 
+def _pattern_layout(cells: int, depth: int) -> list[list[object]]:
+    """The layout of a pattern: ``depth`` rows of ``cells`` holes."""
+    return [[_HOLE] * cells] * depth
+
+
 def write_measure(path: Path, measure: CylinderMeasure) -> None:
     lo, hi = measure.base.bounds()
     atoms = measure.atoms()
-    cells, den = len(measure.base), atoms.total
+    den = atoms.total
+    layout = {"mass": _HOLE, "pattern": _pattern_layout(len(measure.base), measure.depth)}
     obj = {
         "kind": "measure",
         "dim": measure.base.dim,
@@ -259,10 +308,9 @@ def write_measure(path: Path, measure: CylinderMeasure) -> None:
         "depth": measure.depth,
         "base_min": lo,
         "base_max": hi,
-        "masses": [
-            {"pattern": _row_slices(key, cells, measure.depth), "mass": frac_str(Fraction(n, den))}
-            for key, n in atoms.counts.items()
-        ],
+        "masses": _Records(
+            layout, ((_quote(ratio_str(n, den)), *key) for key, n in atoms.counts.items())
+        ),
     }
     write_json(path, obj)
 
@@ -332,7 +380,7 @@ def write_family(path: Path, family: BlockFamily) -> None:
         "dim": family.base.dim,
         "level": family.level,
         "alphabet": list(family.sizes),
-        "patterns": [_row_slices(key, len(family.base), family.level) for key in family.keys],
+        "patterns": _Records(_pattern_layout(len(family.base), family.level), family.keys),
     }
     write_json(path, obj)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as cartesian
 from math import prod
 from typing import Sequence
@@ -39,6 +40,12 @@ class Quasitiling:
     def tile_count(self) -> int:
         return sum(len(c) for c in self.centers)
 
+    @cached_property
+    def grid(self) -> tuple[range, ...] | None:
+        """Per axis, the progression of center coordinates when this is a
+        grid tiling (see ``_grid``), else None; recognised once."""
+        return _grid(self.window, self.shapes, self.centers)
+
 
 @dataclass(frozen=True)
 class TilingReport:
@@ -60,7 +67,7 @@ def _tile_runs(tiling: Quasitiling, c: Point, i: int) -> list[tuple[int, int]]:
 
 def _grid(
     window: Shape, shapes: Sequence[Shape], centers: Sequence[frozenset[Point]] | None = None
-) -> list[range] | None:
+) -> tuple[range, ...] | None:
     """Per axis, the progression of center coordinates of a grid tiling: one
     box shape on a box window, centers the product of the progressions, each
     step at least the box side and every tile inside the window.  Without
@@ -72,10 +79,10 @@ def _grid(
     (lo, hi), (ilo, ihi) = window.bounds(), shapes[0].bounds()
     sides = [b - a + 1 for a, b in zip(ilo, ihi)]
     if centers is None:
-        return [r[::side] for r, side in zip(_anchor_ranges(window, shapes[0]), sides)]
+        return tuple(r[::side] for r, side in zip(_anchor_ranges(window, shapes[0]), sides))
     (cents,) = centers
     if not cents:
-        return [range(0)] * window.dim
+        return (range(0),) * window.dim
     grid = []
     for k, side in enumerate(sides):
         values = sorted({c[k] for c in cents})
@@ -86,7 +93,7 @@ def _grid(
         if values[0] + ilo[k] < lo[k] or values[-1] + ihi[k] > hi[k]:
             return None
         grid.append(axis)
-    return grid if prod(map(len, grid)) == len(cents) else None
+    return tuple(grid) if prod(map(len, grid)) == len(cents) else None
 
 
 def verify(tiling: Quasitiling, folner: Shape | None = None) -> TilingReport:
@@ -99,7 +106,7 @@ def verify(tiling: Quasitiling, folner: Shape | None = None) -> TilingReport:
     window = tiling.window
     if not window:
         raise ValueError("empty window")
-    if _grid(window, tiling.shapes, tiling.centers) is not None:
+    if tiling.grid is not None:
         # Tiles at least a side apart on every axis are disjoint and distinct.
         disjoint, unique = True, True
         covered = tiling.tile_count() * len(tiling.shapes[0])
@@ -131,7 +138,7 @@ def verify(tiling: Quasitiling, folner: Shape | None = None) -> TilingReport:
 
 
 def _grids_congruent(
-    coarse: list[range], coarse_shape: Shape, fine: list[range], fine_shape: Shape
+    coarse: tuple[range, ...], coarse_shape: Shape, fine: tuple[range, ...], fine_shape: Shape
 ) -> bool:
     """``congruent`` for two grids, axis by axis.  On one axis the coarse
     intervals are disjoint, and a fine interval misses them all, lies inside
@@ -166,8 +173,7 @@ def congruent(tiling: Quasitiling, previous: Quasitiling) -> bool:
     Raises if a tile escapes the window."""
     if tiling.window != previous.window:
         raise ValueError("congruence requires a common window")
-    coarse = _grid(tiling.window, tiling.shapes, tiling.centers)
-    fine = _grid(previous.window, previous.shapes, previous.centers)
+    coarse, fine = tiling.grid, previous.grid
     if coarse is not None and fine is not None:
         return _grids_congruent(coarse, tiling.shapes[0], fine, previous.shapes[0])
     # A fine tile passes when every coarse tile owning one of its cells owns

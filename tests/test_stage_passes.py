@@ -1,8 +1,10 @@
 """Each stage job runs once: the far mass after a stage comes from the same
-tile pass, congruence is checked in one pass, and the construct run tree is
-pinned to the byte."""
+tile pass, congruence is checked in one pass, and the construct and census
+run trees are pinned to the byte."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -256,3 +258,72 @@ def test_planar_construct_run_tree_is_pinned(tmp_path):
     rng = random.Random("construct:2")
     row = [(x + y) % 2 ^ (rng.random() < 0.1) for x, y in product(range(26), repeat=2)]
     assert run_tree_digests(tmp_path, 2, 26, row, [3, 6, 12]) == CONSTRUCT_DIGESTS_2D
+
+
+def census_digests(tmp_path, dim: int, side: int, sizes: list[int], seed: str) -> dict:
+    """SHA-256 of every file and of the printed lines of ``blocks``, ``freq``
+    and ``measure`` at levels 1 and 2, on one seeded uniform block over
+    ``sizes`` on the box window [0, side - 1]^dim."""
+    rng = random.Random(seed)
+    cells = side**dim
+    rows = [[rng.randrange(size) for _ in range(cells)] for size in sizes]
+    corpus = {
+        "kind": "corpus", "dim": dim, "alphabet": sizes,
+        "blocks": [{"min": [0] * dim, "max": [side - 1] * dim, "depth": len(sizes), "rows": rows}],
+    }
+    (tmp_path / "corpus.json").write_text(json.dumps(corpus))
+    cfg = {
+        "dim": dim, "alphabet": sizes, "corpus": ["corpus.json"],
+        "window": {"min": [0] * dim, "max": [side - 1] * dim},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    out = tmp_path / "runs"
+    printed = []
+    for level in ("1", "2"):
+        for command in (["blocks", "--level"], ["freq", "--level"], ["measure", "--depth"]):
+            args = ["--config", str(tmp_path / "config.json"), "--out", str(out)]
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert cli.main(args + command + [level]) == 0
+            printed.append(buf.getvalue())
+    (rundir,) = out.iterdir()
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(rundir.iterdir())
+    }
+    # The measure job prints its output path, which is taken relative to out.
+    text = "".join(printed).replace(str(out), "runs")
+    digests["stdout"] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+# SHA-256 of the census run trees below, captured before family and measure
+# entries were written from one template and freq patterns from one format
+# per level.  The 1-D stack (2, 12) has a row of size above 10 at level 2,
+# so its freq patterns join two-digit symbols with "-".
+CENSUS_DIGESTS_1D = {
+    "family_k1.json": "87c76bff38c0279cfbc71e846c488dd911b35278de9a8aa9088d1d4f1b0f72e9",
+    "family_k2.json": "8471708b92f5c2179d6d5ef8af5c53f07f2afd6c0c2734f2081b19de17b244bd",
+    "freq_k1_b0.csv": "e8b777db944503d55a0032f579d2bb93d5b420ac254577a410f249ae213eea54",
+    "freq_k2_b0.csv": "52e6a0b8061f8c2637764b53c9a427c22b22df61990d5da08044079e65708100",
+    "measure_b0_j1.json": "af20fafb6addc012551ea3ec9ecbf093e2ccab0b842b151ac27092b35d30d2e7",
+    "measure_b0_j2.json": "a087bdb0c1de736b1be17690f6fe6ba9cf132eaa662715ab0ddf76d6f160231e",
+    "stdout": "fe2f39e1f4160c92a636aadbdc96e4956ad363244d8b2a85d7b1df9f63c5ffc5",
+}
+
+CENSUS_DIGESTS_2D = {
+    "family_k1.json": "495ec37e46fd3105c8959af1e00d1b11225d5f26d11006033e20a161ac19777c",
+    "family_k2.json": "cf6c11ce47a00bda7b95fd20779a78097c5404e38929dd1bc3df853948bc211b",
+    "freq_k1_b0.csv": "207d6d9c8d4993af4653f4f99ae4e1b3b29f91a7d940be4f666a3d5d416c0640",
+    "freq_k2_b0.csv": "28addf1ae163590789d306a16cbb5df2be873042935d9833f1c7fe91f7d6459a",
+    "measure_b0_j1.json": "f29adfec8505cca5d92895416af5481148e137464d98737f73fda284e84592ae",
+    "measure_b0_j2.json": "13942352b5f554d6c1c5f49763450c1e23a7f34b5918f291d644ad3747c92fbc",
+    "stdout": "b07a98eb77e4265e5577ef9f5e138d325a47ca06e8337ba6da6af269068ce8a8",
+}
+
+
+def test_census_run_tree_is_pinned(tmp_path):
+    assert census_digests(tmp_path, 1, 80, [2, 12], "census:1d") == CENSUS_DIGESTS_1D
+
+
+def test_planar_census_run_tree_is_pinned(tmp_path):
+    assert census_digests(tmp_path, 2, 8, [3, 2], "census:2d") == CENSUS_DIGESTS_2D
