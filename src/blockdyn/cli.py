@@ -75,10 +75,17 @@ def _int_option(section: dict, key: str, default: int) -> int:
     return files._int(section.get(key, default), key)
 
 
+def _count_option(section: dict, key: str, default: int) -> int:
+    n = _int_option(section, key, default)
+    if n < 1:
+        raise ConfigError(f"{key} must be at least 1, got {n}")
+    return n
+
+
 def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> int:
     gen_cfg = _section(cfg, "gen")
     seed = cfg.require_seed()
-    count = _int_option(gen_cfg, "count", 1)
+    count = _count_option(gen_cfg, "count", 1)
     kind = gen_cfg.get("kind", "bernoulli")
     try:
         if kind == "bernoulli":
@@ -230,10 +237,10 @@ def cmd_construct(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path)
         vertex = _int_option(rep_cfg, "vertex", 0)
         if not 0 <= vertex < len(target):
             raise ConfigError(f"the target has no vertex {vertex}")
-        count = _int_option(rep_cfg, "count", 8)
+        count = _count_option(rep_cfg, "count", 8)
         source = vertex_rep_source(target, vertex, seed, count, sizes=cfg.stack.sizes)
     else:
-        source = corpus_rep_source(corpus, _int_option(rep_cfg, "limit", 64))
+        source = corpus_rep_source(corpus, _count_option(rep_cfg, "limit", 64))
     result: RunResult = run_stages(initial, cfg.schedule, target, fams, source)
     _write_run(rundir, cfg, result)
     last = result.stages[-1]

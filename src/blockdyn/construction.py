@@ -12,6 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
@@ -178,16 +179,14 @@ def far_mass(
     target: ConvexTarget,
     delta: Fraction,
     families: Sequence[BlockFamily],
-    depth: int | None = None,
 ) -> Fraction:
     """Fraction of window cells covered by tiles whose block is certified
     farther than delta from the target hull: one solve per tile, no cache."""
     delta = Fraction(delta)
-    k = target.depth if depth is None else depth
     total = 0
     for shape, centers in zip(tiling.shapes, tiling.centers):
         for c in centers:
-            sub = subblock_at(config, shape, c, k)
+            sub = subblock_at(config, shape, c, target.depth)
             if sub is None:
                 raise ValueError(f"tile at {c} escapes the configuration")
             if dist_to_hull(sub, target, families).value > delta:
@@ -298,15 +297,13 @@ RepSource = Callable[[Shape, int], Sequence[Block]]
 
 
 def corpus_rep_source(corpus: Corpus, limit: int = 64) -> RepSource:
-    """Representative candidates harvested from a corpus, scan order."""
+    """The first ``limit`` representative candidates of a corpus, in scan
+    order."""
+    if limit < 1:
+        raise ValueError("a representative source needs a limit of at least 1")
 
     def source(shape: Shape, depth: int) -> Sequence[Block]:
-        out = []
-        for sub in corpus_subblocks(corpus, shape, depth):
-            out.append(sub)
-            if len(out) >= limit:
-                break
-        return out
+        return list(islice(corpus_subblocks(corpus, shape, depth), limit))
 
     return source
 
@@ -369,6 +366,8 @@ def vertex_rep_source(
     sizes: Sequence[int] | None = None,
 ) -> RepSource:
     """Representative candidates sampled from one designated vertex measure."""
+    if count < 1:
+        raise ValueError("a representative source needs a count of at least 1")
     measure = target.vertices[vertex]
 
     def source(shape: Shape, depth: int) -> Sequence[Block]:

@@ -60,7 +60,7 @@ class Shape:
 
     @classmethod
     def of(cls, points: Iterable[Sequence[int]], dim: int | None = None) -> Shape:
-        pts = frozenset(tuple(int(c) for c in p) for p in points)
+        pts = frozenset(tuple(map(operator.index, p)) for p in points)
         if dim is None:
             if not pts:
                 raise ValueError("dimension required for an empty shape")
@@ -156,7 +156,7 @@ def _require_same_dim(a: Shape, b: Shape) -> None:
 
 def translate(shape: Shape, g: Sequence[int]) -> Shape:
     """{s + g : s in shape}.  Cardinality is preserved."""
-    gp = tuple(int(c) for c in g)
+    gp = tuple(map(operator.index, g))
     if len(gp) != shape.dim:
         raise ValueError(f"dimension mismatch: point {gp} vs shape dim {shape.dim}")
     return shape_product(shape, Shape.box(gp, gp))

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as cartesian
-from math import prod
 from typing import Sequence
 
 from .frequency import _anchor_ranges, embedding_anchors
@@ -42,9 +41,10 @@ class Quasitiling:
 
     @cached_property
     def grid(self) -> tuple[range, ...] | None:
-        """Per axis, the progression of center coordinates when this is a
-        grid tiling (see ``_grid``), else None; recognised once."""
-        return _grid(self.window, self.shapes, self.centers)
+        """The greedy grid (see ``_grid``) when the centers are exactly its
+        product, else None; checked once."""
+        grid = _grid(self.window, self.shapes)
+        return grid if grid is not None and self.centers[0] == set(cartesian(*grid)) else None
 
 
 @dataclass(frozen=True)
@@ -65,49 +65,29 @@ def _tile_runs(tiling: Quasitiling, c: Point, i: int) -> list[tuple[int, int]]:
     return runs
 
 
-def _grid(
-    window: Shape, shapes: Sequence[Shape], centers: Sequence[frozenset[Point]] | None = None
-) -> tuple[range, ...] | None:
-    """Per axis, the progression of center coordinates of a grid tiling: one
-    box shape on a box window, centers the product of the progressions, each
-    step at least the box side and every tile inside the window.  Without
-    ``centers``, the grid that greedy placement of the box on the empty
-    window gives: its anchors, stepped by its sides.  None for anything else.
-    """
+def _grid(window: Shape, shapes: Sequence[Shape]) -> tuple[range, ...] | None:
+    """Per axis, the center coordinates that greedy placement of one box on
+    an empty box window gives: its anchors, stepped by its sides.  None for
+    anything else."""
     if len(shapes) != 1 or not (window.is_box() and shapes[0].is_box()):
         return None
-    (lo, hi), (ilo, ihi) = window.bounds(), shapes[0].bounds()
-    sides = [b - a + 1 for a, b in zip(ilo, ihi)]
-    if centers is None:
-        return tuple(r[::side] for r, side in zip(_anchor_ranges(window, shapes[0]), sides))
-    (cents,) = centers
-    if not cents:
-        return (range(0),) * window.dim
-    grid = []
-    for k, side in enumerate(sides):
-        values = sorted({c[k] for c in cents})
-        step = values[1] - values[0] if len(values) > 1 else side
-        axis = range(values[0], values[-1] + 1, step)
-        if step < side or values != list(axis):
-            return None
-        if values[0] + ilo[k] < lo[k] or values[-1] + ihi[k] > hi[k]:
-            return None
-        grid.append(axis)
-    return tuple(grid) if prod(map(len, grid)) == len(cents) else None
+    lo, hi = shapes[0].bounds()
+    return tuple(r[:: b - a + 1] for r, a, b in zip(_anchor_ranges(window, shapes[0]), lo, hi))
 
 
 def verify(tiling: Quasitiling, folner: Shape | None = None) -> TilingReport:
     """Check disjointness and coverage; optionally rate each shape's
     invariance against a supplied Folner shape.
 
-    A grid tiling is checked by arithmetic, any other by a scan of its
-    tiles' cells.  Raises if a tile escapes the window.
+    A tiling on the greedy grid (``Quasitiling.grid``) is checked by
+    arithmetic, any other by a scan of its tiles' cells.  Raises if a tile
+    escapes the window.
     """
     window = tiling.window
     if not window:
         raise ValueError("empty window")
     if tiling.grid is not None:
-        # Tiles at least a side apart on every axis are disjoint and distinct.
+        # Tiles a side apart on every axis are disjoint and distinct.
         disjoint, unique = True, True
         covered = tiling.tile_count() * len(tiling.shapes[0])
     else:
@@ -168,9 +148,9 @@ def _grids_congruent(
 
 def congruent(tiling: Quasitiling, previous: Quasitiling) -> bool:
     """True when every tile of ``tiling`` either contains or misses every
-    tile of ``previous``.  Not symmetric in general.  Two grid tilings are
-    compared by arithmetic, any others by a scan of their tiles' cells.
-    Raises if a tile escapes the window."""
+    tile of ``previous``.  Not symmetric in general.  Two tilings on greedy
+    grids are compared by arithmetic, any others by a scan of their tiles'
+    cells.  Raises if a tile escapes the window."""
     if tiling.window != previous.window:
         raise ValueError("congruence requires a common window")
     coarse, fine = tiling.grid, previous.grid

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, product
-from operator import le, lt, mul, sub
+from operator import index, le, lt, mul, sub
 from typing import Callable, Iterator, Sequence
 
 from .group import Point, Shape, _anchor_box, folner_box, point_add, translate
@@ -33,11 +33,6 @@ class AlphabetStack:
     @property
     def depth(self) -> int:
         return len(self.sizes)
-
-    def prefix(self, j: int) -> AlphabetStack:
-        if not 1 <= j <= self.depth:
-            raise ValueError(f"depth {j} outside stack of depth {self.depth}")
-        return AlphabetStack(self.sizes[:j])
 
 
 @dataclass(frozen=True)
@@ -186,7 +181,7 @@ def _write(symbols: list, runs: list[tuple[int, int]], values: Sequence) -> None
 def subblock_at(block: Block, f: Shape, g: Sequence[int], depth: int) -> Block | None:
     """The pattern of ``block`` read at f + g, re-based to f; None if f + g
     does not fit inside the block shape."""
-    gp = tuple(int(c) for c in g)
+    gp = tuple(map(index, g))
     if len(gp) != block.dim or f.dim != block.dim:
         raise ValueError("dimension mismatch")
     if not 0 <= depth <= block.depth:

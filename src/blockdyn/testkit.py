@@ -2,8 +2,7 @@
 
 Everything here is written directly from the defining formulas, with no
 code shared with the optimized counting/marginal paths, so that exact
-agreement between the two is a meaningful check.  The two gap-bound
-calculators live in ``blockdyn.frequency`` and are re-exported here.
+agreement between the two is a meaningful check.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .frequency import block_measure_gap_bound, tiling_average_gap_bound  # noqa: F401
 from .group import Shape, point_add
 from .measures import ConvexTarget, CylinderMeasure
 from .symbolic import Block, BlockFamily

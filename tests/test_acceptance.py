@@ -17,6 +17,7 @@ from blockdyn.construction import (
 from blockdyn.files import canonical_json
 from blockdyn.frequency import (
     bernoulli_stream,
+    block_measure_gap_bound,
     count_embeddings,
     find_typical_block,
     freq,
@@ -42,7 +43,6 @@ from blockdyn.symbolic import (
     subblock_at,
 )
 from blockdyn.testkit import (
-    block_measure_gap_bound,
     oracle_count_embeddings,
     oracle_freq,
     small_instance_suite,

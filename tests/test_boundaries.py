@@ -12,9 +12,9 @@ import blockdyn
 from blockdyn import cli
 from blockdyn.files import block_from_word, canonical_json
 from blockdyn.frequency import freq, freq_table
-from blockdyn.group import Shape
+from blockdyn.group import Shape, translate
 from blockdyn.measures import block_measure
-from blockdyn.symbolic import Block
+from blockdyn.symbolic import Block, subblock_at
 
 WORD = block_from_word("aababab", start=-3)
 ABA = block_from_word("aba", start=-1)
@@ -129,11 +129,30 @@ SCHEDULE = {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [
              "representatives": {"source": "vertex", "vertex": 5}},
             ["construct"],
         ),
+        *(
+            case
+            for n in (0, -1)
+            for case in (
+                ({"seed": 1, "gen": dict(BERNOULLI, count=n)}, ["gen"]),
+                (
+                    {"seed": 1, "schedule": SCHEDULE,
+                     "representatives": {"source": "vertex", "count": n}},
+                    ["construct"],
+                ),
+                (
+                    {"seed": 1, "schedule": SCHEDULE,
+                     "representatives": {"source": "corpus", "limit": n}},
+                    ["construct"],
+                ),
+            )
+        ),
     ],
     ids=[
         "gen-without-probs", "gen-count-not-int",
         "seed-not-int", "tile-sides-not-int", "representatives-as-list",
         "vertex-not-int", "vertex-out-of-range",
+        "gen-count-0", "representatives-count-0", "representatives-limit-0",
+        "gen-count--1", "representatives-count--1", "representatives-limit--1",
     ],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, extra, argv):
@@ -203,3 +222,40 @@ def test_dist_with_no_family_level_exits_3(tmp_path, capsys, levels):
         capsys.readouterr()
         assert cli.main(base + argv + ["--levels", levels]) == 3
         assert "at least one family level is required" in capsys.readouterr().err
+
+
+def test_testkit_offers_only_its_own_oracles():
+    """A name that testkit imports from another blockdyn module is there for
+    its oracles to use; one they never use is passed on as if it were an
+    oracle, so a test importing it would check production code against
+    itself."""
+    tree = ast.parse((Path(blockdyn.__file__).parent / "testkit.py").read_text(encoding="utf-8"))
+    imported = {
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for a in node.names
+    }
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(n for n in imported - used if not n.startswith("_")) == []
+
+
+@pytest.mark.parametrize("bad", [0.9, "1"])
+def test_float_and_string_coordinates_raise_type_error(bad):
+    block = Block(Shape.interval(0, 3), 1, (2,), (0, 1, 1, 0))
+    cell = Shape.interval(0, 0)
+    with pytest.raises(TypeError):
+        Shape.of([(0,), (bad,)])
+    with pytest.raises(TypeError):
+        translate(cell, (bad,))
+    with pytest.raises(TypeError):
+        subblock_at(block, cell, (bad,), 1)
+
+
+def test_int_and_bool_coordinates_read_as_before():
+    block = Block(Shape.interval(0, 3), 1, (2,), (0, 1, 1, 0))
+    cell = Shape.interval(0, 0)
+    assert Shape.of([(0,), (True,), (2,)]) == Shape.interval(0, 2)
+    assert translate(cell, (True,)) == translate(cell, (1,)) == Shape.interval(1, 1)
+    assert subblock_at(block, cell, (True,), 1) == subblock_at(block, cell, (1,), 1)
+    assert subblock_at(block, cell, (2,), 1).symbols == (1,)

@@ -14,11 +14,12 @@ from blockdyn.construction import (
     stage_transform,
     vertex_rep_source,
 )
+from blockdyn.frequency import block_measure_gap_bound
 from blockdyn.group import Shape, folner_box
 from blockdyn.measures import ConvexTarget, CylinderMeasure, block_measure
 from blockdyn.quasitiling import Quasitiling
 from blockdyn.symbolic import AlphabetStack, Block, Corpus, enumerate_family, sample_bernoulli
-from blockdyn.testkit import block_measure_gap_bound, grid_hull_distance
+from blockdyn.testkit import grid_hull_distance
 
 F1 = folner_box(1, 1)
 STACK = AlphabetStack((2,))
@@ -360,3 +361,13 @@ def test_run_two_stages_planar():
     for rep in reversed(result.stages):
         back = apply_changes(back, rep.changes, undo=True)
     assert back == config
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_rep_sources_reject_a_limit_or_count_below_one(n):
+    corpus = Corpus(STACK, (sample_bernoulli(Shape.interval(0, 8), STACK, [[0.5, 0.5]], seed=3),))
+    with pytest.raises(ValueError, match="limit of at least 1"):
+        corpus_rep_source(corpus, limit=n)
+    with pytest.raises(ValueError, match="count of at least 1"):
+        vertex_rep_source(two_vertex_target(), 0, seed=1, count=n)
+    assert len(corpus_rep_source(corpus, limit=1)(Shape.interval(0, 2), 1)) == 1

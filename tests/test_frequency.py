@@ -6,6 +6,7 @@ import pytest
 from blockdyn.files import block_from_word
 from blockdyn.frequency import (
     bernoulli_stream,
+    block_measure_gap_bound,
     count_embeddings,
     count_occurrences,
     find_typical_block,
@@ -16,7 +17,6 @@ from blockdyn.group import Shape, folner_box
 from blockdyn.measures import CylinderMeasure, block_measure
 from blockdyn.symbolic import AlphabetStack, Block, Corpus, sample_bernoulli
 from blockdyn.testkit import (
-    block_measure_gap_bound,
     oracle_count_embeddings,
     oracle_freq,
     small_instance_suite,

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from blockdyn.files import block_from_word
-from blockdyn.frequency import freq, freq_table
+from blockdyn.frequency import block_measure_gap_bound, freq, freq_table
 from blockdyn.group import Shape, folner_box, invariance_ratio
 from blockdyn.measures import (
     ConvexTarget,
@@ -19,7 +19,7 @@ from blockdyn.measures import (
     tail_depth,
 )
 from blockdyn.symbolic import AlphabetStack, Block, BlockFamily, Corpus, sample_bernoulli
-from blockdyn.testkit import block_measure_gap_bound, grid_hull_distance
+from blockdyn.testkit import grid_hull_distance
 from blockdyn.verification import _families_for, _random_measure
 
 WORD = block_from_word("aababab", start=-3)

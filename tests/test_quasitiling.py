@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_stage_passes import pairwise_congruent, tile_cells
 
-from blockdyn import group, quasitiling, symbolic
+from blockdyn import construction, group, quasitiling, symbolic
+from blockdyn.construction import StageSchedule, run, sample_from_measure, vertex_rep_source
 from blockdyn.group import Shape, folner_box
+from blockdyn.measures import ConvexTarget, CylinderMeasure
 from blockdyn.quasitiling import (
     Quasitiling,
     congruent,
@@ -17,6 +19,7 @@ from blockdyn.quasitiling import (
     greedy_tile,
     verify,
 )
+from blockdyn.symbolic import AlphabetStack, Block, Corpus, enumerate_family, sample_bernoulli
 
 W10 = Shape.interval(0, 9)
 PAIR = Shape.interval(0, 1)
@@ -231,8 +234,10 @@ def test_tiling_on_boxes_makes_no_point_add_call(monkeypatch):
 
 
 # Grid tilings: one box shape on a box window, centers a product of per-axis
-# progressions.  They are placed, verified and compared by arithmetic; the
-# tests below check that path against point-set definitions.
+# progressions.  The greedy grid, the one ``greedy_tile`` places, is placed,
+# verified and compared by arithmetic; any other grid is built by hand and
+# takes the scans.  The tests below check both paths against point-set
+# definitions.
 
 SIDES = {1: 12, 2: 6, 3: 4}  # the largest window side drawn per dimension
 
@@ -302,6 +307,7 @@ def test_greedy_grid_equals_point_set_greedy(case):
     assert all(c in window for c in centers)
 
 
+# Hand-built grids: mostly not the greedy one, so these check the scans.
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_verify_on_grids_equals_point_set_definitions(data):
@@ -337,7 +343,7 @@ def test_congruent_on_grids_equals_the_pairwise_definition(data):
     other = data.draw(box_for(window))
     first = data.draw(grid_tiling(window, shape))
     second = data.draw(grid_tiling(window, other))
-    # Some tiles of a grid: no longer a product, so compared by the scan.
+    # Some tiles of a grid: not the greedy grid, so compared by the scan.
     cents = sorted(first.centers[0])
     keep = data.draw(st.lists(st.booleans(), min_size=len(cents), max_size=len(cents)))
     part = Quasitiling(window, (shape,), (frozenset(c for c, k in zip(cents, keep) if k),))
@@ -345,6 +351,8 @@ def test_congruent_on_grids_equals_the_pairwise_definition(data):
         assert congruent(coarse, fine) == pairwise_congruent(coarse, fine)
 
 
+# Hand-built grids, the shifted ones off the greedy grid: arithmetic and
+# scans alike must give these answers.
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_grid_congruence_fails_on_shifted_origins_and_non_dividing_sides(dim):
     window = Shape.box((0,) * dim, (11,) * dim)
@@ -396,3 +404,84 @@ def test_grid_tilings_make_no_kernel_call(monkeypatch, dim):
     # Several shapes keep the scan.
     with pytest.raises(AssertionError, match="_runs_at called"):
         greedy_tile(window, [Shape.box((0,) * dim, (3,) * dim), fine.shapes[0]], Fraction(1))
+
+
+def no_kernel(*args):
+    raise AssertionError("_runs_at called")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_greedy_grids_take_the_arithmetic_paths_and_match_the_definitions(data):
+    window, shape = data.draw(box_and_window())
+    other = data.draw(box_for(window))
+    first = greedy_tile(window, [shape], Fraction(1)).tiling
+    second = greedy_tile(window, [other], Fraction(1)).tiling
+    assert first.grid is not None and second.grid is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quasitiling, "_runs_at", no_kernel)
+        reports = [verify(t) for t in (first, second)]
+        pairs = [(first, second), (second, first), (first, first)]
+        got = [congruent(coarse, fine) for coarse, fine in pairs]
+    for tiling, rep in zip((first, second), reports):
+        cells = tile_cells(tiling)
+        covered = frozenset().union(*cells)
+        assert rep.covered_cells == len(covered)
+        assert rep.covered_fraction == Fraction(len(covered), len(window))
+        assert rep.disjoint and sum(map(len, cells)) == len(covered)
+        assert rep.unique_representation and len(set(cells)) == len(cells)
+    assert got == [pairwise_congruent(coarse, fine) for coarse, fine in pairs]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_only_the_greedy_grid_is_a_grid(dim):
+    window = Shape.box((0,) * dim, (11,) * dim)
+    shape = Shape.box((0,) * dim, (2,) * dim)
+
+    def tiling(axis, keep=lambda c: True):
+        cents = frozenset(c for c in product(axis, repeat=dim) if keep(c))
+        return Quasitiling(window, (shape,), (cents,))
+
+    greedy = greedy_tile(window, [shape], Fraction(1)).tiling
+    assert greedy.grid == (range(0, 10, 3),) * dim
+    assert tiling(range(0, 10, 3)).grid == greedy.grid  # the same centers, built by hand
+    others = [
+        tiling(range(1, 10, 3)),  # a shifted start
+        tiling(range(0, 10, 4)),  # a step above the side
+        tiling(range(0, 10, 3), keep=lambda c: c != (3,) * dim),  # part of the grid
+        tiling(range(0)),
+    ]
+    assert [t.grid for t in others] == [None] * len(others)
+    two = Quasitiling(window, (shape, shape), (greedy.centers[0], frozenset()))
+    assert two.grid is None
+
+
+def test_staged_runs_and_measure_samples_on_boxes_make_no_kernel_call(monkeypatch):
+    tilings = []
+
+    def recording_greedy_tile(*args):
+        got = greedy_tile(*args)
+        tilings.append(got.tiling)
+        return got
+
+    monkeypatch.setattr(quasitiling, "_runs_at", no_kernel)
+    monkeypatch.setattr(construction, "greedy_tile", recording_greedy_tile)
+    stack = AlphabetStack((2,))
+    for window, sides in ((Shape.interval(0, 26), [3, 9, 27]), (Shape.box((0, 0), (8, 8)), [3, 9])):
+        dim = window.dim
+        f1 = folner_box(1, dim)
+        uniform = CylinderMeasure(
+            1, f1, {Block(f1, 1, (2,), k): Fraction(1, 2 ** len(f1))
+                    for k in product((0, 1), repeat=len(f1))}
+        )
+        ones = CylinderMeasure(1, f1, {Block.constant(f1, 1, (2,), 1): Fraction(1)})
+        target = ConvexTarget((uniform, ones))
+        config = sample_bernoulli(window, stack, [[Fraction(1, 4), Fraction(3, 4)]], seed=5)
+        fams = [enumerate_family(Corpus(stack, (config,)), 1)]
+        n = len(sides)
+        sched = StageSchedule.geometric(dim, Fraction(1, 2), [1] * n, [1, 4, 13][:n], sides)
+        src = vertex_rep_source(target, 1, seed=9, count=2, sizes=stack.sizes)
+        result = run(config, sched, target, fams, src)
+        assert len(result.stages) == n
+        assert sample_from_measure(uniform, window, 1, seed=3).shape == window
+    assert len(tilings) > 10 and all(t.grid is not None for t in tilings)

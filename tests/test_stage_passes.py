@@ -58,7 +58,7 @@ def test_far_mass_after_equals_far_mass_of_the_output():
         }
         delta = rng.choice([Fraction(1, 50), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)])
         out, report = stage_transform(config, tiling, target, delta, reps, FAMILIES)
-        assert report.far_mass_after == far_mass(out, tiling, target, delta, FAMILIES, 1)
+        assert report.far_mass_after == far_mass(out, tiling, target, delta, FAMILIES)
         seen["far_after"] += report.far_mass_after > 0
         seen["partial"] += report.covered_fraction < 1
         seen["both_shapes"] += len({ch.shape_index for ch in report.changes}) == 2

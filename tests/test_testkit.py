@@ -4,17 +4,15 @@ from fractions import Fraction
 import pytest
 
 from blockdyn.files import block_from_word
-from blockdyn.frequency import freq
+from blockdyn.frequency import block_measure_gap_bound, freq, tiling_average_gap_bound
 from blockdyn.group import Shape, folner_box
 from blockdyn.measures import ConvexTarget, CylinderMeasure, block_measure
 from blockdyn.symbolic import AlphabetStack, Block, BlockFamily
 from blockdyn.testkit import (
-    block_measure_gap_bound,
     grid_hull_distance,
     oracle_freq,
     oracle_measure_value,
     small_instance_suite,
-    tiling_average_gap_bound,
 )
 from blockdyn.verification import tiling_average_gap_suite
 
