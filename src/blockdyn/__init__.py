@@ -8,16 +8,9 @@ block-replacement transform, all in exact rational arithmetic.
 import types
 
 from .group import (
-    BanachDensity,
-    FolnerBox,
-    PeriodicSubset,
     Shape,
-    banach_density,
-    boundary_part,
     folner_box,
     invariance_ratio,
-    is_invariant,
-    is_tempered_prefix,
     shape_product,
     translate,
 )
@@ -26,17 +19,13 @@ from .symbolic import (
     Block,
     BlockFamily,
     Corpus,
-    block_translate,
     enumerate_family,
     enumerate_full_family,
-    restrict,
     sample_bernoulli,
     subblock_at,
 )
 from .frequency import (
     count_embeddings,
-    count_occurrences,
-    find_typical_block,
     freq,
     freq_table,
 )

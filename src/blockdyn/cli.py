@@ -29,7 +29,7 @@ from .construction import (
 )
 from .files import ConfigError, ExperimentConfig, frac_str, parse_frac, ratio_str
 from .frequency import count_embeddings, freq_table
-from .group import Shape, folner_box
+from .group import folner_box
 from .measures import CylinderMeasure, block_measure, dist, dist_block, dist_to_hull
 from .quasitiling import greedy_tile, verify as verify_tiling
 from .symbolic import Block, Corpus, enumerate_family, sample_bernoulli, sample_markov
@@ -144,6 +144,10 @@ def cmd_measure(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -
 
 
 def cmd_dist(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> int:
+    if args.mu is not None and args.block is not None:
+        raise ConfigError("dist takes --mu or --block, not both")
+    if args.hull and args.nu is not None:
+        raise ConfigError("dist takes --nu or --hull, not both")
     corpus = cfg.load_corpus()
     x: Block | CylinderMeasure
     if args.mu is not None:
@@ -191,6 +195,8 @@ def cmd_tile(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
         raise ConfigError("tile needs --sides or tile_sides in the configuration")
     shapes = [files._box((0,) * cfg.dim, (s - 1,) * cfg.dim) for s in sides]
     eps = parse_frac(args.eps)
+    if not 0 <= eps <= 1:
+        raise ConfigError(f"--eps must lie in [0, 1], got {args.eps}")
     result = greedy_tile(cfg.window, shapes, eps)
     report = verify_tiling(result.tiling, folner_box(1, cfg.dim))
     files.write_tiling(rundir / "tiling.json", result.tiling)
@@ -404,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tile", help="greedy quasitiling of the window")
     p.add_argument("--sides", type=int, nargs="+", help="box tile sides")
-    p.add_argument("--eps", default="1/10", help="covering target 1-eps")
+    p.add_argument("--eps", default="1/10", help="covering target 1-eps, eps in [0, 1]")
 
     p = sub.add_parser("construct", help="staged replacement run")
     p.add_argument("--block", type=int, default=0, help="initial corpus block")

@@ -38,10 +38,10 @@ class Stage:
     tile_side: int
 
     def __post_init__(self) -> None:
-        if self.eps <= 0 or self.delta <= 0:
-            raise ValueError("eps and delta must be positive")
         if self.depth < 1 or self.tile_side < 1 or self.folner_index < 1:
             raise ValueError("depth, tile side and Folner index must be positive")
+        if self.eps <= 0 or self.delta <= 0:
+            raise ValueError("eps and delta must be positive")
 
 
 @dataclass(frozen=True)

@@ -31,24 +31,6 @@ class ConfigError(Exception):
 T = TypeVar("T")
 
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-def block_from_word(word: str, start: int = 0, sizes: Sequence[int] = (2,)) -> Block:
-    """One-row block from a letter word: 'a' -> 0, 'b' -> 1, ...
-
-    Human-readable letters exist only at this boundary; the library stores
-    small integers.
-    """
-    symbols = tuple(_LETTERS.index(ch) for ch in word)
-    window = Shape.interval(start, start + len(word) - 1)
-    return Block(window, 1, tuple(sizes), symbols)
-
-
-def block_to_word(block: Block, row: int = 1) -> str:
-    return "".join(_LETTERS[s] for s in block.row(row))
-
-
 def frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 

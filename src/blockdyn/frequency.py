@@ -1,4 +1,4 @@
-"""Embedding counts, occurrence counts and pattern frequencies.
+"""Embedding counts, pattern counts and pattern frequencies.
 
 Frequencies are taken over the anchored embedding set {g in F : E + g
 within F}; there is no wraparound, so boundary deficits are visible and
@@ -8,16 +8,14 @@ exactly quantifiable.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as cartesian
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 from .group import Point, Shape, _anchor_box, folner_box
-from .symbolic import AlphabetStack, Block, Corpus, _box_runs, _read, _runs_at
-from .symbolic import sample_bernoulli, subblock_at
+from .symbolic import Block, Corpus, _box_runs, _read, _runs_at, subblock_at
 
 if TYPE_CHECKING:
     from .measures import CylinderMeasure
@@ -131,16 +129,6 @@ def freq_table(block: Block, inner: Shape, depth: int) -> CountTable:
     return CountTable(counts, sum(counts.values()) or 1)
 
 
-def count_occurrences(block: Block, pattern: Block) -> int:
-    """|{g in shape(B) : shape(C) + g within shape(B), B reads C at g}|."""
-    if pattern.depth > block.depth:
-        raise ValueError("pattern deeper than block")
-    if pattern.sizes != block.sizes[: pattern.depth]:
-        raise ValueError("alphabet stack mismatch")
-    counts = pattern_counts(block, pattern.shape, pattern.depth)
-    return counts.get(pattern.symbols, 0)
-
-
 def freq(block: Block, pattern: Block) -> Fraction:
     """Occurrence count divided by the embedding count; 0 when nothing embeds."""
     if pattern.depth > block.depth:
@@ -218,15 +206,6 @@ def marginal_deviation(
     return worst
 
 
-@dataclass(frozen=True)
-class TypicalBlock:
-    """Search outcome: a block whose pattern frequencies track a target."""
-
-    block: Block
-    deviation: Fraction
-    candidates_tried: int
-
-
 def corpus_subblocks(corpus: Corpus, window: Shape, depth: int) -> Iterator[Block]:
     """All re-based patterns with domain window x rows[1..depth], in corpus
     order then anchor order."""
@@ -237,52 +216,3 @@ def corpus_subblocks(corpus: Corpus, window: Shape, depth: int) -> Iterator[Bloc
             sub = subblock_at(block, window, g, depth)
             if sub is not None:
                 yield sub
-
-
-def bernoulli_stream(
-    window: Shape,
-    stack: AlphabetStack,
-    probabilities: Sequence[Sequence[object]],
-    seed: int,
-) -> Iterator[Block]:
-    """Infinite stream of seeded i.i.d. blocks (seed advances per candidate)."""
-    i = 0
-    while True:
-        yield sample_bernoulli(window, stack, probabilities, seed + 7919 * i)
-        i += 1
-
-
-def find_typical_block(
-    target: "CylinderMeasure",
-    window: Shape,
-    depth: int,
-    eps: Fraction,
-    source: Corpus | Iterable[Block],
-    budget: int = 100,
-) -> TypicalBlock | None:
-    """Search for a block on window x rows[1..depth] whose frequencies are
-    uniformly eps-close to the target at every level up to ``depth``.
-
-    Candidates are drawn from the source in order (corpus scan order for a
-    Corpus, iteration order otherwise) until one qualifies or the budget
-    of candidate blocks is exhausted; exhaustion returns None.
-    """
-    if target.depth < depth:
-        raise ValueError("target depth is smaller than the requested depth")
-    eps = Fraction(eps)
-    candidates: Iterable[Block]
-    if isinstance(source, Corpus):
-        candidates = corpus_subblocks(source, window, depth)
-    else:
-        candidates = iter(source)
-    tried = 0
-    for cand in candidates:
-        if tried >= budget:
-            break
-        tried += 1
-        if cand.shape != window or cand.depth < depth:
-            raise ValueError("candidate does not live on the requested domain")
-        worst = marginal_deviation(cand, target, depth, stop=eps)
-        if worst < eps:
-            return TypicalBlock(block=cand, deviation=worst, candidates_tried=tried)
-    return None

@@ -1,15 +1,14 @@
 """Point and shape algebra over the group Z^d.
 
 Shapes are finite point sets, and a box is kept as its corners.
-Translates, products, invariance ratios, boundary parts, temperedness of
-box families and Banach densities of periodic subsets are all computed
-with exact integer/rational arithmetic; no floats enter this module.
+Translates, products, invariance ratios and the Folner boxes [-n, n]^d
+are computed with exact integer/rational arithmetic; no floats enter
+this module.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as cartesian
@@ -22,10 +21,6 @@ Point = tuple[int, ...]
 
 def point_add(a: Point, b: Point) -> Point:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def point_neg(a: Point) -> Point:
-    return tuple(-x for x in a)
 
 
 class Shape:
@@ -190,11 +185,6 @@ def shape_product(a: Shape, f: Shape) -> Shape:
     return Shape(a.dim, frozenset(point_add(x, y) for x in a.points for y in f.points))
 
 
-def shape_invert(shape: Shape) -> Shape:
-    """{-s : s in shape}."""
-    return Shape(shape.dim, frozenset(point_neg(p) for p in shape.points))
-
-
 def invariance_ratio(f: Shape, a: Shape) -> Fraction:
     """|F symm-diff AF| / |F| as an exact rational.
 
@@ -209,147 +199,14 @@ def invariance_ratio(f: Shape, a: Shape) -> Fraction:
     return Fraction(len(f) + len(af) - 2 * common, len(f))
 
 
-def is_invariant(f: Shape, a: Shape, delta: Fraction) -> bool:
-    """Exact (A, delta)-invariance test: the invariance ratio is below delta."""
-    return invariance_ratio(f, a) < Fraction(delta)
-
-
-def boundary_part(f: Shape, a: Shape) -> Shape:
-    """Points of F whose A-translate leaves F: {f in F : (A + f) not within F}."""
-    _require_same_dim(f, a)
-    pts = f.points
-    out = frozenset(
-        p for p in pts if any(point_add(q, p) not in pts for q in a.points)
-    )
-    return Shape(f.dim, out)
-
-
-@dataclass(frozen=True)
-class FolnerBox:
+def folner_box(n: int, dim: int) -> Shape:
     """The box [-n, n]^d, the n-th member of the standard Folner family.
 
     The family is nested in n, contains the identity, exhausts Z^d and is
     symmetric under negation.
     """
-
-    index: int
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("index must be non-negative")
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-
-    @cached_property
-    def shape(self) -> Shape:
-        return Shape.box((-self.index,) * self.dim, (self.index,) * self.dim)
-
-    def __len__(self) -> int:
-        return (2 * self.index + 1) ** self.dim
-
-
-def folner_box(n: int, dim: int) -> Shape:
-    return FolnerBox(n, dim).shape
-
-
-def is_tempered_prefix(boxes: Sequence[FolnerBox], c: Fraction) -> bool:
-    """Check |union_{k<=n} F_k^{-1} F_{n+1}| <= C |F_{n+1}| for every prefix.
-
-    A single box passes vacuously (there is no n+1 to test against).
-    """
-    if not boxes:
-        raise ValueError("empty box list")
-    dims = {b.dim for b in boxes}
-    if len(dims) != 1:
-        raise ValueError("boxes must share a dimension")
-    indices = [b.index for b in boxes]
-    if any(i >= j for i, j in zip(indices, indices[1:])):
-        raise ValueError("boxes must be strictly nested by index")
-    bound = Fraction(c)
-    for n in range(len(boxes) - 1):
-        nxt = boxes[n + 1].shape
-        union: set[Point] = set()
-        for k in range(n + 1):
-            union |= shape_product(shape_invert(boxes[k].shape), nxt).points
-        if Fraction(len(union)) > bound * len(nxt):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class PeriodicSubset:
-    """A periodic subset of Z^d given by a period vector and residue set.
-
-    Membership of any point is decided coordinate-wise mod the period, so
-    densities over translates are exactly computable.
-    """
-
-    periods: tuple[int, ...]
-    residues: frozenset[Point]
-
-    def __post_init__(self) -> None:
-        if not self.periods or any(p < 1 for p in self.periods):
-            raise ValueError("periods must be positive")
-        for r in self.residues:
-            if len(r) != len(self.periods):
-                raise ValueError("residue dimension mismatch")
-            if any(not 0 <= x < p for x, p in zip(r, self.periods)):
-                raise ValueError(f"residue {r} outside the fundamental cell")
-
-    @property
-    def dim(self) -> int:
-        return len(self.periods)
-
-    @classmethod
-    def full(cls, dim: int) -> PeriodicSubset:
-        return cls((1,) * dim, frozenset({(0,) * dim}))
-
-    @classmethod
-    def empty(cls, dim: int) -> PeriodicSubset:
-        return cls((1,) * dim, frozenset())
-
-    def __contains__(self, p: Point) -> bool:
-        return tuple(x % q for x, q in zip(p, self.periods)) in self.residues
-
-    @property
-    def density(self) -> Fraction:
-        return Fraction(len(self.residues), prod(self.periods))
-
-
-@dataclass(frozen=True)
-class BanachDensity:
-    """Min/max of |S intersect (F + g)| / |F| over probed translates g.
-
-    ``certified`` is true when the probe hit every residue class of the
-    period, in which case lower/upper equal the true inf/sup over all of
-    Z^d (periodicity makes the count a function of g mod period).
-    """
-
-    lower: Fraction
-    upper: Fraction
-    certified: bool
-
-
-def banach_density(s: PeriodicSubset, f: Shape, probe: Shape) -> BanachDensity:
-    if s.dim != f.dim or f.dim != probe.dim:
-        raise ValueError("dimension mismatch")
-    if not f:
-        raise ValueError("density undefined for an empty averaging shape")
-    if not probe:
-        raise ValueError("empty probe window")
-    seen: set[Point] = set()
-    counts: list[int] = []
-    for g in probe.sorted_points:
-        r = tuple(x % q for x, q in zip(g, s.periods))
-        if r in seen:
-            continue
-        seen.add(r)
-        counts.append(sum(1 for p in f.points if point_add(p, r) in s))
-    certified = len(seen) == prod(s.periods)
-    size = len(f.points)
-    return BanachDensity(
-        lower=Fraction(min(counts), size),
-        upper=Fraction(max(counts), size),
-        certified=certified,
-    )
+    if n < 0:
+        raise ValueError("index must be non-negative")
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    return Shape.box((-n,) * dim, (n,) * dim)

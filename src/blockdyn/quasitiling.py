@@ -187,13 +187,15 @@ def greedy_tile(window: Shape, shapes: Sequence[Shape], eps: Fraction) -> Greedy
     wherever they miss the tiles placed so far, then the next shape fills
     remaining space, and so on.  One box on a box window gives a grid,
     which is placed by arithmetic; anything else is placed by a scan.  The
-    achieved covering fraction is reported against the 1 - eps target;
-    falling short is not an error.
+    achieved covering fraction is reported against the 1 - eps target,
+    with eps in [0, 1]; falling short is not an error.
     """
     if not shapes:
         raise ValueError("at least one shape is required")
     if not window:
         raise ValueError("empty window")
+    if not 0 <= eps <= 1:
+        raise ValueError(f"eps must lie in [0, 1], got {eps}")
     for s in shapes:
         if s.dim != window.dim or not s:
             raise ValueError("shapes must be non-empty and match the window dimension")

@@ -15,7 +15,7 @@ from itertools import accumulate, chain, product
 from operator import index, le, lt, mul, sub
 from typing import Callable, Iterator, Sequence
 
-from .group import Point, Shape, _anchor_box, folner_box, point_add, translate
+from .group import Point, Shape, folner_box, point_add
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,6 @@ class Block:
                 raise ValueError(f"row {r + 1} entry outside alphabet of size {size}")
 
     @classmethod
-    def from_function(
-        cls,
-        shape: Shape,
-        depth: int,
-        sizes: Sequence[int],
-        fn: Callable[[Point, int], int],
-    ) -> Block:
-        """Build a block from fn(point, row) with row in 1..depth."""
-        pts = shape.sorted_points
-        symbols = tuple(fn(p, r) for r in range(1, depth + 1) for p in pts)
-        return cls(shape, depth, tuple(sizes), symbols)
-
-    @classmethod
     def constant(cls, shape: Shape, depth: int, sizes: Sequence[int], value: int = 0) -> Block:
         return cls(shape, depth, tuple(sizes), (value,) * (len(shape) * depth))
 
@@ -94,20 +81,6 @@ class Block:
 
     def __len__(self) -> int:
         return len(self.shape)
-
-
-def restrict(block: Block, e: Shape, depth: int | None = None) -> Block:
-    """Restriction of a block to a sub-shape and a row prefix (a read at 0)."""
-    sub = subblock_at(block, e, (0,) * block.dim, block.depth if depth is None else depth)
-    if sub is None:
-        raise ValueError("restriction target is not a subset of the block shape")
-    return sub
-
-
-def block_translate(block: Block, g: Sequence[int]) -> Block:
-    """The same entries moved to shape + g.  Translation keeps the
-    lexicographic order of the points, so the symbols carry over as they are."""
-    return Block(translate(block.shape, g), block.depth, block.sizes, block.symbols)
 
 
 @lru_cache(maxsize=64)
@@ -271,16 +244,11 @@ def enumerate_family(corpus: Corpus, k: int) -> BlockFamily:
 
 
 def enumerate_full_family(
-    stack: AlphabetStack,
-    k: int,
-    dim: int,
-    forbidden: Sequence[Block] = (),
-    cap: int = 10**6,
+    stack: AlphabetStack, k: int, dim: int, cap: int = 10**6
 ) -> BlockFamily:
-    """Exhaustive family of all locally admissible patterns on F_k x rows[1..k].
+    """Exhaustive family of all patterns on F_k x rows[1..k].
 
-    Candidates containing a translate of any forbidden pattern are dropped
-    (a local check only).  Refuses to enumerate more than ``cap`` candidates.
+    Refuses to enumerate more than ``cap`` candidates.
     """
     if not 1 <= k <= stack.depth:
         raise ValueError(f"level {k} outside stack of depth {stack.depth}")
@@ -293,20 +261,7 @@ def enumerate_full_family(
     sizes = stack.sizes[:k]
     # product yields the row-major keys in lexicographic order.
     keys = product(*(range(size) for size in sizes for _ in range(len(base))))
-    if forbidden:
-        keys = (key for key in keys if not _contains_any(Block(base, k, sizes, key), forbidden))
     return BlockFamily(k, base, sizes, tuple(keys))
-
-
-def _contains_any(block: Block, patterns: Sequence[Block]) -> bool:
-    for pat in patterns:
-        if pat.depth > block.depth:
-            continue
-        for g in _anchor_box(block.shape, pat.shape):
-            sub = subblock_at(block, pat.shape, g, pat.depth)
-            if sub is not None and sub.symbols == pat.symbols:
-                return True
-    return False
 
 
 def sample_bernoulli(

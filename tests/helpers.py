@@ -1,0 +1,32 @@
+"""Block builders shared by the tests.
+
+Words spell one-row blocks in letters, 'a' -> 0, 'b' -> 1, ...; the
+library itself stores small integers only.
+"""
+
+from typing import Callable, Sequence
+
+from blockdyn.group import Point, Shape
+from blockdyn.symbolic import Block
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def block_from_word(word: str, start: int = 0, sizes: Sequence[int] = (2,)) -> Block:
+    """One-row block on [start, start + len(word) - 1] spelled by ``word``."""
+    symbols = tuple(_LETTERS.index(ch) for ch in word)
+    window = Shape.interval(start, start + len(word) - 1)
+    return Block(window, 1, tuple(sizes), symbols)
+
+
+def block_to_word(block: Block, row: int = 1) -> str:
+    return "".join(_LETTERS[s] for s in block.row(row))
+
+
+def block_from_function(
+    shape: Shape, depth: int, sizes: Sequence[int], fn: Callable[[Point, int], int]
+) -> Block:
+    """Block whose entry at cell (p, row), row in 1..depth, is fn(p, row)."""
+    pts = shape.sorted_points
+    symbols = tuple(fn(p, r) for r in range(1, depth + 1) for p in pts)
+    return Block(shape, depth, tuple(sizes), symbols)

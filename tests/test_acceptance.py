@@ -16,10 +16,8 @@ from blockdyn.construction import (
 )
 from blockdyn.files import canonical_json
 from blockdyn.frequency import (
-    bernoulli_stream,
     block_measure_gap_bound,
     count_embeddings,
-    find_typical_block,
     freq,
     freq_table,
 )
@@ -28,7 +26,6 @@ from blockdyn.measures import (
     ConvexTarget,
     CylinderMeasure,
     block_measure,
-    dist,
     dist_block,
     tail_depth,
 )
@@ -38,7 +35,6 @@ from blockdyn.symbolic import (
     Block,
     Corpus,
     enumerate_family,
-    enumerate_full_family,
     sample_bernoulli,
     subblock_at,
 )
@@ -140,37 +136,6 @@ def test_criterion_4_metric_axioms():
     assert len(suite.cases) == 50
     assert suite.violations == 0
     report(4, "metric axioms", "50 triples, symmetry/triangle/self-distance exact")
-
-
-def test_criterion_5_search_then_measure_composite():
-    t0 = time.monotonic()
-    stack = AlphabetStack((2, 1, 1, 1))
-    eps = Fraction(1, 5)
-    j = tail_depth(eps)
-    assert j == 4
-    base = folner_box(j, 1)
-    fams = [enumerate_full_family(stack, k, 1) for k in range(1, j + 1)]
-    masses = {b: Fraction(1, 2**9) for b in fams[j - 1].blocks}
-    target = CylinderMeasure(j, base, masses, stack.sizes)
-
-    window = Shape.interval(-200, 200)
-    probs = [[Fraction(1, 2), Fraction(1, 2)], [1], [1], [1]]
-    stream = bernoulli_stream(window, stack, probs, seed=31415)
-    found = find_typical_block(target, window, j, eps / (2 * j), stream, budget=10)
-    assert found is not None
-    mu = block_measure(found.block, j)
-    interval = dist(mu, target, fams)
-    assert interval.lower + interval.tail < eps
-
-    # regression values recorded on the first successful run
-    assert len(window) == 401
-    assert found.candidates_tried == 3
-    assert found.deviation == Fraction(3, 152)
-    assert interval.lower == Fraction(617399, 68681728)
-    elapsed = time.monotonic() - t0
-    report(5, "search then measure composite",
-           f"window 401, candidate 3, certified d in "
-           f"[{interval.lower}, {interval.upper}] < 1/5, {elapsed:.1f}s")
 
 
 def test_criterion_6_quasitiler():

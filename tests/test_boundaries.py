@@ -10,11 +10,12 @@ import pytest
 
 import blockdyn
 from blockdyn import cli
-from blockdyn.files import block_from_word, canonical_json
+from blockdyn.files import canonical_json
 from blockdyn.frequency import freq, freq_table
 from blockdyn.group import Shape, translate
 from blockdyn.measures import block_measure
 from blockdyn.symbolic import Block, subblock_at
+from helpers import block_from_word
 
 WORD = block_from_word("aababab", start=-3)
 ABA = block_from_word("aba", start=-1)
@@ -118,6 +119,8 @@ SCHEDULE = {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [
         ({"seed": 1, "gen": dict(BERNOULLI, count="two")}, ["gen"]),
         ({"seed": "abc", "gen": BERNOULLI}, ["gen"]),
         ({"tile_sides": ["x"]}, ["tile"]),
+        *(({}, ["tile", "--sides", "3", f"--eps={eps}"]) for eps in ("-1/2", "2", "3/2")),
+        ({"seed": 1, "schedule": dict(SCHEDULE, folner_indices=[-1])}, ["construct"]),
         ({"seed": 1, "schedule": SCHEDULE, "representatives": ["vertex"]}, ["construct"]),
         (
             {"seed": 1, "schedule": SCHEDULE,
@@ -149,7 +152,9 @@ SCHEDULE = {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [
     ],
     ids=[
         "gen-without-probs", "gen-count-not-int",
-        "seed-not-int", "tile-sides-not-int", "representatives-as-list",
+        "seed-not-int", "tile-sides-not-int",
+        "tile-eps--1/2", "tile-eps-2", "tile-eps-3/2", "schedule-folner-index--1",
+        "representatives-as-list",
         "vertex-not-int", "vertex-out-of-range",
         "gen-count-0", "representatives-count-0", "representatives-limit-0",
         "gen-count--1", "representatives-count--1", "representatives-limit--1",
@@ -224,6 +229,24 @@ def test_dist_with_no_family_level_exits_3(tmp_path, capsys, levels):
         assert "at least one family level is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "operands, names",
+    [
+        (["--mu", "v0.json", "--block", "0", "--nu", "v0.json"], ("--mu", "--block")),
+        (["--block", "0", "--hull", "--nu", "v0.json"], ("--nu", "--hull")),
+    ],
+    ids=["mu-and-block", "hull-and-nu"],
+)
+def test_dist_with_two_operands_for_one_side_exits_2(tmp_path, capsys, operands, names):
+    (tmp_path / "corpus.json").write_text(json.dumps(GOOD_CORPUS))
+    (tmp_path / "v0.json").write_text(json.dumps(GOOD_MEASURE))
+    argv = [str(tmp_path / a) if a == "v0.json" else a for a in operands]
+    base = ["--config", str(_config(tmp_path)), "--out", str(tmp_path / "out"), "dist"]
+    assert cli.main(base + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(n in err for n in names)
+
+
 def test_testkit_offers_only_its_own_oracles():
     """A name that testkit imports from another blockdyn module is there for
     its oracles to use; one they never use is passed on as if it were an
@@ -238,6 +261,61 @@ def test_testkit_offers_only_its_own_oracles():
     }
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(n for n in imported - used if not n.startswith("_")) == []
+
+
+# Public names that no module and no benchmark script reads, kept on purpose.
+KEEP = {
+    "far_mass": "the independent far-mass oracle; the benchmark tracer binds it by name",
+    "read_tiling": "the reader of the documented tiling file format",
+    "freq": "the production side of the frequency oracle checks",
+    "mix": "the mixture of measures that modelling the whole face builds on",
+    "tail_depth": "the depth an eps needs, for certified stage intervals",
+    "encode_symbolic": "the paper's symbolic coding of a tiling",
+    "decode_symbolic": "the inverse of the symbolic coding",
+    "enumerate_full_family": "the exhaustive family, a fixture of several test files",
+    "Block.constant": "the constant block, a fixture of several test files",
+    "translate": "the group action on shapes, whose coordinate checks README documents",
+}
+
+
+def test_every_public_name_is_read_by_the_program_or_kept_on_purpose():
+    """A public function, class or method in ``src/blockdyn`` (outside
+    ``testkit`` and ``__init__``) is read outside its own definition there
+    or in ``perfbench``, or is in ``KEEP``, and every ``KEEP`` entry is
+    still unread.  A read is a name or an attribute of that name, so a
+    method shares its reads with every equally named attribute."""
+    src = Path(blockdyn.__file__).parent
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    trees.update({p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(bench.glob("*.py"))})
+    reads = [
+        (path, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for path, tree in trees.items()
+        if path.name != "__init__.py" or path.parent != src
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    unread = []
+    for path, tree in trees.items():
+        if path.parent != src or path.name in ("__init__.py", "testkit.py"):
+            continue
+        defs = [(d.name, d) for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+        defs += [
+            (f"{c.name}.{m.name}", m)
+            for c in tree.body
+            if isinstance(c, ast.ClassDef) and not c.name.startswith("_")
+            for m in c.body
+            if isinstance(m, ast.FunctionDef)
+        ]
+        for label, d in defs:
+            name = label.rpartition(".")[2]
+            if not name.startswith("_") and not any(
+                n == name and not (p == path and d.lineno <= line <= d.end_lineno)
+                for p, n, line in reads
+            ):
+                unread.append(label)
+    assert sorted(set(unread) - set(KEEP)) == []
+    assert sorted(set(KEEP) - set(unread)) == []
 
 
 @pytest.mark.parametrize("bad", [0.9, "1"])

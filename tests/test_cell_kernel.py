@@ -1,6 +1,6 @@
 """The cell-addressing kernel against point-by-point references.
 
-Every sub-pattern read (``subblock_at``, ``restrict``, ``marginal``) and
+Every sub-pattern read (``subblock_at``, ``marginal``) and
 write (``apply_changes``) goes through ``symbolic._runs_at``.  The
 references below look each cell up by its point in the sorted point list
 and share no code with the kernel.  Shapes are boxes and non-boxes in 1-D
@@ -14,10 +14,10 @@ from fractions import Fraction as F
 import pytest
 
 from blockdyn.construction import ChangeRecord, apply_changes
-from blockdyn.group import Shape, translate
+from blockdyn.group import Shape
 from blockdyn.measures import CylinderMeasure
 from blockdyn.quasitiling import greedy_tile
-from blockdyn.symbolic import Block, block_translate, restrict, subblock_at
+from blockdyn.symbolic import Block, subblock_at
 
 SIZES = (2, 3, 2)
 
@@ -93,17 +93,6 @@ def test_reads_match_the_point_reference():
                     assert got == Block(inner, depth, SIZES[:depth], want)
                     fits += 1
     assert fits > 500 and misses > 500
-
-
-def test_restrict_is_the_read_at_zero():
-    for rng, block, inner in cases(2, 200):
-        sub = Shape(block.dim, frozenset(p for p in block.shape.points if rng.random() < 0.6))
-        for depth in range(block.depth + 1):
-            got = restrict(block, sub, depth)
-            assert got.symbols == ref_read(block, sub, (0,) * block.dim, depth)
-        if not inner.issubset(block.shape):
-            with pytest.raises(ValueError):
-                restrict(block, inner)
 
 
 def test_marginal_matches_the_point_reference():
@@ -184,17 +173,3 @@ def test_greedy_tile_on_a_non_box_window_matches_a_point_set_reference(seed):
     centers, covered = ref_greedy(window, shapes)
     assert list(result.tiling.centers) == centers
     assert result.covered_fraction == covered
-
-
-def test_block_translate_keeps_the_symbols():
-    rng = random.Random(7)
-    for dim in (1, 2, 3):
-        for box in (True, False):
-            block = random_block(rng, random_shape(rng, dim, box))
-            g = tuple(rng.randint(-6, 6) for _ in range(dim))
-            out = block_translate(block, g)
-            assert out.shape == translate(block.shape, g)
-            assert out.symbols == block.symbols
-            for p in block.shape.points:
-                for r in range(1, block.depth + 1):
-                    assert out.get(moved(p, g), r) == block.get(p, r)

@@ -59,6 +59,13 @@ def test_schedule_rejects_nondecreasing_eps():
         )
 
 
+def test_schedule_names_a_negative_folner_index():
+    # a negative index makes the derived delta negative, so the index is
+    # checked before eps and delta
+    with pytest.raises(ValueError, match="Folner index must be positive"):
+        StageSchedule.geometric(1, Fraction(1, 2), [1], [-1], [3])
+
+
 def test_schedule_rejects_noncoarsening_sides():
     with pytest.raises(ValueError):
         StageSchedule.geometric(1, Fraction(1, 2), [1, 1], [1, 1], [3, 4])

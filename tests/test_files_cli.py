@@ -10,8 +10,6 @@ from blockdyn import cli, files
 from blockdyn.files import (
     ConfigError,
     ExperimentConfig,
-    block_from_word,
-    block_to_word,
     canonical_json,
     frac_str,
     parse_frac,
@@ -20,6 +18,7 @@ from blockdyn.group import Shape, folner_box
 from blockdyn.measures import CylinderMeasure, block_measure
 from blockdyn.quasitiling import Quasitiling
 from blockdyn.symbolic import AlphabetStack, Block, Corpus, sample_bernoulli
+from helpers import block_from_word, block_to_word
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:

@@ -18,6 +18,7 @@ from blockdyn.measures import CylinderMeasure, block_measure, dist_block, dist_k
 from blockdyn.quasitiling import greedy_tile
 from blockdyn.symbolic import Block, BlockFamily
 from blockdyn.testkit import oracle_freq, oracle_measure_value
+from helpers import block_from_function
 
 
 def random_block(draw, shape: Shape, sizes: tuple[int, ...]) -> Block:
@@ -170,7 +171,7 @@ def test_concatenation_check_equals_the_fraction_oracle(data):
     base = folner_box(1, dim)
     total_cells = sum(len(s) * len(cs) for s, cs in zip(tiling.shapes, tiling.centers))
     tiles = [
-        Block.from_function(translate(s, c), 1, config.sizes, config.get)
+        block_from_function(translate(s, c), 1, config.sizes, config.get)
         for s, cs in zip(tiling.shapes, tiling.centers)
         for c in cs
     ]

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from blockdyn.files import block_from_word
 from blockdyn.frequency import block_measure_gap_bound, freq, freq_table
 from blockdyn.group import Shape, folner_box, invariance_ratio
 from blockdyn.measures import (
@@ -21,6 +20,7 @@ from blockdyn.measures import (
 from blockdyn.symbolic import AlphabetStack, Block, BlockFamily, Corpus, sample_bernoulli
 from blockdyn.testkit import grid_hull_distance
 from blockdyn.verification import _families_for, _random_measure
+from helpers import block_from_word
 
 WORD = block_from_word("aababab", start=-3)
 F1 = folner_box(1, 1)

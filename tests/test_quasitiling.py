@@ -163,6 +163,12 @@ def test_greedy_rejects_dimension_mismatch():
         greedy_tile(W10, [Shape.box((0, 0), (1, 1))], Fraction(1, 10))
 
 
+@pytest.mark.parametrize("eps", [Fraction(-1, 2), Fraction(3, 2), 2])
+def test_greedy_rejects_eps_outside_the_unit_interval(eps):
+    with pytest.raises(ValueError, match="eps must lie in"):
+        greedy_tile(W10, [Shape.interval(0, 2)], eps)
+
+
 def test_greedy_centers_lie_in_the_window():
     # A shape without the origin: every center is an embedding anchor, so
     # the symbolic encoding keeps every tile.

@@ -2,46 +2,21 @@ import random
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from blockdyn import symbolic
-from blockdyn.files import block_from_word, block_to_word
-from blockdyn.group import Shape, point_neg
+from blockdyn.group import Shape
 from blockdyn.symbolic import (
     AlphabetStack,
     Block,
     Corpus,
-    block_translate,
     enumerate_family,
     enumerate_full_family,
-    restrict,
     sample_bernoulli,
     subblock_at,
 )
+from helpers import block_from_word, block_to_word
 
 WORD = block_from_word("aababab", start=-3)
-
-
-def test_restrict_identity():
-    assert restrict(WORD, WORD.shape, WORD.depth) == WORD
-
-
-def test_restrict_readoff():
-    got = restrict(WORD, Shape.interval(-1, 1), 1)
-    assert block_to_word(got) == "bab"
-
-
-def test_restrict_empty():
-    got = restrict(WORD, Shape(1, frozenset()), 1)
-    assert len(got) == 0 and got.symbols == ()
-
-
-def test_restrict_errors():
-    with pytest.raises(ValueError):
-        restrict(WORD, Shape.interval(2, 5), 1)
-    with pytest.raises(ValueError):
-        restrict(WORD, Shape.interval(-1, 1), 2)
 
 
 def test_subblock_readoff():
@@ -111,15 +86,6 @@ def test_enumerate_full_family_counts_and_cap():
         enumerate_full_family(AlphabetStack((2,)), 3, 2, cap=1000)
 
 
-def test_enumerate_full_family_forbidden():
-    stack = AlphabetStack((2,))
-    bb = block_from_word("bb", start=0)
-    fam = enumerate_full_family(stack, 1, 1, forbidden=(bb,))
-    words = [block_to_word(b) for b in fam.blocks]
-    assert "abb" not in words and "bba" not in words and "aba" in words
-    assert len(fam) == 5
-
-
 def test_sample_bernoulli_deterministic_and_point_mass():
     stack = AlphabetStack((3,))
     window = Shape.interval(0, 9)
@@ -180,41 +146,6 @@ def test_sample_bernoulli_malformed_probabilities():
         sample_bernoulli(window, stack, [[0.7, 0.7]], seed=1)
     with pytest.raises(ValueError):
         sample_bernoulli(window, stack, [[1.0]], seed=1)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    lo1=st.integers(-3, 0), hi1=st.integers(0, 3),
-    lo2=st.integers(-3, 0), hi2=st.integers(0, 3),
-    j=st.integers(1, 2),
-    seed=st.integers(0, 10**6),
-)
-def test_restrict_composes(lo1, hi1, lo2, hi2, j, seed):
-    stack = AlphabetStack((2, 3))
-    host = sample_bernoulli(
-        Shape.interval(-4, 4), stack, [[0.5, 0.5], [0.2, 0.5, 0.3]], seed=seed
-    )
-    e1 = Shape.interval(lo1, hi1)
-    e2 = Shape.interval(max(lo1, lo2), min(hi1, hi2))
-    if not e2.points:
-        return
-    once = restrict(restrict(host, e1, 2), e2, j)
-    direct = restrict(host, e2, j)
-    assert once == direct
-
-
-@settings(max_examples=50, deadline=None)
-@given(g=st.integers(-3, 3), seed=st.integers(0, 10**6))
-def test_subblock_agrees_with_translate_then_restrict(g, seed):
-    stack = AlphabetStack((2,))
-    host = sample_bernoulli(Shape.interval(-6, 6), stack, [[0.5, 0.5]], seed=seed)
-    window = Shape.interval(-2, 2)
-    sub = subblock_at(host, window, (g,), 1)
-    moved = block_translate(host, point_neg((g,)))
-    if sub is None:
-        assert not window.issubset(moved.shape)
-        return
-    assert sub == restrict(moved, window, 1)
 
 
 def test_sample_markov_deterministic_chain():

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from blockdyn.files import block_from_word
 from blockdyn.frequency import block_measure_gap_bound, freq, tiling_average_gap_bound
 from blockdyn.group import Shape, folner_box
 from blockdyn.measures import ConvexTarget, CylinderMeasure, block_measure
@@ -15,6 +14,7 @@ from blockdyn.testkit import (
     small_instance_suite,
 )
 from blockdyn.verification import tiling_average_gap_suite
+from helpers import block_from_word
 
 
 def test_oracle_freq_word():
