@@ -42,9 +42,9 @@ from .verification import (
 
 
 def _run_dir(cfg: ExperimentConfig, out: str) -> Path:
-    d = Path(out) / f"run-{cfg.content_hash()}"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    """The run directory's path.  The writers create it with the first file,
+    so a job that fails before writing leaves none behind."""
+    return Path(out) / f"run-{cfg.content_hash()}"
 
 
 def _load_vertices(cfg: ExperimentConfig) -> ConvexTarget:
@@ -297,11 +297,13 @@ def _write_run(rundir: Path, cfg: ExperimentConfig, result: RunResult) -> None:
         rows,
     )
     for rep in result.stages:
+        # one text per distinct distance, not one per tile
+        lowers = {d: frac_str(d) for d in {t.distance_lower for t in rep.tiles}}
         tile_rows = [
             [
-                "(" + " ".join(str(x) for x in t.center) + ")",
+                "(" + " ".join(map(str, t.center)) + ")",
                 t.shape_index,
-                frac_str(t.distance_lower),
+                lowers[t.distance_lower],
                 t.replaced,
             ]
             for t in rep.tiles
@@ -311,16 +313,7 @@ def _write_run(rundir: Path, cfg: ExperimentConfig, result: RunResult) -> None:
             ["center", "shape_index", "d_lower", "replaced"],
             tile_rows,
         )
-        changes = [
-            {
-                "center": list(ch.center),
-                "shape_index": ch.shape_index,
-                "before": files.block_to_obj(ch.before),
-                "after": files.block_to_obj(ch.after),
-            }
-            for ch in rep.changes
-        ]
-        files.write_json(rundir / f"changes_t{rep.stage}.json", changes)
+        files.write_changes(rundir / f"changes_t{rep.stage}.json", rep.changes)
     files.write_corpus(
         rundir / "final_block.json", Corpus(cfg.stack, (result.final,))
     )
@@ -433,7 +426,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 if cfg is not None
                 else Path(args.out) / "run-verify"
             )
-            rundir.mkdir(parents=True, exist_ok=True)
             return cmd_verify(cfg, args, rundir)
         if cfg is None:
             raise ConfigError(f"{args.command} requires --config")

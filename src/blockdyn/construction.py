@@ -9,20 +9,19 @@ stage is exactly invertible from its report.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .frequency import block_measure_gap_bound, corpus_subblocks, embedding_anchors
-from .frequency import freq_table, tiling_average_gap_bound
-from .group import Point, Shape, folner_box
+from .frequency import _anchor_ranges, _count_box, _run_firsts, block_measure_gap_bound
+from .frequency import corpus_subblocks, embedding_anchors, freq_table, tiling_average_gap_bound
+from .group import Point, Shape, folner_box, point_add
 from .measures import ConvexTarget, CylinderMeasure, HullDistance, block_measure, dist_to_hull
 from .quasitiling import Quasitiling, congruent, greedy_tile, verify
-from .symbolic import Block, BlockFamily, Corpus, _categorical, _draw, _read, _runs_at
-from .symbolic import _write, subblock_at
+from .symbolic import Block, BlockFamily, Corpus, _box_runs, _categorical, _draw, _read
+from .symbolic import _runs_at, _write, subblock_at
 
 
 @dataclass(frozen=True)
@@ -229,39 +228,46 @@ def stage_transform(
         if reps[shape].shape != shape:
             raise ValueError("representative does not live on its shape")
 
-    # The stage's one hull-distance memo, keyed by (shape index, content).
-    # Tiles are disjoint and writes touch only replaced tiles, so a kept tile
-    # keeps its distance (at most delta) and a replaced one reads back as
-    # exactly its representative: the far mass after the stage reads the
-    # representative's entry.
-    memo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    # The stage's one hull-distance memo, keyed by (shape index, content),
+    # holds the distance and the one Block of that content; blocks are
+    # immutable, so a change record shares it.  Tiles are disjoint and writes
+    # touch only replaced tiles, so a kept tile keeps its distance (at most
+    # delta) and a replaced one reads back as exactly its representative: the
+    # far mass after the stage reads the representative's entry.
+    memo: dict[tuple[int, tuple[int, ...]], tuple[Fraction, Block]] = {}
+    sizes = config.sizes[:k]
 
-    def lower(i: int, block: Block) -> Fraction:
-        key = (i, block.symbols)
-        if key not in memo:
-            memo[key] = dist_to_hull(block, target, families).value
-        return memo[key]
+    def lower(
+        i: int, content: tuple[int, ...], block: Block | None = None
+    ) -> tuple[Fraction, Block]:
+        entry = memo.get((i, content))
+        if entry is None:
+            if block is None:
+                block = Block(tiling.shapes[i], k, sizes, content)
+            entry = memo[i, content] = (dist_to_hull(block, target, families).value, block)
+        return entry
 
     tile_records = []
     changes = []
     far_cells = 0
     far_cells_after = 0
+    window, symbols = config.shape, config.symbols
     for c, i in tiling.tiles():
         shape = tiling.shapes[i]
-        sub = subblock_at(config, shape, c, k)
-        if sub is None:
+        runs = _runs_at(window, shape, k, c)
+        if runs is None:
             raise ValueError(f"tile at {c} escapes the configuration")
-        d = lower(i, sub)
+        content = _read(symbols, runs)
+        d, sub = memo.get((i, content)) or lower(i, content)
         far = d > delta
         tile_records.append(TileRecord(center=c, shape_index=i, distance_lower=d, replaced=far))
         if not far:
             continue
         far_cells += len(shape)
-        if lower(i, reps[shape]) > delta:
+        rep = reps[shape]
+        if lower(i, rep.symbols, rep)[0] > delta:
             far_cells_after += len(shape)
-        changes.append(
-            ChangeRecord(center=c, shape_index=i, before=sub, after=reps[shape])
-        )
+        changes.append(ChangeRecord(center=c, shape_index=i, before=sub, after=rep))
     out = apply_changes(config, changes)
     far_before = Fraction(far_cells, len(tiling.window))
     report = StageReport(
@@ -461,17 +467,13 @@ def _concatenation_check(
     if total_cells == 0:
         return None, None
     # The tile-weighted average of tile frequencies, one term per shape: the
-    # counts summed over its tiles, each tile read once from the output and
-    # its level-1 patterns read at the shape's anchors.
-    weighted: list[tuple[Fraction, Counter]] = []
+    # counts summed over its tiles.
+    weighted: list[tuple[Fraction, dict[tuple[int, ...], int]]] = []
     keys = set(host_table)
-    for shape, centers in zip(tiling.shapes, tiling.centers):
-        reads = [_runs_at(shape, base, level, g) for g in embedding_anchors(shape, base)]
-        tiles = [_read(config.symbols, _runs_at(config.shape, shape, level, c)) for c in centers]
-        counts = Counter(_read(tile, read) for tile in tiles for read in reads)
+    for shape, (anchors, counts) in zip(tiling.shapes, _tile_counts(config, tiling, base, level)):
         keys |= counts.keys()
-        if reads:
-            weighted.append((Fraction(len(shape), len(reads) * total_cells), counts))
+        if anchors:
+            weighted.append((Fraction(len(shape), anchors * total_cells), counts))
     # |c/t - a/avg_den| = |c avg_den - t a| / (t avg_den), with the average
     # a/avg_den over the weights' common denominator
     avg_den = lcm(*(w.denominator for w, _ in weighted))
@@ -479,9 +481,39 @@ def _concatenation_check(
     host, t = host_table.counts, host_table.total
     top = 0
     for key in keys:
-        avg = sum(w * counts[key] for w, counts in scaled)
+        avg = sum(w * counts.get(key, 0) for w, counts in scaled)
         top = max(top, abs(host.get(key, 0) * avg_den - t * avg))
     dev = Fraction(top, t * avg_den)
     if deficiency >= 1 or deficiency * len(base) >= 1:
         return dev, None
     return dev, tiling_average_gap_bound(deficiency, len(base))
+
+
+def _tile_counts(
+    config: Block, tiling: Quasitiling, base: Shape, level: int
+) -> list[tuple[int, dict[tuple[int, ...], int]]]:
+    """Per shape, the number of anchors of ``base`` in it and the counts of
+    the patterns on base x rows[1..level] summed over its tiles, read from
+    the window's own symbols at each tile's anchors.  A box tile on a box
+    window is counted by ``_count_box`` over its anchor box, any other tile
+    one ``_runs_at`` read per anchor."""
+    symbols = config.symbols
+    runs = _box_runs(config.shape, base, level)
+    out = []
+    for shape, centers in zip(tiling.shapes, tiling.centers):
+        anchors = embedding_anchors(shape, base)
+        counts: dict[tuple[int, ...], int] = {}
+        if runs is not None and shape.is_box():
+            # flat indices are affine, so a tile's anchors at c are those of
+            # the tile at the origin shifted by flat(c) - flat(0)
+            firsts, n = _run_firsts(runs, _anchor_ranges(shape, base))
+            flat = runs[2]
+            shifts = [flat(c) - flat((0,) * config.dim) for c in centers]
+            _count_box(symbols, runs, [f + d for d in shifts for f in firsts], n, counts)
+        else:
+            for c in centers:
+                for g in anchors:
+                    key = _read(symbols, _runs_at(config.shape, base, level, point_add(g, c)))
+                    counts[key] = counts.get(key, 0) + 1
+        out.append((len(anchors), counts))
+    return out

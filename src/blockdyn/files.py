@@ -17,7 +17,7 @@ from math import gcd, prod
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
-from .construction import StageSchedule
+from .construction import ChangeRecord, StageSchedule
 from .group import Shape
 from .measures import CylinderMeasure, _numerators
 from .quasitiling import Quasitiling
@@ -330,6 +330,35 @@ def _measure_from_obj(obj: dict[str, Any]) -> CylinderMeasure:
             raise ConfigError(f"pattern {patterns[i]} is listed more than once")
         masses[key] = parse_frac(e["mass"])
     return CylinderMeasure._from_counts(depth, base, sizes, *_numerators(masses))
+
+
+def _block_layout(block: Block) -> dict[str, Any]:
+    """``block_to_obj`` of a block with a hole at each entry."""
+    lo, hi = _box_of(block)
+    rows = _pattern_layout(len(block), block.depth)
+    return {"depth": block.depth, "max": hi, "min": lo, "rows": rows}
+
+
+def write_changes(path: Path, changes: Sequence[ChangeRecord]) -> None:
+    """A stage's change log: per change its center, shape index and the
+    ``block_to_obj`` of its before and after blocks.  The changes must be
+    those of one shape index, as ``stage_transform`` logs them on a
+    one-shape tiling, so that every record has the layout of the first."""
+    if len({ch.shape_index for ch in changes}) > 1:
+        raise ValueError("a change log holds the changes of one tile shape")
+    layout = None
+    if changes:
+        first = changes[0]
+        layout = {
+            "after": _block_layout(first.after),
+            "before": _block_layout(first.before),
+            "center": [_HOLE] * len(first.center),
+            "shape_index": _HOLE,
+        }
+    leaves = (
+        (*ch.after.symbols, *ch.before.symbols, *ch.center, ch.shape_index) for ch in changes
+    )
+    write_json(path, _Records(layout, leaves))
 
 
 def write_tiling(path: Path, tiling: Quasitiling) -> None:

@@ -55,10 +55,9 @@ def pattern_counts(block: Block, inner: Shape, depth: int) -> dict[tuple[int, ..
     Keys are row-major symbol tuples relative to the sorted points of
     ``inner``, i.e. exactly ``Block.symbols`` of the re-based patterns, in
     the order of their first anchor in ``embedding_anchors``.  Keys are read
-    through ``symbolic._runs_at``, except on two boxes, the hot path, which
-    loops over the kernel's cached ``_box_runs`` inline with the same result:
-    the anchors on one last-axis run of the anchor box have consecutive flat
-    indices.
+    through ``symbolic._runs_at``, except on two boxes, the hot path, where
+    ``_count_box`` reads them through the kernel's cached ``_box_runs`` with
+    the same result.
     """
     if not 1 <= depth <= block.depth:
         raise ValueError(f"depth must lie in 1..{block.depth}, got {depth}")
@@ -66,20 +65,38 @@ def pattern_counts(block: Block, inner: Shape, depth: int) -> dict[tuple[int, ..
     symbols = block.symbols
     runs = _box_runs(block.shape, inner, depth)
     if runs is not None:
-        starts, length, flat, _, _ = runs
-        *heads, last = _anchor_ranges(block.shape, inner)
-        for head in cartesian(*heads):
-            first = flat((*head, last.start))
-            for a in range(first, first + len(last)):
-                key: tuple[int, ...] = ()
-                for s in starts:
-                    key += symbols[a + s : a + s + length]
-                counts[key] = counts.get(key, 0) + 1
+        firsts, n = _run_firsts(runs, _anchor_ranges(block.shape, inner))
+        _count_box(symbols, runs, firsts, n, counts)
         return counts
     for g in embedding_anchors(block.shape, inner):
         key = _read(symbols, _runs_at(block.shape, inner, depth, g))
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def _count_box(
+    symbols: tuple[int, ...], runs: tuple, firsts: list[int], n: int,
+    counts: dict[tuple[int, ...], int],
+) -> None:
+    """Add to ``counts`` the pattern at each of the ``n`` consecutive flat
+    anchor indices from every index in ``firsts``, read through ``runs``, a
+    ``_box_runs`` result: the anchors on one last-axis run of an anchor box
+    have consecutive flat indices."""
+    starts, length = runs[0], runs[1]
+    for first in firsts:
+        for a in range(first, first + n):
+            key: tuple[int, ...] = ()
+            for s in starts:
+                key += symbols[a + s : a + s + length]
+            counts[key] = counts.get(key, 0) + 1
+
+
+def _run_firsts(runs: tuple, anchors: list[range]) -> tuple[list[int], int]:
+    """The flat index of the first anchor of every last-axis run of the
+    anchor box ``anchors`` (per-axis ranges), and the run length."""
+    flat = runs[2]
+    *heads, last = anchors
+    return [flat((*head, last.start)) for head in cartesian(*heads)], len(last)
 
 
 class CountTable(Mapping[tuple[int, ...], Fraction]):
@@ -178,12 +195,9 @@ def tiling_average_gap_bound(delta: Fraction, folner_size: int) -> Fraction:
     )
 
 
-def marginal_deviation(
-    block: Block, measure: "CylinderMeasure", depth: int, stop: Fraction | None = None
-) -> Fraction:
+def marginal_deviation(block: Block, measure: "CylinderMeasure", depth: int) -> Fraction:
     """Max over levels 1..depth of |frequency in block - marginal of measure|
-    over the patterns on F_level x rows[1..level]; returns early once the
-    running maximum reaches ``stop``."""
+    over the patterns on F_level x rows[1..level]."""
     worst = Fraction(0)
     for level in range(1, depth + 1):
         base = folner_box(level, block.dim)
@@ -191,18 +205,12 @@ def marginal_deviation(
         marg = measure.marginal(base, level)
         counts, t = table.counts, table.total
         nums, d = marg.counts, marg.total
-        # |c/t - n/d| = |c d - n t| / (t d); ``top`` is the running maximum
-        # numerator, and it reaches ``stop`` once it reaches ``reach``.
-        den = t * d
-        reach = den + 1 if stop is None else -(-stop.numerator * den // stop.denominator)
-        top = 0
-        for key in set(counts) | set(nums):
-            dev = abs(counts.get(key, 0) * d - nums.get(key, 0) * t)
-            if dev > top:
-                top = dev
-            if top >= reach:
-                return max(worst, Fraction(top, den))
-        worst = max(worst, Fraction(top, den))
+        # |c/t - n/d| = |c d - n t| / (t d)
+        top = max(
+            (abs(counts.get(key, 0) * d - nums.get(key, 0) * t) for key in set(counts) | set(nums)),
+            default=0,
+        )
+        worst = max(worst, Fraction(top, t * d))
     return worst
 
 

@@ -6,8 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as cartesian
-from typing import Sequence
+from itertools import chain, product as cartesian
+from math import gcd
+from typing import Iterator, Sequence
 
 from .frequency import _anchor_ranges, embedding_anchors
 from .group import Point, Shape, invariance_ratio
@@ -131,7 +132,7 @@ def _grids_congruent(
     for axis, a, b, values, fa, fb in zip(coarse, clo, chi, fine, flo, fhi):
         s, t, n = axis.start, axis.step, len(axis)
         hit = straddle = False
-        for v in values:
+        for v in _fine_sample(values, axis, a, b, fa, fb):
             x0, x1 = v + fa, v + fb
             # the coarse intervals s + j t + [a, b] that meet [x0, x1]
             first, last = max(0, -((s + b - x0) // t)), min(n - 1, (x1 - s - a) // t)
@@ -144,6 +145,30 @@ def _grids_congruent(
         hits.append(hit)
         straddles.append(straddle)
     return not (all(hits) and any(straddles))
+
+
+def _fine_sample(values: range, coarse: range, a: int, b: int, fa: int, fb: int) -> Iterator[int]:
+    """The fine values that decide one axis of ``_grids_congruent``, for
+    coarse intervals ``coarse`` + [a, b] and fine ones ``values`` + [fa, fb].
+
+    Only values whose interval can meet a coarse one count.  For those from
+    ``lo`` to ``hi`` the search for coarse intervals is not clipped at index
+    0 or n - 1, so their outcome depends on v mod t only, and the values
+    repeat mod t every t / gcd(t, step) of them: one period of them decides
+    for all, and the few clipped values at either end are read one by one.
+    """
+    s, t, n = coarse.start, coarse.step, len(coarse)
+    near = _between(values, s + a - fb, s + b + (n - 1) * t - fa)
+    lo, hi, step = s + b - t - fa + 1, s + a + n * t - fb - 1, near.step
+    below = max(0, -((near.start - lo) // step))  # the values below lo
+    upto = max(below, (hi - near.start) // step + 1)  # and those up to hi
+    period = t // gcd(t, step)
+    return chain(near[:below], near[below : min(upto, below + period)], near[upto:])
+
+
+def _between(r: range, x: int, y: int) -> range:
+    """The values of the increasing range ``r`` in [x, y]."""
+    return r[max(0, -((r.start - x) // r.step)) : max(0, (y - r.start) // r.step + 1)]
 
 
 def congruent(tiling: Quasitiling, previous: Quasitiling) -> bool:

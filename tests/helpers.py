@@ -1,4 +1,4 @@
-"""Block builders shared by the tests.
+"""Block builders and reference readers shared by the tests.
 
 Words spell one-row blocks in letters, 'a' -> 0, 'b' -> 1, ...; the
 library itself stores small integers only.
@@ -6,8 +6,9 @@ library itself stores small integers only.
 
 from typing import Callable, Sequence
 
-from blockdyn.group import Point, Shape
-from blockdyn.symbolic import Block
+from blockdyn.group import Point, Shape, point_add
+from blockdyn.quasitiling import Quasitiling
+from blockdyn.symbolic import Block, subblock_at
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -30,3 +31,25 @@ def block_from_function(
     pts = shape.sorted_points
     symbols = tuple(fn(p, r) for r in range(1, depth + 1) for p in pts)
     return Block(shape, depth, tuple(sizes), symbols)
+
+
+def tile_copy_counts(
+    config: Block, tiling: Quasitiling, base: Shape, level: int
+) -> list[tuple[int, dict[tuple[int, ...], int]]]:
+    """Per shape, the anchors g with base + g inside the shape, counted, and
+    the patterns on base x rows[1..level] summed over its tiles: each tile
+    copied out of ``config`` with ``subblock_at`` and read at every anchor."""
+    out = []
+    for shape, centers in zip(tiling.shapes, tiling.centers):
+        anchors = [
+            g for g in shape.sorted_points
+            if all(point_add(p, g) in shape.points for p in base.points)
+        ]
+        counts: dict[tuple[int, ...], int] = {}
+        for c in centers:
+            tile = subblock_at(config, shape, c, level)
+            for g in anchors:
+                key = subblock_at(tile, base, g, level).symbols
+                counts[key] = counts.get(key, 0) + 1
+        out.append((len(anchors), counts))
+    return out

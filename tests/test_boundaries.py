@@ -247,6 +247,30 @@ def test_dist_with_two_operands_for_one_side_exits_2(tmp_path, capsys, operands,
     assert err.startswith("error: ") and all(n in err for n in names)
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["tile", "--sides", "3", "--eps", "2"], 2),
+        (["dist", "--mu", "v0.json", "--block", "0", "--nu", "v0.json"], 2),
+        (["dist", "--block", "0"], 2),
+        (["freq", "--level", "-1"], 3),
+    ],
+    ids=["tile-eps-2", "dist-mu-and-block", "dist-without-nu", "freq-level--1"],
+)
+def test_a_job_that_fails_before_writing_leaves_no_run_directory(tmp_path, argv, code):
+    (tmp_path / "corpus.json").write_text(json.dumps(GOOD_CORPUS))
+    (tmp_path / "v0.json").write_text(json.dumps(GOOD_MEASURE))
+    argv = [str(tmp_path / a) if a == "v0.json" else a for a in argv]
+    out = tmp_path / "out"
+    base = ["--config", str(_config(tmp_path)), "--out", str(out)]
+    assert cli.main(base + argv) == code
+    assert not out.exists() or not list(out.glob("run-*"))
+    # the same job with valid options creates it with its first file
+    assert cli.main(base + ["freq", "--level", "1"]) == 0
+    (rundir,) = out.glob("run-*")
+    assert [p.name for p in rundir.iterdir()] == ["freq_k1_b0.csv"]
+
+
 def test_testkit_offers_only_its_own_oracles():
     """A name that testkit imports from another blockdyn module is there for
     its oracles to use; one they never use is passed on as if it were an

@@ -383,6 +383,48 @@ def test_grid_congruence_fails_on_shifted_origins_and_non_dividing_sides(dim):
         assert pairwise_congruent(coarse, fine) is expected
 
 
+def every_value_decides(values, coarse, a, b, fa, fb) -> tuple[bool, bool]:
+    """(hit, straddle) of one axis over every fine value, by point sets: a
+    fine interval hits when it meets a coarse one, and straddles when it
+    meets one that does not contain it."""
+    intervals = [set(range(s + a, s + b + 1)) for s in coarse]
+    hit = straddle = False
+    for v in values:
+        cells = set(range(v + fa, v + fb + 1))
+        met = [c for c in intervals if c & cells]
+        hit = hit or bool(met)
+        straddle = straddle or any(not cells <= c for c in met)
+    return hit, straddle
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.integers(-15, 15), st.integers(0, 6), st.integers(-3, 3), st.integers(0, 5),
+    st.integers(0, 6), st.integers(-25, 25), st.integers(1, 9), st.integers(0, 20),
+    st.integers(-3, 3), st.integers(0, 7),
+)
+def test_grid_congruence_on_one_axis_is_exact_for_any_progressions(
+    cs, cn, a, cw, gap, fs, step, fn, fa, fw
+):
+    # Disjoint coarse intervals (a step of at least the side) and any fine
+    # progression: the one-axis case of _grids_congruent, which reads only
+    # the fine values that _fine_sample picks.
+    t = cw + 1 + gap
+    coarse, values = range(cs, cs + t * cn, t), range(fs, fs + step * fn, step)
+    b, fb = a + cw, fa + fw
+    hit, straddle = every_value_decides(values, coarse, a, b, fa, fb)
+    got = quasitiling._grids_congruent(
+        (coarse,), Shape.interval(a, b), (values,), Shape.interval(fa, fb)
+    )
+    assert got == (not (hit and straddle))
+    sample = list(quasitiling._fine_sample(values, coarse, a, b, fa, fb))
+    assert set(sample) <= set(values)
+    assert every_value_decides(sample, coarse, a, b, fa, fb) == (hit, straddle)
+    # one period, and at each end the values whose interval holds a coarse
+    # end: at most one on grids, where the fine step is at least the side
+    assert len(sample) <= t + 2 * ((fw - 1) // step + 1)
+
+
 def test_congruence_of_part_of_a_grid_reads_only_its_tiles():
     # Only the missing coarse tile at (0, 2) would cut the fine one.
     window = Shape.box((0, 0), (5, 5))

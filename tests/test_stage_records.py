@@ -1,0 +1,193 @@
+"""A stage is written as records and read as contents.
+
+A stage's change log is written from one template, its tiles are read as
+symbol tuples with one ``Block`` per distinct content, and the concatenation
+check counts each tile's patterns in the window's own symbols.  Each must
+give what the plain definitions give.
+"""
+
+import json
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockdyn import construction, files
+from blockdyn.construction import ChangeRecord, _tile_counts, apply_changes, stage_transform
+from blockdyn.group import Shape, folner_box
+from blockdyn.measures import dist_to_hull
+from blockdyn.quasitiling import Quasitiling, greedy_tile
+from blockdyn.symbolic import Block, subblock_at
+from helpers import tile_copy_counts
+from test_integer_tables import random_block
+from test_stage_passes import FAMILIES, bernoulli_target
+
+
+@st.composite
+def boxes(draw, dim: int, side: int, lo=st.integers(-2, 2)) -> Shape:
+    corner = [draw(lo) for _ in range(dim)]
+    return Shape.box(corner, [a + draw(st.integers(0, side - 1)) for a in corner])
+
+
+def block_dict(block: Block) -> dict:
+    lo, hi = block.shape.bounds()
+    n = len(block)
+    rows = [list(block.symbols[r * n : (r + 1) * n]) for r in range(block.depth)]
+    return {"min": list(lo), "max": list(hi), "depth": block.depth, "rows": rows}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_templated_change_log_equals_json_dumps(tmp_path_factory, data):
+    dim = data.draw(st.integers(1, 3))
+    shape = data.draw(boxes(dim, 3))
+    sizes = tuple(data.draw(st.integers(2, 3)) for _ in range(data.draw(st.integers(1, 2))))
+    index = data.draw(st.integers(0, 3))
+    centers = data.draw(
+        st.lists(st.tuples(*[st.integers(-50, 50)] * dim), max_size=4)  # an empty stage too
+    )
+    changes = [
+        ChangeRecord(
+            center=c,
+            shape_index=index,
+            before=random_block(data.draw, shape, sizes),
+            after=random_block(data.draw, shape, sizes),
+        )
+        for c in centers
+    ]
+    path = tmp_path_factory.mktemp("log") / "changes_t1.json"
+    files.write_changes(path, changes)
+    expected = [
+        {
+            "center": list(ch.center),
+            "shape_index": ch.shape_index,
+            "before": block_dict(ch.before),
+            "after": block_dict(ch.after),
+        }
+        for ch in changes
+    ]
+    assert path.read_text() == json.dumps(expected, sort_keys=True, indent=1) + "\n"
+
+
+def test_a_change_log_holds_one_tile_shape(tmp_path):
+    one, two = Shape.interval(0, 1), Shape.interval(0, 2)
+    changes = [
+        ChangeRecord((0,), 0, Block.constant(one, 1, (2,)), Block.constant(one, 1, (2,), 1)),
+        ChangeRecord((4,), 1, Block.constant(two, 1, (2,)), Block.constant(two, 1, (2,), 1)),
+    ]
+    with pytest.raises(ValueError, match="one tile shape"):
+        files.write_changes(tmp_path / "changes.json", changes)
+    assert not (tmp_path / "changes.json").exists()
+
+
+@st.composite
+def tilings(draw, window: Shape) -> Quasitiling:
+    """A greedy grid, a hand-built grid with gaps and missing tiles, or a
+    point-set shape at random anchors; tiles may overlap."""
+    dim = window.dim
+    kind = draw(st.sampled_from(["greedy", "gapped", "points"]))
+    if kind == "greedy":
+        return greedy_tile(window, [draw(boxes(dim, 4))], Fraction(1)).tiling
+    (lo, hi) = window.bounds()
+    if kind == "gapped":
+        shape = draw(boxes(dim, 3))
+        (slo, shi) = shape.bounds()
+        axes = []
+        for a, b, c, d in zip(lo, hi, slo, shi):
+            step = d - c + 1 + draw(st.integers(0, 2))
+            first = a - c + draw(st.integers(0, 2))
+            axes.append(range(first, b - d + 1, step))
+        cents = [g for g in product(*axes) if draw(st.integers(0, 3))]
+        return Quasitiling(window, (shape,), (frozenset(cents),))
+    box = Shape.box([0] * dim, [2] * dim)
+    pts = draw(st.lists(st.sampled_from(box.sorted_points), min_size=1, max_size=6, unique=True))
+    shape = Shape.of(pts)
+    fits = [
+        g for g in window.sorted_points
+        if all(tuple(x + y for x, y in zip(p, g)) in window.points for p in shape.points)
+    ]
+    cents = draw(st.lists(st.sampled_from(fits), max_size=5, unique=True)) if fits else []
+    return Quasitiling(window, (shape,), (frozenset(cents),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_window_read_tile_counts_equal_tile_copies(data):
+    dim = data.draw(st.integers(1, 3))
+    window = data.draw(boxes(dim, {1: 14, 2: 7, 3: 4}[dim], lo=st.integers(-3, 3)))
+    sizes = tuple(data.draw(st.integers(2, 3)) for _ in range(data.draw(st.integers(1, 2))))
+    config = random_block(data.draw, window, sizes)
+    level = data.draw(st.integers(1, len(sizes)))
+    tiling = data.draw(tilings(window))
+    base = folner_box(1, dim)
+    assert _tile_counts(config, tiling, base, level) == tile_copy_counts(
+        config, tiling, base, level
+    )
+
+
+def test_window_read_tile_counts_mix_box_and_point_set_shapes():
+    window = Shape.box((0, 0), (7, 7))
+    rng = random.Random(3)
+    config = Block(window, 1, (3,), tuple(rng.randrange(3) for _ in range(len(window))))
+    notched = Shape.of([p for p in product(range(4), repeat=2) if p != (3, 3)])
+    tiling = Quasitiling(
+        window,
+        (Shape.box((0, 0), (3, 3)), notched, Shape.box((0, 0), (2, 2))),
+        (frozenset({(0, 0), (4, 4)}), frozenset({(4, 0), (0, 4)}), frozenset()),
+    )
+    base = folner_box(1, 2)
+    got = _tile_counts(config, tiling, base, 1)
+    assert got == tile_copy_counts(config, tiling, base, 1)
+    assert [n for n, _ in got] == [4, 3, 1]
+    assert [sum(c.values()) for _, c in got] == [8, 6, 0]
+
+
+def test_equal_tile_contents_share_one_block_and_one_solve(monkeypatch):
+    calls = []
+
+    def counted(x, target, families):
+        calls.append(x)
+        return dist_to_hull(x, target, families)
+
+    monkeypatch.setattr(construction, "dist_to_hull", counted)
+    target, families = bernoulli_target(), FAMILIES
+    rng = random.Random(8)
+    window = Shape.interval(0, 87)
+    shapes = (Shape.interval(0, 2), Shape.interval(0, 4))
+    # Tiles of side 3 at 8 k and of side 5 at 8 k + 3, and a few words of
+    # length 8, so that contents repeat.
+    words = [tuple(rng.randrange(2) for _ in range(8)) for _ in range(4)]
+    alternating = (range(0, 88, 8), range(3, 88, 8))
+    shared = both = 0
+    for n in range(20):
+        config = Block(window, 1, (2,), tuple(x for _ in range(11) for x in rng.choice(words)))
+        if n % 2:
+            tiling = greedy_tile(window, [shapes[0]], Fraction(1)).tiling
+        else:
+            tiling = Quasitiling(window, shapes, tuple(
+                frozenset((c,) for c in cents if rng.random() < 0.8) for cents in alternating
+            ))
+        reps = {s: Block(s, 1, (2,), tuple(rng.randrange(2) for _ in s.points)) for s in shapes}
+        delta = rng.choice([Fraction(1, 40), Fraction(1, 20), Fraction(1, 10)])
+        calls.clear()
+        out, report = stage_transform(config, tiling, target, delta, reps, families)
+
+        # One solve per distinct (shape index, content), plus one per shape
+        # whose representative's content is not among its tiles'.
+        contents = {
+            (i, subblock_at(config, tiling.shapes[i], c, 1).symbols) for c, i in tiling.tiles()
+        }
+        extra = {(ch.shape_index, ch.after.symbols) for ch in report.changes} - contents
+        assert len(calls) == len(contents) + len(extra)
+        # Equal contents share one Block.
+        blocks = {}
+        for ch in report.changes:
+            assert blocks.setdefault((ch.shape_index, ch.before.symbols), ch.before) is ch.before
+            assert ch.before == subblock_at(config, tiling.shapes[ch.shape_index], ch.center, 1)
+        shared += len(report.changes) - len(blocks)
+        both += len({i for i, _ in blocks}) == 2
+        assert apply_changes(out, report.changes, undo=True) == config
+    assert shared > 50 and both >= 3, (shared, both)
