@@ -19,6 +19,8 @@ from .symbolic import (
     Block,
     BlockFamily,
     Corpus,
+    decode_pattern,
+    encode_pattern,
     enumerate_family,
     enumerate_full_family,
     sample_bernoulli,

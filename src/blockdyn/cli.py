@@ -120,10 +120,12 @@ def cmd_freq(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
     embeddings = count_embeddings(block.shape, base)
     # A pattern is its rows joined by "|", each row's symbols joined by ""
     # when every alphabet size is at most 10 and by "-" otherwise.
-    sep = "" if all(s <= 10 for s in cfg.stack.sizes[: args.level]) else "-"
-    fmt = "|".join([sep.join(["%d"] * len(base))] * args.level)
+    sizes = cfg.stack.sizes[: args.level]
+    sep = "" if all(s <= 10 for s in sizes) else "-"
+    per_row, texts = files._pattern_texts(sizes, base, sep)
+    fmt = "|".join([sep.join(["%s"] * per_row)] * args.level)
     rows = [
-        [args.block, args.level, fmt % key, n, embeddings, ratio_str(n, table.total)]
+        [args.block, args.level, fmt % texts(key), n, embeddings, ratio_str(n, table.total)]
         for key, n in sorted(table.counts.items())
     ]
     files.write_csv(

@@ -9,19 +9,20 @@ stage is exactly invertible from its report.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .frequency import _anchor_ranges, _count_box, _run_firsts, block_measure_gap_bound
+from .frequency import _anchor_ranges, _box_codes, _run_firsts, block_measure_gap_bound
 from .frequency import corpus_subblocks, embedding_anchors, freq_table, tiling_average_gap_bound
 from .group import Point, Shape, folner_box, point_add
 from .measures import ConvexTarget, CylinderMeasure, HullDistance, block_measure, dist_to_hull
 from .quasitiling import Quasitiling, congruent, greedy_tile, verify
 from .symbolic import Block, BlockFamily, Corpus, _box_runs, _categorical, _draw, _read
-from .symbolic import _runs_at, _write, subblock_at
+from .symbolic import _runs_at, _write, decode_pattern, encode_pattern, subblock_at
 
 
 @dataclass(frozen=True)
@@ -336,7 +337,8 @@ def sample_from_measure(
         raise ValueError("alphabet sizes incompatible with the measure")
     rng = random.Random(seed)
     atoms = measure.atoms()
-    keys = list(atoms.counts)
+    cells = len(measure.base)
+    keys = [decode_pattern(key, measure.sizes, cells) for key in atoms.counts]
     cumulative = _categorical(list(atoms.values()), len(keys), "measure atoms")
     placed = greedy_tile(shape, [measure.base], Fraction(1)).tiling
     n_shape = len(shape)
@@ -346,13 +348,12 @@ def sample_from_measure(
         runs = _runs_at(shape, measure.base, rows, c)
         _write(symbols, runs, keys[_draw(rng, cumulative)])
 
-    cells = len(measure.base)
     row_cumulative: list[list[float]] = []
     for r in range(depth):
         n = full_sizes[r]
         if r < measure.depth:
             acc = [0] * n
-            for key, count in atoms.counts.items():
+            for key, count in zip(keys, atoms.counts.values()):
                 for v in key[r * cells : (r + 1) * cells]:
                     acc[v] += count
             probs = [Fraction(a, sum(acc)) for a in acc]
@@ -468,7 +469,7 @@ def _concatenation_check(
         return None, None
     # The tile-weighted average of tile frequencies, one term per shape: the
     # counts summed over its tiles.
-    weighted: list[tuple[Fraction, dict[tuple[int, ...], int]]] = []
+    weighted: list[tuple[Fraction, dict[int, int]]] = []
     keys = set(host_table)
     for shape, (anchors, counts) in zip(tiling.shapes, _tile_counts(config, tiling, base, level)):
         keys |= counts.keys()
@@ -491,29 +492,40 @@ def _concatenation_check(
 
 def _tile_counts(
     config: Block, tiling: Quasitiling, base: Shape, level: int
-) -> list[tuple[int, dict[tuple[int, ...], int]]]:
+) -> list[tuple[int, dict[int, int]]]:
     """Per shape, the number of anchors of ``base`` in it and the counts of
-    the patterns on base x rows[1..level] summed over its tiles, read from
-    the window's own symbols at each tile's anchors.  A box tile on a box
-    window is counted by ``_count_box`` over its anchor box, any other tile
-    one ``_runs_at`` read per anchor."""
-    symbols = config.symbols
+    the codes of the patterns on base x rows[1..level] summed over its
+    tiles, read from the window's own symbols at each tile's anchors.  A box
+    tile on a box window reads its codes from the window's ``_box_codes``,
+    any other tile encodes one ``_runs_at`` read per anchor."""
+    symbols, sizes = config.symbols, config.sizes[:level]
     runs = _box_runs(config.shape, base, level)
+    window_codes = None
     out = []
     for shape, centers in zip(tiling.shapes, tiling.centers):
         anchors = embedding_anchors(shape, base)
-        counts: dict[tuple[int, ...], int] = {}
         if runs is not None and shape.is_box():
+            if window_codes is None:
+                window_codes = _box_codes(symbols, sizes, len(config.shape), runs)
+            codes, first = window_codes
             # flat indices are affine, so a tile's anchors at c are those of
             # the tile at the origin shifted by flat(c) - flat(0)
             firsts, n = _run_firsts(runs, _anchor_ranges(shape, base))
             flat = runs[2]
-            shifts = [flat(c) - flat((0,) * config.dim) for c in centers]
-            _count_box(symbols, runs, [f + d for d in shifts for f in firsts], n, counts)
+            shifts = [flat(c) - flat((0,) * config.dim) - first for c in centers]
+            counts = Counter(
+                chain.from_iterable(codes[f + d : f + d + n] for d in shifts for f in firsts)
+            )
         else:
-            for c in centers:
-                for g in anchors:
-                    key = _read(symbols, _runs_at(config.shape, base, level, point_add(g, c)))
-                    counts[key] = counts.get(key, 0) + 1
-        out.append((len(anchors), counts))
+            cells = len(base)
+            counts = Counter(
+                encode_pattern(
+                    _read(symbols, _runs_at(config.shape, base, level, point_add(g, c))),
+                    sizes,
+                    cells,
+                )
+                for c in centers
+                for g in anchors
+            )
+        out.append((len(anchors), dict(counts)))
     return out

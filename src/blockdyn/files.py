@@ -21,7 +21,7 @@ from .construction import ChangeRecord, StageSchedule
 from .group import Shape
 from .measures import CylinderMeasure, _numerators
 from .quasitiling import Quasitiling
-from .symbolic import AlphabetStack, Block, BlockFamily, Corpus
+from .symbolic import AlphabetStack, Block, BlockFamily, Corpus, decode_pattern, encode_pattern
 
 
 class ConfigError(Exception):
@@ -61,7 +61,9 @@ class _Records:
     """A JSON list whose entries share one layout: ``layout`` is a value
     with ``_HOLE`` at each varying leaf, and each of ``values`` is a tuple of
     those leaves' JSON texts (ints, or quoted strings), in file order.  A
-    plain class: a dataclass costs about a millisecond at every import."""
+    text may also stand for a run of leaves of one list, joined by the
+    separator the layout puts between them.  A plain class: a dataclass
+    costs about a millisecond at every import."""
 
     __slots__ = ("layout", "values")
 
@@ -273,16 +275,58 @@ def _row_slices(symbols: tuple[int, ...], cells: int, depth: int) -> list[tuple[
     return [symbols[r * cells : (r + 1) * cells] for r in range(depth)]
 
 
-def _pattern_layout(cells: int, depth: int) -> list[list[object]]:
-    """The layout of a pattern: ``depth`` rows of ``cells`` holes."""
-    return [[_HOLE] * cells] * depth
+def _pattern_layout(holes: int, depth: int) -> list[list[object]]:
+    """The layout of a pattern: ``depth`` rows of ``holes`` holes."""
+    return [[_HOLE] * holes] * depth
+
+
+def _pattern_texts(
+    sizes: Sequence[int], base: Shape, sep: str
+) -> tuple[int, Callable[[int], tuple[str, ...]]]:
+    """How the patterns on base x rows[1..len(sizes)] are spelled from their
+    codes: the number of runs in a row, and a function from a code to the
+    texts of its runs in ``Block.symbols`` order, each run's symbols joined
+    by ``sep``.  A run is one last-axis line of a box base, or a whole row of
+    any other base.  Texts are memoized by run code for the life of the
+    function, so each distinct run is decoded once and no pattern's symbol
+    tuple is built."""
+    cells = len(base)
+    if base.is_box():
+        lo, hi = base.bounds()
+        run = hi[-1] - lo[-1] + 1
+    else:
+        run = max(cells, 1)
+    per_row = cells // run
+    memos: dict[int, dict[int, str]] = {size: {} for size in sizes}
+    steps = [(size**run, size, memos[size]) for size in reversed(sizes) for _ in range(per_row)]
+
+    def texts(code: int) -> tuple[str, ...]:
+        out = []
+        for top, size, memo in steps:
+            code, r = divmod(code, top)
+            text = memo.get(r)
+            if text is None:
+                text = memo[r] = sep.join(map(str, decode_pattern(r, (size,), run)))
+            out.append(text)
+        out.reverse()
+        return tuple(out)
+
+    return per_row, texts
+
+
+# The entries of a pattern row sit at this indent in a file: in a family,
+# inside the file's object, the pattern list, the pattern and its row; in a
+# measure, one level deeper, inside the mass entry.
+_FAMILY_ENTRY_SEP = ",\n" + " " * 4
+_MEASURE_ENTRY_SEP = ",\n" + " " * 5
 
 
 def write_measure(path: Path, measure: CylinderMeasure) -> None:
     lo, hi = measure.base.bounds()
     atoms = measure.atoms()
     den = atoms.total
-    layout = {"mass": _HOLE, "pattern": _pattern_layout(len(measure.base), measure.depth)}
+    per_row, texts = _pattern_texts(measure.sizes, measure.base, _MEASURE_ENTRY_SEP)
+    layout = {"mass": _HOLE, "pattern": _pattern_layout(per_row, measure.depth)}
     obj = {
         "kind": "measure",
         "dim": measure.base.dim,
@@ -291,7 +335,8 @@ def write_measure(path: Path, measure: CylinderMeasure) -> None:
         "base_min": lo,
         "base_max": hi,
         "masses": _Records(
-            layout, ((_quote(ratio_str(n, den)), *key) for key, n in atoms.counts.items())
+            layout,
+            ((_quote(ratio_str(n, den)), *texts(key)) for key, n in atoms.counts.items()),
         ),
     }
     write_json(path, obj)
@@ -323,9 +368,9 @@ def _measure_from_obj(obj: dict[str, Any]) -> CylinderMeasure:
         column = list(chain.from_iterable(rows[r::depth]))
         if column and (min(column) < 0 or max(column) >= size):
             raise ConfigError(f"row {r + 1} entry outside alphabet of size {size}")
-    masses: dict[tuple[int, ...], Fraction] = {}
+    masses: dict[int, Fraction] = {}
     for i, e in enumerate(obj["masses"]):
-        key = flat[i * width : (i + 1) * width]
+        key = encode_pattern(flat[i * width : (i + 1) * width], sizes, len(base))
         if key in masses:
             raise ConfigError(f"pattern {patterns[i]} is listed more than once")
         masses[key] = parse_frac(e["mass"])
@@ -386,12 +431,13 @@ def _tiling_from_obj(obj: dict[str, Any]) -> Quasitiling:
 
 
 def write_family(path: Path, family: BlockFamily) -> None:
+    per_row, texts = _pattern_texts(family.sizes, family.base, _FAMILY_ENTRY_SEP)
     obj = {
         "kind": "family",
         "dim": family.base.dim,
         "level": family.level,
         "alphabet": list(family.sizes),
-        "patterns": _Records(_pattern_layout(len(family.base), family.level), family.keys),
+        "patterns": _Records(_pattern_layout(per_row, family.level), map(texts, family.keys)),
     }
     write_json(path, obj)
 

@@ -7,15 +7,16 @@ exactly quantifiable.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as cartesian
+from itertools import chain, product as cartesian
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator
 
 from .group import Point, Shape, _anchor_box, folner_box
-from .symbolic import Block, Corpus, _box_runs, _read, _runs_at, subblock_at
+from .symbolic import Block, Corpus, _box_runs, _read, _runs_at, encode_pattern, subblock_at
 
 if TYPE_CHECKING:
     from .measures import CylinderMeasure
@@ -49,46 +50,62 @@ def count_embeddings(outer: Shape, inner: Shape) -> int:
     return len(embedding_anchors(outer, inner))
 
 
-def pattern_counts(block: Block, inner: Shape, depth: int) -> dict[tuple[int, ...], int]:
+def pattern_counts(block: Block, inner: Shape, depth: int) -> dict[int, int]:
     """Occurrence counts of every pattern on inner x rows[1..depth] in one scan.
 
-    Keys are row-major symbol tuples relative to the sorted points of
-    ``inner``, i.e. exactly ``Block.symbols`` of the re-based patterns, in
-    the order of their first anchor in ``embedding_anchors``.  Keys are read
-    through ``symbolic._runs_at``, except on two boxes, the hot path, where
-    ``_count_box`` reads them through the kernel's cached ``_box_runs`` with
-    the same result.
+    Keys are the codes (``symbolic.encode_pattern``) of the patterns' row-
+    major symbols relative to the sorted points of ``inner``, i.e. of
+    ``Block.symbols`` of the re-based patterns, in the order of their first
+    anchor in ``embedding_anchors``.  On two boxes, the hot path, the codes
+    come from ``_box_codes``; other shapes encode what ``symbolic._runs_at``
+    reads at each anchor, with the same result.
     """
     if not 1 <= depth <= block.depth:
         raise ValueError(f"depth must lie in 1..{block.depth}, got {depth}")
-    counts: dict[tuple[int, ...], int] = {}
-    symbols = block.symbols
+    symbols, sizes = block.symbols, block.sizes[:depth]
     runs = _box_runs(block.shape, inner, depth)
     if runs is not None:
         firsts, n = _run_firsts(runs, _anchor_ranges(block.shape, inner))
-        _count_box(symbols, runs, firsts, n, counts)
-        return counts
-    for g in embedding_anchors(block.shape, inner):
-        key = _read(symbols, _runs_at(block.shape, inner, depth, g))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+        codes, first = _box_codes(symbols, sizes, len(block.shape), runs)
+        counts = Counter(chain.from_iterable(codes[f - first : f - first + n] for f in firsts))
+    else:
+        cells = len(inner)
+        counts = Counter(
+            encode_pattern(_read(symbols, _runs_at(block.shape, inner, depth, g)), sizes, cells)
+            for g in embedding_anchors(block.shape, inner)
+        )
+    # A Counter reads 0 at a missing key, a CountTable must raise KeyError.
+    return dict(counts)
 
 
-def _count_box(
-    symbols: tuple[int, ...], runs: tuple, firsts: list[int], n: int,
-    counts: dict[tuple[int, ...], int],
-) -> None:
-    """Add to ``counts`` the pattern at each of the ``n`` consecutive flat
-    anchor indices from every index in ``firsts``, read through ``runs``, a
-    ``_box_runs`` result: the anchors on one last-axis run of an anchor box
-    have consecutive flat indices."""
-    starts, length = runs[0], runs[1]
-    for first in firsts:
-        for a in range(first, first + n):
-            key: tuple[int, ...] = ()
-            for s in starts:
-                key += symbols[a + s : a + s + length]
-            counts[key] = counts.get(key, 0) + 1
+def _box_codes(
+    symbols: tuple[int, ...], sizes: tuple[int, ...], cells: int, runs: tuple
+) -> tuple[list[int], int]:
+    """The code of the pattern at every flat index from the first anchor of
+    ``runs``, a ``_box_runs`` result on a block of ``cells`` cells whose
+    leading rows have alphabet ``sizes``, to its last anchor, and the flat
+    index of the first anchor.  Entries at an index that is no anchor (past
+    the end of a last-axis run of anchors) are no pattern's code.
+
+    One rolling pass per row gives the code of every ``length`` consecutive
+    entries of the row; a pattern's code is then one multiply-add per run
+    of its inner box, in ``Block.symbols`` order.
+    """
+    starts, length, flat, lo, hi = runs
+    first, span = flat(lo), flat(hi) - flat(lo) + 1
+    # rolled[r * cells + i]: the code of entries i - length + 1 .. i of row r
+    rolled: list[int] = []
+    for r, size in enumerate(sizes):
+        top, c = size**length, 0
+        rolled += [c := (c * size + x) % top for x in symbols[r * cells : (r + 1) * cells]]
+    codes: list[int] = []
+    per_row = len(starts) // len(sizes)
+    for i, s in enumerate(starts):
+        at = first + s + length - 1
+        run = rolled[at : at + span]
+        top = sizes[i // per_row] ** length
+        codes = run if i == 0 else [c * top + x for c, x in zip(codes, run)]
+    return codes, first
 
 
 def _run_firsts(runs: tuple, anchors: list[range]) -> tuple[list[int], int]:
@@ -99,9 +116,10 @@ def _run_firsts(runs: tuple, anchors: list[range]) -> tuple[list[int], int]:
     return [flat((*head, last.start)) for head in cartesian(*heads)], len(last)
 
 
-class CountTable(Mapping[tuple[int, ...], Fraction]):
+class CountTable(Mapping[int, Fraction]):
     """Integer numerators over one positive denominator, read as Fractions:
-    ``table[key]`` is ``Fraction(counts[key], total)``.
+    ``table[key]`` is ``Fraction(counts[key], total)``.  Keys are pattern
+    codes (``symbolic.encode_pattern``).
 
     Every value of a frequency table or a marginal shares its denominator,
     so readers compare cross-multiplied ``counts`` and build one Fraction
@@ -111,10 +129,10 @@ class CountTable(Mapping[tuple[int, ...], Fraction]):
     """
 
     __slots__ = ("counts", "total")
-    counts: Mapping[tuple[int, ...], int]
+    counts: Mapping[int, int]
     total: int
 
-    def __init__(self, counts: dict[tuple[int, ...], int], total: int) -> None:
+    def __init__(self, counts: dict[int, int], total: int) -> None:
         object.__setattr__(self, "counts", MappingProxyType(counts))
         object.__setattr__(self, "total", total)
 
@@ -124,10 +142,10 @@ class CountTable(Mapping[tuple[int, ...], Fraction]):
     def __delattr__(self, name: str) -> None:
         raise AttributeError("a CountTable is read-only")
 
-    def __getitem__(self, key: tuple[int, ...]) -> Fraction:
+    def __getitem__(self, key: int) -> Fraction:
         return Fraction(self.counts[key], self.total)
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.counts)
 
     def __len__(self) -> int:
@@ -153,7 +171,8 @@ def freq(block: Block, pattern: Block) -> Fraction:
     if pattern.sizes != block.sizes[: pattern.depth]:
         raise ValueError("alphabet stack mismatch")
     table = freq_table(block, pattern.shape, pattern.depth)
-    return table.get(pattern.symbols, Fraction(0))
+    key = encode_pattern(pattern.symbols, pattern.sizes, len(pattern.shape))
+    return table.get(key, Fraction(0))
 
 
 def block_measure_gap_bound(delta: Fraction, folner_size: int) -> Fraction:

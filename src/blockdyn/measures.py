@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from .frequency import CountTable, freq_table
 from .group import Shape, folner_box
-from .symbolic import Block, BlockFamily, _runs_at
+from .symbolic import Block, BlockFamily, _runs_at, decode_pattern, encode_pattern
 
 
 def _numerators(masses: Mapping) -> tuple[dict, int]:
@@ -62,7 +62,9 @@ class CylinderMeasure:
         inferred = next(iter(nums)).sizes if sizes is None else tuple(sizes)
         if any(b.shape != base or b.depth != depth or b.sizes != inferred for b in nums):
             raise ValueError("mass assigned outside base x rows[1..depth]")
-        self._set(depth, base, inferred, {b.symbols: n for b, n in nums.items()}, den)
+        cells = len(base)
+        codes = {encode_pattern(b.symbols, inferred, cells): n for b, n in nums.items()}
+        self._set(depth, base, inferred, codes, den)
 
     @classmethod
     def _from_counts(
@@ -70,12 +72,12 @@ class CylinderMeasure:
         depth: int,
         base: Shape,
         sizes: tuple[int, ...],
-        nums: Mapping[tuple[int, ...], int],
+        nums: Mapping[int, int],
         den: int,
     ) -> CylinderMeasure:
-        """The measure with mass nums[s] / den on the full pattern with
-        symbols s, unchecked: callers pass valid patterns and positive
-        numerators that sum to ``den``."""
+        """The measure with mass nums[c] / den on the full pattern with code
+        c, unchecked: callers pass valid codes and positive numerators that
+        sum to ``den``."""
         self = cls.__new__(cls)
         self._set(depth, base, sizes, nums, den)
         return self
@@ -85,7 +87,7 @@ class CylinderMeasure:
         depth: int,
         base: Shape,
         sizes: tuple[int, ...],
-        nums: Mapping[tuple[int, ...], int],
+        nums: Mapping[int, int],
         den: int,
     ) -> None:
         g = gcd(den, *nums.values())
@@ -97,19 +99,20 @@ class CylinderMeasure:
         self._marginals: dict[tuple[Shape, int], CountTable] = {}
 
     def items(self) -> tuple[tuple[Block, Fraction], ...]:
+        cells = len(self.base)
         return tuple(
-            (Block(self.base, self.depth, self.sizes, key), Fraction(n, self._den))
+            (
+                Block(self.base, self.depth, self.sizes, decode_pattern(key, self.sizes, cells)),
+                Fraction(n, self._den),
+            )
             for key, n in self._nums.items()
         )
 
     def atoms(self) -> CountTable:
         """The masses of the full patterns as a read-only table: integer
-        numerators keyed by row-major symbol tuples, in key order, over
-        one denominator."""
+        numerators keyed by pattern codes (``symbolic.encode_pattern``), in
+        key order, over one denominator."""
         return CountTable(self._nums, self._den)
-
-    def support(self) -> tuple[Block, ...]:
-        return tuple(Block(self.base, self.depth, self.sizes, key) for key in self._nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CylinderMeasure):
@@ -129,7 +132,7 @@ class CylinderMeasure:
         )
 
     def marginal(self, e: Shape, level: int) -> CountTable:
-        """Marginal over e x rows[1..level], keyed by row-major symbol tuples.
+        """Marginal over e x rows[1..level], keyed by pattern codes.
 
         The result is cached and shared, so it is read-only.
         """
@@ -141,23 +144,29 @@ class CylinderMeasure:
             raise ValueError("marginal shape is not a subset of the base")
         if not 1 <= level <= self.depth:
             raise ValueError(f"level {level} outside depth {self.depth}")
-        # One gather of the positions of e x rows[1..level] serves every atom.
-        runs = _runs_at(self.base, e, level, (0,) * e.dim)
-        cells = [i for a, b in runs for i in range(a, b)]
-        get = itemgetter(*cells) if len(cells) > 1 else lambda s: tuple(s[i] for i in cells)
-        out: dict[tuple[int, ...], int] = {}
-        for symbols, n in self._nums.items():
-            sub = get(symbols)
+        # places[p]: the number of values of an atom's digits p, p + 1, ...
+        cells = len(self.base)
+        radices = [size for size in reversed(self.sizes) for _ in range(cells)]
+        places = list(accumulate(radices, mul, initial=1))[::-1]
+        # The digits a..b-1 of an atom read as one mixed-radix number,
+        # code // places[b] % (places[a] // places[b]), and the marginal's
+        # code lists those numbers of the runs of e x rows[1..level] in order;
+        # adjacent runs read as one.
+        spans: list[list[int]] = []
+        for a, b in _runs_at(self.base, e, level, (0,) * e.dim):
+            if spans and spans[-1][1] == a:
+                spans[-1][1] = b
+            else:
+                spans.append([a, b])
+        parts = [(places[b], places[a] // places[b]) for a, b in spans]
+        out: dict[int, int] = {}
+        for code, n in self._nums.items():
+            sub = 0
+            for div, top in parts:
+                sub = sub * top + code // div % top
             out[sub] = out.get(sub, 0) + n
         view = self._marginals[key] = CountTable(out, self._den)
         return view
-
-    def value(self, pattern: Block) -> Fraction:
-        """Mass of the cylinder given by a pattern at level <= depth."""
-        if pattern.sizes != self.sizes[: pattern.depth]:
-            raise ValueError("alphabet stack mismatch")
-        marg = self.marginal(pattern.shape, pattern.depth)
-        return marg.get(pattern.symbols, Fraction(0))
 
 
 def block_measure(block: Block, depth: int) -> CylinderMeasure:
@@ -192,7 +201,7 @@ def mix(weights: Sequence[Fraction], measures: Sequence[CylinderMeasure]) -> Cyl
     # sum_j w_j n_ij / d_j over den = lcm_j(denominator(w_j) d_j)
     parts = [(w, m) for w, m in zip(ws, measures) if w != 0]
     den = lcm(*(w.denominator * m._den for w, m in parts))
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[int, int] = {}
     for w, m in parts:
         scale = w.numerator * (den // (w.denominator * m._den))
         for key, n in m._nums.items():

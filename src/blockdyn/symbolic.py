@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import accumulate, chain, product
+from functools import lru_cache
+from itertools import accumulate, product
+from math import prod
 from operator import index, le, lt, mul, sub
 from typing import Callable, Iterator, Sequence
 
@@ -187,33 +188,83 @@ class Corpus:
         return self.blocks[0].dim
 
 
-@dataclass(frozen=True)
+def encode_pattern(symbols: Sequence[int], sizes: Sequence[int], cells: int) -> int:
+    """The code of a pattern on ``cells`` cells x rows[1..len(sizes)]: its
+    row-major ``symbols`` read as one mixed-radix number, most significant
+    digit first, where row r's digits have radix ``sizes[r]``.  Patterns of
+    one domain sort by code exactly as by symbol tuple."""
+    code = 0
+    for r, size in enumerate(sizes):
+        for v in symbols[r * cells : (r + 1) * cells]:
+            code = code * size + v
+    return code
+
+
+def decode_pattern(code: int, sizes: Sequence[int], cells: int) -> tuple[int, ...]:
+    """The row-major symbols of the pattern with this code: the inverse of
+    ``encode_pattern``."""
+    out: list[int] = []
+    for size in reversed(sizes):
+        for _ in range(cells):
+            code, v = divmod(code, size)
+            out.append(v)
+    out.reverse()
+    return tuple(out)
+
+
 class BlockFamily:
     """Distinct patterns with domain base x rows[1..level] over the alphabet
-    prefix ``sizes``, kept as their row-major symbol tuples in increasing
-    order.  ``blocks`` builds the ``Block`` of each key on first read."""
+    prefix ``sizes``, kept as their codes (``encode_pattern``) in increasing
+    order.  ``blocks`` builds the ``Block`` of each key on first read.  Read-
+    only, and a plain class: a dataclass costs about a millisecond at every
+    import."""
 
+    __slots__ = ("level", "base", "sizes", "keys", "_blocks")
     level: int
     base: Shape
     sizes: tuple[int, ...]
-    keys: tuple[tuple[int, ...], ...]
+    keys: Sequence[int]
 
-    def __post_init__(self) -> None:
-        if len(self.sizes) != self.level:
+    def __init__(
+        self, level: int, base: Shape, sizes: tuple[int, ...], keys: Sequence[int]
+    ) -> None:
+        if len(sizes) != level:
             raise ValueError("one alphabet size per row is required")
-        cells = len(self.base)
-        if any(len(key) != cells * self.level for key in self.keys):
-            raise ValueError("family member with wrong domain")
-        if not all(map(lt, self.keys, self.keys[1:])):
+        if not all(map(lt, keys, keys[1:])):
             raise ValueError("family members must be distinct and sorted")
-        for r, size in enumerate(self.sizes):
-            row = set(chain.from_iterable(key[r * cells : (r + 1) * cells] for key in self.keys))
-            if row and (min(row) < 0 or max(row) >= size):
-                raise ValueError(f"row {r + 1} entry outside alphabet of size {size}")
+        total = prod(sizes) ** len(base)
+        if keys and (keys[0] < 0 or keys[-1] >= total):
+            raise ValueError(
+                "family member with wrong domain or outside the alphabet: "
+                f"codes lie in 0..{total - 1}"
+            )
+        for name, value in zip(self.__slots__, (level, base, sizes, keys, None)):
+            object.__setattr__(self, name, value)
 
-    @cached_property
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("a BlockFamily is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("a BlockFamily is read-only")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BlockFamily):
+            return NotImplemented
+        return (self.level, self.base, self.sizes, tuple(self.keys)) == (
+            other.level, other.base, other.sizes, tuple(other.keys)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    @property
     def blocks(self) -> tuple[Block, ...]:
-        return tuple(Block(self.base, self.level, self.sizes, key) for key in self.keys)
+        if self._blocks is None:
+            cells = len(self.base)
+            object.__setattr__(self, "_blocks", tuple(
+                Block(self.base, self.level, self.sizes, decode_pattern(key, self.sizes, cells))
+                for key in self.keys
+            ))
+        return self._blocks
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -227,8 +278,8 @@ def enumerate_family(corpus: Corpus, k: int) -> BlockFamily:
 
     The keys are those of ``freq_table(block, F_k, k)`` for every corpus
     block, with F_k = [-k, k]^d, so a later frequency lookup on the same
-    block and level reuses the cached count; the result is ordered
-    lexicographically on entries.
+    block and level reuses the cached count; the result is in increasing
+    code order, the lexicographic order on entries.
     """
     if not corpus.blocks:
         raise ValueError("cannot enumerate a family from an empty corpus")
@@ -237,16 +288,17 @@ def enumerate_family(corpus: Corpus, k: int) -> BlockFamily:
     from .frequency import freq_table  # frequency imports this module
 
     base = folner_box(k, corpus.dim)
-    seen: set[tuple[int, ...]] = set()
+    seen: set[int] = set()
     for block in corpus.blocks:
-        seen.update(freq_table(block, base, k))
+        seen.update(freq_table(block, base, k).counts)
     return BlockFamily(k, base, corpus.stack.sizes[:k], tuple(sorted(seen)))
 
 
 def enumerate_full_family(
     stack: AlphabetStack, k: int, dim: int, cap: int = 10**6
 ) -> BlockFamily:
-    """Exhaustive family of all patterns on F_k x rows[1..k].
+    """Exhaustive family of all patterns on F_k x rows[1..k]: every code
+    below the number of patterns.
 
     Refuses to enumerate more than ``cap`` candidates.
     """
@@ -258,10 +310,7 @@ def enumerate_full_family(
         total *= stack.sizes[j] ** len(base)
         if total > cap:
             raise ValueError(f"exhaustive enumeration would exceed {cap} candidates")
-    sizes = stack.sizes[:k]
-    # product yields the row-major keys in lexicographic order.
-    keys = product(*(range(size) for size in sizes for _ in range(len(base))))
-    return BlockFamily(k, base, sizes, tuple(keys))
+    return BlockFamily(k, base, stack.sizes[:k], range(total))
 
 
 def sample_bernoulli(

@@ -181,8 +181,8 @@ def _random_measure(rng: random.Random, support: int = 8) -> CylinderMeasure:
 def _families_for(measures: Sequence[CylinderMeasure]) -> list[BlockFamily]:
     """Observed families: the union of the measures' atoms, marginalized."""
     base1 = folner_box(1, 1)
-    level1: set[tuple[int, ...]] = set()
-    level2: set[tuple[int, ...]] = set()
+    level1: set[int] = set()
+    level2: set[int] = set()
     for m in measures:
         level2.update(m.atoms())
         level1.update(m.marginal(base1, 1).keys())

@@ -4,11 +4,13 @@ Words spell one-row blocks in letters, 'a' -> 0, 'b' -> 1, ...; the
 library itself stores small integers only.
 """
 
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Callable, Mapping, Sequence
 
 from blockdyn.group import Point, Shape, point_add
+from blockdyn.measures import CylinderMeasure
 from blockdyn.quasitiling import Quasitiling
-from blockdyn.symbolic import Block, subblock_at
+from blockdyn.symbolic import Block, decode_pattern, encode_pattern, subblock_at
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -31,6 +33,24 @@ def block_from_function(
     pts = shape.sorted_points
     symbols = tuple(fn(p, r) for r in range(1, depth + 1) for p in pts)
     return Block(shape, depth, tuple(sizes), symbols)
+
+
+def code_of(pattern: Block) -> int:
+    """The key of ``pattern`` in a frequency table, marginal or family."""
+    return encode_pattern(pattern.symbols, pattern.sizes, len(pattern.shape))
+
+
+def decoded(table: Mapping[int, object], sizes: Sequence[int], cells: int) -> dict:
+    """A table keyed by the codes of patterns on ``cells`` cells x rows with
+    alphabet ``sizes``, keyed by their symbol tuples instead, in key order."""
+    return {decode_pattern(code, sizes, cells): v for code, v in table.items()}
+
+
+def cylinder_mass(measure: CylinderMeasure, pattern: Block) -> Fraction:
+    """The mass of the cylinder of ``pattern``, a pattern on a subset of the
+    measure's base at a level up to its depth: one entry of a marginal."""
+    marg = measure.marginal(pattern.shape, pattern.depth)
+    return marg.get(code_of(pattern), Fraction(0))
 
 
 def tile_copy_counts(

@@ -113,8 +113,9 @@ def test_criterion_3_tail_premise_implication():
         premise = True
         for fam in fams:
             table = freq_table(block, fam.base, fam.level)
-            for b in fam.blocks:
-                if abs(table.get(b.symbols, Fraction(0)) - nu.value(b)) >= threshold:
+            marg = nu.marginal(fam.base, fam.level)
+            for key in fam.keys:
+                if abs(table.get(key, Fraction(0)) - marg.get(key, Fraction(0))) >= threshold:
                     premise = False
                     break
             if not premise:

@@ -27,6 +27,8 @@ from blockdyn.symbolic import (
 )
 from blockdyn.testkit import oracle_count_embeddings, oracle_count_occurrences
 
+from helpers import decoded
+
 SIZES = (2, 3, 2)
 
 # (outer lo, outer hi, inner lo, inner hi): 1-D, 2-D and 3-D; off-origin and
@@ -78,9 +80,10 @@ def test_box_pattern_counts_match_generic_path_and_oracles(case, generic):
         assert list(box) == list(generic(pattern_counts, block, inner, depth))
         # dict key order is anchor order of first occurrence
         reads = [generic(subblock_at, block, inner, g, depth).symbols for g in anchors]
-        assert list(box) == list(dict.fromkeys(reads))
+        symbols = decoded(box, SIZES[:depth], len(inner))
+        assert list(symbols) == list(dict.fromkeys(reads))
         assert sum(box.values()) == len(anchors)
-        for key, count in box.items():
+        for key, count in symbols.items():
             pattern = Block(inner, depth, SIZES[:depth], key)
             assert count == oracle_count_occurrences(block, pattern)
 
@@ -141,7 +144,7 @@ def test_non_box_shapes_use_the_generic_path():
     for outer, inner in [(holed, Shape.box((0, 0), (1, 1))), (box, diagonal), (holed, diagonal)]:
         block = random_block(rng, outer)
         for depth in range(1, block.depth + 1):
-            counts = pattern_counts(block, inner, depth)
+            counts = decoded(pattern_counts(block, inner, depth), SIZES[:depth], len(inner))
             assert sum(counts.values()) == oracle_count_embeddings(outer, inner)
             for key, count in counts.items():
                 assert count == oracle_count_occurrences(

@@ -63,11 +63,8 @@ def _instances():
 
 
 @pytest.mark.parametrize("x_kind", ["block", "measure"])
-def test_distances_never_call_value_and_equal_the_oracles(monkeypatch, x_kind):
-    def boom(self, pattern):
-        raise AssertionError("CylinderMeasure.value called")
-
-    monkeypatch.setattr(CylinderMeasure, "value", boom)
+def test_distances_never_call_value_and_equal_the_oracles(x_kind):
+    # A measure has no per-pattern value method; the distances read tables.
     for block, mu, nu, target, fams in _instances():
         x = block if x_kind == "block" else mu
         levels = [oracle_level_term(x, nu, fam) for fam in fams]

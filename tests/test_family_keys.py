@@ -1,6 +1,6 @@
-"""A family is its keys: sorted, distinct row-major symbol tuples over one
-alphabet prefix, checked once by the constructor, with the Blocks built
-only when ``blocks`` is read."""
+"""A family is its keys: sorted, distinct pattern codes over one alphabet
+prefix, checked once by the constructor, with the Blocks built only when
+``blocks`` is read."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,26 +13,36 @@ from blockdyn.symbolic import (
     AlphabetStack,
     BlockFamily,
     Corpus,
+    encode_pattern,
     enumerate_family,
     enumerate_full_family,
     sample_bernoulli,
 )
+from helpers import decoded
 from test_integer_tables import random_block
 
 F1 = folner_box(1, 1)
 
 
+# The ids name what each malformed list of codes stands for; codes of F1 x
+# rows[1..1] over (2,) lie in 0..7.
 @pytest.mark.parametrize(
     "sizes, keys, message",
     [
-        ((2,), ((0, 0, 1), (0, 1)), "wrong domain"),
-        ((2,), ((0, 0, 1, 1),), "wrong domain"),
-        ((2, 2), ((0, 0, 1),), "one alphabet size per row"),
-        ((), ((0, 0, 1),), "one alphabet size per row"),
-        ((2,), ((0, 1, 0), (0, 0, 1)), "distinct and sorted"),
-        ((2,), ((0, 0, 1), (0, 0, 1)), "distinct and sorted"),
-        ((2,), ((0, 0, 1), (0, 0, 2)), "row 1 entry outside alphabet of size 2"),
-        ((2,), ((-1, 0, 1), (0, 0, 1)), "row 1 entry outside alphabet of size 2"),
+        pytest.param((2,), (1, 8), "wrong domain", id="sizes0-keys0-wrong domain"),
+        pytest.param((2,), (15,), "wrong domain", id="sizes1-keys1-wrong domain"),
+        ((2, 2), (1,), "one alphabet size per row"),
+        ((), (1,), "one alphabet size per row"),
+        ((2,), (2, 1), "distinct and sorted"),
+        ((2,), (1, 1), "distinct and sorted"),
+        pytest.param(
+            (2,), (-1, 1), "outside the alphabet",
+            id="sizes6-keys6-row 1 entry outside alphabet of size 2",
+        ),
+        pytest.param(
+            (2,), (-3, 1), "outside the alphabet",
+            id="sizes7-keys7-row 1 entry outside alphabet of size 2",
+        ),
     ],
 )
 def test_the_constructor_rejects_malformed_keys(sizes, keys, message):
@@ -43,11 +53,15 @@ def test_the_constructor_rejects_malformed_keys(sizes, keys, message):
 def test_the_alphabet_range_is_checked_row_by_row():
     base = folner_box(2, 1)
     low, high = (0,) * 5 + (2,) * 5, (1,) * 5 + (0,) * 5
-    assert len(BlockFamily(2, base, (2, 3), (low, high))) == 2
-    with pytest.raises(ValueError, match="row 1 entry outside alphabet of size 2"):
-        BlockFamily(2, base, (2, 3), ((2,) * 5 + (0,) * 5,))
-    with pytest.raises(ValueError, match="row 2 entry outside alphabet of size 2"):
-        BlockFamily(2, base, (3, 2), (low, high))
+    keys = (encode_pattern(low, (2, 3), 5), encode_pattern(high, (2, 3), 5))
+    assert len(BlockFamily(2, base, (2, 3), keys)) == 2
+    assert keys[-1] == 2**5 * 3**5 - 3**5
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        BlockFamily(2, base, (2, 3), (2**5 * 3**5,))
+    # the same codes over (3, 2) are fewer patterns' codes, but in range
+    assert len(BlockFamily(2, base, (3, 2), keys)) == 2
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        BlockFamily(2, base, (3, 2), (3**5 * 2**5,))
 
 
 @pytest.mark.parametrize("window", [Shape.interval(0, 60), Shape.box((0, 0), (9, 11))])
@@ -63,7 +77,8 @@ def test_the_family_builders_build_no_block(window, monkeypatch):
     families.append(enumerate_full_family(AlphabetStack((3,)), 1, window.dim))
     monkeypatch.undo()
     for fam in families:
-        assert tuple(b.symbols for b in fam.blocks) == fam.keys
+        symbols = tuple(decoded(dict.fromkeys(fam.keys), fam.sizes, len(fam.base)))
+        assert tuple(b.symbols for b in fam.blocks) == symbols
 
 
 @st.composite
@@ -90,6 +105,7 @@ def test_the_keys_are_the_sorted_union_of_the_frequency_tables(corpus, k):
     sizes = corpus.stack.sizes[:k]
     assert (fam.level, fam.base, fam.sizes, len(fam)) == (k, base, sizes, len(union))
     blocks = fam.blocks
-    assert tuple(b.symbols for b in blocks) == fam.keys
+    symbols = tuple(decoded(dict.fromkeys(fam.keys), sizes, len(base)))
+    assert tuple(b.symbols for b in blocks) == symbols == tuple(sorted(symbols))
     assert all((b.shape, b.depth, b.sizes) == (base, k, sizes) for b in blocks)
     assert fam.blocks is blocks and list(fam) == list(blocks)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from blockdyn.frequency import count_embeddings, freq, freq_table
 from blockdyn.group import Shape, folner_box
-from blockdyn.symbolic import AlphabetStack, sample_bernoulli
+from blockdyn.symbolic import AlphabetStack, encode_pattern, sample_bernoulli
 from blockdyn.testkit import (
     oracle_count_embeddings,
     oracle_freq,
@@ -48,7 +48,7 @@ def test_freq_normalization_exact():
         table = freq_table(block, folner_box(1, 1), 1)
         assert sum(table.values()) == 1
         # sum over *all* patterns equals 1 because missing ones contribute 0
-        every = list(itertools.product((0, 1), repeat=3))
+        every = [encode_pattern(p, (2,), 3) for p in itertools.product((0, 1), repeat=3)]
         total = sum(table.get(p, Fraction(0)) for p in every)
         assert total == 1
 

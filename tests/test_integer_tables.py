@@ -16,9 +16,9 @@ from blockdyn.frequency import freq_table, marginal_deviation
 from blockdyn.group import Shape, folner_box, point_add, translate
 from blockdyn.measures import CylinderMeasure, block_measure, dist_block, dist_k, mix
 from blockdyn.quasitiling import greedy_tile
-from blockdyn.symbolic import Block, BlockFamily
+from blockdyn.symbolic import Block, BlockFamily, encode_pattern
 from blockdyn.testkit import oracle_freq, oracle_measure_value
-from helpers import block_from_function
+from helpers import block_from_function, code_of, decoded
 
 
 def random_block(draw, shape: Shape, sizes: tuple[int, ...]) -> Block:
@@ -108,12 +108,15 @@ def test_marginal_deviation_equals_the_fraction_oracle(case):
     assert marginal_deviation(block, measure, depth) == full
     for level, devs in enumerate(levels, start=1):
         base = folner_box(level, block.dim)
-        assert set(freq_table(block, base, level)) | set(measure.marginal(base, level)) == set(devs)
+        sizes, cells = block.sizes[:level], len(base)
+        seen = set(decoded(freq_table(block, base, level), sizes, cells))
+        assert seen | set(decoded(measure.marginal(base, level), sizes, cells)) == set(devs)
 
 
 def family_of(draw, dim: int, level: int, sizes: tuple[int, ...]) -> BlockFamily:
     base = folner_box(level, dim)
-    keys = sorted(draw(st.lists(patterns(base, level, sizes), min_size=1, max_size=6, unique=True)))
+    members = draw(st.lists(patterns(base, level, sizes), min_size=1, max_size=6, unique=True))
+    keys = sorted(encode_pattern(m, sizes[:level], len(base)) for m in members)
     return BlockFamily(level, base, sizes[:level], tuple(keys))
 
 
@@ -174,7 +177,7 @@ def test_equal_measures_store_equal_numerators_whatever_their_denominators():
     block = Block(Shape.interval(0, 9), 1, (2,), (0, 0, 1, 0, 1, 1, 0, 0, 0, 1))
     mu = block_measure(block, 1)
     # eight embeddings, one pattern seen twice: masses of a quarter and eighths
-    assert dict(freq_table(block, folner_box(1, 1), 1).counts) == {
+    assert decoded(freq_table(block, folner_box(1, 1), 1).counts, (2,), 3) == {
         (0, 0, 1): 2, (0, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1, (1, 1, 0): 1,
         (1, 0, 0): 1, (0, 0, 0): 1,
     }
@@ -182,10 +185,11 @@ def test_equal_measures_store_equal_numerators_whatever_their_denominators():
     assert mu == explicit and explicit == mu
     assert mix([Fraction(1, 3), Fraction(2, 3)], [mu, explicit]) == mu
     # the same masses over a denominator 6 times larger
-    nums = {b.symbols: m.numerator * (48 // m.denominator) for b, m in mu.items()}
+    nums = {code_of(b): m.numerator * (48 // m.denominator) for b, m in mu.items()}
     scaled = CylinderMeasure._from_counts(1, mu.base, mu.sizes, nums, 48)
     assert scaled == mu and scaled.items() == mu.items()
-    other = CylinderMeasure(1, mu.base, {b: Fraction(1, len(mu.support())) for b in mu.support()})
+    support = [b for b, _ in mu.items()]
+    other = CylinderMeasure(1, mu.base, {b: Fraction(1, len(support)) for b in support})
     assert other != mu
 
 
@@ -197,7 +201,7 @@ def test_items_are_reduced_fractions_in_symbol_order():
     mu = CylinderMeasure(1, base, masses)
     items = mu.items()
     assert [b.symbols for b, _ in items] == sorted(keys)
-    assert [b for b, _ in items] == list(mu.support())
+    assert [b.symbols for b, _ in items] == list(decoded(mu.atoms(), (2,), 9))
     for b, m in items:
         assert type(m) is Fraction and gcd(m.numerator, m.denominator) == 1
         assert m == masses[b]
@@ -206,8 +210,8 @@ def test_items_are_reduced_fractions_in_symbol_order():
                   + tuple(i % 3 for i in range(20)))
     nu = block_measure(block, 1)
     table = freq_table(block, folner_box(1, 2), 1)
-    assert [b.symbols for b, _ in nu.items()] == sorted(table)
-    assert all(m == table[b.symbols] for b, m in nu.items())
+    assert [b.symbols for b, _ in nu.items()] == sorted(decoded(table, (2,), 9))
+    assert all(m == table[code_of(b)] for b, m in nu.items())
 
 
 def test_block_measure_builds_no_block(monkeypatch):
@@ -225,7 +229,7 @@ def test_block_measure_builds_no_block(monkeypatch):
         mu = block_measure(block, depth)
         assert mu.marginal(folner_box(1, 2), 1)
     assert blocks_built == []
-    support = mu.support()  # the public readers build them
+    support = mu.items()  # the public readers build them
     assert len(blocks_built) == len(support) > 0
 
 
@@ -236,7 +240,8 @@ def test_every_pattern_of_a_table_reads_as_its_count_over_the_total():
         assert table.total == 7 - 2 * level
         assert sum(table.counts.values()) == table.total
         assert dict(table) == {k: Fraction(c, table.total) for k, c in table.counts.items()}
-        for key in product((0, 1), repeat=(2 * level + 1) * level):
+        for symbols in product((0, 1), repeat=(2 * level + 1) * level):
+            key = encode_pattern(symbols, (2,) * level, 2 * level + 1)
             assert (key in table) == (key in table.counts)
             assert table.get(key, Fraction(0)) == Fraction(table.counts.get(key, 0), table.total)
     empty = freq_table(block, folner_box(4, 1), 1)

@@ -14,7 +14,7 @@ from blockdyn.testkit import (
     small_instance_suite,
 )
 from blockdyn.verification import tiling_average_gap_suite
-from helpers import block_from_word
+from helpers import block_from_word, code_of, cylinder_mass
 
 
 def test_oracle_freq_word():
@@ -87,7 +87,7 @@ def test_grid_oracle_single_vertex_exact():
     f1 = folner_box(1, 1)
     nu = CylinderMeasure(1, f1, {block_from_word("aba", start=-1): Fraction(1)})
     words = ("aab", "aba", "bab")
-    fam = BlockFamily(1, f1, (2,), tuple(sorted(block_from_word(w).symbols for w in words)))
+    fam = BlockFamily(1, f1, (2,), tuple(sorted(code_of(block_from_word(w)) for w in words)))
     got = grid_hull_distance(mu, ConvexTarget((nu,)), [fam], Fraction(1, 10))
     assert got == Fraction(1, 5)
 
@@ -115,8 +115,8 @@ def test_grid_oracle_rejects_large_targets():
 def test_oracle_measure_value_matches_marginal():
     word = block_from_word("aababab", start=-3)
     mu = block_measure(word, 1)
-    for b in mu.support():
-        assert oracle_measure_value(mu, b) == mu.value(b)
+    for b, mass in mu.items():
+        assert oracle_measure_value(mu, b) == cylinder_mass(mu, b) == mass
 
 
 def test_small_instance_suite_is_deterministic_and_bounded():
