@@ -373,7 +373,13 @@ def _measure_from_obj(obj: dict[str, Any]) -> CylinderMeasure:
         key = encode_pattern(flat[i * width : (i + 1) * width], sizes, len(base))
         if key in masses:
             raise ConfigError(f"pattern {patterns[i]} is listed more than once")
-        masses[key] = parse_frac(e["mass"])
+        mass = e["mass"]
+        if not isinstance(mass, str):
+            # json reads 0.1 as a float, which Fraction(str()) would take
+            raise ConfigError(
+                f'mass of pattern {patterns[i]} must be a string "p/q", got {json.dumps(mass)}'
+            )
+        masses[key] = parse_frac(mass)
     return CylinderMeasure._from_counts(depth, base, sizes, *_numerators(masses))
 
 

@@ -12,6 +12,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product as cartesian
+from math import prod
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator
 
@@ -46,7 +47,10 @@ def embedding_anchors(outer: Shape, inner: Shape) -> tuple[Point, ...]:
 
 
 def count_embeddings(outer: Shape, inner: Shape) -> int:
-    """|{g in outer : inner + g within outer}|."""
+    """|{g in outer : inner + g within outer}|; in a box, the product of the
+    anchor ranges' lengths, with no anchor built."""
+    if outer.dim == inner.dim and outer and inner and outer.is_box():
+        return prod(map(len, _anchor_ranges(outer, inner)))
     return len(embedding_anchors(outer, inner))
 
 

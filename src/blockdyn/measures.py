@@ -396,78 +396,104 @@ def _hull_lp(terms: Sequence[Term], m: int, den: int) -> tuple[tuple[Fraction, .
 
     on the numerators x and V over ``den`` (so the value is ``den`` times
     that of the LP on the fractions, at the same weights), by a
-    bounded-variable primal simplex in exact arithmetic on an m-row basis,
-    which the free variable t never leaves.  Reduced costs are priced
-    once per basis change; the largest |reduced cost| enters, except right
-    after a degenerate pivot, where Bland's rule picks.  A cycle would be
-    degenerate pivots only, all by Bland's rule, so the method terminates.
+    bounded-variable primal simplex on an m-row basis, which the free
+    variable t never leaves.  Reduced costs are priced once per basis
+    change; the largest |reduced cost| enters, ties to the lowest index,
+    except right after a degenerate pivot, where Bland's rule picks.  A
+    cycle would be degenerate pivots only, all by Bland's rule, so the
+    method terminates.  In integers: the variables are scaled by the lcm
+    of the coefficients' denominators, so every bound is an integer; the
+    basis inverse (an adjugate up to sign) and the basic values are kept
+    as integers over D = |det B|, updated by the Bareiss step; a nonbasic
+    variable sits at the bound its ``at_upper`` flag names.
     """
     n = len(terms)
     t_var = n + m  # variables: y_0..y_{n-1}, the row slacks, then t
-    cols = [vv for _, _, vv in terms]
-    cols += [[int(i == j) for i in range(m)] for j in range(m)] + [[-1] * m]
+    cols = [vv for _, _, vv in terms] + [[int(i == j) for i in range(m)] for j in range(m)]
     cost = [xv for _, xv, _ in terms] + [0] * m + [-1]
-    upper: list[Fraction | None] = [c for c, _, _ in terms] + [None] * (m + 1)
-    lower = [-c for c, _, _ in terms] + [Fraction(0)] * m + [None]
+    scale = lcm(*(c.denominator for c, _, _ in terms))
+    bound = [c.numerator * (scale // c.denominator) for c, _, _ in terms]
+    upper: list[int | None] = bound + [None] * (m + 1)
+    lower: list[int | None] = [-b for b in bound] + [0] * m + [None]
     # Start at y_i = c_i sign(x_i - mean vertex value) and t = max_j (V^T y)_j,
     # with t basic in the row of that maximum and the other slacks basic.
-    at_upper = [m * xv >= sum(vv) for _, xv, vv in terms] + [False] * (m + 1)
-    value = [upper[k] if at_upper[k] else lower[k] for k in range(n)]
-    g = [sum(y * vv[j] for y, vv in zip(value, cols)) for j in range(m)]
+    at_upper = [m * xv >= sum(vv) for _, xv, vv in terms] + [False] * m
+    g = [sum((b if up else -b) * vv[j] for b, up, vv in zip(bound, at_upper, cols))
+         for j in range(m)]
     top = max(range(m), key=g.__getitem__)
-    value += [g[top] - gj for gj in g] + [g[top]]
     basis = [t_var if j == top else n + j for j in range(m)]
-    binv = [[Fraction(-1 if i == top else int(i == j != top)) for i in range(m)]
-            for j in range(m)]
-    reduced: list[int] = []
+    inv = [[-1 if i == top else int(i == j) for i in range(m)] for j in range(m)]
+    vals = [g[top] - gj if j != top else g[top] for j, gj in enumerate(g)]
+    det = 1
+    eligible = None
     bland = False
     while True:
-        if not reduced:
-            pi = [sum(cost[k] * row[j] for k, row in zip(basis, binv)) for j in range(m)]
-            q = lcm(*(p.denominator for p in pi))
-            ps = [int(p * q) for p in pi]
-            # q * (cost_k - pi . column_k): the reduced costs, scaled; a slack's
-            # is scaled by den too, to rank it as in the LP on the fractions
-            reduced = [xv * q - sum(map(mul, ps, vv)) for _, xv, vv in terms]
-            reduced += [-p * den for p in ps]
+        if eligible is None:
+            pi = [sum(cost[k] * row[j] for k, row in zip(basis, inv)) for j in range(m)]
+            # det * (cost_k - pi . column_k): the reduced costs, scaled; a
+            # slack's is scaled by den too, to rank it as in the LP on the
+            # fractions
+            reduced = [xv * det - sum(map(mul, pi, vv)) for _, xv, vv in terms]
+            reduced += [-p * den for p in pi]
             basic = set(basis)
-        eligible = [k for k, d in enumerate(reduced)
-                    if k not in basic and (d < 0 if at_upper[k] else d > 0)]
+            # Sorted once per pricing, so that pop() takes the largest
+            # |reduced cost| at the lowest index; a bound flip changes no
+            # reduced cost and only drops the flipped variable.
+            eligible = sorted(
+                (k for k, d in enumerate(reduced)
+                 if k not in basic and (d < 0 if at_upper[k] else d > 0)),
+                key=lambda e: (abs(reduced[e]), -e),
+            )
         if not eligible:
             break
-        k = eligible[0] if bland else max(eligible, key=lambda e: abs(reduced[e]))
+        if bland:
+            k = min(eligible)
+            eligible.remove(k)
+        else:
+            k = eligible.pop()
         sigma = -1 if at_upper[k] else 1
-        alpha = [sum(map(mul, row, cols[k])) for row in binv]
+        alpha = [sum(map(mul, row, cols[k])) for row in inv]  # det * B^-1 a_k
         # Ratio test: the step that first brings the entering variable (a
-        # bound flip, ranked -1) or a basic variable to a bound; ties go to
-        # the flip, then to the lowest variable index.
-        best = None if upper[k] is None else (upper[k] - lower[k], -1)
-        for r, a in enumerate(alpha):
-            limit = lower[basis[r]] if sigma * a > 0 else upper[basis[r]]
+        # bound flip, ranked -1) or a basic variable to a bound, as num / dnm
+        # compared by cross-multiplying; ties go to the flip, then to the
+        # lowest variable index.
+        best = None if upper[k] is None else (upper[k] - lower[k], 1, -1)
+        for b, a, v in zip(basis, alpha, vals):
+            limit = lower[b] if sigma * a > 0 else upper[b]
             if a and limit is not None:
-                step = ((value[basis[r]] - limit) / (sigma * a), basis[r])
-                best = step if best is None else min(best, step)
+                num, dnm = abs(v - limit * det), abs(a)
+                if best is None or (num * best[1], b) < (best[0] * dnm, best[2]):
+                    best = (num, dnm, b)
         if best is None:
             raise RuntimeError("hull LP is unbounded")
-        theta, out = best
-        for r, a in enumerate(alpha):
-            value[basis[r]] -= sigma * theta * a
-        value[k] += sigma * theta
+        num, _, out = best
         if out < 0:
+            vals = [v - sigma * num * a for v, a in zip(vals, alpha)]
             at_upper[k] = not at_upper[k]
             bland = False
             continue
-        at_upper[out] = value[out] == upper[out]
         leave = basis.index(out)
+        piv = alpha[leave]
+        at_upper[out] = sigma * piv < 0
+        # The leaving variable moves by -excess / det, the entering one by
+        # excess / piv from its bound; Bareiss: the new det is |piv|.
+        excess = vals[leave] - (upper[out] if at_upper[out] else lower[out]) * det
+        s = 1 if piv > 0 else -1
+        prow = inv[leave]
+        inv = [[s * (x * piv - a * p) // det for x, p in zip(row, prow)]
+               for row, a in zip(inv, alpha)]
+        vals = [s * (v * piv - a * excess) // det for v, a in zip(vals, alpha)]
+        inv[leave] = [s * p for p in prow]
+        entering = 0 if k >= n else bound[k] if at_upper[k] else -bound[k]
+        vals[leave] = s * (piv * entering + excess)
         basis[leave] = k
-        prow = [b / alpha[leave] for b in binv[leave]]
-        binv = [
-            prow if r == leave else [b - a * p for b, p in zip(row, prow)]
-            for r, (row, a) in enumerate(zip(binv, alpha))
-        ]
-        bland = theta == 0
-        reduced = []
-    return tuple(pi), sum(map(mul, cost, value))
+        det = abs(piv)
+        bland = excess == 0
+        eligible = None
+    total = sum(cost[b] * v for b, v in zip(basis, vals))
+    total += det * sum(cost[k] * (b if up else -b) for k, (b, up) in enumerate(zip(bound, at_upper))
+                     if k not in basic)
+    return tuple(Fraction(p, det) for p in pi), Fraction(total, det * scale)
 
 
 def dist_to_hull(

@@ -5,10 +5,12 @@ library itself stores small integers only.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from blockdyn.group import Point, Shape, point_add
-from blockdyn.measures import CylinderMeasure
+from blockdyn.measures import CylinderMeasure, Term
 from blockdyn.quasitiling import Quasitiling
 from blockdyn.symbolic import Block, decode_pattern, encode_pattern, subblock_at
 
@@ -73,3 +75,86 @@ def tile_copy_counts(
                 counts[key] = counts.get(key, 0) + 1
         out.append((len(anchors), counts))
     return out
+
+
+# The Fraction simplex whose pivots measures._hull_lp takes in integers: the
+# reference that tests compare its weights and value against.
+def fraction_hull_lp(terms: Sequence[Term], m: int, den: int) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Optimal weights (the row multipliers) and optimal value of the dual LP
+
+        max  y.x - t   s.t.  (V^T y)_j <= t for each vertex j,  -c_i <= y_i <= c_i
+
+    on the numerators x and V over ``den`` (so the value is ``den`` times
+    that of the LP on the fractions, at the same weights), by a
+    bounded-variable primal simplex in exact arithmetic on an m-row basis,
+    which the free variable t never leaves.  Reduced costs are priced
+    once per basis change; the largest |reduced cost| enters, except right
+    after a degenerate pivot, where Bland's rule picks.  A cycle would be
+    degenerate pivots only, all by Bland's rule, so the method terminates.
+    """
+    n = len(terms)
+    t_var = n + m  # variables: y_0..y_{n-1}, the row slacks, then t
+    cols = [vv for _, _, vv in terms]
+    cols += [[int(i == j) for i in range(m)] for j in range(m)] + [[-1] * m]
+    cost = [xv for _, xv, _ in terms] + [0] * m + [-1]
+    upper: list[Fraction | None] = [c for c, _, _ in terms] + [None] * (m + 1)
+    lower = [-c for c, _, _ in terms] + [Fraction(0)] * m + [None]
+    # Start at y_i = c_i sign(x_i - mean vertex value) and t = max_j (V^T y)_j,
+    # with t basic in the row of that maximum and the other slacks basic.
+    at_upper = [m * xv >= sum(vv) for _, xv, vv in terms] + [False] * (m + 1)
+    value = [upper[k] if at_upper[k] else lower[k] for k in range(n)]
+    g = [sum(y * vv[j] for y, vv in zip(value, cols)) for j in range(m)]
+    top = max(range(m), key=g.__getitem__)
+    value += [g[top] - gj for gj in g] + [g[top]]
+    basis = [t_var if j == top else n + j for j in range(m)]
+    binv = [[Fraction(-1 if i == top else int(i == j != top)) for i in range(m)]
+            for j in range(m)]
+    reduced: list[int] = []
+    bland = False
+    while True:
+        if not reduced:
+            pi = [sum(cost[k] * row[j] for k, row in zip(basis, binv)) for j in range(m)]
+            q = lcm(*(p.denominator for p in pi))
+            ps = [int(p * q) for p in pi]
+            # q * (cost_k - pi . column_k): the reduced costs, scaled; a slack's
+            # is scaled by den too, to rank it as in the LP on the fractions
+            reduced = [xv * q - sum(map(mul, ps, vv)) for _, xv, vv in terms]
+            reduced += [-p * den for p in ps]
+            basic = set(basis)
+        eligible = [k for k, d in enumerate(reduced)
+                    if k not in basic and (d < 0 if at_upper[k] else d > 0)]
+        if not eligible:
+            break
+        k = eligible[0] if bland else max(eligible, key=lambda e: abs(reduced[e]))
+        sigma = -1 if at_upper[k] else 1
+        alpha = [sum(map(mul, row, cols[k])) for row in binv]
+        # Ratio test: the step that first brings the entering variable (a
+        # bound flip, ranked -1) or a basic variable to a bound; ties go to
+        # the flip, then to the lowest variable index.
+        best = None if upper[k] is None else (upper[k] - lower[k], -1)
+        for r, a in enumerate(alpha):
+            limit = lower[basis[r]] if sigma * a > 0 else upper[basis[r]]
+            if a and limit is not None:
+                step = ((value[basis[r]] - limit) / (sigma * a), basis[r])
+                best = step if best is None else min(best, step)
+        if best is None:
+            raise RuntimeError("hull LP is unbounded")
+        theta, out = best
+        for r, a in enumerate(alpha):
+            value[basis[r]] -= sigma * theta * a
+        value[k] += sigma * theta
+        if out < 0:
+            at_upper[k] = not at_upper[k]
+            bland = False
+            continue
+        at_upper[out] = value[out] == upper[out]
+        leave = basis.index(out)
+        basis[leave] = k
+        prow = [b / alpha[leave] for b in binv[leave]]
+        binv = [
+            prow if r == leave else [b - a * p for b, p in zip(row, prow)]
+            for r, (row, a) in enumerate(zip(binv, alpha))
+        ]
+        bland = theta == 0
+        reduced = []
+    return tuple(pi), sum(map(mul, cost, value))

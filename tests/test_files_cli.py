@@ -451,6 +451,23 @@ def test_measure_alphabet_must_list_one_size_per_row(tmp_path, capsys, alphabet,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mass", [0.5, 1, True, None, [1]], ids=["0.5", "1", "true", "null", "[1]"])
+def test_a_measure_mass_that_is_no_string_exits_2(tmp_path, capsys, mass):
+    seeded_corpus(tmp_path)
+    name = write_vertices(tmp_path)[0]
+    p = write_config(tmp_path)
+    out = str(tmp_path / "out")
+    args = ["--config", str(p), "--out", out, "dist", "--block", "0", "--nu", str(tmp_path / name)]
+    mu = json.loads((tmp_path / name).read_text())
+    mu["masses"][0]["mass"] = mass
+    (tmp_path / name).write_text(json.dumps(mu))
+    with pytest.raises(ConfigError, match="mass of pattern .* must be a string"):
+        files.read_measure(tmp_path / name)
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    assert f'must be a string "p/q", got {json.dumps(mass)}' in capsys.readouterr().err
+
+
 def test_the_corpus_row_of_a_float_and_a_bool_no_longer_reads_as_symbols(tmp_path):
     corpus = {"kind": "corpus", "dim": 1, "alphabet": [2],
               "blocks": [{"min": [0], "max": [1], "depth": 1, "rows": [[0.9, True]]}]}

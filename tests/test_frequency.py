@@ -1,6 +1,9 @@
 import itertools
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from blockdyn.frequency import count_embeddings, freq, freq_table
 from blockdyn.group import Shape, folner_box
 from blockdyn.symbolic import AlphabetStack, encode_pattern, sample_bernoulli
@@ -28,6 +31,29 @@ def test_count_embeddings_equal_shapes():
 
 def test_count_embeddings_planar():
     assert count_embeddings(Shape.box((-2, -2), (2, 2)), Shape.box((-1, -1), (1, 1))) == 9
+
+
+@st.composite
+def outer_inner(draw):
+    """Two shapes of one dimension, 1 to 3, each a box of up to 6 cells per
+    axis near the origin or a non-empty point set in one; the inner may be
+    larger than the outer."""
+    dim = draw(st.integers(1, 3))
+
+    def shape():
+        lo = [draw(st.integers(-2, 2)) for _ in range(dim)]
+        box = Shape.box(lo, [a + draw(st.integers(0, 5 if dim < 3 else 3)) for a in lo])
+        if draw(st.booleans()):
+            return box
+        return Shape.of(draw(st.lists(st.sampled_from(box.sorted_points), min_size=1, unique=True)))
+
+    return shape(), shape()
+
+
+@settings(max_examples=300, deadline=None)
+@given(outer_inner())
+def test_count_embeddings_equals_oracle(shapes):
+    assert count_embeddings(*shapes) == oracle_count_embeddings(*shapes)
 
 
 def test_freq_word_values():
