@@ -89,11 +89,11 @@ def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> in
     kind = gen_cfg.get("kind", "bernoulli")
     try:
         if kind == "bernoulli":
-            probs = [[parse_frac(p) for p in row] for row in gen_cfg["probs"]]
+            probs = files._rationals(gen_cfg["probs"], "gen.probs", rows=True)
             draw = partial(sample_bernoulli, cfg.window, cfg.stack, probs)
         elif kind == "markov":
-            init = [parse_frac(p) for p in gen_cfg["init"]]
-            trans = [[parse_frac(p) for p in row] for row in gen_cfg["transition"]]
+            init = files._rationals(gen_cfg["init"], "gen.init")
+            trans = files._rationals(gen_cfg["transition"], "gen.transition", rows=True)
             draw = partial(sample_markov, cfg.window, cfg.stack, init, trans)
         else:
             raise ConfigError(f"unknown generator kind: {kind}")
@@ -299,17 +299,18 @@ def _write_run(rundir: Path, cfg: ExperimentConfig, result: RunResult) -> None:
         rows,
     )
     for rep in result.stages:
-        # one text per distinct distance, not one per tile
-        lowers = {d: frac_str(d) for d in {t.distance_lower for t in rep.tiles}}
-        tile_rows = [
-            [
-                "(" + " ".join(map(str, t.center)) + ")",
-                t.shape_index,
-                lowers[t.distance_lower],
-                t.replaced,
-            ]
-            for t in rep.tiles
-        ]
+        # One text per distinct distance, not one per tile, keyed by value as
+        # (numerator, denominator): a Fraction's hash costs a modular inverse.
+        lowers: dict[tuple[int, int], str] = {}
+        tile_rows = []
+        for t in rep.tiles:
+            d = t.distance_lower
+            key = d.as_integer_ratio()
+            text = lowers.get(key)
+            if text is None:
+                text = lowers[key] = frac_str(d)
+            center = "(" + " ".join(map(str, t.center)) + ")"
+            tile_rows.append([center, t.shape_index, text, t.replaced])
         files.write_csv(
             rundir / f"stage_t{rep.stage}_tiles.csv",
             ["center", "shape_index", "d_lower", "replaced"],

@@ -21,8 +21,9 @@ from .frequency import corpus_subblocks, embedding_anchors, freq_table, tiling_a
 from .group import Point, Shape, folner_box, point_add
 from .measures import ConvexTarget, CylinderMeasure, HullDistance, block_measure, dist_to_hull
 from .quasitiling import Quasitiling, congruent, greedy_tile, verify
-from .symbolic import Block, BlockFamily, Corpus, _box_runs, _categorical, _draw, _read
-from .symbolic import _runs_at, _write, decode_pattern, encode_pattern, subblock_at
+from .symbolic import Block, BlockFamily, BoxRuns, Corpus, _box_offset, _box_read, _box_runs
+from .symbolic import _box_write, _categorical, _draw, _read, _runs_at, _write, decode_pattern
+from .symbolic import encode_pattern, subblock_at
 
 
 @dataclass(frozen=True)
@@ -112,23 +113,47 @@ class StageSchedule:
         return cls(dim, tuple(stages))
 
 
-@dataclass(frozen=True)
-class TileRecord:
-    center: Point
-    shape_index: int
-    distance_lower: Fraction
-    replaced: bool
+class _Record:
+    """Value equality and a dataclass-style repr over ``__slots__``.  Stage
+    reports hold one record per tile and per change, so records are plain
+    classes: a frozen dataclass pays a ``setattr`` call per field and
+    instance, and a dataclass build at every import."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({items})"
 
 
-@dataclass(frozen=True)
-class ChangeRecord:
+class TileRecord(_Record):
+    __slots__ = ("center", "shape_index", "distance_lower", "replaced")
+
+    def __init__(
+        self, center: Point, shape_index: int, distance_lower: Fraction, replaced: bool
+    ) -> None:
+        self.center, self.shape_index = center, shape_index
+        self.distance_lower, self.replaced = distance_lower, replaced
+
+
+class ChangeRecord(_Record):
     """Enough to undo one tile replacement: both blocks are re-based to the
     tile's shape, so applying ``before`` at the center restores the input."""
 
-    center: Point
-    shape_index: int
-    before: Block
-    after: Block
+    __slots__ = ("center", "shape_index", "before", "after")
+
+    def __init__(self, center: Point, shape_index: int, before: Block, after: Block) -> None:
+        self.center, self.shape_index, self.before, self.after = (
+            center, shape_index, before, after
+        )
 
 
 @dataclass(frozen=True)
@@ -230,45 +255,50 @@ def stage_transform(
             raise ValueError("representative does not live on its shape")
 
     # The stage's one hull-distance memo, keyed by (shape index, content),
-    # holds the distance and the one Block of that content; blocks are
-    # immutable, so a change record shares it.  Tiles are disjoint and writes
-    # touch only replaced tiles, so a kept tile keeps its distance (at most
-    # delta) and a replaced one reads back as exactly its representative: the
-    # far mass after the stage reads the representative's entry.
-    memo: dict[tuple[int, tuple[int, ...]], tuple[Fraction, Block]] = {}
+    # holds the distance, whether it is above delta, and the one Block of that
+    # content; blocks are immutable, so a change record shares it.  Tiles are
+    # disjoint and writes touch only replaced tiles, so a kept tile keeps its
+    # distance (at most delta) and a replaced one reads back as exactly its
+    # representative: the far mass after the stage reads the representative's
+    # entry.
+    memo: dict[tuple[int, tuple[int, ...]], tuple[Fraction, bool, Block]] = {}
     sizes = config.sizes[:k]
 
     def lower(
         i: int, content: tuple[int, ...], block: Block | None = None
-    ) -> tuple[Fraction, Block]:
+    ) -> tuple[Fraction, bool, Block]:
         entry = memo.get((i, content))
         if entry is None:
             if block is None:
                 block = Block(tiling.shapes[i], k, sizes, content)
-            entry = memo[i, content] = (dist_to_hull(block, target, families).value, block)
+            d = dist_to_hull(block, target, families).value
+            entry = memo[i, content] = (d, d > delta, block)
         return entry
 
     tile_records = []
     changes = []
-    far_cells = 0
-    far_cells_after = 0
+    far_tiles = [0] * len(tiling.shapes)
     window, symbols = config.shape, config.symbols
+    # One kernel lookup per shape; a box tile is then read at its offset.
+    lookups = [_box_runs(window, shape, k) for shape in tiling.shapes]
+    shape_reps = [reps.get(shape) for shape in tiling.shapes]
     for c, i in tiling.tiles():
-        shape = tiling.shapes[i]
-        runs = _runs_at(window, shape, k, c)
-        if runs is None:
+        runs = lookups[i]
+        at = _runs_at(window, tiling.shapes[i], k, c) if runs is None else _box_offset(runs, c)
+        if at is None:
             raise ValueError(f"tile at {c} escapes the configuration")
-        content = _read(symbols, runs)
-        d, sub = memo.get((i, content)) or lower(i, content)
-        far = d > delta
-        tile_records.append(TileRecord(center=c, shape_index=i, distance_lower=d, replaced=far))
-        if not far:
-            continue
-        far_cells += len(shape)
-        rep = reps[shape]
-        if lower(i, rep.symbols, rep)[0] > delta:
-            far_cells_after += len(shape)
-        changes.append(ChangeRecord(center=c, shape_index=i, before=sub, after=rep))
+        content = _read(symbols, at) if runs is None else _box_read(symbols, runs, at)
+        d, far, sub = memo.get((i, content)) or lower(i, content)
+        tile_records.append(TileRecord(c, i, d, far))
+        if far:
+            far_tiles[i] += 1
+            changes.append(ChangeRecord(c, i, sub, shape_reps[i]))
+    far_cells = far_cells_after = 0
+    for i, (n, shape, rep) in enumerate(zip(far_tiles, tiling.shapes, shape_reps)):
+        if n:
+            far_cells += n * len(shape)
+            if lower(i, rep.symbols, rep)[1]:
+                far_cells_after += n * len(shape)
     out = apply_changes(config, changes)
     far_before = Fraction(far_cells, len(tiling.window))
     report = StageReport(
@@ -289,14 +319,25 @@ def stage_transform(
 def apply_changes(
     config: Block, changes: Sequence[ChangeRecord], undo: bool = False
 ) -> Block:
-    """Replay (or with undo=True, revert) a stage's change log."""
+    """Replay (or with undo=True, revert) a stage's change log.  A box
+    change on a box configuration is written at its offset, with one kernel
+    lookup per (shape, depth) in the log."""
     symbols = list(config.symbols)
+    lookups: dict[tuple[Shape, int], BoxRuns | None] = {}
     for ch in changes:
         source = ch.before if undo else ch.after
-        runs = _runs_at(config.shape, source.shape, source.depth, ch.center)
-        if runs is None or source.depth > config.depth:
-            raise ValueError(f"change at {ch.center} escapes the configuration")
-        _write(symbols, runs, source.symbols)
+        key = source.shape, source.depth
+        if key not in lookups:
+            lookups[key] = _box_runs(config.shape, *key)
+        runs = lookups[key]
+        c = ch.center
+        at = _runs_at(config.shape, *key, c) if runs is None else _box_offset(runs, c)
+        if at is None or source.depth > config.depth:
+            raise ValueError(f"change at {c} escapes the configuration")
+        if runs is None:
+            _write(symbols, at, source.symbols)
+        else:
+            _box_write(symbols, runs, at, source.symbols)
     return Block(config.shape, config.depth, config.sizes, tuple(symbols))
 
 
@@ -512,7 +553,8 @@ def _tile_counts(
             # the tile at the origin shifted by flat(c) - flat(0)
             firsts, n = _run_firsts(runs, _anchor_ranges(shape, base))
             flat = runs[2]
-            shifts = [flat(c) - flat((0,) * config.dim) - first for c in centers]
+            origin = flat((0,) * config.dim) + first
+            shifts = [flat(c) - origin for c in centers]
             counts = Counter(
                 chain.from_iterable(codes[f + d : f + d + n] for d in shifts for f in firsts)
             )

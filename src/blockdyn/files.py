@@ -51,6 +51,25 @@ def parse_frac(s: Any) -> Fraction:
         raise ConfigError(f"not a rational: {s!r}") from exc
 
 
+def _rational(value: Any, field: str) -> Fraction:
+    """A rational read from a file: a JSON string "p/q".  json reads 0.1 as a
+    float, which ``parse_frac`` would take as 1/10, so a number, a bool,
+    null or a list is a ConfigError that names the field."""
+    if not isinstance(value, str):
+        raise ConfigError(f'{field} must be a string "p/q", got {json.dumps(value)}')
+    return parse_frac(value)
+
+
+def _rationals(values: Any, field: str, rows: bool = False) -> list[Any]:
+    """A JSON list of rationals, or with ``rows`` a list of such lists."""
+    if not isinstance(values, list):
+        what = "lists of strings" if rows else "strings"
+        raise ConfigError(f'{field} must be a list of {what} "p/q", got {json.dumps(values)}')
+    if rows:
+        return [_rationals(row, field) for row in values]
+    return [_rational(v, field) for v in values]
+
+
 _quote = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 # A varying leaf of a record layout.
@@ -165,10 +184,14 @@ def read_json(path: Path) -> Any:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+    """One line per row, written 1,024 rows at a time, so the table is never
+    held as text: a job's peak memory does not grow with its largest
+    table, and each write still joins many lines."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(str(h) for h in header)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(map(str, header)) + "\n")
+        for i in range(0, len(rows), 1024):
+            f.write("\n".join([",".join(map(str, row)) for row in rows[i : i + 1024]]) + "\n")
 
 
 def _box_of(block: Block) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -488,7 +511,7 @@ class ExperimentConfig:
                     _box((0,) * dim, (side - 1,) * dim)
                 schedule = StageSchedule.geometric(
                     dim=dim,
-                    eps1=parse_frac(s["eps1"]),
+                    eps1=_rational(s["eps1"], "eps1"),
                     depths=_ints(s["depths"], "depths"),
                     folner_indices=_ints(s["folner_indices"], "folner_indices"),
                     tile_sides=tile_sides,

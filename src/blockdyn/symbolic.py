@@ -11,7 +11,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import prod
 from operator import index, le, lt, mul, sub
 from typing import Callable, Iterator, Sequence
@@ -84,10 +84,11 @@ class Block:
         return len(self.shape)
 
 
+BoxRuns = tuple[tuple[int, ...], int, Callable[[Point], int], Point, Point]
+
+
 @lru_cache(maxsize=64)
-def _box_runs(
-    outer: Shape, inner: Shape, depth: int
-) -> tuple[tuple[int, ...], int, Callable[[Point], int], Point, Point] | None:
+def _box_runs(outer: Shape, inner: Shape, depth: int) -> BoxRuns | None:
     """(starts, length, flat, lo, hi) for two boxes, else None; cached.
 
     A block on a box stores its symbols in C order, so the entries of
@@ -114,21 +115,42 @@ def _box_runs(
     return starts, ihi[-1] - ilo[-1] + 1, flat, glo, ghi
 
 
+def _box_offset(runs: BoxRuns, g: Point) -> int | None:
+    """``flat(g)`` for the ``_box_runs`` of two boxes, or None when inner + g
+    does not fit: the per-anchor half of the kernel."""
+    _, _, flat, lo, hi = runs
+    return flat(g) if all(map(le, lo, g)) and all(map(le, g, hi)) else None
+
+
+def _box_read(symbols: tuple[int, ...], runs: BoxRuns, a: int) -> tuple[int, ...]:
+    """The entries of the ``runs`` at offset ``a``, in order."""
+    starts, length = runs[0], runs[1]
+    if len(starts) == 1:
+        return symbols[a + starts[0] : a + starts[0] + length]
+    return tuple(chain.from_iterable(symbols[a + s : a + s + length] for s in starts))
+
+
+def _box_write(symbols: list, runs: BoxRuns, a: int, values: Sequence) -> None:
+    """Overwrite the entries of the ``runs`` at offset ``a`` with ``values``."""
+    starts, length = runs[0], runs[1]
+    for j, s in zip(range(0, len(values), length), starts):
+        symbols[a + s : a + s + length] = values[j : j + length]
+
+
 def _runs_at(outer: Shape, inner: Shape, depth: int, g: Point) -> list[tuple[int, int]] | None:
     """The cell-addressing kernel: (start, stop) slices of the row-major
     symbols of a block on ``outer`` that list (inner + g) x rows[1..depth]
     in ``Block.symbols`` order, or None when inner + g does not fit.
 
-    Two boxes give one slice per ``_box_runs`` run, other shapes one
-    single-cell slice per point.
+    Two boxes give one slice per ``_box_runs`` run, shifted by
+    ``_box_offset``; other shapes one single-cell slice per point.
     """
     runs = _box_runs(outer, inner, depth)
     if runs is not None:
-        starts, length, flat, lo, hi = runs
-        if not (all(map(le, lo, g)) and all(map(le, g, hi))):
+        a = _box_offset(runs, g)
+        if a is None:
             return None
-        a = flat(g)
-        return [(a + s, a + s + length) for s in starts]
+        return [(a + s, a + s + runs[1]) for s in runs[0]]
     cells = [outer.index.get(point_add(p, g)) for p in inner.sorted_points]
     if None in cells:
         return None

@@ -1,22 +1,29 @@
 """The cell-addressing kernel against point-by-point references.
 
 Every sub-pattern read (``subblock_at``, ``marginal``) and
-write (``apply_changes``) goes through ``symbolic._runs_at``.  The
-references below look each cell up by its point in the sorted point list
-and share no code with the kernel.  Shapes are boxes and non-boxes in 1-D
-to 3-D with negative corners, inner shapes may be empty, depths include 0,
-and some translates do not fit.
+write (``apply_changes``) goes through ``symbolic._runs_at``, or on two
+boxes through its two halves: one ``_box_runs`` lookup per shape and one
+``_box_offset`` per anchor, as ``stage_transform`` and ``apply_changes``
+use them.  The references below look each cell up by its point in the
+sorted point list and share no code with the kernel.  Shapes are boxes and
+non-boxes in 1-D to 3-D with negative corners, inner shapes may be empty,
+depths include 0, and some translates do not fit.
 """
 
 import random
 from fractions import Fraction as F
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockdyn.construction import ChangeRecord, apply_changes
+from blockdyn import construction
+from blockdyn.construction import ChangeRecord, apply_changes, stage_transform
 from blockdyn.group import Shape
 from blockdyn.measures import CylinderMeasure
-from blockdyn.quasitiling import greedy_tile
+from blockdyn.quasitiling import Quasitiling, greedy_tile
 from blockdyn.symbolic import Block, subblock_at
 
 from helpers import decoded
@@ -142,6 +149,19 @@ def test_apply_changes_round_trip_matches_the_point_reference():
         assert apply_changes(out, changes, undo=True) == config
 
 
+def test_a_change_log_of_one_box_at_several_depths_matches_the_point_reference():
+    rng = random.Random(7)
+    config = random_block(rng, Shape.box((-3, -2), (4, 5)))
+    shape = Shape.box((0, 0), (1, 2))
+    changes = []
+    for c, depth in (((-3, -2), 1), ((0, 0), 3), ((2, 3), 2), ((-1, 3), 1)):
+        before = Block(shape, depth, SIZES[:depth], ref_read(config, shape, c, depth))
+        changes.append(ChangeRecord(c, 0, before, random_block(rng, shape, SIZES[:depth])))
+    out = apply_changes(config, changes)
+    assert out.symbols == ref_write(config, changes)
+    assert apply_changes(out, changes, undo=True) == config
+
+
 def test_apply_changes_rejects_a_change_outside_the_configuration():
     config = random_block(random.Random(5), Shape.box((0,), (4,)))
     patch = random_block(random.Random(6), Shape.box((0,), (2,)))
@@ -175,3 +195,113 @@ def test_greedy_tile_on_a_non_box_window_matches_a_point_set_reference(seed):
     centers, covered = ref_greedy(window, shapes)
     assert list(result.tiling.centers) == centers
     assert result.covered_fraction == covered
+
+
+def fake_distance(block):
+    """A distance that many contents share, as a new Fraction each call."""
+    return SimpleNamespace(value=F(sum(block.symbols) % 4, 3))
+
+
+@st.composite
+def stage_cases(draw):
+    """A box window with negative corners, a depth-2 configuration on it or
+    on a box one cell shorter on some axis (so that tiles may escape it), and
+    a disjoint tiling by boxes: a greedy grid, two greedy boxes, or a
+    hand-built grid with gaps and missing tiles."""
+    dim = draw(st.integers(1, 3))
+    side = {1: 16, 2: 7, 3: 4}[dim]
+    lo = [draw(st.integers(-4, 2)) for _ in range(dim)]
+    window = Shape.box(lo, [a + draw(st.integers(1, side)) for a in lo])
+
+    def box(most):
+        corner = [draw(st.integers(-2, 1)) for _ in range(dim)]
+        return Shape.box(corner, [a + draw(st.integers(0, most - 1)) for a in corner])
+
+    kind = draw(st.sampled_from(["greedy", "two", "gapped"]))
+    if kind == "greedy":
+        tiling = greedy_tile(window, [box(3)], F(1)).tiling
+    elif kind == "two":
+        tiling = greedy_tile(window, [box(3), box(2)], F(1)).tiling
+    else:
+        shape = box(3)
+        (wlo, whi), (slo, shi) = window.bounds(), shape.bounds()
+        axes = [
+            range(a - c + draw(st.integers(0, 2)), b - d + 1, d - c + 1 + draw(st.integers(0, 2)))
+            for a, b, c, d in zip(wlo, whi, slo, shi)
+        ]
+        cents = frozenset(g for g in product(*axes) if draw(st.integers(0, 3)))
+        tiling = Quasitiling(window, (shape,), (cents,))
+    hi = list(window.bounds()[1])
+    if draw(st.integers(0, 4)) == 0:
+        axis = draw(st.integers(0, dim - 1))
+        hi[axis] -= 1
+    rng = random.Random(draw(st.integers(0, 2**20)))
+    config = random_block(rng, Shape.box(lo, hi), SIZES[:2])
+    depth = draw(st.integers(1, 2))
+    return config, tiling, {s: random_block(rng, s, SIZES[:depth]) for s in tiling.shapes}
+
+
+@settings(max_examples=300, deadline=None)
+@given(stage_cases(), st.sampled_from([F(1, 100), F(1, 3), F(2, 3)]))
+def test_hoisted_stage_reads_and_writes_match_the_point_references(case, delta):
+    config, tiling, reps = case
+    k = next(iter(reps.values())).depth
+    target = SimpleNamespace(depth=1)
+    tiles = sorted((c, i) for i, cents in enumerate(tiling.centers) for c in cents)
+    contents = [ref_read(config, tiling.shapes[i], c, k) for c, i in tiles]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construction, "dist_to_hull", lambda block, *_: fake_distance(block))
+        if None in contents:
+            c, i = tiles[contents.index(None)]
+            with pytest.raises(ValueError) as err:
+                stage_transform(config, tiling, target, delta, reps, [])
+            assert str(err.value) == f"tile at {c} escapes the configuration"
+            return
+        out, report = stage_transform(config, tiling, target, delta, reps, [])
+    want_far = [fake_distance(SimpleNamespace(symbols=x)).value > delta for x in contents]
+    assert [(t.center, t.shape_index) for t in report.tiles] == tiles
+    assert [t.replaced for t in report.tiles] == want_far
+    far = [(tile, x) for tile, x, f in zip(tiles, contents, want_far) if f]
+    assert [(ch.center, ch.shape_index) for ch in report.changes] == [t for t, _ in far]
+    assert [ch.before.symbols for ch in report.changes] == [x for _, x in far]
+    assert all(ch.after is reps[tiling.shapes[ch.shape_index]] for ch in report.changes)
+    assert out.symbols == ref_write(config, report.changes)
+    assert apply_changes(out, report.changes, undo=True) == config
+    # A change log that escapes the configuration raises the same message.
+    if report.changes:
+        ch = report.changes[-1]
+        hi, slo = config.shape.bounds()[1], ch.before.shape.bounds()[0]
+        past = tuple(h - a + 1 for h, a in zip(hi, slo))
+        moved_out = ChangeRecord(past, ch.shape_index, ch.before, ch.after)
+        with pytest.raises(ValueError) as err:
+            apply_changes(out, [*report.changes, moved_out], undo=True)
+        assert str(err.value) == f"change at {moved_out.center} escapes the configuration"
+
+
+def no_kernel(*args):
+    raise AssertionError("_runs_at called")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_box_stages_and_change_logs_make_no_kernel_call(monkeypatch, dim):
+    rng = random.Random(dim)
+    window = Shape.box((-2,) * dim, (6,) * dim)
+    config = random_block(rng, window, SIZES[:2])
+    shapes = [Shape.box((0,) * dim, (2,) * dim), Shape.box((-1,) * dim, (0,) * dim)]
+    tiling = greedy_tile(window, shapes, F(1)).tiling
+    reps = {s: random_block(rng, s, SIZES[:1]) for s in shapes}
+    monkeypatch.setattr(construction, "dist_to_hull", lambda block, *_: fake_distance(block))
+    monkeypatch.setattr(construction, "_runs_at", no_kernel)
+    target = SimpleNamespace(depth=1)
+    out, report = stage_transform(config, tiling, target, F(1, 3), reps, [])
+    assert report.changes and len(report.changes) < len(report.tiles)
+    assert apply_changes(config, report.changes) == out
+    assert apply_changes(out, report.changes, undo=True) == config
+    # A tile or a change on a non-box shape still reads through the kernel.
+    notched = Shape(dim, shapes[0].points - {(1,) * dim})
+    other = Quasitiling(window, (notched,), (frozenset({(0,) * dim}),))
+    patch = random_block(rng, notched, SIZES[:1])
+    with pytest.raises(AssertionError, match="_runs_at called"):
+        stage_transform(config, other, target, F(1, 3), {notched: patch}, [])
+    with pytest.raises(AssertionError, match="_runs_at called"):
+        apply_changes(config, [ChangeRecord((0,) * dim, 0, patch, patch)])

@@ -468,6 +468,57 @@ def test_a_measure_mass_that_is_no_string_exits_2(tmp_path, capsys, mass):
     assert f'must be a string "p/q", got {json.dumps(mass)}' in capsys.readouterr().err
 
 
+NOT_STRINGS = pytest.mark.parametrize(
+    "value", [0.1, 1, True, None, [1]], ids=["0.1", "1", "true", "null", "[1]"]
+)
+# (field, command, config extras with one rational to replace, its path)
+RATIONAL_FIELDS = {
+    "eps1": (["construct"], {"schedule": {"eps1": "1/2", "depths": [1], "folner_indices": [1],
+                                          "tile_sides": [3]}}, ["schedule", "eps1"]),
+    "gen.probs": (["gen"], {}, ["gen", "probs", 0, 0]),
+    "gen.init": (["gen"], {"gen": {"kind": "markov", "init": ["1/2", "1/2"],
+                                   "transition": [["1/2", "1/2"], ["1/3", "2/3"]]}},
+                 ["gen", "init", 0]),
+    "gen.transition": (["gen"], {"gen": {"kind": "markov", "init": ["1/2", "1/2"],
+                                         "transition": [["1/2", "1/2"], ["1/3", "2/3"]]}},
+                       ["gen", "transition", 1, 0]),
+}
+
+
+@NOT_STRINGS
+@pytest.mark.parametrize("field", RATIONAL_FIELDS)
+def test_a_config_rational_that_is_no_string_exits_2(tmp_path, capsys, field, value):
+    """json reads 0.1 as a float; a rational in a config is a string "p/q"."""
+    command, extras, path = RATIONAL_FIELDS[field]
+    seeded_corpus(tmp_path)
+    write_vertices(tmp_path)
+    base = ["--out", str(tmp_path / "out"), "--config"]
+    p = write_config(tmp_path, target_vertices=["v0.json", "v1.json"], **extras)
+    assert cli.main(base + [str(p)] + command) == 0
+    cfg = json.loads(p.read_text())
+    *holder, key = path
+    obj = cfg
+    for step in holder:
+        obj = obj[step]
+    obj[key] = value
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli.main(base + [str(p)] + command) == 2
+    assert f'{field} must be a string "p/q", got {json.dumps(value)}' in capsys.readouterr().err
+
+
+@NOT_STRINGS
+@pytest.mark.parametrize("field", ["gen.probs", "gen.init", "gen.transition"])
+def test_a_config_rational_list_that_is_no_list_exits_2(tmp_path, capsys, field, value):
+    command, extras, path = RATIONAL_FIELDS[field]
+    p = write_config(tmp_path, **extras)
+    cfg = json.loads(p.read_text())
+    cfg["gen"][path[1]] = value
+    p.write_text(json.dumps(cfg))
+    assert cli.main(["--out", str(tmp_path / "out"), "--config", str(p)] + command) == 2
+    assert f"{field} must be a " in capsys.readouterr().err
+
+
 def test_the_corpus_row_of_a_float_and_a_bool_no_longer_reads_as_symbols(tmp_path):
     corpus = {"kind": "corpus", "dim": 1, "alphabet": [2],
               "blocks": [{"min": [0], "max": [1], "depth": 1, "rows": [[0.9, True]]}]}

@@ -8,19 +8,29 @@ give what the plain definitions give.
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdyn import construction, files
-from blockdyn.construction import ChangeRecord, _tile_counts, apply_changes, stage_transform
+from blockdyn import cli, construction, files
+from blockdyn.construction import (
+    ChangeRecord,
+    RunResult,
+    StageReport,
+    TileRecord,
+    _tile_counts,
+    apply_changes,
+    stage_transform,
+)
 from blockdyn.group import Shape, folner_box
-from blockdyn.measures import dist_to_hull
+from blockdyn.measures import HullDistance, dist_to_hull
 from blockdyn.quasitiling import Quasitiling, greedy_tile
-from blockdyn.symbolic import Block, subblock_at
+from blockdyn.symbolic import AlphabetStack, Block, sample_bernoulli, subblock_at
 from helpers import decoded, tile_copy_counts
 from test_integer_tables import random_block
 from test_stage_passes import FAMILIES, bernoulli_target
@@ -192,3 +202,95 @@ def test_equal_tile_contents_share_one_block_and_one_solve(monkeypatch):
         both += len({i for i, _ in blocks}) == 2
         assert apply_changes(out, report.changes, undo=True) == config
     assert shared > 50 and both >= 3, (shared, both)
+
+
+def test_records_compare_by_value_and_keep_their_constructor_and_repr():
+    one = Shape.interval(0, 1)
+    a, b = Block.constant(one, 1, (2,)), Block.constant(one, 1, (2,), 1)
+    for cls, values, others in (
+        (TileRecord, ((1,), 0, Fraction(1, 3), True), ((2,), 1, Fraction(1, 2), False)),
+        (ChangeRecord, ((1,), 0, a, b), ((2,), 1, b, a)),
+    ):
+        fields = cls.__slots__
+        record = cls(*values)
+        assert record == cls(**dict(zip(fields, values)))
+        assert tuple(getattr(record, f) for f in fields) == values
+        for k, other in enumerate(others):
+            assert record != cls(*values[:k], other, *values[k + 1 :])
+        assert record != values
+    assert repr(TileRecord((1,), 0, Fraction(1, 3), True)) == (
+        "TileRecord(center=(1,), shape_index=0, distance_lower=Fraction(1, 3), replaced=True)"
+    )
+
+
+WINDOW = Shape.interval(0, 26)
+
+
+def write_stage(tmp_path, report) -> list[list[str]]:
+    """``cli._write_run`` of a one-stage run with this report; the rows of
+    its ``stage_t1_tiles.csv``, header first."""
+    config = {
+        "dim": 1, "alphabet": [2], "window": {"min": [0], "max": [26]},
+        "schedule": {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [3]},
+    }
+    (tmp_path / "config.json").write_text(files.canonical_json(config))
+    cfg = files.ExperimentConfig.load(tmp_path / "config.json")
+    block = Block.constant(WINDOW, 1, (2,))
+    report = replace(report, stage=1, eps=Fraction(1, 2))
+    cli._write_run(tmp_path / "run", cfg, RunResult(block, block, (report,)))
+    text = (tmp_path / "run" / "stage_t1_tiles.csv").read_text()
+    return [line.split(",") for line in text.splitlines()]
+
+
+def test_equal_distances_of_distinct_contents_are_spelled_by_value(tmp_path, monkeypatch):
+    """Distinct contents get equal distances as distinct Fraction objects;
+    each row spells its own tile's distance, flagged by d_lower > delta."""
+
+    def shared(block, *_):
+        # a new Fraction each call, equal for all contents of one weight
+        return HullDistance(Fraction(2 * sum(block.symbols), 6), (), Fraction(0))
+
+    monkeypatch.setattr(construction, "dist_to_hull", shared)
+    config = sample_bernoulli(WINDOW, AlphabetStack((2,)), [[0.5, 0.5]], seed=4)
+    tiling = greedy_tile(WINDOW, [Shape.interval(0, 2)], Fraction(1)).tiling
+    rep = Block.constant(Shape.interval(0, 2), 1, (2,))
+    delta = Fraction(1, 2)
+    target = SimpleNamespace(depth=1)
+    _, report = stage_transform(config, tiling, target, delta, {tiling.shapes[0]: rep}, [])
+    ds = [t.distance_lower for t in report.tiles]
+    assert any(a == b and a is not b for a in ds for b in ds), "no equal distinct objects"
+    header, *rows = write_stage(tmp_path, report)
+    assert header == ["center", "shape_index", "d_lower", "replaced"]
+    assert [r[2] for r in rows] == [files.frac_str(d) for d in ds]
+    assert [r[3] for r in rows] == [str(Fraction(r[2]) > delta) for r in rows]
+    assert {r[3] for r in rows} == {"True", "False"}
+
+
+def naive_tile_table(report) -> str:
+    """The tile table spelled tile by tile."""
+    lines = ["center,shape_index,d_lower,replaced"]
+    for t in report.tiles:
+        center = "(" + " ".join(str(x) for x in t.center) + ")"
+        lines.append(f"{center},{t.shape_index},{files.frac_str(t.distance_lower)},{t.replaced}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.tuples(st.integers(-30, 30)), st.integers(0, 2),
+            st.integers(-4, 4), st.integers(1, 6), st.booleans(),
+        ),
+        max_size=30,
+    )
+)
+def test_the_tile_table_equals_a_naive_per_tile_writer(tmp_path_factory, tiles):
+    records = tuple(TileRecord(c, i, Fraction(n, d), f) for c, i, n, d, f in tiles)
+    report = StageReport(
+        0, Fraction(0), Fraction(1, 2), 1, Fraction(1), Fraction(0), Fraction(0), Fraction(0),
+        records, (),
+    )
+    tmp_path = tmp_path_factory.mktemp("stage")
+    write_stage(tmp_path, report)
+    assert (tmp_path / "run" / "stage_t1_tiles.csv").read_text() == naive_tile_table(report)
