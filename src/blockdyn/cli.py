@@ -51,6 +51,9 @@ def _load_vertices(cfg: ExperimentConfig) -> ConvexTarget:
     if not cfg.vertex_paths:
         raise ConfigError("the configuration lists no target_vertices")
     vertices = tuple(files.read_measure(p) for p in cfg.vertex_paths)
+    for p, v in zip(cfg.vertex_paths, vertices):
+        if v.base.dim != cfg.dim:
+            raise ConfigError(f"{p}: a vertex of dimension {v.base.dim} under dim {cfg.dim}")
     return ConvexTarget(vertices)
 
 

@@ -21,7 +21,9 @@ from .construction import ChangeRecord, StageSchedule
 from .group import Shape
 from .measures import CylinderMeasure, _numerators
 from .quasitiling import Quasitiling
-from .symbolic import AlphabetStack, Block, BlockFamily, Corpus, decode_pattern, encode_pattern
+from .symbolic import (
+    _PIECE, AlphabetStack, Block, BlockFamily, Corpus, _row_codes, check_alphabet, decode_pattern
+)
 
 
 class ConfigError(Exception):
@@ -49,6 +51,18 @@ def parse_frac(s: Any) -> Fraction:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"not a rational: {s!r}") from exc
+
+
+def _ratio(s: str) -> tuple[int, int]:
+    """A mass string as an integer pair (p, q) for p / q, q > 0: an ASCII
+    "p" or "p/q" of at most ``_PIECE`` characters, which int() reads under
+    any digit limit, as two ints; every other spelling as ``parse_frac``
+    reads or rejects it."""
+    num, slash, den = s.partition("/")
+    den = den if slash else "1"
+    if s.isascii() and num.isdigit() and den.isdigit() and den.strip("0") and len(s) <= _PIECE:
+        return int(num), int(den)
+    return parse_frac(s).as_integer_ratio()
 
 
 def _rational(value: Any, field: str) -> Fraction:
@@ -179,6 +193,8 @@ def read_json(path: Path) -> Any:
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"missing file: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
@@ -247,7 +263,7 @@ def _box(lo: Sequence[int], hi: Sequence[int]) -> Shape:
 def _symbols(rows: Any, depth: int, cells: int) -> tuple[int, ...]:
     """The row-major entries of ``depth`` rows of exactly ``cells`` JSON
     integers each; a float, bool or string entry is a ConfigError."""
-    if len(rows) != depth or any(not isinstance(r, list) or len(r) != cells for r in rows):
+    if len(rows) != depth or set(map(type, rows)) - {list} or set(map(len, rows)) - {cells}:
         raise ConfigError(f"need {depth} rows of exactly {cells} entries, one per cell")
     return _ints(tuple(chain.from_iterable(rows)), "block and measure entries")
 
@@ -288,8 +304,12 @@ def read_corpus(path: Path) -> Corpus:
 
 
 def _corpus_from_obj(obj: dict[str, Any]) -> Corpus:
+    dim = _int(obj["dim"], "dim")
     stack = AlphabetStack(_ints(obj["alphabet"], "alphabet"))
     blocks = tuple(block_from_obj(b, stack.sizes) for b in obj["blocks"])
+    for i, b in enumerate(blocks):
+        if b.dim != dim:
+            raise ConfigError(f"dim is {dim} but block {i} has dimension {b.dim}")
     return Corpus(stack, blocks)
 
 
@@ -370,6 +390,7 @@ def read_measure(path: Path) -> CylinderMeasure:
 
 
 def _measure_from_obj(obj: dict[str, Any]) -> CylinderMeasure:
+    dim = _int(obj["dim"], "dim")
     sizes = _ints(obj["alphabet"], "alphabet")
     depth = _int(obj["depth"], "depth")
     if len(sizes) != depth:
@@ -379,30 +400,33 @@ def _measure_from_obj(obj: dict[str, Any]) -> CylinderMeasure:
         )
     sizes = AlphabetStack(sizes).sizes
     base = _box(obj["base_min"], obj["base_max"])
-    width = depth * len(base)
+    if base.dim != dim:
+        raise ConfigError(f"dim is {dim} but the base has dimension {base.dim}")
+    cells = len(base)
     patterns = [e["pattern"] for e in obj["masses"]]
-    if any(not isinstance(p, list) or len(p) != depth for p in patterns):
+    if set(map(type, patterns)) - {list} or set(map(len, patterns)) - {depth}:
         raise ConfigError(f"every pattern needs {depth} rows")
-    # Entry types and row lengths are checked over all rows at once, the
-    # alphabet range over all rows of each stack level.
+    # One type test over all entries, then per stack level one alphabet check
+    # of all its rows and one radix parse per row.
     rows = list(chain.from_iterable(patterns))
-    flat = _symbols(rows, len(rows), len(base))
+    _symbols(rows, len(rows), cells)
+    codes = [0] * len(patterns)
     for r, size in enumerate(sizes):
         column = list(chain.from_iterable(rows[r::depth]))
-        if column and (min(column) < 0 or max(column) >= size):
-            raise ConfigError(f"row {r + 1} entry outside alphabet of size {size}")
-    masses: dict[int, Fraction] = {}
-    for i, e in enumerate(obj["masses"]):
-        key = encode_pattern(flat[i * width : (i + 1) * width], sizes, len(base))
+        text = check_alphabet(column, size, r + 1, ConfigError)
+        top = size**cells
+        codes = [c * top + v for c, v in zip(codes, _row_codes(column, size, len(codes), text))]
+    masses: dict[int, tuple[int, int]] = {}
+    for key, e, pattern in zip(codes, obj["masses"], patterns):
         if key in masses:
-            raise ConfigError(f"pattern {patterns[i]} is listed more than once")
+            raise ConfigError(f"pattern {pattern} is listed more than once")
         mass = e["mass"]
         if not isinstance(mass, str):
             # json reads 0.1 as a float, which Fraction(str()) would take
             raise ConfigError(
-                f'mass of pattern {patterns[i]} must be a string "p/q", got {json.dumps(mass)}'
+                f'mass of pattern {pattern} must be a string "p/q", got {json.dumps(mass)}'
             )
-        masses[key] = parse_frac(mass)
+        masses[key] = _ratio(mass)
     return CylinderMeasure._from_counts(depth, base, sizes, *_numerators(masses))
 
 
@@ -550,6 +574,8 @@ class ExperimentConfig:
         blocks: list[Block] = []
         for p in self.corpus_paths:
             c = read_corpus(p)
+            if any(b.dim != self.dim for b in c.blocks):
+                raise ConfigError(f"{p}: a block of dimension {c.dim} under dim {self.dim}")
             stacks.add(c.stack.sizes)
             blocks.extend(c.blocks)
         if stacks != {self.stack.sizes}:

@@ -23,16 +23,17 @@ from .symbolic import Block, BlockFamily, _runs_at, decode_pattern, encode_patte
 
 
 def _numerators(masses: Mapping) -> tuple[dict, int]:
-    """The non-zero masses as integer numerators over their least common
-    denominator; a ValueError unless some mass is positive, none is
-    negative and they sum to exactly 1."""
-    items = {key: Fraction(m) for key, m in masses.items() if m != 0}
+    """The non-zero masses, each an integer pair (p, q) for p / q with q > 0,
+    as integer numerators over the least common multiple of their q's; a
+    ValueError unless some mass is positive, none is negative and they sum
+    to exactly 1."""
+    items = {key: pq for key, pq in masses.items() if pq[0]}
     if not items:
         raise ValueError("a measure needs positive mass somewhere")
-    if any(m < 0 for m in items.values()):
+    if any(p < 0 for p, _ in items.values()):
         raise ValueError("negative mass")
-    den = lcm(*(m.denominator for m in items.values()))
-    nums = {key: m.numerator * (den // m.denominator) for key, m in items.items()}
+    den = lcm(*(q for _, q in items.values()))
+    nums = {key: p * (den // q) for key, (p, q) in items.items()}
     if sum(nums.values()) != den:
         raise ValueError("masses must sum to exactly 1")
     return nums, den
@@ -58,7 +59,7 @@ class CylinderMeasure:
     ) -> None:
         if depth < 1:
             raise ValueError("depth must be at least 1")
-        nums, den = _numerators(masses)
+        nums, den = _numerators({b: m.as_integer_ratio() for b, m in masses.items()})
         inferred = next(iter(nums)).sizes if sizes is None else tuple(sizes)
         if any(b.shape != base or b.depth != depth or b.sizes != inferred for b in nums):
             raise ValueError("mass assigned outside base x rows[1..depth]")

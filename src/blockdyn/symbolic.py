@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from codecs import charmap_decode
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, product
@@ -56,13 +57,11 @@ class Block:
             raise ValueError("depth must be non-negative")
         if len(self.sizes) != self.depth:
             raise ValueError("one alphabet size per row is required")
-        if len(self.symbols) != len(self.shape) * self.depth:
+        cells = len(self.shape)
+        if len(self.symbols) != cells * self.depth:
             raise ValueError("entry count does not match shape x depth")
-        for r in range(self.depth):
-            size = self.sizes[r]
-            row = self.symbols[r * len(self.shape) : (r + 1) * len(self.shape)]
-            if row and (min(row) < 0 or max(row) >= size):
-                raise ValueError(f"row {r + 1} entry outside alphabet of size {size}")
+        for r, size in enumerate(self.sizes):
+            check_alphabet(self.symbols[r * cells : (r + 1) * cells], size, r + 1)
 
     @classmethod
     def constant(cls, shape: Shape, depth: int, sizes: Sequence[int], value: int = 0) -> Block:
@@ -210,16 +209,75 @@ class Corpus:
         return self.blocks[0].dim
 
 
+# Entry e of a row over at most 256 symbols maps to _DIGITS[e]: the digit
+# int() reads for e below 36, a stand-in above.
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz" + "".join(map(chr, range(256, 476)))
+# The fewest digits that sys.set_int_max_str_digits lets int() parse.
+_PIECE = 640
+# A row of fewer entries is read faster entry by entry than by
+# check_alphabet and int(), which cost about 16 loop steps (CPython 3.11).
+_SHORT = 16
+
+
+def check_alphabet(
+    row: Sequence[int], size: int, r: int, error: type[Exception] = ValueError
+) -> str | None:
+    """The alphabet check: ``error`` unless every entry of ``row``, row ``r``
+    of a block or of patterns, lies in 0..size-1.  Where size <= 256 and
+    bytes() takes the row, one C pass maps entry e to _DIGITS[e], U+FFFD
+    from e = size on, and the mapped text is returned for int(); otherwise
+    min and max check the row, and None is returned.  Not a type test:
+    bytes() takes True."""
+    text = None
+    if size <= 256:
+        try:
+            text = charmap_decode(bytes(row), "replace", _DIGITS[:size])[0]
+        except (TypeError, ValueError):
+            pass  # an entry that is no integer or bool, or lies outside 0..255
+    outside = "\ufffd" in text if text is not None else row and (min(row) < 0 or max(row) >= size)
+    if outside:
+        raise error(f"row {r} entry outside alphabet of size {size}")
+    return text
+
+
+def _parse(text: str, size: int) -> int:
+    """int(text, size), 0 for no digits, in pieces of ``_PIECE`` digits."""
+    if len(text) <= _PIECE:
+        return int(text or "0", size)
+    value = 0
+    for i in range(0, len(text), _PIECE):
+        piece = text[i : i + _PIECE]
+        value = value * size ** len(piece) + int(piece, size)
+    return value
+
+
 def encode_pattern(symbols: Sequence[int], sizes: Sequence[int], cells: int) -> int:
     """The code of a pattern on ``cells`` cells x rows[1..len(sizes)]: its
     row-major ``symbols`` read as one mixed-radix number, most significant
     digit first, where row r's digits have radix ``sizes[r]``.  Patterns of
-    one domain sort by code exactly as by symbol tuple."""
+    one domain sort by code exactly as by symbol tuple.  A row of radix
+    2..36 and at least ``_SHORT`` entries is read by int() from the digits
+    of its ``check_alphabet``, any other entry by entry."""
     code = 0
     for r, size in enumerate(sizes):
-        for v in symbols[r * cells : (r + 1) * cells]:
-            code = code * size + v
+        row = symbols[r * cells : (r + 1) * cells]
+        text = check_alphabet(row, size, r + 1) if 2 <= size <= 36 and cells >= _SHORT else None
+        if text is None:
+            for v in row:
+                code = code * size + v
+        else:
+            code = code * size**cells + _parse(text, size)
     return code
+
+
+def _row_codes(row: Sequence[int], size: int, n: int, text: str | None) -> list[int]:
+    """The codes of the ``n`` equal runs that make up ``row`` as patterns
+    with alphabet (size,), given ``text``, the row's ``check_alphabet``
+    digits: one int() per run of radix 2..36, ``encode_pattern`` else."""
+    cells = len(row) // n if n else 0
+    if text is None or not 2 <= size <= 36:
+        return [encode_pattern(row[i * cells : (i + 1) * cells], (size,), cells) for i in range(n)]
+    return [_parse(text[i * cells : (i + 1) * cells], size) for i in range(n)]
 
 
 def decode_pattern(code: int, sizes: Sequence[int], cells: int) -> tuple[int, ...]:

@@ -4,8 +4,10 @@ Words spell one-row blocks in letters, 'a' -> 0, 'b' -> 1, ...; the
 library itself stores small integers only.
 """
 
+import json
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
@@ -53,6 +55,34 @@ def cylinder_mass(measure: CylinderMeasure, pattern: Block) -> Fraction:
     measure's base at a level up to its depth: one entry of a marginal."""
     marg = measure.marginal(pattern.shape, pattern.depth)
     return marg.get(code_of(pattern), Fraction(0))
+
+
+def oracle_read_corpus(path: Path) -> tuple[tuple[int, ...], list[tuple]]:
+    """A valid corpus file read by ``json`` alone: its alphabet, and per block
+    its corners, depth and row-major entries."""
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    blocks = [
+        (tuple(b["min"]), tuple(b["max"]), b["depth"], tuple(v for row in b["rows"] for v in row))
+        for b in obj["blocks"]
+    ]
+    return tuple(obj["alphabet"]), blocks
+
+
+def oracle_read_measure(path: Path) -> tuple[int, tuple, tuple, tuple[int, ...], dict]:
+    """A valid measure file read by ``json``, ``Fraction(str)`` and a
+    per-digit mixed-radix encoding: depth, base corners, alphabet and the
+    non-zero masses by pattern code."""
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    masses = {}
+    for e in obj["masses"]:
+        code = 0
+        for row, size in zip(e["pattern"], obj["alphabet"]):
+            for v in row:
+                code = code * size + v
+        if Fraction(e["mass"]):
+            masses[code] = Fraction(e["mass"])
+    corners = tuple(obj["base_min"]), tuple(obj["base_max"])
+    return obj["depth"], *corners, tuple(obj["alphabet"]), masses
 
 
 def tile_copy_counts(

@@ -271,6 +271,64 @@ def test_a_job_that_fails_before_writing_leaves_no_run_directory(tmp_path, argv,
     assert [p.name for p in rundir.iterdir()] == ["freq_k1_b0.csv"]
 
 
+def _exits_2_without_a_run_directory(tmp_path, capsys, argv, *names) -> None:
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(n in err for n in names), err
+    assert not out.exists() or not list(out.glob("run-*"))
+
+
+@pytest.mark.parametrize("which", ["config", "nu"])
+@pytest.mark.parametrize("what", ["directory", "not-utf-8"])
+def test_an_unreadable_file_exits_2(tmp_path, capsys, which, what):
+    (tmp_path / "corpus.json").write_text(json.dumps(GOOD_CORPUS))
+    (tmp_path / "v0.json").write_text(json.dumps(GOOD_MEASURE))
+    bad = tmp_path / "bad"
+    if what == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'{"kind": "measure", "dim": 1, "note": "\xff"}')
+    config = bad if which == "config" else _config(tmp_path)
+    nu = bad if which == "nu" else tmp_path / "v0.json"
+    argv = ["--config", str(config), "dist", "--block", "0", "--nu", str(nu)]
+    _exits_2_without_a_run_directory(tmp_path, capsys, argv, "cannot read", str(bad))
+
+
+def _dim_case(tmp_path: Path, case: str) -> list[str]:
+    """A 1-D configuration with one file whose dimension is wrong, and the
+    job that reads it."""
+    corpus, measure, argv = GOOD_CORPUS, GOOD_MEASURE, ["dist", "--block", "0", "--hull"]
+    if case == "measure-dim-2-on-a-1d-base":
+        measure, argv = dict(GOOD_MEASURE, dim=2), ["dist", "--block", "0", "--nu", "v0.json"]
+    elif case == "2d-vertex":
+        measure = dict(GOOD_MEASURE, dim=2, base_min=[-1, 0], base_max=[1, 0])
+    else:
+        block = {"min": [0, 0], "max": [2, 2], "depth": 1, "rows": [[0, 1, 0] * 3]}
+        corpus = dict(GOOD_CORPUS, dim=2, blocks=[block])
+        argv = ["blocks", "--level", "1"] if case == "2d-corpus-blocks" else ["freq", "--level", "1"]
+    (tmp_path / "corpus.json").write_text(json.dumps(corpus))
+    (tmp_path / "v0.json").write_text(json.dumps(measure))
+    argv = [str(tmp_path / a) if a == "v0.json" else a for a in argv]
+    return ["--config", str(_config(tmp_path))] + argv
+
+
+@pytest.mark.parametrize(
+    "case", ["measure-dim-2-on-a-1d-base", "2d-corpus-blocks", "2d-corpus-freq", "2d-vertex"]
+)
+def test_a_dim_that_differs_exits_2(tmp_path, capsys, case):
+    _exits_2_without_a_run_directory(tmp_path, capsys, _dim_case(tmp_path, case), "dim")
+
+
+def test_a_corpus_block_off_the_file_dim_exits_2(tmp_path, capsys):
+    block = {"min": [0, 0], "max": [2, 2], "depth": 1, "rows": [[0, 1, 0] * 3]}
+    (tmp_path / "corpus.json").write_text(json.dumps(dict(GOOD_CORPUS, blocks=[block])))
+    (tmp_path / "v0.json").write_text(json.dumps(GOOD_MEASURE))
+    argv = ["--config", str(_config(tmp_path)), "blocks", "--level", "1"]
+    _exits_2_without_a_run_directory(tmp_path, capsys, argv, "dim is 1 but block 0")
+
+
 def test_testkit_offers_only_its_own_oracles():
     """A name that testkit imports from another blockdyn module is there for
     its oracles to use; one they never use is passed on as if it were an
