@@ -214,22 +214,19 @@ class Corpus:
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz" + "".join(map(chr, range(256, 476)))
 # The fewest digits that sys.set_int_max_str_digits lets int() parse.
 _PIECE = 640
-# A row of fewer entries is read faster entry by entry than by
-# check_alphabet and int(), which cost about 16 loop steps (CPython 3.11).
-_SHORT = 16
 
 
 def check_alphabet(
     row: Sequence[int], size: int, r: int, error: type[Exception] = ValueError
 ) -> str | None:
     """The alphabet check: ``error`` unless every entry of ``row``, row ``r``
-    of a block or of patterns, lies in 0..size-1.  Where size <= 256 and
-    bytes() takes the row, one C pass maps entry e to _DIGITS[e], U+FFFD
-    from e = size on, and the mapped text is returned for int(); otherwise
-    min and max check the row, and None is returned.  Not a type test:
-    bytes() takes True."""
+    of a block or of patterns, lies in 0..size-1.  Where 0 < size <= 256
+    and bytes() takes the row, one C pass maps entry e to _DIGITS[e],
+    U+FFFD from e = size on, and the mapped text is returned for int();
+    otherwise min and max check the row, and None is returned.  Not a type
+    test: bytes() takes True."""
     text = None
-    if size <= 256:
+    if 0 < size <= 256:
         try:
             text = charmap_decode(bytes(row), "replace", _DIGITS[:size])[0]
         except (TypeError, ValueError):
@@ -255,18 +252,11 @@ def encode_pattern(symbols: Sequence[int], sizes: Sequence[int], cells: int) -> 
     """The code of a pattern on ``cells`` cells x rows[1..len(sizes)]: its
     row-major ``symbols`` read as one mixed-radix number, most significant
     digit first, where row r's digits have radix ``sizes[r]``.  Patterns of
-    one domain sort by code exactly as by symbol tuple.  A row of radix
-    2..36 and at least ``_SHORT`` entries is read by int() from the digits
-    of its ``check_alphabet``, any other entry by entry."""
+    one domain sort by code exactly as by symbol tuple."""
     code = 0
     for r, size in enumerate(sizes):
-        row = symbols[r * cells : (r + 1) * cells]
-        text = check_alphabet(row, size, r + 1) if 2 <= size <= 36 and cells >= _SHORT else None
-        if text is None:
-            for v in row:
-                code = code * size + v
-        else:
-            code = code * size**cells + _parse(text, size)
+        for v in symbols[r * cells : (r + 1) * cells]:
+            code = code * size + v
     return code
 
 

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdyn import files
-from blockdyn.symbolic import decode_pattern, encode_pattern
+from blockdyn.symbolic import _row_codes, check_alphabet, decode_pattern, encode_pattern
 from helpers import oracle_read_corpus, oracle_read_measure
 
 RADICES = [1, 2, 3, 10, 36, 37, 300]
@@ -142,18 +142,27 @@ def test_corpora_read_as_the_oracle_reads_them(tmp_path_factory, obj):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), sizes=STACKS, cells=st.integers(0, 40))
-def test_encode_pattern_is_the_per_digit_code(data, sizes, cells):
-    """Rows read entry by entry (short ones, radix 1 or above 36) and rows
-    read by int() give the code of the per-digit mixed-radix encoding."""
-    symbols = [data.draw(st.integers(0, size - 1)) for size in sizes for _ in range(cells)]
-    code = 0
-    for v, size in zip(symbols, (size for size in sizes for _ in range(cells))):
-        code = code * size + v
-    assert encode_pattern(tuple(symbols), sizes, cells) == code
+@given(data=st.data(), size=st.sampled_from(RADICES), n=st.integers(0, 4), cells=st.integers(0, 40))
+def test_row_codes_are_the_per_digit_codes(data, size, n, cells):
+    """The codes the measure reader reads from ``n`` runs of one row, by
+    int() for radix 2..36 and entry by entry otherwise, are the per-digit
+    codes of ``encode_pattern``."""
+    row = [data.draw(st.integers(0, size - 1)) for _ in range(n * cells)]
+    text = check_alphabet(row, size, 1)
+    runs = [tuple(row[i * cells : (i + 1) * cells]) for i in range(n)]
+    assert _row_codes(row, size, n, text) == [encode_pattern(u, (size,), cells) for u in runs]
 
 
-@pytest.mark.parametrize("limit", [None, 640])
+@pytest.mark.parametrize(
+    "limit",
+    [
+        None,
+        pytest.param(640, marks=pytest.mark.skipif(
+            not hasattr(sys, "set_int_max_str_digits"),
+            reason="int() has no digit limit before Python 3.10.7",
+        )),
+    ],
+)
 @pytest.mark.parametrize("sizes", [(3,), (2, 3), (10,), (36, 1)])
 def test_rows_longer_than_the_int_digit_limit_read_in_pieces(tmp_path, limit, sizes):
     """A radix-3 row of 4,401 digits is more than int() parses at once, by
@@ -170,7 +179,7 @@ def test_rows_longer_than_the_int_digit_limit_read_in_pieces(tmp_path, limit, si
            "base_min": [0], "base_max": [cells - 1], "masses": masses}
     path = tmp_path / "long.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
-    before = sys.get_int_max_str_digits()
+    before = limit and sys.get_int_max_str_digits()
     try:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -178,7 +187,8 @@ def test_rows_longer_than_the_int_digit_limit_read_in_pieces(tmp_path, limit, si
         symbols = tuple(v for row in rows for v in row)
         assert decode_pattern(encode_pattern(symbols, sizes, cells), sizes, cells) == symbols
     finally:
-        sys.set_int_max_str_digits(before)
+        if limit is not None:
+            sys.set_int_max_str_digits(before)
 
 
 def test_every_benchmark_input_reads_as_the_oracle_reads_it(tmp_path):
@@ -259,12 +269,17 @@ def _block(rows):
          "ConfigError('block and measure entries must be integers, got float')"),
         (dict(CORPUS, blocks=[_block([[0, 0, 1]])]),
          "ConfigError('need 1 rows of exactly 2 entries, one per cell')"),
+        ({k: v for k, v in MEASURE.items() if k != "dim"} | {"masses": [_entry([[0, 1]], "1")]},
+         "KeyError('dim')"),
+        ({k: v for k, v in CORPUS.items() if k != "dim"} | {"blocks": [_block([[0, 1]])]},
+         "KeyError('dim')"),
     ],
     ids=[
         "out-of-range", "out-of-range-row-2", "negative-entry", "bool-entry", "float-entry",
         "ragged-row", "missing-row", "duplicate-pattern", "zero-denominator", "bad-spelling",
         "superscript-digit", "more-digits-than-int-parses", "negative-mass", "sum-not-1", "no-positive-mass", "corpus-out-of-range",
         "corpus-negative-entry", "corpus-bool-entry", "corpus-float-entry", "corpus-ragged-row",
+        "missing-dim", "corpus-missing-dim",
     ],
 )
 def test_each_rejection_keeps_its_message(tmp_path, obj, message):

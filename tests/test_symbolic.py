@@ -45,6 +45,21 @@ def test_block_validates_entries():
     assert Block(Shape.interval(0, 1), 2, (2, 3), (1, 1, 2, 0)).row(2) == (2, 0)
 
 
+@pytest.mark.parametrize("size", [-1, 0, 1, 2, 36, 37, 255, 256, 257])
+@pytest.mark.parametrize(
+    "row", [(), (0,), (0, 1), (-1, 0), (35, 36), (255,), (256,), (257, 0), (True, 0), (0.5, 1.0)]
+)
+def test_block_accepts_exactly_the_rows_min_max_accepts(size, row):
+    """Block's alphabet check against the min/max rule, at sizes of 0 and
+    below too, where every nonempty row is outside the alphabet."""
+    shape = Shape.interval(0, len(row) - 1) if row else Shape.box((0,), (-1,))
+    if row and (min(row) < 0 or max(row) >= size):
+        with pytest.raises(ValueError, match=f"^row 1 entry outside alphabet of size {size}$"):
+            Block(shape, 1, (size,), row)
+    else:
+        assert Block(shape, 1, (size,), row).symbols == row
+
+
 def test_enumerate_family_word():
     corpus = Corpus(AlphabetStack((2,)), (WORD,))
     fam = enumerate_family(corpus, 1)
