@@ -3,68 +3,54 @@
 Block frequencies, empirical cylinder measures, weak-star distances with
 certified tails, quasitilings of finite windows and a staged, invertible
 block-replacement transform, all in exact rational arithmetic.
+
+The public names below are imported from their modules on first read
+(PEP 562), so ``import blockdyn`` loads no module, and reading a file
+loads no stage or tiling code; ``from blockdyn import *`` binds the same
+objects as importing each from its module.
 """
 
-import types
-
-from .group import (
-    Shape,
-    folner_box,
-    invariance_ratio,
-    shape_product,
-    translate,
-)
-from .symbolic import (
-    AlphabetStack,
-    Block,
-    BlockFamily,
-    Corpus,
-    decode_pattern,
-    encode_pattern,
-    enumerate_family,
-    enumerate_full_family,
-    sample_bernoulli,
-    subblock_at,
-)
-from .frequency import (
-    count_embeddings,
-    freq,
-    freq_table,
-)
-from .measures import (
-    ConvexTarget,
-    CylinderMeasure,
-    DistanceInterval,
-    HullDistance,
-    block_measure,
-    dist,
-    dist_block,
-    dist_k,
-    dist_to_hull,
-    mix,
-    tail_depth,
-)
-from .quasitiling import (
-    Quasitiling,
-    congruent,
-    decode_symbolic,
-    encode_symbolic,
-    greedy_tile,
-    verify,
-)
-from .construction import (
-    StageSchedule,
-    apply_changes,
-    far_mass,
-    run,
-    select_representative,
-    stage_transform,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# The public names are the ones imported above.
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, types.ModuleType)
-)
+__all__ = [
+    "AlphabetStack", "Block", "BlockFamily", "ConvexTarget", "Corpus", "CylinderMeasure",
+    "DistanceInterval", "HullDistance", "Quasitiling", "Shape", "StageSchedule", "apply_changes",
+    "block_measure", "congruent", "count_embeddings", "decode_pattern", "decode_symbolic", "dist",
+    "dist_block", "dist_k", "dist_to_hull", "encode_pattern", "encode_symbolic",
+    "enumerate_family", "enumerate_full_family", "far_mass", "folner_box", "freq", "freq_table",
+    "greedy_tile", "invariance_ratio", "mix", "run", "sample_bernoulli", "select_representative",
+    "shape_product", "stage_transform", "subblock_at", "tail_depth", "translate", "verify",
+]
+
+# The module that defines each public name.
+_HOME = {
+    name: module
+    for module, names in (
+        ("group", "Shape folner_box invariance_ratio shape_product translate"),
+        (
+            "symbolic",
+            "AlphabetStack Block BlockFamily Corpus decode_pattern encode_pattern"
+            " enumerate_family enumerate_full_family sample_bernoulli subblock_at",
+        ),
+        ("frequency", "count_embeddings freq freq_table"),
+        (
+            "measures",
+            "ConvexTarget CylinderMeasure DistanceInterval HullDistance block_measure dist"
+            " dist_block dist_k dist_to_hull mix tail_depth",
+        ),
+        ("quasitiling", "Quasitiling congruent decode_symbolic encode_symbolic greedy_tile verify"),
+        ("files", "StageSchedule"),
+        ("construction", "apply_changes far_mass run select_representative stage_transform"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value

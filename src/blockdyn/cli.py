@@ -47,14 +47,18 @@ def _run_dir(cfg: ExperimentConfig, out: str) -> Path:
     return Path(out) / f"run-{cfg.content_hash()}"
 
 
+def _read_measure(cfg: ExperimentConfig, path: Path) -> CylinderMeasure:
+    """A measure file whose base has the configuration's dimension."""
+    mu = files.read_measure(path)
+    if mu.base.dim != cfg.dim:
+        raise ConfigError(f"{path}: a measure of dimension {mu.base.dim} under dim {cfg.dim}")
+    return mu
+
+
 def _load_vertices(cfg: ExperimentConfig) -> ConvexTarget:
     if not cfg.vertex_paths:
         raise ConfigError("the configuration lists no target_vertices")
-    vertices = tuple(files.read_measure(p) for p in cfg.vertex_paths)
-    for p, v in zip(cfg.vertex_paths, vertices):
-        if v.base.dim != cfg.dim:
-            raise ConfigError(f"{p}: a vertex of dimension {v.base.dim} under dim {cfg.dim}")
-    return ConvexTarget(vertices)
+    return ConvexTarget(tuple(_read_measure(cfg, p) for p in cfg.vertex_paths))
 
 
 def _families(corpus: Corpus, levels: int):
@@ -156,7 +160,7 @@ def cmd_dist(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
     corpus = cfg.load_corpus()
     x: Block | CylinderMeasure
     if args.mu is not None:
-        x = files.read_measure(Path(args.mu))
+        x = _read_measure(cfg, Path(args.mu))
         x_depth = x.depth
     elif args.block is not None:
         x = _corpus_block(corpus, args.block)
@@ -178,7 +182,7 @@ def cmd_dist(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
     else:
         if args.nu is None:
             raise ConfigError("dist needs --nu (or --hull)")
-        nu = files.read_measure(Path(args.nu))
+        nu = _read_measure(cfg, Path(args.nu))
         levels = min(nu.depth if args.levels is None else args.levels, nu.depth, x_depth)
         fams = _families(corpus, levels)
         if isinstance(x, Block):

@@ -14,127 +14,34 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, islice
 from math import lcm
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .frequency import _anchor_ranges, _box_codes, _run_firsts, block_measure_gap_bound
+from .frequency import _anchor_ranges, _box_codes, _run_firsts
 from .frequency import corpus_subblocks, embedding_anchors, freq_table, tiling_average_gap_bound
-from .group import Point, Shape, folner_box, point_add
+from .group import Point, Shape, _Record, folner_box, point_add
 from .measures import ConvexTarget, CylinderMeasure, HullDistance, block_measure, dist_to_hull
 from .quasitiling import Quasitiling, congruent, greedy_tile, verify
 from .symbolic import Block, BlockFamily, BoxRuns, Corpus, _box_offset, _box_read, _box_runs
 from .symbolic import _box_write, _categorical, _draw, _read, _runs_at, _write, decode_pattern
 from .symbolic import encode_pattern, subblock_at
 
-
-@dataclass(frozen=True)
-class Stage:
-    """One stage: tolerance eps, replacement threshold delta, rows 1..depth
-    rewritten, box tiles of side tile_side, delta tied to Folner index."""
-
-    index: int
-    eps: Fraction
-    delta: Fraction
-    depth: int
-    folner_index: int
-    tile_side: int
-
-    def __post_init__(self) -> None:
-        if self.depth < 1 or self.tile_side < 1 or self.folner_index < 1:
-            raise ValueError("depth, tile side and Folner index must be positive")
-        if self.eps <= 0 or self.delta <= 0:
-            raise ValueError("eps and delta must be positive")
+if TYPE_CHECKING:
+    from .files import StageSchedule
 
 
-@dataclass(frozen=True)
-class StageSchedule:
-    """A strictly decreasing, summable tolerance sequence with per-stage
-    replacement thresholds and coarsening tile sides.
-
-    Each delta must keep the marginal-gap bound below its stage's eps, and
-    every tile side must be a multiple of the previous stage's so that the
-    grid tilings come out congruent.
-    """
-
-    dim: int
-    stages: tuple[Stage, ...]
-
-    def __post_init__(self) -> None:
-        if not self.stages:
-            raise ValueError("a schedule needs at least one stage")
-        eps = [s.eps for s in self.stages]
-        if any(nxt >= prev for nxt, prev in zip(eps[1:], eps)):
-            raise ValueError("eps must be strictly decreasing")
-        for s in self.stages:
-            size = (2 * s.folner_index + 1) ** self.dim
-            if s.delta * size >= 1 or block_measure_gap_bound(s.delta, size) >= s.eps:
-                raise ValueError(
-                    f"stage {s.index}: delta {s.delta} too large for eps {s.eps}"
-                )
-        sides = [s.tile_side for s in self.stages]
-        for prev, nxt in zip(sides, sides[1:]):
-            if nxt % prev != 0:
-                raise ValueError("tile sides must coarsen by integer multiples")
-
-    @property
-    def eps_total(self) -> Fraction:
-        return sum((s.eps for s in self.stages), Fraction(0))
-
-    @classmethod
-    def geometric(
-        cls,
-        dim: int,
-        eps1: Fraction,
-        depths: Sequence[int],
-        folner_indices: Sequence[int],
-        tile_sides: Sequence[int],
-    ) -> StageSchedule:
-        """eps_t = eps1 * 2^(1-t); delta_t = min(eps_t, 1) / (3 |F_{n_t}|),
-        which always satisfies the feasibility relation."""
-        if not len(depths) == len(folner_indices) == len(tile_sides):
-            raise ValueError("per-stage parameter lists must have equal length")
-        eps1 = Fraction(eps1)
-        stages = []
-        for t, (k, n, side) in enumerate(
-            zip(depths, folner_indices, tile_sides), start=1
-        ):
-            eps = eps1 * Fraction(1, 2 ** (t - 1))
-            size = (2 * n + 1) ** dim
-            delta = min(eps, Fraction(1)) / (3 * size)
-            stages.append(
-                Stage(
-                    index=t,
-                    eps=eps,
-                    delta=delta,
-                    depth=k,
-                    folner_index=n,
-                    tile_side=side,
-                )
-            )
-        return cls(dim, tuple(stages))
-
-
-class _Record:
-    """Value equality and a dataclass-style repr over ``__slots__``.  Stage
-    reports hold one record per tile and per change, so records are plain
-    classes: a frozen dataclass pays a ``setattr`` call per field and
-    instance, and a dataclass build at every import."""
+class _WritableRecord(_Record):
+    """A record made once per tile or change of a stage, 5,294 of them in a
+    benchmark construct run: its fields are plain slot stores, a third of
+    the cost of ``_set``, so it stays writable and, being writable,
+    unhashable."""
 
     __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()  # type: ignore[attr-defined]
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
-        return f"{type(self).__name__}({items})"
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
 
 
-class TileRecord(_Record):
+class TileRecord(_WritableRecord):
     __slots__ = ("center", "shape_index", "distance_lower", "replaced")
 
     def __init__(
@@ -144,7 +51,7 @@ class TileRecord(_Record):
         self.distance_lower, self.replaced = distance_lower, replaced
 
 
-class ChangeRecord(_Record):
+class ChangeRecord(_WritableRecord):
     """Enough to undo one tile replacement: both blocks are re-based to the
     tile's shape, so applying ``before`` at the center restores the input."""
 

@@ -10,20 +10,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, prod
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
 
-from .construction import ChangeRecord, StageSchedule
-from .group import Shape
+from .frequency import block_measure_gap_bound
+from .group import Shape, _Record
 from .measures import CylinderMeasure, _numerators
-from .quasitiling import Quasitiling
 from .symbolic import (
     _PIECE, AlphabetStack, Block, BlockFamily, Corpus, _row_codes, check_alphabet, decode_pattern
 )
+
+if TYPE_CHECKING:  # a job that reads files loads no stage or tiling code
+    from .construction import ChangeRecord
+    from .quasitiling import Quasitiling
 
 
 class ConfigError(Exception):
@@ -477,6 +479,8 @@ def read_tiling(path: Path) -> Quasitiling:
 
 
 def _tiling_from_obj(obj: dict[str, Any]) -> Quasitiling:
+    from .quasitiling import Quasitiling  # only a tiling file needs the tiling code
+
     window = _box(obj["window_min"], obj["window_max"])
     shapes = tuple(Shape.of([_ints(p, "shape points") for p in pts]) for pts in obj["shapes"])
     centers = tuple(frozenset(_ints(c, "tile centers") for c in cs) for cs in obj["centers"])
@@ -495,10 +499,112 @@ def write_family(path: Path, family: BlockFamily) -> None:
     write_json(path, obj)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class Stage(_Record):
+    """One stage: tolerance eps, replacement threshold delta, rows 1..depth
+    rewritten, box tiles of side tile_side, delta tied to Folner index."""
+
+    __slots__ = ("index", "eps", "delta", "depth", "folner_index", "tile_side")
+    index: int
+    eps: Fraction
+    delta: Fraction
+    depth: int
+    folner_index: int
+    tile_side: int
+
+    def __init__(
+        self,
+        index: int,
+        eps: Fraction,
+        delta: Fraction,
+        depth: int,
+        folner_index: int,
+        tile_side: int,
+    ) -> None:
+        if depth < 1 or tile_side < 1 or folner_index < 1:
+            raise ValueError("depth, tile side and Folner index must be positive")
+        if eps <= 0 or delta <= 0:
+            raise ValueError("eps and delta must be positive")
+        self._set(index, eps, delta, depth, folner_index, tile_side)
+
+
+class StageSchedule(_Record):
+    """A strictly decreasing, summable tolerance sequence with per-stage
+    replacement thresholds and coarsening tile sides.
+
+    Each delta must keep the marginal-gap bound below its stage's eps, and
+    every tile side must be a multiple of the previous stage's so that the
+    grid tilings come out congruent.  It lives here, where
+    ``ExperimentConfig.load`` builds it, so that reading a configuration
+    loads no construction code.
+    """
+
+    __slots__ = ("dim", "stages")
+    dim: int
+    stages: tuple[Stage, ...]
+
+    def __init__(self, dim: int, stages: tuple[Stage, ...]) -> None:
+        if not stages:
+            raise ValueError("a schedule needs at least one stage")
+        eps = [s.eps for s in stages]
+        if any(nxt >= prev for nxt, prev in zip(eps[1:], eps)):
+            raise ValueError("eps must be strictly decreasing")
+        for s in stages:
+            size = (2 * s.folner_index + 1) ** dim
+            if s.delta * size >= 1 or block_measure_gap_bound(s.delta, size) >= s.eps:
+                raise ValueError(
+                    f"stage {s.index}: delta {s.delta} too large for eps {s.eps}"
+                )
+        sides = [s.tile_side for s in stages]
+        for prev, nxt in zip(sides, sides[1:]):
+            if nxt % prev != 0:
+                raise ValueError("tile sides must coarsen by integer multiples")
+        self._set(dim, stages)
+
+    @property
+    def eps_total(self) -> Fraction:
+        return sum((s.eps for s in self.stages), Fraction(0))
+
+    @classmethod
+    def geometric(
+        cls,
+        dim: int,
+        eps1: Fraction,
+        depths: Sequence[int],
+        folner_indices: Sequence[int],
+        tile_sides: Sequence[int],
+    ) -> StageSchedule:
+        """eps_t = eps1 * 2^(1-t); delta_t = min(eps_t, 1) / (3 |F_{n_t}|),
+        which always satisfies the feasibility relation."""
+        if not len(depths) == len(folner_indices) == len(tile_sides):
+            raise ValueError("per-stage parameter lists must have equal length")
+        eps1 = Fraction(eps1)
+        stages = []
+        for t, (k, n, side) in enumerate(
+            zip(depths, folner_indices, tile_sides), start=1
+        ):
+            eps = eps1 * Fraction(1, 2 ** (t - 1))
+            size = (2 * n + 1) ** dim
+            delta = min(eps, Fraction(1)) / (3 * size)
+            stages.append(
+                Stage(
+                    index=t,
+                    eps=eps,
+                    delta=delta,
+                    depth=k,
+                    folner_index=n,
+                    tile_side=side,
+                )
+            )
+        return cls(dim, tuple(stages))
+
+
+class ExperimentConfig(_Record):
     """Parsed experiment configuration plus a canonical hash of its content."""
 
+    __slots__ = (
+        "path", "raw", "dim", "stack", "window", "corpus_paths", "vertex_paths", "schedule",
+        "seed",
+    )
     path: Path
     raw: dict[str, Any]
     dim: int
@@ -508,6 +614,20 @@ class ExperimentConfig:
     vertex_paths: tuple[Path, ...]
     schedule: StageSchedule | None
     seed: int | None
+
+    def __init__(
+        self,
+        path: Path,
+        raw: dict[str, Any],
+        dim: int,
+        stack: AlphabetStack,
+        window: Shape,
+        corpus_paths: tuple[Path, ...],
+        vertex_paths: tuple[Path, ...],
+        schedule: StageSchedule | None,
+        seed: int | None,
+    ) -> None:
+        self._set(path, raw, dim, stack, window, corpus_paths, vertex_paths, schedule, seed)
 
     @classmethod
     def load(cls, path: Path, seed_override: int | None = None) -> ExperimentConfig:

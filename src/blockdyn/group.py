@@ -13,10 +13,57 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product as cartesian
 from math import prod
-from operator import add, le
+from operator import add, attrgetter, le
 from typing import Iterable, Iterator, Sequence
 
 Point = tuple[int, ...]
+
+_setattr = object.__setattr__
+
+
+class _Record:
+    """A read-only value: equality, hash and a dataclass-style repr over the
+    fields in ``__slots__``.  ``__init__`` stores the fields once with
+    ``_set``, in slot order; any later assignment is an AttributeError.  A
+    plain class: a dataclass costs an import of ``dataclasses`` and
+    ``inspect`` and about a millisecond per class at every import."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # The fields as a tuple in one C call: a Block is hashed at every
+        # frequency-table lookup.
+        names = cls.__slots__
+        if len(names) > 1:
+            cls._values = staticmethod(attrgetter(*names))
+        else:
+            cls._values = staticmethod(lambda self: tuple(getattr(self, n) for n in names))
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__name__}({items})"
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__: they cannot set slots
+        return type(self), self._values(self)
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError(f"a {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
 
 
 def point_add(a: Point, b: Point) -> Point:

@@ -10,7 +10,6 @@ most 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
 from math import gcd, lcm
@@ -18,7 +17,7 @@ from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from .frequency import CountTable, freq_table
-from .group import Shape, folner_box
+from .group import Shape, _Record, folner_box
 from .symbolic import Block, BlockFamily, _runs_at, decode_pattern, encode_pattern
 
 
@@ -239,8 +238,7 @@ def dist_k(mu: CylinderMeasure, nu: CylinderMeasure, family: BlockFamily) -> Fra
     return _level_term(mu, nu, family)
 
 
-@dataclass(frozen=True)
-class DistanceInterval:
+class DistanceInterval(_Record):
     """Certified enclosure of the weak-star series distance.
 
     The true value lies in [lower, lower + tail]; tail is 2^-J for a
@@ -248,9 +246,13 @@ class DistanceInterval:
     lower = sum_k 2^-k d_k.
     """
 
+    __slots__ = ("lower", "tail", "levels")
     lower: Fraction
     tail: Fraction
     levels: tuple[Fraction, ...]
+
+    def __init__(self, lower: Fraction, tail: Fraction, levels: tuple[Fraction, ...]) -> None:
+        self._set(lower, tail, levels)
 
     @property
     def upper(self) -> Fraction:
@@ -310,23 +312,24 @@ def tail_depth(eps: Fraction) -> int:
     return j
 
 
-@dataclass(frozen=True)
-class ConvexTarget:
+class ConvexTarget(_Record):
     """A finite vertex list; distances are taken to its convex hull."""
 
+    __slots__ = ("vertices",)
     vertices: tuple[CylinderMeasure, ...]
 
-    def __post_init__(self) -> None:
-        if not self.vertices:
+    def __init__(self, vertices: tuple[CylinderMeasure, ...]) -> None:
+        if not vertices:
             raise ValueError("a convex target needs at least one vertex")
-        first = self.vertices[0]
-        for v in self.vertices[1:]:
+        first = vertices[0]
+        for v in vertices[1:]:
             if v.depth != first.depth or v.base != first.base or v.sizes != first.sizes:
                 raise ValueError("vertices live on different bases")
-        for i, v in enumerate(self.vertices):
-            for w in self.vertices[i + 1 :]:
+        for i, v in enumerate(vertices):
+            for w in vertices[i + 1 :]:
                 if v == w:
                     raise ValueError("vertices must be distinct")
+        self._set(vertices)
 
     @property
     def depth(self) -> int:
@@ -340,15 +343,18 @@ class ConvexTarget:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class HullDistance:
+class HullDistance(_Record):
     """Exact minimum ``value`` of the truncated distance over the weight
     simplex, attained at ``weights`` and certified by an equal dual value;
     the true hull distance lies in [value, value + tail]."""
 
+    __slots__ = ("value", "weights", "tail")
     value: Fraction
     weights: tuple[Fraction, ...]
     tail: Fraction
+
+    def __init__(self, value: Fraction, weights: tuple[Fraction, ...], tail: Fraction) -> None:
+        self._set(value, weights, tail)
 
 
 # One objective term per family pattern: (coeff, x value, vertex values),

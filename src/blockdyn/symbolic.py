@@ -10,35 +10,34 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from codecs import charmap_decode
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, product
 from math import prod
 from operator import index, le, lt, mul, sub
 from typing import Callable, Iterator, Sequence
 
-from .group import Point, Shape, folner_box, point_add
+from .group import Point, Shape, _Record, folner_box, point_add
 
 
-@dataclass(frozen=True)
-class AlphabetStack:
+class AlphabetStack(_Record):
     """Alphabet sizes per row; row j uses symbols {0, ..., sizes[j-1] - 1}."""
 
+    __slots__ = ("sizes",)
     sizes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.sizes:
+    def __init__(self, sizes: tuple[int, ...]) -> None:
+        if not sizes:
             raise ValueError("stack needs at least one row")
-        if any(s < 1 for s in self.sizes):
+        if any(s < 1 for s in sizes):
             raise ValueError("alphabet sizes must be positive")
+        self._set(sizes)
 
     @property
     def depth(self) -> int:
         return len(self.sizes)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(_Record):
     """A symbol assignment on shape x rows[1..depth].
 
     ``symbols`` is stored row-major: row 1 over the lexicographically
@@ -47,21 +46,25 @@ class Block:
     means the cardinality of the shape, not of the full domain.
     """
 
+    __slots__ = ("shape", "depth", "sizes", "symbols")
     shape: Shape
     depth: int
     sizes: tuple[int, ...]
     symbols: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.depth < 0:
+    def __init__(
+        self, shape: Shape, depth: int, sizes: tuple[int, ...], symbols: tuple[int, ...]
+    ) -> None:
+        if depth < 0:
             raise ValueError("depth must be non-negative")
-        if len(self.sizes) != self.depth:
+        if len(sizes) != depth:
             raise ValueError("one alphabet size per row is required")
-        cells = len(self.shape)
-        if len(self.symbols) != cells * self.depth:
+        cells = len(shape)
+        if len(symbols) != cells * depth:
             raise ValueError("entry count does not match shape x depth")
-        for r, size in enumerate(self.sizes):
-            check_alphabet(self.symbols[r * cells : (r + 1) * cells], size, r + 1)
+        for r, size in enumerate(sizes):
+            check_alphabet(symbols[r * cells : (r + 1) * cells], size, r + 1)
+        self._set(shape, depth, sizes, symbols)
 
     @classmethod
     def constant(cls, shape: Shape, depth: int, sizes: Sequence[int], value: int = 0) -> Block:
@@ -187,20 +190,21 @@ def subblock_at(block: Block, f: Shape, g: Sequence[int], depth: int) -> Block |
     return Block(f, depth, block.sizes[:depth], _read(block.symbols, runs))
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(_Record):
     """A finite list of full-depth blocks standing in for a system's language."""
 
+    __slots__ = ("stack", "blocks")
     stack: AlphabetStack
     blocks: tuple[Block, ...]
 
-    def __post_init__(self) -> None:
-        dims = {b.dim for b in self.blocks}
+    def __init__(self, stack: AlphabetStack, blocks: tuple[Block, ...]) -> None:
+        dims = {b.dim for b in blocks}
         if len(dims) > 1:
             raise ValueError("corpus blocks must share a dimension")
-        for b in self.blocks:
-            if b.sizes != self.stack.sizes:
+        for b in blocks:
+            if b.sizes != stack.sizes:
                 raise ValueError("corpus block does not carry the full stack")
+        self._set(stack, blocks)
 
     @property
     def dim(self) -> int:

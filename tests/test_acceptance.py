@@ -9,12 +9,11 @@ from pathlib import Path
 
 from blockdyn import cli, files
 from blockdyn.construction import (
-    StageSchedule,
     apply_changes,
     run,
     vertex_rep_source,
 )
-from blockdyn.files import canonical_json
+from blockdyn.files import StageSchedule, canonical_json
 from blockdyn.frequency import (
     block_measure_gap_bound,
     count_embeddings,

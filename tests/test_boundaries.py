@@ -321,6 +321,38 @@ def test_a_dim_that_differs_exits_2(tmp_path, capsys, case):
     _exits_2_without_a_run_directory(tmp_path, capsys, _dim_case(tmp_path, case), "dim")
 
 
+@pytest.mark.parametrize(
+    "argv", [["gen"], ["blocks", "--level", "1"], ["dist", "--block", "0", "--hull"], ["verify"]]
+)
+def test_a_bad_schedule_exits_2_at_load_for_every_command(tmp_path, capsys, argv):
+    """The schedule is built where the configuration is read, not only by
+    ``construct``."""
+    (tmp_path / "corpus.json").write_text(json.dumps(GOOD_CORPUS))
+    (tmp_path / "v0.json").write_text(json.dumps(GOOD_MEASURE))
+    config = _config(tmp_path)
+    bad = dict(json.loads(config.read_text()), seed=1, schedule=dict(SCHEDULE, eps1="0"))
+    config.write_text(canonical_json(bad))
+    argv = ["--config", str(config)] + argv
+    _exits_2_without_a_run_directory(tmp_path, capsys, argv, "bad schedule", "eps")
+
+
+@pytest.mark.parametrize("flag", ["--nu", "--mu"])
+def test_a_dist_measure_off_the_config_dim_exits_2(tmp_path, capsys, flag):
+    """A consistent 2-D measure under a 1-D configuration is named by its
+    dimension, not met later as a base that does not fit."""
+    (tmp_path / "corpus.json").write_text(json.dumps(GOOD_CORPUS))
+    (tmp_path / "v0.json").write_text(json.dumps(GOOD_MEASURE))
+    planar = tmp_path / "planar.json"
+    planar.write_text(json.dumps(dict(GOOD_MEASURE, dim=2, base_min=[-1, 0], base_max=[1, 0])))
+    v0 = str(tmp_path / "v0.json")
+    operands = {
+        "--nu": ["--block", "0", "--nu", str(planar)],
+        "--mu": ["--mu", str(planar), "--nu", v0],
+    }
+    argv = ["--config", str(_config(tmp_path)), "dist"] + operands[flag]
+    _exits_2_without_a_run_directory(tmp_path, capsys, argv, "dim", str(planar))
+
+
 def test_a_corpus_block_off_the_file_dim_exits_2(tmp_path, capsys):
     block = {"min": [0, 0], "max": [2, 2], "depth": 1, "rows": [[0, 1, 0] * 3]}
     (tmp_path / "corpus.json").write_text(json.dumps(dict(GOOD_CORPUS, blocks=[block])))

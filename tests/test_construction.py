@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from blockdyn.construction import (
-    StageSchedule,
     apply_changes,
     corpus_rep_source,
     far_mass,
@@ -14,6 +13,7 @@ from blockdyn.construction import (
     stage_transform,
     vertex_rep_source,
 )
+from blockdyn.files import StageSchedule
 from blockdyn.frequency import block_measure_gap_bound
 from blockdyn.group import Shape, folner_box
 from blockdyn.measures import ConvexTarget, CylinderMeasure, block_measure

@@ -69,10 +69,10 @@ def test_the_family_builders_build_no_block(window, monkeypatch):
     stack = AlphabetStack((2, 3))
     corpus = Corpus(stack, (sample_bernoulli(window, stack, [[0.5, 0.5], [0.2, 0.3, 0.5]], 7),))
 
-    def no_block(self):
+    def no_block(self, *args, **kwargs):
         raise AssertionError("a Block was built")
 
-    monkeypatch.setattr(symbolic.Block, "__post_init__", no_block)
+    monkeypatch.setattr(symbolic.Block, "__init__", no_block)
     families = [enumerate_family(corpus, k) for k in (1, 2)]
     families.append(enumerate_full_family(AlphabetStack((3,)), 1, window.dim))
     monkeypatch.undo()

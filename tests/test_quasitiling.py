@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from test_stage_passes import pairwise_congruent, tile_cells
 
 from blockdyn import construction, group, quasitiling, symbolic
-from blockdyn.construction import StageSchedule, run, sample_from_measure, vertex_rep_source
+from blockdyn.construction import run, sample_from_measure, vertex_rep_source
+from blockdyn.files import StageSchedule
 from blockdyn.group import Shape, folner_box
 from blockdyn.measures import ConvexTarget, CylinderMeasure
 from blockdyn.quasitiling import (

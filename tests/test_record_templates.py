@@ -143,13 +143,13 @@ def test_freq_builds_no_block_per_pattern(tmp_path, monkeypatch):
            "corpus": ["corpus.json"]}
     (tmp_path / "config.json").write_text(json.dumps(cfg))
     built = []
-    post_init = symbolic.Block.__post_init__
+    init = symbolic.Block.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(symbolic.Block, "__post_init__", counted)
+    monkeypatch.setattr(symbolic.Block, "__init__", counted)
     loaded = files.ExperimentConfig.load(tmp_path / "config.json").load_corpus()
     at_load = len(built)
     assert at_load == len(loaded.blocks) == 1

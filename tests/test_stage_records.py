@@ -6,11 +6,14 @@ check counts each tile's patterns in the window's own symbols.  Each must
 give what the plain definitions give.
 """
 
+import copy
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -28,9 +31,11 @@ from blockdyn.construction import (
     stage_transform,
 )
 from blockdyn.group import Shape, folner_box
-from blockdyn.measures import HullDistance, dist_to_hull
+from blockdyn.measures import (
+    ConvexTarget, CylinderMeasure, DistanceInterval, HullDistance, block_measure, dist_to_hull
+)
 from blockdyn.quasitiling import Quasitiling, greedy_tile
-from blockdyn.symbolic import AlphabetStack, Block, sample_bernoulli, subblock_at
+from blockdyn.symbolic import AlphabetStack, Block, Corpus, sample_bernoulli, subblock_at
 from helpers import decoded, tile_copy_counts
 from test_integer_tables import random_block
 from test_stage_passes import FAMILIES, bernoulli_target
@@ -204,23 +209,131 @@ def test_equal_tile_contents_share_one_block_and_one_solve(monkeypatch):
     assert shared > 50 and both >= 3, (shared, both)
 
 
+ONE = Shape.interval(0, 1)
+A, B = Block.constant(ONE, 1, (2,)), Block.constant(ONE, 1, (2,), 1)
+STACK = AlphabetStack((2,))
+MU, NU, WIDE = (
+    CylinderMeasure(1, folner_box(n, 1), {Block.constant(folner_box(n, 1), 1, (2,), s): 1})
+    for n, s in ((1, 0), (1, 1), (2, 0))
+)
+STAGE = files.Stage(1, Fraction(1, 2), Fraction(1, 1000), 1, 1, 3)
+COARSE = files.Stage(2, Fraction(1, 4), Fraction(1, 2000), 1, 1, 9)
+NO_HASH = "unhashable"  # hash() raises TypeError, as it did for the dataclass
+
+
+def config_fields(**changes) -> tuple:
+    fields = dict(
+        path=Path("c.json"), raw={"dim": 1}, dim=1, stack=STACK, window=Shape.interval(0, 3),
+        corpus_paths=(Path("a.json"),), vertex_paths=(), schedule=None, seed=7,
+    )
+    return tuple(dict(fields, **changes).values())
+
+
+def one_other(values: tuple, others: tuple) -> list[tuple]:
+    """``values`` with one field replaced by its entry in ``others``, for
+    each field in turn."""
+    return [(*values[:k], other, *values[k + 1 :]) for k, other in enumerate(others)]
+
+
+# Per record class: field values, unequal field values, whether it is
+# hashable and read-only, and constructor arguments it refuses with their
+# messages.  TileRecord and ChangeRecord are made once per tile, so they
+# stay writable and unhashable; every other class was a frozen dataclass.
+RECORDS = [
+    (TileRecord, ((1,), 0, Fraction(1, 3), True),
+     one_other(((1,), 0, Fraction(1, 3), True), ((2,), 1, Fraction(1, 2), False)),
+     NO_HASH, False, []),
+    (ChangeRecord, ((1,), 0, A, B), one_other(((1,), 0, A, B), ((2,), 1, B, A)),
+     NO_HASH, False, []),
+    (AlphabetStack, ((2, 3),), [((2,),)], True, True, [
+        (((),), "stack needs at least one row"),
+        (((2, 0),), "alphabet sizes must be positive"),
+    ]),
+    (Block, (ONE, 1, (2,), (0, 1)), [
+        (Shape.interval(5, 6), 1, (2,), (0, 1)),
+        (ONE, 2, (2, 2), (0, 1, 1, 1)),
+        (ONE, 1, (3,), (0, 1)),
+        (ONE, 1, (2,), (1, 0)),
+    ], True, True, [
+        ((ONE, -1, (), ()), "depth must be non-negative"),
+        ((ONE, 1, (), (0, 1)), "one alphabet size per row is required"),
+        ((ONE, 1, (2,), (0,)), "entry count does not match shape x depth"),
+        ((ONE, 1, (2,), (0, 2)), "row 1 entry outside alphabet of size 2"),
+    ]),
+    (Corpus, (STACK, (A,)), [
+        (AlphabetStack((3,)), (Block.constant(ONE, 1, (3,)),)),
+        (STACK, (A, B)),
+    ], True, True, [
+        ((STACK, (A, Block.constant(Shape.box((0, 0), (1, 1)), 1, (2,)))),
+         "corpus blocks must share a dimension"),
+        ((AlphabetStack((3,)), (A,)), "corpus block does not carry the full stack"),
+    ]),
+    (DistanceInterval, (Fraction(1, 4), Fraction(1, 2), (Fraction(1, 2),)), one_other(
+        (Fraction(1, 4), Fraction(1, 2), (Fraction(1, 2),)), (Fraction(1, 8), Fraction(1, 4), ())
+    ), True, True, []),
+    (ConvexTarget, ((MU, NU),), [((NU, MU),), ((MU,),)], NO_HASH, True, [
+        (((),), "a convex target needs at least one vertex"),
+        (((MU, MU),), "vertices must be distinct"),
+        (((MU, WIDE),), "vertices live on different bases"),
+    ]),
+    (HullDistance, (Fraction(1, 3), (Fraction(1),), Fraction(1, 2)), one_other(
+        (Fraction(1, 3), (Fraction(1),), Fraction(1, 2)), (Fraction(1, 5), (), Fraction(1, 4))
+    ), True, True, []),
+    (files.ExperimentConfig, config_fields(), one_other(config_fields(), config_fields(
+        path=Path("d.json"), raw={}, dim=2, stack=AlphabetStack((3,)), window=ONE,
+        corpus_paths=(), vertex_paths=(Path("v.json"),),
+        schedule=files.StageSchedule(1, (STAGE,)), seed=None,
+    )), NO_HASH, True, []),
+    (files.Stage, (1, Fraction(1, 2), Fraction(1, 20), 1, 1, 3), one_other(
+        (1, Fraction(1, 2), Fraction(1, 20), 1, 1, 3),
+        (2, Fraction(1, 3), Fraction(1, 30), 2, 2, 9),
+    ), True, True, [
+        ((1, Fraction(1, 2), Fraction(1, 20), 0, 1, 3),
+         "depth, tile side and Folner index must be positive"),
+        ((1, Fraction(0), Fraction(1, 20), 1, 1, 3), "eps and delta must be positive"),
+    ]),
+    (files.StageSchedule, (1, (STAGE, COARSE)), [(2, (STAGE, COARSE)), (1, (STAGE,))],
+     True, True, [
+        ((1, ()), "a schedule needs at least one stage"),
+        ((1, (COARSE, STAGE)), "eps must be strictly decreasing"),
+        ((1, (files.Stage(1, Fraction(1, 2), Fraction(1, 3), 1, 1, 3),)),
+         "stage 1: delta 1/3 too large for eps 1/2"),
+        ((1, (STAGE, files.Stage(2, Fraction(1, 4), Fraction(1, 2000), 1, 1, 4))),
+         "tile sides must coarsen by integer multiples"),
+    ]),
+]
+
+
 def test_records_compare_by_value_and_keep_their_constructor_and_repr():
-    one = Shape.interval(0, 1)
-    a, b = Block.constant(one, 1, (2,)), Block.constant(one, 1, (2,), 1)
-    for cls, values, others in (
-        (TileRecord, ((1,), 0, Fraction(1, 3), True), ((2,), 1, Fraction(1, 2), False)),
-        (ChangeRecord, ((1,), 0, a, b), ((2,), 1, b, a)),
-    ):
+    for cls, values, others, hashable, read_only, refused in RECORDS:
         fields = cls.__slots__
         record = cls(*values)
         assert record == cls(**dict(zip(fields, values)))
         assert tuple(getattr(record, f) for f in fields) == values
-        for k, other in enumerate(others):
-            assert record != cls(*values[:k], other, *values[k + 1 :])
+        for other in others:
+            assert record != cls(*other)
         assert record != values
+        assert copy.deepcopy(record) == record
+        items = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+        assert repr(record) == f"{cls.__name__}({items})"
+        if hashable is NO_HASH:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        else:
+            assert hash(record) == hash(cls(*values))
+        if read_only:
+            with pytest.raises(AttributeError):
+                setattr(record, fields[0], others[0][0])
+            with pytest.raises(AttributeError):
+                delattr(record, fields[0])
+            assert getattr(record, fields[0]) == values[0]
+        for args, message in refused:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cls(*args)
     assert repr(TileRecord((1,), 0, Fraction(1, 3), True)) == (
         "TileRecord(center=(1,), shape_index=0, distance_lower=Fraction(1, 3), replaced=True)"
     )
+    assert repr(AlphabetStack((2, 3))) == "AlphabetStack(sizes=(2, 3))"
 
 
 WINDOW = Shape.interval(0, 26)
