@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, islice
 from math import lcm
@@ -31,9 +30,9 @@ if TYPE_CHECKING:
 
 class _WritableRecord(_Record):
     """A record made once per tile or change of a stage, 5,294 of them in a
-    benchmark construct run: its fields are plain slot stores, a third of
-    the cost of ``_set``, so it stays writable and, being writable,
-    unhashable."""
+    benchmark construct run: its fields are plain slot stores, about half
+    the cost of the base's constructor, so it stays writable and, being
+    writable, unhashable."""
 
     __slots__ = ()
     __setattr__ = object.__setattr__
@@ -63,8 +62,13 @@ class ChangeRecord(_WritableRecord):
         )
 
 
-@dataclass(frozen=True)
-class StageReport:
+class StageReport(_Record):
+    __slots__ = (
+        "stage", "eps", "delta", "depth", "covered_fraction", "far_mass_before",
+        "far_mass_after", "replaced_fraction", "tiles", "changes", "window_distance_before",
+        "window_distance_after", "concat_deviation", "concat_bound",
+    )
+    _defaults = (None, None, None, None)
     stage: int
     eps: Fraction
     delta: Fraction
@@ -75,10 +79,10 @@ class StageReport:
     replaced_fraction: Fraction
     tiles: tuple[TileRecord, ...]
     changes: tuple[ChangeRecord, ...]
-    window_distance_before: Fraction | None = None
-    window_distance_after: Fraction | None = None
-    concat_deviation: Fraction | None = None
-    concat_bound: Fraction | None = None
+    window_distance_before: Fraction | None
+    window_distance_after: Fraction | None
+    concat_deviation: Fraction | None
+    concat_bound: Fraction | None
 
 
 def select_representative(
@@ -334,8 +338,8 @@ def vertex_rep_source(
     return source
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(_Record):
+    __slots__ = ("initial", "final", "stages")
     initial: Block
     final: Block
     stages: tuple[StageReport, ...]
@@ -381,8 +385,7 @@ def run(
         wd_after = dist_to_hull(block_measure(out, target.depth), target, families).value
         dev, bound = _concatenation_check(out, tiling)
         reports.append(
-            replace(
-                rep_report,
+            rep_report._replace(
                 stage=st.index,
                 eps=st.eps,
                 window_distance_before=wd_before,

@@ -92,18 +92,14 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 _HOLE = object()
 
 
-class _Records:
+class _Records(_Record):
     """A JSON list whose entries share one layout: ``layout`` is a value
     with ``_HOLE`` at each varying leaf, and each of ``values`` is a tuple of
     those leaves' JSON texts (ints, or quoted strings), in file order.  A
     text may also stand for a run of leaves of one list, joined by the
-    separator the layout puts between them.  A plain class: a dataclass
-    costs about a millisecond at every import."""
+    separator the layout puts between them."""
 
     __slots__ = ("layout", "values")
-
-    def __init__(self, layout: Any, values: Iterable[tuple[Any, ...]]) -> None:
-        self.layout, self.values = layout, values
 
 
 def _template(layout: Any, pad: str) -> str:
@@ -250,6 +246,14 @@ def _ints(values: Any, field: str) -> tuple[int, ...]:
 
 def _int(value: Any, field: str) -> int:
     return _ints([value], field)[0]
+
+
+def _paths(names: Any, field: str, folder: Path) -> tuple[Path, ...]:
+    """A JSON list of file names resolved against ``folder``; anything else,
+    a single string too, is a ConfigError that names the field."""
+    if not isinstance(names, list) or set(map(type, names)) - {str}:
+        raise ConfigError(f"{field} must be a list of file names, got {json.dumps(names)}")
+    return tuple(folder / name for name in names)
 
 
 def _box(lo: Sequence[int], hi: Sequence[int]) -> Shape:
@@ -585,16 +589,7 @@ class StageSchedule(_Record):
             eps = eps1 * Fraction(1, 2 ** (t - 1))
             size = (2 * n + 1) ** dim
             delta = min(eps, Fraction(1)) / (3 * size)
-            stages.append(
-                Stage(
-                    index=t,
-                    eps=eps,
-                    delta=delta,
-                    depth=k,
-                    folner_index=n,
-                    tile_side=side,
-                )
-            )
+            stages.append(Stage(t, eps, delta, k, n, side))
         return cls(dim, tuple(stages))
 
 
@@ -615,20 +610,6 @@ class ExperimentConfig(_Record):
     schedule: StageSchedule | None
     seed: int | None
 
-    def __init__(
-        self,
-        path: Path,
-        raw: dict[str, Any],
-        dim: int,
-        stack: AlphabetStack,
-        window: Shape,
-        corpus_paths: tuple[Path, ...],
-        vertex_paths: tuple[Path, ...],
-        schedule: StageSchedule | None,
-        seed: int | None,
-    ) -> None:
-        self._set(path, raw, dim, stack, window, corpus_paths, vertex_paths, schedule, seed)
-
     @classmethod
     def load(cls, path: Path, seed_override: int | None = None) -> ExperimentConfig:
         obj = read_json(path)
@@ -640,8 +621,8 @@ class ExperimentConfig(_Record):
             window = _box(obj["window"]["min"], obj["window"]["max"])
             seed = obj.get("seed") if seed_override is None else seed_override
             seed = None if seed is None else _int(seed, "seed")
-            corpus_paths = tuple(path.parent / p for p in obj.get("corpus", []))
-            vertex_paths = tuple(path.parent / p for p in obj.get("target_vertices", []))
+            corpus_paths = _paths(obj.get("corpus", []), "corpus", path.parent)
+            vertex_paths = _paths(obj.get("target_vertices", []), "target_vertices", path.parent)
         except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         if window.dim != dim:
@@ -662,17 +643,7 @@ class ExperimentConfig(_Record):
                 )
             except (ConfigError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: bad schedule: {exc}") from exc
-        return cls(
-            path=path,
-            raw=obj,
-            dim=dim,
-            stack=stack,
-            window=window,
-            corpus_paths=corpus_paths,
-            vertex_paths=vertex_paths,
-            schedule=schedule,
-            seed=seed,
-        )
+        return cls(path, obj, dim, stack, window, corpus_paths, vertex_paths, schedule, seed)
 
     def require_seed(self) -> int:
         if self.seed is None:

@@ -16,7 +16,7 @@ from math import prod
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator
 
-from .group import Point, Shape, _anchor_box, folner_box
+from .group import Point, Shape, _Record, _anchor_box, folner_box
 from .symbolic import Block, Corpus, _box_runs, _read, _runs_at, encode_pattern, subblock_at
 
 if TYPE_CHECKING:
@@ -120,7 +120,7 @@ def _run_firsts(runs: tuple, anchors: list[range]) -> tuple[list[int], int]:
     return [flat((*head, last.start)) for head in cartesian(*heads)], len(last)
 
 
-class CountTable(Mapping[int, Fraction]):
+class CountTable(Mapping[int, Fraction], _Record):
     """Integer numerators over one positive denominator, read as Fractions:
     ``table[key]`` is ``Fraction(counts[key], total)``.  Keys are pattern
     codes (``symbolic.encode_pattern``).
@@ -130,6 +130,7 @@ class CountTable(Mapping[int, Fraction]):
     per value they return.  An empty table has total 1.  Tables are cached
     and shared, so ``counts`` is a read-only view of the dict it is given,
     which no one may change afterwards, and neither field can be set.
+    ``Mapping`` is the first base, so tables compare as mappings.
     """
 
     __slots__ = ("counts", "total")
@@ -137,14 +138,11 @@ class CountTable(Mapping[int, Fraction]):
     total: int
 
     def __init__(self, counts: dict[int, int], total: int) -> None:
-        object.__setattr__(self, "counts", MappingProxyType(counts))
-        object.__setattr__(self, "total", total)
+        self._set(MappingProxyType(counts), total)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("a CountTable is read-only")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("a CountTable is read-only")
+    def __reduce__(self) -> tuple:
+        # a read-only view cannot be copied, the dict it shows can
+        return CountTable, (dict(self.counts), self.total)
 
     def __getitem__(self, key: int) -> Fraction:
         return Fraction(self.counts[key], self.total)

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import product as cartesian
 from math import prod
 from operator import add, attrgetter, le
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 Point = tuple[int, ...]
 
@@ -22,27 +22,42 @@ _setattr = object.__setattr__
 
 
 class _Record:
-    """A read-only value: equality, hash and a dataclass-style repr over the
-    fields in ``__slots__``.  ``__init__`` stores the fields once with
-    ``_set``, in slot order; any later assignment is an AttributeError.  A
-    plain class: a dataclass costs an import of ``dataclasses`` and
+    """A read-only value whose fields are the public names in ``__slots__``,
+    read in slot order by equality, hash, a dataclass-style repr, copy and
+    ``_replace``; other slots are caches (see ``_cached``).  ``_set`` takes
+    the fields as a dataclass's ``__init__`` does, the last ones defaulting
+    to ``_defaults``, and stores them: it is the constructor, or the last
+    step of a class's own checking one.  Any assignment is an AttributeError.
+    A plain class: a dataclass costs an import of ``dataclasses`` and
     ``inspect`` and about a millisecond per class at every import."""
 
     __slots__ = ()
+    _defaults: tuple = ()
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        # Straight-line code, as a dataclass writes it, through each slot's
+        # own store: Python binds the arguments and words the errors, and a
+        # record made per solve pays no loop.
+        scope = {f"_{f}": getattr(cls, f).__set__ for f in fields}
+        body = "".join(f"\n _{f}(self, {f})" for f in fields) or "\n pass"
+        exec(f"def __init__(self, {', '.join(fields)}):{body}", scope)
+        init = cls._set = scope["__init__"]
+        init.__defaults__, init.__qualname__ = cls._defaults, f"{cls.__qualname__}.__init__"
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = init
         # The fields as a tuple in one C call: a Block is hashed at every
         # frequency-table lookup.
-        names = cls.__slots__
-        if len(names) > 1:
-            cls._values = staticmethod(attrgetter(*names))
+        if len(fields) > 1:
+            cls._values = staticmethod(attrgetter(*fields))
         else:
-            cls._values = staticmethod(lambda self: tuple(getattr(self, n) for n in names))
+            cls._values = staticmethod(lambda self: tuple(getattr(self, n) for n in fields))
 
-    def _set(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            _setattr(self, name, value)
+    def _replace(self, **changes: object) -> _Record:
+        """A copy with the fields named in ``changes`` replaced, made by the
+        class's own constructor."""
+        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -53,7 +68,7 @@ class _Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        items = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values(self)))
+        items = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
         return f"{type(self).__name__}({items})"
 
     def __reduce__(self) -> tuple:
@@ -64,6 +79,19 @@ class _Record:
         raise AttributeError(f"a {type(self).__name__} is read-only")
 
     __delattr__ = __setattr__
+
+
+def _cached(compute: Callable[[Any], Any]) -> property:
+    """A read-only property of a ``_Record``, computed on first read and kept
+    in the cache slot named ``_`` + its name."""
+    slot = "_" + compute.__name__
+
+    def read(self: Any) -> Any:
+        if not hasattr(self, slot):
+            _setattr(self, slot, compute(self))
+        return getattr(self, slot)
+
+    return property(read, doc=compute.__doc__)
 
 
 def point_add(a: Point, b: Point) -> Point:

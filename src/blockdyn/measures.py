@@ -251,9 +251,6 @@ class DistanceInterval(_Record):
     tail: Fraction
     levels: tuple[Fraction, ...]
 
-    def __init__(self, lower: Fraction, tail: Fraction, levels: tuple[Fraction, ...]) -> None:
-        self._set(lower, tail, levels)
-
     @property
     def upper(self) -> Fraction:
         return self.lower + self.tail
@@ -274,9 +271,7 @@ def _series(levels: Sequence[Fraction]) -> DistanceInterval:
     lower = sum(
         (Fraction(1, 2**k) * d for k, d in enumerate(levels, start=1)), Fraction(0)
     )
-    return DistanceInterval(
-        lower=lower, tail=Fraction(1, 2 ** len(levels)), levels=tuple(levels)
-    )
+    return DistanceInterval(lower, Fraction(1, 2 ** len(levels)), tuple(levels))
 
 
 def dist(
@@ -352,9 +347,6 @@ class HullDistance(_Record):
     value: Fraction
     weights: tuple[Fraction, ...]
     tail: Fraction
-
-    def __init__(self, value: Fraction, weights: tuple[Fraction, ...], tail: Fraction) -> None:
-        self._set(value, weights, tail)
 
 
 # One objective term per family pattern: (coeff, x value, vertex values),

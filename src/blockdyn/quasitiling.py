@@ -3,34 +3,35 @@ greedy construction and the symbolic encoding of center sets."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, product as cartesian
 from math import gcd
 from typing import Iterator, Sequence
 
 from .frequency import _anchor_ranges, embedding_anchors
-from .group import Point, Shape, invariance_ratio
+from .group import Point, Shape, _Record, _cached, invariance_ratio
 from .symbolic import Block, _runs_at, _write
 
 
-@dataclass(frozen=True)
-class Quasitiling:
+class Quasitiling(_Record):
     """Tiles are translates shape[i] + c for c in centers[i], inside a window."""
 
+    __slots__ = ("window", "shapes", "centers", "_grid")
     window: Shape
     shapes: tuple[Shape, ...]
     centers: tuple[frozenset[Point], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.shapes) != len(self.centers):
+    def __init__(
+        self, window: Shape, shapes: tuple[Shape, ...], centers: tuple[frozenset[Point], ...]
+    ) -> None:
+        if len(shapes) != len(centers):
             raise ValueError("one center set per shape is required")
-        for s in self.shapes:
-            if s.dim != self.window.dim:
+        for s in shapes:
+            if s.dim != window.dim:
                 raise ValueError("shape dimension differs from the window")
             if not s:
                 raise ValueError("empty tile shape")
+        self._set(window, shapes, centers)
 
     def tiles(self) -> list[tuple[Point, int]]:
         """All tiles as (center, shape index) pairs, ordered by center then
@@ -40,16 +41,19 @@ class Quasitiling:
     def tile_count(self) -> int:
         return sum(len(c) for c in self.centers)
 
-    @cached_property
+    @_cached
     def grid(self) -> tuple[range, ...] | None:
-        """The greedy grid (see ``_grid``) when the centers are exactly its
-        product, else None; checked once."""
+        """The greedy grid (see the function ``_grid``) when the centers are
+        exactly its product, else None; checked once."""
         grid = _grid(self.window, self.shapes)
         return grid if grid is not None and self.centers[0] == set(cartesian(*grid)) else None
 
 
-@dataclass(frozen=True)
-class TilingReport:
+class TilingReport(_Record):
+    __slots__ = (
+        "disjoint", "covered_cells", "covered_fraction", "unique_representation",
+        "invariance_ratios",
+    )
     disjoint: bool
     covered_cells: int
     covered_fraction: Fraction
@@ -109,13 +113,7 @@ def verify(tiling: Quasitiling, folner: Shape | None = None) -> TilingReport:
     ratios = None
     if folner is not None:
         ratios = tuple(invariance_ratio(s, folner) for s in tiling.shapes)
-    return TilingReport(
-        disjoint=disjoint,
-        covered_cells=covered,
-        covered_fraction=Fraction(covered, len(window)),
-        unique_representation=unique,
-        invariance_ratios=ratios,
-    )
+    return TilingReport(disjoint, covered, Fraction(covered, len(window)), unique, ratios)
 
 
 def _grids_congruent(
@@ -197,8 +195,8 @@ def congruent(tiling: Quasitiling, previous: Quasitiling) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GreedyTiling:
+class GreedyTiling(_Record):
+    __slots__ = ("tiling", "covered_fraction", "reached_target")
     tiling: Quasitiling
     covered_fraction: Fraction
     reached_target: bool
@@ -250,11 +248,7 @@ def greedy_tile(window: Shape, shapes: Sequence[Shape], eps: Fraction) -> Greedy
     )
     # Greedy tiles are disjoint.
     covered = Fraction(sum(len(c) * len(s) for c, s in zip(centers, shapes)), len(window))
-    return GreedyTiling(
-        tiling=tiling,
-        covered_fraction=covered,
-        reached_target=covered >= 1 - Fraction(eps),
-    )
+    return GreedyTiling(tiling, covered, covered >= 1 - Fraction(eps))
 
 
 def encode_symbolic(tiling: Quasitiling) -> Block:

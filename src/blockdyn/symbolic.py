@@ -16,7 +16,7 @@ from math import prod
 from operator import index, le, lt, mul, sub
 from typing import Callable, Iterator, Sequence
 
-from .group import Point, Shape, _Record, folner_box, point_add
+from .group import Point, Shape, _Record, _cached, folner_box, point_add
 
 
 class AlphabetStack(_Record):
@@ -286,12 +286,12 @@ def decode_pattern(code: int, sizes: Sequence[int], cells: int) -> tuple[int, ..
     return tuple(out)
 
 
-class BlockFamily:
+class BlockFamily(_Record):
     """Distinct patterns with domain base x rows[1..level] over the alphabet
     prefix ``sizes``, kept as their codes (``encode_pattern``) in increasing
-    order.  ``blocks`` builds the ``Block`` of each key on first read.  Read-
-    only, and a plain class: a dataclass costs about a millisecond at every
-    import."""
+    order.  ``blocks`` builds the ``Block`` of each key on first read.
+    Families compare by their keys' values, a list equal to a tuple, and
+    are not hashable."""
 
     __slots__ = ("level", "base", "sizes", "keys", "_blocks")
     level: int
@@ -312,14 +312,7 @@ class BlockFamily:
                 "family member with wrong domain or outside the alphabet: "
                 f"codes lie in 0..{total - 1}"
             )
-        for name, value in zip(self.__slots__, (level, base, sizes, keys, None)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("a BlockFamily is read-only")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("a BlockFamily is read-only")
+        self._set(level, base, sizes, keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockFamily):
@@ -330,15 +323,13 @@ class BlockFamily:
 
     __hash__ = None  # type: ignore[assignment]
 
-    @property
+    @_cached
     def blocks(self) -> tuple[Block, ...]:
-        if self._blocks is None:
-            cells = len(self.base)
-            object.__setattr__(self, "_blocks", tuple(
-                Block(self.base, self.level, self.sizes, decode_pattern(key, self.sizes, cells))
-                for key in self.keys
-            ))
-        return self._blocks
+        cells = len(self.base)
+        return tuple(
+            Block(self.base, self.level, self.sizes, decode_pattern(key, self.sizes, cells))
+            for key in self.keys
+        )
 
     def __len__(self) -> int:
         return len(self.keys)

@@ -8,20 +8,19 @@ byte-compared across runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .construction import _concatenation_check
 from .frequency import block_measure_gap_bound, marginal_deviation
-from .group import Shape, folner_box, invariance_ratio
+from .group import Shape, _Record, folner_box, invariance_ratio
 from .measures import CylinderMeasure, block_measure, dist, dist_k
 from .quasitiling import Quasitiling
 from .symbolic import AlphabetStack, Block, BlockFamily, Corpus, sample_bernoulli
 
 
-@dataclass(frozen=True)
-class SuiteCase:
+class SuiteCase(_Record):
+    __slots__ = ("name", "deviation", "bound", "violation")
     name: str
     deviation: Fraction
     bound: Fraction | None
@@ -34,10 +33,17 @@ class SuiteCase:
         return self.bound - self.deviation
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(_Record):
+    """A suite's name and the cases it appends to a list of its own."""
+
+    __slots__ = ("name", "cases")
     name: str
-    cases: list[SuiteCase] = field(default_factory=list)
+    cases: list[SuiteCase]
+
+    def __init__(self, name: str, cases: list[SuiteCase] | None = None) -> None:
+        self._set(name, [] if cases is None else cases)
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def violations(self) -> int:

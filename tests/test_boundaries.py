@@ -336,6 +336,24 @@ def test_a_bad_schedule_exits_2_at_load_for_every_command(tmp_path, capsys, argv
     _exits_2_without_a_run_directory(tmp_path, capsys, argv, "bad schedule", "eps")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("corpus", "corpus.json"), ("target_vertices", {"v0.json": 1}), ("corpus", [1])],
+    ids=["corpus-as-a-string", "target-vertices-as-an-object", "corpus-of-an-integer"],
+)
+def test_file_lists_that_are_not_lists_of_strings_exit_2(tmp_path, capsys, key, value):
+    """A string is not read as a list of its characters, an object not as
+    the list of its keys, and a number is not a file name."""
+    (tmp_path / "corpus.json").write_text(json.dumps(GOOD_CORPUS))
+    (tmp_path / "v0.json").write_text(json.dumps(GOOD_MEASURE))
+    config = _config(tmp_path)
+    config.write_text(canonical_json(dict(json.loads(config.read_text()), **{key: value})))
+    argv = ["--config", str(config), "dist", "--block", "0", "--hull"]
+    _exits_2_without_a_run_directory(
+        tmp_path, capsys, argv, f"{key} must be a list of file names", json.dumps(value)
+    )
+
+
 @pytest.mark.parametrize("flag", ["--nu", "--mu"])
 def test_a_dist_measure_off_the_config_dim_exits_2(tmp_path, capsys, flag):
     """A consistent 2-D measure under a 1-D configuration is named by its
@@ -379,7 +397,7 @@ def test_testkit_offers_only_its_own_oracles():
 
 # Public names that no module and no benchmark script reads, kept on purpose.
 KEEP = {
-    "far_mass": "the independent far-mass oracle; the benchmark tracer binds it by name",
+    "far_mass": "the one-solve-per-tile far-mass oracle that stage reports are checked against",
     "read_tiling": "the reader of the documented tiling file format",
     "freq": "the production side of the frequency oracle checks",
     "mix": "the mixture of measures that modelling the whole face builds on",

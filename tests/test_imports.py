@@ -89,28 +89,40 @@ import contextlib, io, json, sys
 from blockdyn import cli
 
 config, out = sys.argv[1:]
-first = {}
+UNWANTED = ("dataclasses", "inspect", "blockdyn.testkit")
+jobs = {}
 for command, argv in {
+    "gen": ["--config", config, "gen"],
+    "blocks": ["--config", config, "blocks", "--level", "1"],
+    "freq": ["--config", config, "freq", "--level", "1"],
+    "measure": ["--config", config, "measure", "--depth", "1"],
+    "dist": ["--config", config, "dist", "--block", "0", "--hull"],
+    "tile": ["--config", config, "tile", "--sides", "3"],
     "construct": ["--config", config, "construct"],
     "verify": ["--seed", "3", "verify"],
-    "blocks": ["--config", config, "blocks", "--level", "1"],
 }.items():
     before = set(sys.modules)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["--out", out] + argv) == 0, command
-    first[command] = sorted(set(sys.modules) - before)
-print(json.dumps(first))
+    first = sorted(set(sys.modules) - before)
+    jobs[command] = [first, [m for m in UNWANTED if m in sys.modules]]
+print(json.dumps(jobs))
 """
 
 
 def test_cli_main_imports_no_blockdyn_module(tmp_path):
-    """``cli`` imports every module at its top, so a job's timed call of
-    ``cli.main`` contains no first import of blockdyn code."""
+    """Each of the 8 subcommands in turn, in one fresh interpreter.  ``cli``
+    imports every module at its top, so a job's timed call of ``cli.main``
+    contains no first import of blockdyn code.  Every value is a
+    ``group._Record``, so no job loads ``dataclasses`` or the ``inspect`` it
+    imports, and production code never imports the test oracles."""
     config = construct_config(tmp_path)
-    first = fresh(JOBS, str(config), str(tmp_path / "out"))
-    assert sorted(first) == ["blocks", "construct", "verify"]
-    for command, modules in first.items():
-        assert [m for m in modules if m.split(".")[0] == "blockdyn"] == [], command
+    jobs = fresh(JOBS, str(config), str(tmp_path / "out"))
+    commands = ["blocks", "construct", "dist", "freq", "gen", "measure", "tile", "verify"]
+    assert sorted(jobs) == commands
+    for command, (first, unwanted) in jobs.items():
+        assert [m for m in first if m.split(".")[0] == "blockdyn"] == [], command
+        assert unwanted == [], command
 
 
 def test_public_names_are_pinned():

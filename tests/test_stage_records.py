@@ -8,9 +8,9 @@ give what the plain definitions give.
 
 import copy
 import json
+import pickle
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -30,12 +30,16 @@ from blockdyn.construction import (
     apply_changes,
     stage_transform,
 )
+from blockdyn.frequency import freq_table
 from blockdyn.group import Shape, folner_box
 from blockdyn.measures import (
     ConvexTarget, CylinderMeasure, DistanceInterval, HullDistance, block_measure, dist_to_hull
 )
-from blockdyn.quasitiling import Quasitiling, greedy_tile
-from blockdyn.symbolic import AlphabetStack, Block, Corpus, sample_bernoulli, subblock_at
+from blockdyn.quasitiling import GreedyTiling, Quasitiling, TilingReport, greedy_tile
+from blockdyn.symbolic import (
+    AlphabetStack, Block, BlockFamily, Corpus, sample_bernoulli, subblock_at
+)
+from blockdyn.verification import SuiteCase, SuiteResult
 from helpers import decoded, tile_copy_counts
 from test_integer_tables import random_block
 from test_stage_passes import FAMILIES, bernoulli_target
@@ -219,6 +223,19 @@ MU, NU, WIDE = (
 STAGE = files.Stage(1, Fraction(1, 2), Fraction(1, 1000), 1, 1, 3)
 COARSE = files.Stage(2, Fraction(1, 4), Fraction(1, 2000), 1, 1, 9)
 NO_HASH = "unhashable"  # hash() raises TypeError, as it did for the dataclass
+TILE = TileRecord((1,), 0, Fraction(1, 3), True)
+FOUR = Shape.interval(0, 3)
+TILING = Quasitiling(FOUR, (ONE,), (frozenset({(0,), (2,)}),))
+# A report with empty tile and change lists hashes, as the dataclass did.
+REPORT = (
+    1, Fraction(1, 2), Fraction(1, 1000), 1, Fraction(1), Fraction(1, 3), Fraction(0),
+    Fraction(1, 4), (), (), Fraction(1, 5), Fraction(0), Fraction(1, 7), None,
+)
+OTHER_REPORT = (
+    2, Fraction(1, 4), Fraction(1, 2000), 2, Fraction(1, 2), Fraction(1, 6), Fraction(1, 9),
+    Fraction(1, 8), (TILE,), (ChangeRecord((1,), 0, A, B),), None, None, None, Fraction(1),
+)
+CASE = SuiteCase("triple-0", Fraction(1, 3), Fraction(1, 2), False)
 
 
 def config_fields(**changes) -> tuple:
@@ -238,7 +255,9 @@ def one_other(values: tuple, others: tuple) -> list[tuple]:
 # Per record class: field values, unequal field values, whether it is
 # hashable and read-only, and constructor arguments it refuses with their
 # messages.  TileRecord and ChangeRecord are made once per tile, so they
-# stay writable and unhashable; every other class was a frozen dataclass.
+# stay writable and unhashable.  Every other class was a frozen dataclass,
+# except SuiteResult, a mutable one whose cases list is still appended to,
+# and BlockFamily, a plain class that compares its keys by value.
 RECORDS = [
     (TileRecord, ((1,), 0, Fraction(1, 3), True),
      one_other(((1,), 0, Fraction(1, 3), True), ((2,), 1, Fraction(1, 2), False)),
@@ -301,12 +320,50 @@ RECORDS = [
         ((1, (STAGE, files.Stage(2, Fraction(1, 4), Fraction(1, 2000), 1, 1, 4))),
          "tile sides must coarsen by integer multiples"),
     ]),
+    (StageReport, REPORT, one_other(REPORT, OTHER_REPORT), True, True, []),
+    (RunResult, (A, B, (StageReport(*REPORT),)), one_other(
+        (A, B, (StageReport(*REPORT),)), (B, A, ())
+    ), True, True, []),
+    (Quasitiling, (FOUR, (ONE,), (frozenset({(0,), (2,)}),)), one_other(
+        (FOUR, (ONE,), (frozenset({(0,), (2,)}),)),
+        (Shape.interval(0, 4), (Shape.interval(0, 0),), (frozenset({(0,)}),)),
+    ), True, True, [
+        ((FOUR, (ONE,), ()), "one center set per shape is required"),
+        ((FOUR, (Shape.box((0, 0), (1, 1)),), (frozenset(),)),
+         "shape dimension differs from the window"),
+        ((FOUR, (Shape(1, ()),), (frozenset(),)), "empty tile shape"),
+    ]),
+    (TilingReport, (True, 4, Fraction(1), True, (Fraction(1, 2),)), one_other(
+        (True, 4, Fraction(1), True, (Fraction(1, 2),)), (False, 3, Fraction(3, 4), False, None)
+    ), True, True, []),
+    (GreedyTiling, (TILING, Fraction(1), True), one_other(
+        (TILING, Fraction(1), True),
+        (Quasitiling(FOUR, (ONE,), (frozenset({(0,)}),)), Fraction(1, 2), False),
+    ), True, True, []),
+    (SuiteCase, ("triple-0", Fraction(1, 3), Fraction(1, 2), False), one_other(
+        ("triple-0", Fraction(1, 3), Fraction(1, 2), False),
+        ("triple-1", Fraction(1, 4), None, True),
+    ), True, True, []),
+    (SuiteResult, ("metric axioms", [CASE]), [("other", [CASE]), ("metric axioms", [])],
+     NO_HASH, True, []),
+    (BlockFamily, (1, ONE, (2,), (0, 3)), [
+        (1, Shape.interval(1, 2), (2,), (0, 3)), (1, ONE, (2,), (0, 2)), (1, ONE, (3,), (0, 3)),
+    ], NO_HASH, True, [
+        ((2, ONE, (2,), ()), "one alphabet size per row is required"),
+        ((1, ONE, (2,), (3, 0)), "family members must be distinct and sorted"),
+        ((1, ONE, (2,), (4,)),
+         "family member with wrong domain or outside the alphabet: codes lie in 0..3"),
+    ]),
 ]
+
+
+def public_fields(cls: type) -> list[str]:
+    return [n for n in cls.__slots__ if not n.startswith("_")]
 
 
 def test_records_compare_by_value_and_keep_their_constructor_and_repr():
     for cls, values, others, hashable, read_only, refused in RECORDS:
-        fields = cls.__slots__
+        fields = public_fields(cls)
         record = cls(*values)
         assert record == cls(**dict(zip(fields, values)))
         assert tuple(getattr(record, f) for f in fields) == values
@@ -320,7 +377,8 @@ def test_records_compare_by_value_and_keep_their_constructor_and_repr():
             with pytest.raises(TypeError, match="unhashable"):
                 hash(record)
         else:
-            assert hash(record) == hash(cls(*values))
+            # a frozen dataclass hashes the tuple of its fields
+            assert hash(record) == hash(cls(*values)) == hash(values)
         if read_only:
             with pytest.raises(AttributeError):
                 setattr(record, fields[0], others[0][0])
@@ -336,6 +394,91 @@ def test_records_compare_by_value_and_keep_their_constructor_and_repr():
     assert repr(AlphabetStack((2, 3))) == "AlphabetStack(sizes=(2, 3))"
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: HullDistance(Fraction(1), ()),
+         "HullDistance.__init__() missing 1 required positional argument: 'tail'"),
+        (lambda: SuiteCase(name="c", bound=None), "SuiteCase.__init__() missing 2 required "
+         "positional arguments: 'deviation' and 'violation'"),
+        (lambda: StageReport(*REPORT[:9]),
+         "StageReport.__init__() missing 1 required positional argument: 'changes'"),
+        (lambda: HullDistance(Fraction(1), (), Fraction(0), Fraction(0)),
+         "HullDistance.__init__() takes 4 positional arguments but 5 were given"),
+        (lambda: StageReport(*REPORT, None),
+         "StageReport.__init__() takes from 11 to 15 positional arguments but 16 were given"),
+        (lambda: HullDistance(Fraction(1), (), Fraction(0), depth=2),
+         "HullDistance.__init__() got an unexpected keyword argument 'depth'"),
+        (lambda: HullDistance(value=Fraction(1), weights=(), depth=2),
+         "HullDistance.__init__() got an unexpected keyword argument 'depth'"),
+        (lambda: HullDistance(Fraction(1), (), tail=Fraction(0), value=Fraction(1)),
+         "HullDistance.__init__() got multiple values for argument 'value'"),
+        (lambda: RunResult(A, B, (), final=B),
+         "RunResult.__init__() got multiple values for argument 'final'"),
+        (lambda: Quasitiling(FOUR, (ONE,)),
+         "Quasitiling.__init__() missing 1 required positional argument: 'centers'"),
+        (lambda: SuiteResult("s", [], cases=[]),
+         "SuiteResult.__init__() got multiple values for argument 'cases'"),
+    ],
+    ids=[
+        "missing", "missing-two", "missing-before-defaults", "too-many", "too-many-defaults",
+        "unexpected", "unexpected-among-keywords", "duplicate", "duplicate-keyword",
+        "missing-own-init", "duplicate-own-init",
+    ],
+)
+def test_a_record_refuses_a_missing_unexpected_or_repeated_argument(make, message):
+    """Each message is the one the parent's dataclass or constructor gave."""
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_a_stage_report_takes_its_first_ten_fields_and_is_replaced_by_name():
+    short = StageReport(*REPORT[:10])
+    assert short == StageReport(*REPORT[:10], None, None, None, None)
+    assert short == StageReport(**dict(zip(public_fields(StageReport), REPORT[:10])))
+    assert short.concat_bound is None and short.tiles == ()
+    full = short._replace(window_distance_before=Fraction(1, 5), concat_deviation=Fraction(1, 7))
+    assert full == StageReport(*REPORT[:10], Fraction(1, 5), None, Fraction(1, 7), None)
+    assert short == StageReport(*REPORT[:10])  # _replace made a new report
+    message = "StageReport.__init__() got an unexpected keyword argument 'tile'"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        short._replace(tile=())
+
+
+def test_suite_results_do_not_share_a_cases_list():
+    first, second = SuiteResult("first"), SuiteResult("second")
+    first.cases.append(CASE)
+    assert second.cases == [] and first.cases == [CASE]
+    assert SuiteResult("third").cases == []
+    assert first.cases is not second.cases
+
+
+def test_a_quasitiling_s_grid_cache_takes_no_part_in_its_value():
+    read, unread = (Quasitiling(FOUR, (ONE,), (frozenset({(0,), (2,)}),)) for _ in range(2))
+    assert read.grid == (range(0, 3, 2),)
+    assert read.grid is read.grid
+    assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+    assert copy.deepcopy(read) == unread
+    with pytest.raises(AttributeError):
+        read.grid = None
+    with pytest.raises(AttributeError):
+        read._grid = None
+    # a tiling off the greedy grid caches None
+    gapped = Quasitiling(FOUR, (ONE,), (frozenset({(0,)}),))
+    assert gapped.grid is None and gapped.grid is None
+
+
+def test_a_count_table_copies_as_a_new_read_only_table():
+    table = freq_table(Block.constant(Shape.interval(0, 3), 1, (2,)), Shape.interval(0, 1), 1)
+    for twin in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert twin == table and twin.total == table.total == 3
+        assert dict(twin.counts) == dict(table.counts) and twin.counts is not table.counts
+        with pytest.raises(TypeError):
+            twin.counts[0] = 1
+        with pytest.raises(AttributeError):
+            twin.total = 1
+
+
 WINDOW = Shape.interval(0, 26)
 
 
@@ -349,7 +492,7 @@ def write_stage(tmp_path, report) -> list[list[str]]:
     (tmp_path / "config.json").write_text(files.canonical_json(config))
     cfg = files.ExperimentConfig.load(tmp_path / "config.json")
     block = Block.constant(WINDOW, 1, (2,))
-    report = replace(report, stage=1, eps=Fraction(1, 2))
+    report = report._replace(stage=1, eps=Fraction(1, 2))
     cli._write_run(tmp_path / "run", cfg, RunResult(block, block, (report,)))
     text = (tmp_path / "run" / "stage_t1_tiles.csv").read_text()
     return [line.split(",") for line in text.splitlines()]
