@@ -9,20 +9,18 @@ stage is exactly invertible from its report.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from math import lcm
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .frequency import _anchor_ranges, _box_codes, _run_firsts
-from .frequency import corpus_subblocks, embedding_anchors, freq_table, tiling_average_gap_bound
-from .group import Point, Shape, _Record, folner_box, point_add
+from .frequency import _count, corpus_subblocks, count_embeddings, freq_table
+from .frequency import tiling_average_gap_bound
+from .group import Point, Shape, _Record, folner_box
 from .measures import ConvexTarget, CylinderMeasure, HullDistance, block_measure, dist_to_hull
 from .quasitiling import Quasitiling, congruent, greedy_tile, verify
-from .symbolic import Block, BlockFamily, BoxRuns, Corpus, _box_offset, _box_read, _box_runs
-from .symbolic import _box_write, _categorical, _draw, _read, _runs_at, _write, decode_pattern
-from .symbolic import encode_pattern, subblock_at
+from .symbolic import Block, BlockFamily, Corpus, _categorical, _draw, _layout, decode_pattern
+from .symbolic import subblock_at
 
 if TYPE_CHECKING:
     from .files import StageSchedule
@@ -68,7 +66,6 @@ class StageReport(_Record):
         "far_mass_after", "replaced_fraction", "tiles", "changes", "window_distance_before",
         "window_distance_after", "concat_deviation", "concat_bound",
     )
-    _defaults = (None, None, None, None)
     stage: int
     eps: Fraction
     delta: Fraction
@@ -190,15 +187,15 @@ def stage_transform(
     changes = []
     far_tiles = [0] * len(tiling.shapes)
     window, symbols = config.shape, config.symbols
-    # One kernel lookup per shape; a box tile is then read at its offset.
-    lookups = [_box_runs(window, shape, k) for shape in tiling.shapes]
+    # One layout per shape; a tile is then read at its position.
+    layouts = [_layout(window, shape, k) for shape in tiling.shapes]
     shape_reps = [reps.get(shape) for shape in tiling.shapes]
     for c, i in tiling.tiles():
-        runs = lookups[i]
-        at = _runs_at(window, tiling.shapes[i], k, c) if runs is None else _box_offset(runs, c)
+        layout = layouts[i]
+        at = layout.at(c)
         if at is None:
             raise ValueError(f"tile at {c} escapes the configuration")
-        content = _read(symbols, at) if runs is None else _box_read(symbols, runs, at)
+        content = layout.read(symbols, at)
         d, far, sub = memo.get((i, content)) or lower(i, content)
         tile_records.append(TileRecord(c, i, d, far))
         if far:
@@ -223,6 +220,10 @@ def stage_transform(
         replaced_fraction=far_before,
         tiles=tuple(tile_records),
         changes=tuple(changes),
+        window_distance_before=None,
+        window_distance_after=None,
+        concat_deviation=None,
+        concat_bound=None,
     )
     return out, report
 
@@ -230,25 +231,15 @@ def stage_transform(
 def apply_changes(
     config: Block, changes: Sequence[ChangeRecord], undo: bool = False
 ) -> Block:
-    """Replay (or with undo=True, revert) a stage's change log.  A box
-    change on a box configuration is written at its offset, with one kernel
-    lookup per (shape, depth) in the log."""
+    """Replay (or with undo=True, revert) a stage's change log."""
     symbols = list(config.symbols)
-    lookups: dict[tuple[Shape, int], BoxRuns | None] = {}
     for ch in changes:
         source = ch.before if undo else ch.after
-        key = source.shape, source.depth
-        if key not in lookups:
-            lookups[key] = _box_runs(config.shape, *key)
-        runs = lookups[key]
-        c = ch.center
-        at = _runs_at(config.shape, *key, c) if runs is None else _box_offset(runs, c)
+        layout = _layout(config.shape, source.shape, source.depth)
+        at = layout.at(ch.center)
         if at is None or source.depth > config.depth:
-            raise ValueError(f"change at {c} escapes the configuration")
-        if runs is None:
-            _write(symbols, at, source.symbols)
-        else:
-            _box_write(symbols, runs, at, source.symbols)
+            raise ValueError(f"change at {ch.center} escapes the configuration")
+        layout.write(symbols, at, source.symbols)
     return Block(config.shape, config.depth, config.sizes, tuple(symbols))
 
 
@@ -295,10 +286,9 @@ def sample_from_measure(
     placed = greedy_tile(shape, [measure.base], Fraction(1)).tiling
     n_shape = len(shape)
     symbols: list[int | None] = [None] * (n_shape * depth)
-    rows = min(depth, measure.depth)
+    layout = _layout(shape, measure.base, min(depth, measure.depth))
     for c in sorted(placed.centers[0]):
-        runs = _runs_at(shape, measure.base, rows, c)
-        _write(symbols, runs, keys[_draw(rng, cumulative)])
+        layout.write(symbols, layout.at(c), keys[_draw(rng, cumulative)])
 
     row_cumulative: list[list[float]] = []
     for r in range(depth):
@@ -446,38 +436,8 @@ def _tile_counts(
 ) -> list[tuple[int, dict[int, int]]]:
     """Per shape, the number of anchors of ``base`` in it and the counts of
     the codes of the patterns on base x rows[1..level] summed over its
-    tiles, read from the window's own symbols at each tile's anchors.  A box
-    tile on a box window reads its codes from the window's ``_box_codes``,
-    any other tile encodes one ``_runs_at`` read per anchor."""
-    symbols, sizes = config.symbols, config.sizes[:level]
-    runs = _box_runs(config.shape, base, level)
-    window_codes = None
-    out = []
-    for shape, centers in zip(tiling.shapes, tiling.centers):
-        anchors = embedding_anchors(shape, base)
-        if runs is not None and shape.is_box():
-            if window_codes is None:
-                window_codes = _box_codes(symbols, sizes, len(config.shape), runs)
-            codes, first = window_codes
-            # flat indices are affine, so a tile's anchors at c are those of
-            # the tile at the origin shifted by flat(c) - flat(0)
-            firsts, n = _run_firsts(runs, _anchor_ranges(shape, base))
-            flat = runs[2]
-            origin = flat((0,) * config.dim) + first
-            shifts = [flat(c) - origin for c in centers]
-            counts = Counter(
-                chain.from_iterable(codes[f + d : f + d + n] for d in shifts for f in firsts)
-            )
-        else:
-            cells = len(base)
-            counts = Counter(
-                encode_pattern(
-                    _read(symbols, _runs_at(config.shape, base, level, point_add(g, c))),
-                    sizes,
-                    cells,
-                )
-                for c in centers
-                for g in anchors
-            )
-        out.append((len(anchors), dict(counts)))
-    return out
+    tiles, read from the window's own symbols at each tile's anchors."""
+    return [
+        (count_embeddings(shape, base), _count(config, base, level, shape, centers))
+        for shape, centers in zip(tiling.shapes, tiling.centers)
+    ]

@@ -11,13 +11,13 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product as cartesian
+from itertools import product as cartesian
 from math import prod
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .group import Point, Shape, _Record, _anchor_box, folner_box
-from .symbolic import Block, Corpus, _box_runs, _read, _runs_at, encode_pattern, subblock_at
+from .group import Point, Shape, _Record, _anchor_box, folner_box, point_add
+from .symbolic import Block, Corpus, _BoxLayout, _layout, encode_pattern, subblock_at
 
 if TYPE_CHECKING:
     from .measures import CylinderMeasure
@@ -42,7 +42,7 @@ def embedding_anchors(outer: Shape, inner: Shape) -> tuple[Point, ...]:
         return tuple(cartesian(*_anchor_ranges(outer, inner)))
     return tuple(
         g for g in _anchor_box(outer, inner)
-        if g in outer and _runs_at(outer, inner, 0, g) is not None
+        if g in outer and _layout(outer, inner, 0).at(g) is not None
     )
 
 
@@ -60,64 +60,36 @@ def pattern_counts(block: Block, inner: Shape, depth: int) -> dict[int, int]:
     Keys are the codes (``symbolic.encode_pattern``) of the patterns' row-
     major symbols relative to the sorted points of ``inner``, i.e. of
     ``Block.symbols`` of the re-based patterns, in the order of their first
-    anchor in ``embedding_anchors``.  On two boxes, the hot path, the codes
-    come from ``_box_codes``; other shapes encode what ``symbolic._runs_at``
-    reads at each anchor, with the same result.
+    anchor in ``embedding_anchors``.
     """
     if not 1 <= depth <= block.depth:
         raise ValueError(f"depth must lie in 1..{block.depth}, got {depth}")
+    return _count(block, inner, depth, block.shape, ((0,) * block.dim,))
+
+
+def _count(
+    block: Block, inner: Shape, depth: int, region: Shape, centers: Iterable[Point]
+) -> dict[int, int]:
+    """The counts of the codes of the patterns on inner x rows[1..depth]
+    that ``block`` shows at g + c, for every c in ``centers`` and every
+    anchor g of ``inner`` in ``region``, keyed in order of first sight, c
+    outermost.  On two boxes and a box region, the hot path, the box layout
+    rolls the codes (``_BoxLayout.codes``); otherwise each anchor is read
+    and encoded, with the same result."""
+    layout = _layout(block.shape, inner, depth)
     symbols, sizes = block.symbols, block.sizes[:depth]
-    runs = _box_runs(block.shape, inner, depth)
-    if runs is not None:
-        firsts, n = _run_firsts(runs, _anchor_ranges(block.shape, inner))
-        codes, first = _box_codes(symbols, sizes, len(block.shape), runs)
-        counts = Counter(chain.from_iterable(codes[f - first : f - first + n] for f in firsts))
+    if isinstance(layout, _BoxLayout) and region.is_box():
+        codes = layout.codes(symbols, sizes, _anchor_ranges(region, inner), centers)
     else:
-        cells = len(inner)
-        counts = Counter(
-            encode_pattern(_read(symbols, _runs_at(block.shape, inner, depth, g)), sizes, cells)
-            for g in embedding_anchors(block.shape, inner)
+        at, read, cells = layout.at, layout.read, len(inner)
+        anchors = embedding_anchors(region, inner)
+        codes = (
+            encode_pattern(read(symbols, at(point_add(g, c))), sizes, cells)
+            for c in centers
+            for g in anchors
         )
     # A Counter reads 0 at a missing key, a CountTable must raise KeyError.
-    return dict(counts)
-
-
-def _box_codes(
-    symbols: tuple[int, ...], sizes: tuple[int, ...], cells: int, runs: tuple
-) -> tuple[list[int], int]:
-    """The code of the pattern at every flat index from the first anchor of
-    ``runs``, a ``_box_runs`` result on a block of ``cells`` cells whose
-    leading rows have alphabet ``sizes``, to its last anchor, and the flat
-    index of the first anchor.  Entries at an index that is no anchor (past
-    the end of a last-axis run of anchors) are no pattern's code.
-
-    One rolling pass per row gives the code of every ``length`` consecutive
-    entries of the row; a pattern's code is then one multiply-add per run
-    of its inner box, in ``Block.symbols`` order.
-    """
-    starts, length, flat, lo, hi = runs
-    first, span = flat(lo), flat(hi) - flat(lo) + 1
-    # rolled[r * cells + i]: the code of entries i - length + 1 .. i of row r
-    rolled: list[int] = []
-    for r, size in enumerate(sizes):
-        top, c = size**length, 0
-        rolled += [c := (c * size + x) % top for x in symbols[r * cells : (r + 1) * cells]]
-    codes: list[int] = []
-    per_row = len(starts) // len(sizes)
-    for i, s in enumerate(starts):
-        at = first + s + length - 1
-        run = rolled[at : at + span]
-        top = sizes[i // per_row] ** length
-        codes = run if i == 0 else [c * top + x for c, x in zip(codes, run)]
-    return codes, first
-
-
-def _run_firsts(runs: tuple, anchors: list[range]) -> tuple[list[int], int]:
-    """The flat index of the first anchor of every last-axis run of the
-    anchor box ``anchors`` (per-axis ranges), and the run length."""
-    flat = runs[2]
-    *heads, last = anchors
-    return [flat((*head, last.start)) for head in cartesian(*heads)], len(last)
+    return dict(Counter(codes))
 
 
 class CountTable(Mapping[int, Fraction], _Record):

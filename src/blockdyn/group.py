@@ -25,14 +25,13 @@ class _Record:
     """A read-only value whose fields are the public names in ``__slots__``,
     read in slot order by equality, hash, a dataclass-style repr, copy and
     ``_replace``; other slots are caches (see ``_cached``).  ``_set`` takes
-    the fields as a dataclass's ``__init__`` does, the last ones defaulting
-    to ``_defaults``, and stores them: it is the constructor, or the last
-    step of a class's own checking one.  Any assignment is an AttributeError.
-    A plain class: a dataclass costs an import of ``dataclasses`` and
-    ``inspect`` and about a millisecond per class at every import."""
+    the fields as a dataclass's ``__init__`` does and stores them: it is
+    the constructor, or the last step of a class's own checking one.  Any
+    assignment is an AttributeError.  A plain class: a dataclass costs an
+    import of ``dataclasses`` and ``inspect`` and about a millisecond per
+    class at every import."""
 
     __slots__ = ()
-    _defaults: tuple = ()
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
@@ -44,7 +43,7 @@ class _Record:
         body = "".join(f"\n _{f}(self, {f})" for f in fields) or "\n pass"
         exec(f"def __init__(self, {', '.join(fields)}):{body}", scope)
         init = cls._set = scope["__init__"]
-        init.__defaults__, init.__qualname__ = cls._defaults, f"{cls.__qualname__}.__init__"
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
         if "__init__" not in cls.__dict__:
             cls.__init__ = init
         # The fields as a tuple in one C call: a Block is hashed at every

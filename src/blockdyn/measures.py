@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .frequency import CountTable, freq_table
 from .group import Shape, _Record, folner_box
-from .symbolic import Block, BlockFamily, _runs_at, decode_pattern, encode_pattern
+from .symbolic import Block, BlockFamily, _layout, decode_pattern, encode_pattern
 
 
 def _numerators(masses: Mapping) -> tuple[dict, int]:
@@ -43,11 +43,13 @@ class CylinderMeasure:
 
     Stored sparsely as integer numerators over one denominator, reduced so
     that equal measures store equal numbers; queries at shallower levels
-    are marginal sums and are additive by construction.  Immutable after
-    construction.
+    are marginal sums and are additive by construction.  Measures are
+    shared and cache their marginals, so any assignment is an
+    AttributeError, as on a ``_Record``.
     """
 
     __slots__ = ("depth", "base", "sizes", "_nums", "_den", "_marginals")
+    __setattr__ = __delattr__ = _Record.__setattr__
 
     def __init__(
         self,
@@ -91,12 +93,13 @@ class CylinderMeasure:
         den: int,
     ) -> None:
         g = gcd(den, *nums.values())
-        self.depth = depth
-        self.base = base
-        self.sizes = sizes
-        self._nums = {key: n // g for key, n in sorted(nums.items())}
-        self._den = den // g
-        self._marginals: dict[tuple[Shape, int], CountTable] = {}
+        nums = {key: n // g for key, n in sorted(nums.items())}
+        for name, value in zip(self.__slots__, (depth, base, sizes, nums, den // g, {})):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through _from_counts: they cannot set slots
+        return type(self)._from_counts, (self.depth, self.base, self.sizes, self._nums, self._den)
 
     def items(self) -> tuple[tuple[Block, Fraction], ...]:
         cells = len(self.base)
@@ -153,7 +156,8 @@ class CylinderMeasure:
         # code lists those numbers of the runs of e x rows[1..level] in order;
         # adjacent runs read as one.
         spans: list[list[int]] = []
-        for a, b in _runs_at(self.base, e, level, (0,) * e.dim):
+        layout = _layout(self.base, e, level)
+        for a, b in layout.runs(layout.at((0,) * e.dim)):
             if spans and spans[-1][1] == a:
                 spans[-1][1] = b
             else:

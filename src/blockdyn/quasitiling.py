@@ -10,7 +10,7 @@ from typing import Iterator, Sequence
 
 from .frequency import _anchor_ranges, embedding_anchors
 from .group import Point, Shape, _Record, _cached, invariance_ratio
-from .symbolic import Block, _runs_at, _write
+from .symbolic import Block, _layout
 
 
 class Quasitiling(_Record):
@@ -62,12 +62,13 @@ class TilingReport(_Record):
 
 
 def _tile_runs(tiling: Quasitiling, c: Point, i: int) -> list[tuple[int, int]]:
-    """Window positions of tile (c, i) as ``_runs_at`` slices; raises if the
-    tile escapes the window."""
-    runs = _runs_at(tiling.window, tiling.shapes[i], 1, c)
-    if runs is None:
+    """Window positions of tile (c, i) as (start, stop) slices; raises if
+    the tile escapes the window."""
+    layout = _layout(tiling.window, tiling.shapes[i], 1)
+    at = layout.at(c)
+    if at is None:
         raise ValueError(f"tile {i} at {c} escapes the window")
-    return runs
+    return layout.runs(at)
 
 
 def _grid(window: Shape, shapes: Sequence[Shape]) -> tuple[range, ...] | None:
@@ -106,7 +107,8 @@ def verify(tiling: Quasitiling, folner: Shape | None = None) -> TilingReport:
             runs = _tile_runs(tiling, c, i)
             if any(seen.find(1, a, b) >= 0 for a, b in runs):
                 disjoint = False
-            _write(seen, runs, b"\x01" * len(tiling.shapes[i]))
+            for a, b in runs:
+                seen[a:b] = b"\x01" * (b - a)
             tile_runs.add(tuple(runs))
         covered = seen.count(1)
         unique = len(tile_runs) == tiling.tile_count()
@@ -234,12 +236,12 @@ def greedy_tile(window: Shape, shapes: Sequence[Shape], eps: Fraction) -> Greedy
         centers = [set() for _ in shapes]
         for idx in order:
             shape = shapes[idx]
-            ones = b"\x01" * len(shape)
+            layout, ones = _layout(window, shape, 1), b"\x01" * len(shape)
             for c in embedding_anchors(window, shape):
-                runs = _runs_at(window, shape, 1, c)
-                if any(occupied.find(1, a, b) >= 0 for a, b in runs):
+                at = layout.at(c)
+                if any(occupied.find(1, a, b) >= 0 for a, b in layout.runs(at)):
                     continue
-                _write(occupied, runs, ones)
+                layout.write(occupied, at, ones)
                 centers[idx].add(c)
     tiling = Quasitiling(
         window=window,

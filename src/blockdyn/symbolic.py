@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, product
 from math import prod
 from operator import index, le, lt, mul, sub
-from typing import Callable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .group import Point, Shape, _Record, _cached, folner_box, point_add
 
@@ -86,108 +86,140 @@ class Block(_Record):
         return len(self.shape)
 
 
-BoxRuns = tuple[tuple[int, ...], int, Callable[[Point], int], Point, Point]
+class _BoxLayout:
+    """The cells of (inner + g) x rows[1..depth] in the symbols of a block on
+    the box ``outer``, for a box ``inner``.  A block on a box stores its
+    symbols in C order, so they are one last-axis run of ``length``
+    entries from ``a + s`` for s in ``starts``, one per row of the inner box,
+    rows of the stack outermost, at the position a = flat(g); inner + g fits
+    when lo <= g <= hi per axis."""
+
+    __slots__ = ("starts", "length", "cells", "strides", "origin", "lo", "hi")
+
+    def __init__(self, outer: Shape, inner: Shape, depth: int) -> None:
+        (lo, hi), (ilo, ihi) = outer.bounds(), inner.bounds()
+        strides = [1] * outer.dim
+        for i in range(outer.dim - 1, 0, -1):
+            strides[i - 1] = strides[i] * (hi[i] - lo[i] + 1)
+        heads = product(*(range(a, b + 1) for a, b in zip(ilo[:-1], ihi[:-1])))
+        rel = [sum(map(mul, q, strides)) + ilo[-1] for q in heads]
+        self.cells = n = len(outer)
+        self.starts = tuple(r * n + s for r in range(depth) for s in rel)
+        self.length = ihi[-1] - ilo[-1] + 1
+        self.strides, self.origin = strides, sum(map(mul, lo, strides))
+        self.lo, self.hi = tuple(map(sub, lo, ilo)), tuple(map(sub, hi, ihi))
+
+    def at(self, g: Point) -> int | None:
+        if all(map(le, self.lo, g)) and all(map(le, g, self.hi)):
+            return sum(map(mul, g, self.strides)) - self.origin
+        return None
+
+    def read(self, symbols: Sequence, a: int) -> Sequence:
+        starts, length = self.starts, self.length
+        if len(starts) == 1:
+            return symbols[a + starts[0] : a + starts[0] + length]
+        return tuple(chain.from_iterable(symbols[a + s : a + s + length] for s in starts))
+
+    def write(self, symbols: list | bytearray, a: int, values: Sequence) -> None:
+        length = self.length
+        for j, s in zip(range(0, len(values), length), self.starts):
+            symbols[a + s : a + s + length] = values[j : j + length]
+
+    def runs(self, a: int) -> list[tuple[int, int]]:
+        return [(a + s, a + s + self.length) for s in self.starts]
+
+    def codes(
+        self, symbols: Sequence[int], sizes: Sequence[int], anchors: list[range], centers: Iterable
+    ) -> Iterator[int]:
+        """The code of the pattern at g + c for every c in ``centers`` and g
+        of the anchor box ``anchors`` (per-axis ranges), c outermost, where
+        every inner + g + c fits and ``sizes`` are the rows' alphabets.  One
+        rolling pass per row gives the code of every ``length`` consecutive
+        entries of the row; a pattern's code is then one multiply-add per
+        run, at every position from the first fitting anchor to the last."""
+        starts, length, cells, strides = self.starts, self.length, self.cells, self.strides
+        first, last = (sum(map(mul, p, strides)) - self.origin for p in (self.lo, self.hi))
+        span = last - first + 1
+        # rolled[r * cells + i]: the code of entries i - length + 1 .. i of row r
+        rolled: list[int] = []
+        for r, size in enumerate(sizes):
+            top, c = size**length, 0
+            rolled += [c := (c * size + x) % top for x in symbols[r * cells : (r + 1) * cells]]
+        # codes[a - first]: the code at position a, no pattern's past the end
+        # of a last-axis run of anchors
+        codes: list[int] = []
+        per_row = len(starts) // len(sizes)
+        for i, s in enumerate(starts):
+            a = first + s + length - 1
+            run = rolled[a : a + span]
+            top = sizes[i // per_row] ** length
+            codes = run if i == 0 else [c * top + x for c, x in zip(codes, run)]
+        # positions are affine in the point: the anchors at c are those at the
+        # origin shifted by c's strides
+        *heads, tail = anchors
+        firsts = [sum(map(mul, (*head, tail.start), strides)) for head in product(*heads)]
+        n, shifts = len(tail), [sum(map(mul, c, strides)) - self.origin - first for c in centers]
+        return chain.from_iterable(codes[f + d : f + d + n] for d in shifts for f in firsts)
+
+
+class _CellLayout:
+    """The cells of (inner + g) x rows[1..depth] in the row-major symbols of
+    a block on ``outer``, point by point: a position is the list of the
+    cells' indices, in ``Block.symbols`` order."""
+
+    __slots__ = ("index", "points", "rows")
+
+    def __init__(self, outer: Shape, inner: Shape, depth: int) -> None:
+        n = len(outer)
+        self.index, self.points = outer.index, inner.sorted_points
+        self.rows = range(0, depth * n, n)
+
+    def at(self, g: Point) -> list[int] | None:
+        cells = [self.index.get(point_add(p, g)) for p in self.points]
+        if None in cells:
+            return None
+        return [r + i for r in self.rows for i in cells]
+
+    def read(self, symbols: Sequence, at: list[int]) -> tuple:
+        return tuple([symbols[i] for i in at])
+
+    def write(self, symbols: list | bytearray, at: list[int], values: Sequence) -> None:
+        for i, v in zip(at, values):
+            symbols[i] = v
+
+    def runs(self, at: list[int]) -> list[tuple[int, int]]:
+        return [(i, i + 1) for i in at]
 
 
 @lru_cache(maxsize=64)
-def _box_runs(outer: Shape, inner: Shape, depth: int) -> BoxRuns | None:
-    """(starts, length, flat, lo, hi) for two boxes, else None; cached.
-
-    A block on a box stores its symbols in C order, so the entries of
-    (inner + g) x rows[1..depth] are ``symbols[flat(g) + s :][:length]``
-    for s in ``starts``: one last-axis run per row of the inner box, rows
-    of the stack outermost.  inner + g fits when lo <= g <= hi per axis.
-    """
-    if not (outer.is_box() and inner.is_box()):
-        return None
-    (lo, hi), (ilo, ihi) = outer.bounds(), inner.bounds()
-    strides = [1] * outer.dim
-    for i in range(outer.dim - 1, 0, -1):
-        strides[i - 1] = strides[i] * (hi[i] - lo[i] + 1)
-    origin = sum(map(mul, lo, strides))
-
-    def flat(p: Point) -> int:
-        return sum(map(mul, p, strides)) - origin
-
-    heads = product(*(range(a, b + 1) for a, b in zip(ilo[:-1], ihi[:-1])))
-    rel = [sum(map(mul, q, strides)) + ilo[-1] for q in heads]
-    n = len(outer)
-    starts = tuple(r * n + s for r in range(depth) for s in rel)
-    glo, ghi = tuple(map(sub, lo, ilo)), tuple(map(sub, hi, ihi))
-    return starts, ihi[-1] - ilo[-1] + 1, flat, glo, ghi
-
-
-def _box_offset(runs: BoxRuns, g: Point) -> int | None:
-    """``flat(g)`` for the ``_box_runs`` of two boxes, or None when inner + g
-    does not fit: the per-anchor half of the kernel."""
-    _, _, flat, lo, hi = runs
-    return flat(g) if all(map(le, lo, g)) and all(map(le, g, hi)) else None
-
-
-def _box_read(symbols: tuple[int, ...], runs: BoxRuns, a: int) -> tuple[int, ...]:
-    """The entries of the ``runs`` at offset ``a``, in order."""
-    starts, length = runs[0], runs[1]
-    if len(starts) == 1:
-        return symbols[a + starts[0] : a + starts[0] + length]
-    return tuple(chain.from_iterable(symbols[a + s : a + s + length] for s in starts))
-
-
-def _box_write(symbols: list, runs: BoxRuns, a: int, values: Sequence) -> None:
-    """Overwrite the entries of the ``runs`` at offset ``a`` with ``values``."""
-    starts, length = runs[0], runs[1]
-    for j, s in zip(range(0, len(values), length), starts):
-        symbols[a + s : a + s + length] = values[j : j + length]
-
-
-def _runs_at(outer: Shape, inner: Shape, depth: int, g: Point) -> list[tuple[int, int]] | None:
-    """The cell-addressing kernel: (start, stop) slices of the row-major
-    symbols of a block on ``outer`` that list (inner + g) x rows[1..depth]
-    in ``Block.symbols`` order, or None when inner + g does not fit.
-
-    Two boxes give one slice per ``_box_runs`` run, shifted by
-    ``_box_offset``; other shapes one single-cell slice per point.
-    """
-    runs = _box_runs(outer, inner, depth)
-    if runs is not None:
-        a = _box_offset(runs, g)
-        if a is None:
-            return None
-        return [(a + s, a + s + runs[1]) for s in runs[0]]
-    cells = [outer.index.get(point_add(p, g)) for p in inner.sorted_points]
-    if None in cells:
-        return None
-    n = len(outer)
-    return [(r + i, r + i + 1) for r in range(0, depth * n, n) for i in cells]
-
-
-def _read(symbols: Sequence[int], runs: list[tuple[int, int]]) -> tuple[int, ...]:
-    """The entries at ``runs``, in order."""
-    out: list[int] = []
-    for a, b in runs:
-        out += symbols[a:b]
-    return tuple(out)
-
-
-def _write(symbols: list, runs: list[tuple[int, int]], values: Sequence) -> None:
-    """Overwrite the entries at ``runs`` with the leading ``values``."""
-    j = 0
-    for a, b in runs:
-        symbols[a:b] = values[j : j + b - a]
-        j += b - a
+def _layout(outer: Shape, inner: Shape, depth: int) -> _BoxLayout | _CellLayout:
+    """The cell-addressing kernel: where (inner + g) x rows[1..depth] lies in
+    the row-major symbols of a block on ``outer``, cached per triple.  Two
+    boxes get a ``_BoxLayout``, any other pair a ``_CellLayout``.  Both give
+    ``at(g)``, a position or None when inner + g does not fit, and at a
+    position ``read(symbols, at)``, its entries in ``Block.symbols`` order,
+    ``write(symbols, at, values)``, which overwrites them with the leading
+    ``values``, and ``runs(at)``, their (start, stop) slices."""
+    if outer.dim != inner.dim:
+        raise ValueError("dimension mismatch")
+    if outer.is_box() and inner.is_box():
+        return _BoxLayout(outer, inner, depth)
+    return _CellLayout(outer, inner, depth)
 
 
 def subblock_at(block: Block, f: Shape, g: Sequence[int], depth: int) -> Block | None:
     """The pattern of ``block`` read at f + g, re-based to f; None if f + g
     does not fit inside the block shape."""
     gp = tuple(map(index, g))
-    if len(gp) != block.dim or f.dim != block.dim:
+    if len(gp) != block.dim:
         raise ValueError("dimension mismatch")
     if not 0 <= depth <= block.depth:
         raise ValueError(f"depth {depth} exceeds block depth {block.depth}")
-    runs = _runs_at(block.shape, f, depth, gp)
-    if runs is None:
+    layout = _layout(block.shape, f, depth)
+    at = layout.at(gp)
+    if at is None:
         return None
-    return Block(f, depth, block.sizes[:depth], _read(block.symbols, runs))
+    return Block(f, depth, block.sizes[:depth], layout.read(block.symbols, at))
 
 
 class Corpus(_Record):

@@ -5,12 +5,16 @@ library itself stores small integers only.
 """
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
 from operator import mul
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
+import pytest
+
+from blockdyn import symbolic
 from blockdyn.group import Point, Shape, point_add
 from blockdyn.measures import CylinderMeasure, Term
 from blockdyn.quasitiling import Quasitiling
@@ -37,6 +41,30 @@ def block_from_function(
     pts = shape.sorted_points
     symbols = tuple(fn(p, r) for r in range(1, depth + 1) for p in pts)
     return Block(shape, depth, tuple(sizes), symbols)
+
+
+@contextmanager
+def switch_layouts(box: Callable | None = None, cells: Callable | None = None) -> Iterator[None]:
+    """Within the block, ``symbolic._layout`` builds the layout of every pair
+    of boxes with ``box`` and of every other pair with ``cells``, where
+    given: ``switch_layouts(box=symbolic._CellLayout)`` reads boxes point by
+    point, and a stand-in that raises shows that no such layout is asked
+    for.  The layout cache is emptied on entry and on exit."""
+    with pytest.MonkeyPatch.context() as mp:
+        if box is not None:
+            mp.setattr(symbolic, "_BoxLayout", box)
+        if cells is not None:
+            mp.setattr(symbolic, "_CellLayout", cells)
+        symbolic._layout.cache_clear()
+        try:
+            yield
+        finally:
+            symbolic._layout.cache_clear()
+
+
+def no_layout(*args: object) -> None:
+    """A layout class for ``switch_layouts`` that fails when called."""
+    raise AssertionError("layout built")
 
 
 def code_of(pattern: Block) -> int:

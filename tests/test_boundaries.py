@@ -2,7 +2,9 @@
 the rule that production code never imports the test kit."""
 
 import ast
+import copy
 import json
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +50,26 @@ def test_marginal_is_read_only():
     with pytest.raises(AttributeError):
         marg.total = 9
     assert cylinder_mass(mu, center_b) == before == Fraction(1, 2)
+
+
+def test_a_measure_is_read_only_and_copies_as_a_new_measure():
+    mu = block_measure(block_from_word("abbabaab"), 1)
+    center = Shape.of([(0,)])
+    marg = mu.marginal(center, 1)
+    for name in ("depth", "base", "sizes", "_nums", "_den", "_marginals", "other"):
+        with pytest.raises(AttributeError):
+            setattr(mu, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(mu, name)
+    assert mu.depth == 1 and mu.marginal(center, 1) is marg
+    with pytest.raises(TypeError):
+        hash(mu)
+    for copied in (copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))):
+        twin = copied(mu)
+        assert twin == mu and twin is not mu and repr(twin) == repr(mu)
+        assert twin.marginal(center, 1) == marg and twin.atoms() == mu.atoms()
+        with pytest.raises(AttributeError):
+            twin.depth = 5
 
 
 def _config(tmp_path: Path) -> Path:
@@ -199,6 +221,28 @@ def test_production_code_does_not_import_testkit():
             if any(n == "testkit" or n.endswith(".testkit") for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+# The private names of ``symbolic`` that each module imports.  Cells are
+# addressed only through ``_layout``, and only frequency's counting helper
+# tells a box layout from a cell layout.
+KERNEL_IMPORTS = {
+    "construction": {"_categorical", "_draw", "_layout"},
+    "files": {"_PIECE", "_row_codes"},
+    "frequency": {"_BoxLayout", "_layout"},
+    "measures": {"_layout"},
+    "quasitiling": {"_layout"},
+}
+
+
+def test_modules_import_only_the_kernel_interface_from_symbolic():
+    got: dict[str, set[str]] = {}
+    for path in sorted((Path(blockdyn.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "symbolic":
+                names = {a.name for a in node.names if a.name.startswith("_")}
+                got.setdefault(path.stem, set()).update(names)
+    assert {module: names for module, names in got.items() if names} == KERNEL_IMPORTS
 
 
 def test_unknown_representatives_source_exits_2_and_a_missing_one_is_corpus(tmp_path, capsys):

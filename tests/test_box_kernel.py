@@ -2,18 +2,19 @@
 testkit oracles.
 
 ``pattern_counts`` and ``subblock_at`` read a box block by contiguous
-slices when both shapes are boxes.  Forcing ``_box_runs`` to return None
-runs the generic loop on the same inputs, so the two paths can be
-compared key for key, in order.
+slices when both shapes are boxes.  Switching ``_layout`` to the cell
+layout for every pair runs the generic loop on the same inputs, so the two
+paths can be compared key for key, in order.
 """
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockdyn.frequency as frequency
-import blockdyn.symbolic as symbolic
 from blockdyn.frequency import embedding_anchors, freq_table, pattern_counts
 from blockdyn.group import Shape, folner_box, point_add
 from blockdyn.measures import CylinderMeasure, dist_block
@@ -21,13 +22,15 @@ from blockdyn.symbolic import (
     AlphabetStack,
     Block,
     Corpus,
-    _box_runs,
+    _BoxLayout,
+    _CellLayout,
+    _layout,
     enumerate_family,
     subblock_at,
 )
 from blockdyn.testkit import oracle_count_embeddings, oracle_count_occurrences
 
-from helpers import decoded
+from helpers import decoded, switch_layouts
 
 SIZES = (2, 3, 2)
 
@@ -53,13 +56,11 @@ def random_block(rng, shape, sizes=SIZES):
 
 
 @pytest.fixture
-def generic(monkeypatch):
+def generic():
     """Call a function with the box path switched off."""
 
     def call(fn, *args):
-        with monkeypatch.context() as m:
-            m.setattr(frequency, "_box_runs", lambda *a: None)
-            m.setattr(symbolic, "_box_runs", lambda *a: None)
+        with switch_layouts(box=_CellLayout):
             return fn(*args)
 
     return call
@@ -71,7 +72,7 @@ def test_box_pattern_counts_match_generic_path_and_oracles(case, generic):
     rng = random.Random(str(case))
     block = random_block(rng, Shape.box(lo, hi))
     inner = Shape.box(ilo, ihi)
-    assert _box_runs(block.shape, inner, 1) is not None
+    assert isinstance(_layout(block.shape, inner, 1), _BoxLayout)
     anchors = embedding_anchors(block.shape, inner)
     assert len(anchors) == oracle_count_embeddings(block.shape, inner) > 0
     for depth in range(1, block.depth + 1):
@@ -139,8 +140,8 @@ def test_non_box_shapes_use_the_generic_path():
     box = Shape.box((0, 0), (4, 3))
     holed = Shape(2, box.points - {(2, 1)})
     diagonal = Shape.of([(0, 0), (1, 1)])
-    assert _box_runs(holed, Shape.box((0, 0), (1, 1)), 1) is None
-    assert _box_runs(box, diagonal, 1) is None
+    assert isinstance(_layout(holed, Shape.box((0, 0), (1, 1)), 1), _CellLayout)
+    assert isinstance(_layout(box, diagonal, 1), _CellLayout)
     for outer, inner in [(holed, Shape.box((0, 0), (1, 1))), (box, diagonal), (holed, diagonal)]:
         block = random_block(rng, outer)
         for depth in range(1, block.depth + 1):
@@ -157,6 +158,44 @@ def test_non_box_shapes_use_the_generic_path():
                 assert sub is None
             else:
                 assert sub.symbols == tuple(block.get(q, r) for r in (1, 2) for q in cells)
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes of one dimension, 1-D to 3-D with corners on both sides of
+    the origin, a depth of 0 to 3, and a translate that may fit or escape."""
+    dim = draw(st.integers(1, 3))
+    lo = [draw(st.integers(-4, 2)) for _ in range(dim)]
+    hi = [a + draw(st.integers(0, 4)) for a in lo]
+    ilo = [draw(st.integers(-3, 2)) for _ in range(dim)]
+    ihi = [a + draw(st.integers(0, 3)) for a in ilo]
+    g = tuple(draw(st.integers(a - d - 2, b - c + 2)) for a, b, c, d in zip(lo, hi, ilo, ihi))
+    return Shape.box(lo, hi), Shape.box(ilo, ihi), draw(st.integers(0, 3)), g
+
+
+@settings(max_examples=400, deadline=None)
+@given(box_pairs())
+def test_box_and_cell_layouts_agree(case):
+    outer, inner, depth, g = case
+    box, cells = _layout(outer, inner, depth), _CellLayout(outer, inner, depth)
+    assert isinstance(box, _BoxLayout)
+    a, b = box.at(g), cells.at(g)
+    fits = all(point_add(p, g) in outer for p in inner)
+    assert (a is not None) == (b is not None) == fits
+    if not fits:
+        return
+    # distinct entries, so that a read names the positions it reads
+    symbols = tuple(range(3 * len(outer)))
+    read = cells.read(symbols, b)
+    assert len(read) == depth * len(inner) and tuple(box.read(symbols, a)) == read
+    assert [q for s, t in box.runs(a) for q in range(s, t)] == list(read)
+    assert [q for s, t in cells.runs(b) for q in range(s, t)] == list(read)
+    values = range(-len(read), 0)
+    written = [list(symbols), list(symbols)]
+    box.write(written[0], a, values)
+    cells.write(written[1], b, values)
+    assert written[0] == written[1]
+    assert [written[0][q] for q in read] == list(values)
 
 
 def test_dist_block_after_enumerate_family_counts_each_level_once(monkeypatch):

@@ -1,10 +1,9 @@
 """The cell-addressing kernel against point-by-point references.
 
-Every sub-pattern read (``subblock_at``, ``marginal``) and
-write (``apply_changes``) goes through ``symbolic._runs_at``, or on two
-boxes through its two halves: one ``_box_runs`` lookup per shape and one
-``_box_offset`` per anchor, as ``stage_transform`` and ``apply_changes``
-use them.  The references below look each cell up by its point in the
+Every sub-pattern read (``subblock_at``, ``marginal``,
+``stage_transform``) and write (``apply_changes``) goes through the layout
+that ``symbolic._layout`` gives its pair of shapes, then one ``at`` per
+anchor.  The references below look each cell up by its point in the
 sorted point list and share no code with the kernel.  Shapes are boxes and
 non-boxes in 1-D to 3-D with negative corners, inner shapes may be empty,
 depths include 0, and some translates do not fit.
@@ -26,7 +25,7 @@ from blockdyn.measures import CylinderMeasure
 from blockdyn.quasitiling import Quasitiling, greedy_tile
 from blockdyn.symbolic import Block, subblock_at
 
-from helpers import decoded
+from helpers import decoded, no_layout, switch_layouts
 
 SIZES = (2, 3, 2)
 
@@ -278,10 +277,6 @@ def test_hoisted_stage_reads_and_writes_match_the_point_references(case, delta):
         assert str(err.value) == f"change at {moved_out.center} escapes the configuration"
 
 
-def no_kernel(*args):
-    raise AssertionError("_runs_at called")
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_box_stages_and_change_logs_make_no_kernel_call(monkeypatch, dim):
     rng = random.Random(dim)
@@ -291,17 +286,18 @@ def test_box_stages_and_change_logs_make_no_kernel_call(monkeypatch, dim):
     tiling = greedy_tile(window, shapes, F(1)).tiling
     reps = {s: random_block(rng, s, SIZES[:1]) for s in shapes}
     monkeypatch.setattr(construction, "dist_to_hull", lambda block, *_: fake_distance(block))
-    monkeypatch.setattr(construction, "_runs_at", no_kernel)
     target = SimpleNamespace(depth=1)
-    out, report = stage_transform(config, tiling, target, F(1, 3), reps, [])
-    assert report.changes and len(report.changes) < len(report.tiles)
-    assert apply_changes(config, report.changes) == out
-    assert apply_changes(out, report.changes, undo=True) == config
-    # A tile or a change on a non-box shape still reads through the kernel.
-    notched = Shape(dim, shapes[0].points - {(1,) * dim})
-    other = Quasitiling(window, (notched,), (frozenset({(0,) * dim}),))
-    patch = random_block(rng, notched, SIZES[:1])
-    with pytest.raises(AssertionError, match="_runs_at called"):
-        stage_transform(config, other, target, F(1, 3), {notched: patch}, [])
-    with pytest.raises(AssertionError, match="_runs_at called"):
-        apply_changes(config, [ChangeRecord((0,) * dim, 0, patch, patch)])
+    with switch_layouts(cells=no_layout):
+        out, report = stage_transform(config, tiling, target, F(1, 3), reps, [])
+        assert report.changes and len(report.changes) < len(report.tiles)
+        assert apply_changes(config, report.changes) == out
+        assert apply_changes(out, report.changes, undo=True) == config
+        # A tile or a change on a non-box shape still reads through the cell
+        # layout.
+        notched = Shape(dim, shapes[0].points - {(1,) * dim})
+        other = Quasitiling(window, (notched,), (frozenset({(0,) * dim}),))
+        patch = random_block(rng, notched, SIZES[:1])
+        with pytest.raises(AssertionError, match="layout built"):
+            stage_transform(config, other, target, F(1, 3), {notched: patch}, [])
+        with pytest.raises(AssertionError, match="layout built"):
+            apply_changes(config, [ChangeRecord((0,) * dim, 0, patch, patch)])

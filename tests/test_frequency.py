@@ -1,12 +1,13 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdyn.frequency import count_embeddings, freq, freq_table
+from blockdyn.frequency import count_embeddings, freq, freq_table, pattern_counts
 from blockdyn.group import Shape, folner_box
-from blockdyn.symbolic import AlphabetStack, encode_pattern, sample_bernoulli
+from blockdyn.symbolic import AlphabetStack, Block, encode_pattern, sample_bernoulli
 from blockdyn.testkit import (
     oracle_count_embeddings,
     oracle_freq,
@@ -18,6 +19,19 @@ WORD = block_from_word("aababab", start=-3)
 AAB = block_from_word("aab", start=-1)
 ABA = block_from_word("aba", start=-1)
 BAB = block_from_word("bab", start=-1)
+
+
+def test_an_inner_shape_of_another_dimension_raises_box_or_point_set():
+    block = Block(Shape.interval(0, 5), 1, (2,), (0, 1, 1, 0, 1, 0))
+    square = Block(Shape.box((0, 0), (1, 1)), 1, (2,), (0, 1, 1, 0))
+    diagonal = Shape.of([(0, 0), (1, 1)])
+    for inner in (square.shape, diagonal):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            pattern_counts(block, inner, 1)
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            freq_table(block, inner, 1)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        freq(block, square)
 
 
 def test_count_embeddings_interval():

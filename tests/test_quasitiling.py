@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import no_layout, switch_layouts
 from test_stage_passes import pairwise_congruent, tile_cells
 
 from blockdyn import construction, group, quasitiling, symbolic
@@ -435,28 +436,21 @@ def test_congruence_of_part_of_a_grid_reads_only_its_tiles():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_grid_tilings_make_no_kernel_call(monkeypatch, dim):
-    def no_kernel(*args):
-        raise AssertionError("_runs_at called")
-
-    monkeypatch.setattr(quasitiling, "_runs_at", no_kernel)
+def test_grid_tilings_make_no_kernel_call(dim):
     window = Shape.box((0,) * dim, (9,) * dim)
-    coarse = greedy_tile(window, [Shape.box((0,) * dim, (3,) * dim)], Fraction(1)).tiling
-    fine = greedy_tile(window, [Shape.box((0,) * dim, (1,) * dim)], Fraction(1)).tiling
-    off = greedy_tile(window, [Shape.box((-1,) * dim, (1,) * dim)], Fraction(1)).tiling
-    assert coarse.tile_count() == 2**dim and fine.tile_count() == 5**dim
-    assert min(off.centers[0]) == (1,) * dim
-    assert verify(coarse).covered_cells == 8**dim and verify(fine).covered_fraction == 1
-    assert verify(off).disjoint
-    assert congruent(coarse, fine) and not congruent(fine, coarse)
-    assert not congruent(off, fine)
-    # Several shapes keep the scan.
-    with pytest.raises(AssertionError, match="_runs_at called"):
-        greedy_tile(window, [Shape.box((0,) * dim, (3,) * dim), fine.shapes[0]], Fraction(1))
-
-
-def no_kernel(*args):
-    raise AssertionError("_runs_at called")
+    with switch_layouts(box=no_layout, cells=no_layout):
+        coarse = greedy_tile(window, [Shape.box((0,) * dim, (3,) * dim)], Fraction(1)).tiling
+        fine = greedy_tile(window, [Shape.box((0,) * dim, (1,) * dim)], Fraction(1)).tiling
+        off = greedy_tile(window, [Shape.box((-1,) * dim, (1,) * dim)], Fraction(1)).tiling
+        assert coarse.tile_count() == 2**dim and fine.tile_count() == 5**dim
+        assert min(off.centers[0]) == (1,) * dim
+        assert verify(coarse).covered_cells == 8**dim and verify(fine).covered_fraction == 1
+        assert verify(off).disjoint
+        assert congruent(coarse, fine) and not congruent(fine, coarse)
+        assert not congruent(off, fine)
+        # Several shapes keep the scan.
+        with pytest.raises(AssertionError, match="layout built"):
+            greedy_tile(window, [Shape.box((0,) * dim, (3,) * dim), fine.shapes[0]], Fraction(1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -467,8 +461,7 @@ def test_greedy_grids_take_the_arithmetic_paths_and_match_the_definitions(data):
     first = greedy_tile(window, [shape], Fraction(1)).tiling
     second = greedy_tile(window, [other], Fraction(1)).tiling
     assert first.grid is not None and second.grid is not None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quasitiling, "_runs_at", no_kernel)
+    with switch_layouts(box=no_layout, cells=no_layout):
         reports = [verify(t) for t in (first, second)]
         pairs = [(first, second), (second, first), (first, first)]
         got = [congruent(coarse, fine) for coarse, fine in pairs]
@@ -513,24 +506,25 @@ def test_staged_runs_and_measure_samples_on_boxes_make_no_kernel_call(monkeypatc
         tilings.append(got.tiling)
         return got
 
-    monkeypatch.setattr(quasitiling, "_runs_at", no_kernel)
     monkeypatch.setattr(construction, "greedy_tile", recording_greedy_tile)
     stack = AlphabetStack((2,))
-    for window, sides in ((Shape.interval(0, 26), [3, 9, 27]), (Shape.box((0, 0), (8, 8)), [3, 9])):
-        dim = window.dim
-        f1 = folner_box(1, dim)
-        uniform = CylinderMeasure(
-            1, f1, {Block(f1, 1, (2,), k): Fraction(1, 2 ** len(f1))
-                    for k in product((0, 1), repeat=len(f1))}
-        )
-        ones = CylinderMeasure(1, f1, {Block.constant(f1, 1, (2,), 1): Fraction(1)})
-        target = ConvexTarget((uniform, ones))
-        config = sample_bernoulli(window, stack, [[Fraction(1, 4), Fraction(3, 4)]], seed=5)
-        fams = [enumerate_family(Corpus(stack, (config,)), 1)]
-        n = len(sides)
-        sched = StageSchedule.geometric(dim, Fraction(1, 2), [1] * n, [1, 4, 13][:n], sides)
-        src = vertex_rep_source(target, 1, seed=9, count=2, sizes=stack.sizes)
-        result = run(config, sched, target, fams, src)
-        assert len(result.stages) == n
-        assert sample_from_measure(uniform, window, 1, seed=3).shape == window
+    cases = ((Shape.interval(0, 26), [3, 9, 27]), (Shape.box((0, 0), (8, 8)), [3, 9]))
+    with switch_layouts(cells=no_layout):
+        for window, sides in cases:
+            dim = window.dim
+            f1 = folner_box(1, dim)
+            uniform = CylinderMeasure(
+                1, f1, {Block(f1, 1, (2,), k): Fraction(1, 2 ** len(f1))
+                        for k in product((0, 1), repeat=len(f1))}
+            )
+            ones = CylinderMeasure(1, f1, {Block.constant(f1, 1, (2,), 1): Fraction(1)})
+            target = ConvexTarget((uniform, ones))
+            config = sample_bernoulli(window, stack, [[Fraction(1, 4), Fraction(3, 4)]], seed=5)
+            fams = [enumerate_family(Corpus(stack, (config,)), 1)]
+            n = len(sides)
+            sched = StageSchedule.geometric(dim, Fraction(1, 2), [1] * n, [1, 4, 13][:n], sides)
+            src = vertex_rep_source(target, 1, seed=9, count=2, sizes=stack.sizes)
+            result = run(config, sched, target, fams, src)
+            assert len(result.stages) == n
+            assert sample_from_measure(uniform, window, 1, seed=3).shape == window
     assert len(tilings) > 10 and all(t.grid is not None for t in tilings)

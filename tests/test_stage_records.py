@@ -401,12 +401,14 @@ def test_records_compare_by_value_and_keep_their_constructor_and_repr():
          "HullDistance.__init__() missing 1 required positional argument: 'tail'"),
         (lambda: SuiteCase(name="c", bound=None), "SuiteCase.__init__() missing 2 required "
          "positional arguments: 'deviation' and 'violation'"),
-        (lambda: StageReport(*REPORT[:9]),
-         "StageReport.__init__() missing 1 required positional argument: 'changes'"),
+        (lambda: StageReport(*REPORT[:10]),
+         "StageReport.__init__() missing 4 required positional arguments: "
+         "'window_distance_before', 'window_distance_after', 'concat_deviation', and "
+         "'concat_bound'"),
         (lambda: HullDistance(Fraction(1), (), Fraction(0), Fraction(0)),
          "HullDistance.__init__() takes 4 positional arguments but 5 were given"),
         (lambda: StageReport(*REPORT, None),
-         "StageReport.__init__() takes from 11 to 15 positional arguments but 16 were given"),
+         "StageReport.__init__() takes 15 positional arguments but 16 were given"),
         (lambda: HullDistance(Fraction(1), (), Fraction(0), depth=2),
          "HullDistance.__init__() got an unexpected keyword argument 'depth'"),
         (lambda: HullDistance(value=Fraction(1), weights=(), depth=2),
@@ -432,14 +434,14 @@ def test_a_record_refuses_a_missing_unexpected_or_repeated_argument(make, messag
         make()
 
 
-def test_a_stage_report_takes_its_first_ten_fields_and_is_replaced_by_name():
-    short = StageReport(*REPORT[:10])
-    assert short == StageReport(*REPORT[:10], None, None, None, None)
-    assert short == StageReport(**dict(zip(public_fields(StageReport), REPORT[:10])))
+def test_a_stage_report_takes_all_fourteen_fields_and_is_replaced_by_name():
+    fields = (*REPORT[:10], None, None, None, None)
+    short = StageReport(*fields)
+    assert short == StageReport(**dict(zip(public_fields(StageReport), fields)))
     assert short.concat_bound is None and short.tiles == ()
     full = short._replace(window_distance_before=Fraction(1, 5), concat_deviation=Fraction(1, 7))
     assert full == StageReport(*REPORT[:10], Fraction(1, 5), None, Fraction(1, 7), None)
-    assert short == StageReport(*REPORT[:10])  # _replace made a new report
+    assert short == StageReport(*fields)  # _replace made a new report
     message = "StageReport.__init__() got an unexpected keyword argument 'tile'"
     with pytest.raises(TypeError, match=re.escape(message)):
         short._replace(tile=())
@@ -545,7 +547,7 @@ def test_the_tile_table_equals_a_naive_per_tile_writer(tmp_path_factory, tiles):
     records = tuple(TileRecord(c, i, Fraction(n, d), f) for c, i, n, d, f in tiles)
     report = StageReport(
         0, Fraction(0), Fraction(1, 2), 1, Fraction(1), Fraction(0), Fraction(0), Fraction(0),
-        records, (),
+        records, (), None, None, None, None,
     )
     tmp_path = tmp_path_factory.mktemp("stage")
     write_stage(tmp_path, report)
