@@ -199,9 +199,12 @@ def cmd_dist(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
 
 
 def cmd_tile(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> int:
-    sides = args.sides or files._ints(cfg.raw.get("tile_sides") or [], "tile_sides")
+    field = "--sides" if args.sides else "tile_sides"
+    sides = args.sides or files._ints(cfg.raw.get("tile_sides") or [], field)
     if not sides:
         raise ConfigError("tile needs --sides or tile_sides in the configuration")
+    if min(sides) < 1:
+        raise ConfigError(f"{field} must be at least 1, got {min(sides)}")
     shapes = [files._box((0,) * cfg.dim, (s - 1,) * cfg.dim) for s in sides]
     eps = parse_frac(args.eps)
     if not 0 <= eps <= 1:

@@ -14,7 +14,7 @@ from itertools import islice
 from math import lcm
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .frequency import _count, corpus_subblocks, count_embeddings, freq_table
+from .frequency import _count, corpus_subblocks, freq_table
 from .frequency import tiling_average_gap_bound
 from .group import Point, Shape, _Record, folner_box
 from .measures import ConvexTarget, CylinderMeasure, HullDistance, block_measure, dist_to_hull
@@ -434,10 +434,12 @@ def _concatenation_check(
 def _tile_counts(
     config: Block, tiling: Quasitiling, base: Shape, level: int
 ) -> list[tuple[int, dict[int, int]]]:
-    """Per shape, the number of anchors of ``base`` in it and the counts of
-    the codes of the patterns on base x rows[1..level] summed over its
-    tiles, read from the window's own symbols at each tile's anchors."""
-    return [
-        (count_embeddings(shape, base), _count(config, base, level, shape, centers))
-        for shape, centers in zip(tiling.shapes, tiling.centers)
-    ]
+    """Per shape, the number of anchors of ``base`` in it (0 for a shape
+    with no tiles) and the counts of the codes of the patterns on base x
+    rows[1..level] summed over its tiles, read from the window's own
+    symbols at each tile's anchors: one pattern per anchor and tile."""
+    out = []
+    for shape, centers in zip(tiling.shapes, tiling.centers):
+        counts = _count(config, base, level, shape, centers)
+        out.append((sum(counts.values()) // len(centers) if centers else 0, counts))
+    return out

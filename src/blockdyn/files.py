@@ -536,8 +536,9 @@ class StageSchedule(_Record):
     replacement thresholds and coarsening tile sides.
 
     Each delta must keep the marginal-gap bound below its stage's eps, and
-    every tile side must be a multiple of the previous stage's so that the
-    grid tilings come out congruent.  It lives here, where
+    every tile side must be a multiple of the previous stage's, which makes
+    the stage tilings congruent on box windows only: on other windows
+    ``construction.run`` may find them not congruent.  It lives here, where
     ``ExperimentConfig.load`` builds it, so that reading a configuration
     loads no construction code.
     """

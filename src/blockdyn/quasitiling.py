@@ -4,9 +4,8 @@ greedy construction and the symbolic encoding of center sets."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product as cartesian
-from math import gcd
-from typing import Iterator, Sequence
+from itertools import product as cartesian
+from typing import Sequence
 
 from .frequency import _anchor_ranges, embedding_anchors
 from .group import Point, Shape, _Record, _cached, invariance_ratio
@@ -118,69 +117,23 @@ def verify(tiling: Quasitiling, folner: Shape | None = None) -> TilingReport:
     return TilingReport(disjoint, covered, Fraction(covered, len(window)), unique, ratios)
 
 
-def _grids_congruent(
-    coarse: tuple[range, ...], coarse_shape: Shape, fine: tuple[range, ...], fine_shape: Shape
-) -> bool:
-    """``congruent`` for two grids, axis by axis.  On one axis the coarse
-    intervals are disjoint, and a fine interval misses them all, lies inside
-    one, or straddles.  A fine tile fails exactly when no axis misses and
-    some axis straddles, so some fine tile fails exactly when every axis has
-    a fine interval that does not miss and some axis has one that straddles.
-    """
-    hits, straddles = [], []
-    (clo, chi), (flo, fhi) = coarse_shape.bounds(), fine_shape.bounds()
-    for axis, a, b, values, fa, fb in zip(coarse, clo, chi, fine, flo, fhi):
-        s, t, n = axis.start, axis.step, len(axis)
-        hit = straddle = False
-        for v in _fine_sample(values, axis, a, b, fa, fb):
-            x0, x1 = v + fa, v + fb
-            # the coarse intervals s + j t + [a, b] that meet [x0, x1]
-            first, last = max(0, -((s + b - x0) // t)), min(n - 1, (x1 - s - a) // t)
-            if first > last:
-                continue
-            hit = True
-            start = s + first * t
-            # two coarse intervals that meet it cannot both contain it
-            straddle = straddle or not start + a <= x0 <= x1 <= start + b
-        hits.append(hit)
-        straddles.append(straddle)
-    return not (all(hits) and any(straddles))
-
-
-def _fine_sample(values: range, coarse: range, a: int, b: int, fa: int, fb: int) -> Iterator[int]:
-    """The fine values that decide one axis of ``_grids_congruent``, for
-    coarse intervals ``coarse`` + [a, b] and fine ones ``values`` + [fa, fb].
-
-    Only values whose interval can meet a coarse one count.  For those from
-    ``lo`` to ``hi`` the search for coarse intervals is not clipped at index
-    0 or n - 1, so their outcome depends on v mod t only, and the values
-    repeat mod t every t / gcd(t, step) of them: one period of them decides
-    for all, and the few clipped values at either end are read one by one.
-    """
-    s, t, n = coarse.start, coarse.step, len(coarse)
-    near = _between(values, s + a - fb, s + b + (n - 1) * t - fa)
-    lo, hi, step = s + b - t - fa + 1, s + a + n * t - fb - 1, near.step
-    below = max(0, -((near.start - lo) // step))  # the values below lo
-    upto = max(below, (hi - near.start) // step + 1)  # and those up to hi
-    period = t // gcd(t, step)
-    return chain(near[:below], near[below : min(upto, below + period)], near[upto:])
-
-
-def _between(r: range, x: int, y: int) -> range:
-    """The values of the increasing range ``r`` in [x, y]."""
-    return r[max(0, -((r.start - x) // r.step)) : max(0, (y - r.start) // r.step + 1)]
-
-
 def congruent(tiling: Quasitiling, previous: Quasitiling) -> bool:
     """True when every tile of ``tiling`` either contains or misses every
-    tile of ``previous``.  Not symmetric in general.  Two tilings on greedy
-    grids are compared by arithmetic, any others by a scan of their tiles'
-    cells.  Raises if a tile escapes the window."""
+    tile of ``previous``.  Not symmetric in general.  Raises if a tile
+    escapes the window.
+
+    Two greedy grids whose boxes share a lower corner, each side of
+    ``tiling``'s a multiple m of ``previous``'s, are congruent: per axis
+    both start at the same anchor, so fine interval i lies inside coarse
+    interval i // m, or past the last one, missing them all.  Every other
+    pair is compared by a scan of its tiles' cells.
+    """
     if tiling.window != previous.window:
         raise ValueError("congruence requires a common window")
-    coarse, fine = tiling.grid, previous.grid
-    if coarse is not None and fine is not None:
-        return _grids_congruent(coarse, tiling.shapes[0], fine, previous.shapes[0])
+    if tiling.grid is not None and previous.grid is not None:
+        (lo, hi), (flo, fhi) = tiling.shapes[0].bounds(), previous.shapes[0].bounds()
+        if lo == flo and all((b - a + 1) % (d - a + 1) == 0 for a, b, d in zip(lo, hi, fhi)):
+            return True
     # A fine tile passes when every coarse tile owning one of its cells owns
     # all of them: the union of its cells' owner sets equals their
     # intersection.

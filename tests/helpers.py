@@ -116,9 +116,10 @@ def oracle_read_measure(path: Path) -> tuple[int, tuple, tuple, tuple[int, ...],
 def tile_copy_counts(
     config: Block, tiling: Quasitiling, base: Shape, level: int
 ) -> list[tuple[int, dict[tuple[int, ...], int]]]:
-    """Per shape, the anchors g with base + g inside the shape, counted, and
-    the patterns on base x rows[1..level] summed over its tiles: each tile
-    copied out of ``config`` with ``subblock_at`` and read at every anchor."""
+    """Per shape, the anchors g with base + g inside the shape, counted (0
+    for a shape with no tiles), and the patterns on base x rows[1..level]
+    summed over its tiles: each tile copied out of ``config`` with
+    ``subblock_at`` and read at every anchor."""
     out = []
     for shape, centers in zip(tiling.shapes, tiling.centers):
         anchors = [
@@ -131,7 +132,7 @@ def tile_copy_counts(
             for g in anchors:
                 key = subblock_at(tile, base, g, level).symbols
                 counts[key] = counts.get(key, 0) + 1
-        out.append((len(anchors), counts))
+        out.append((len(anchors) if centers else 0, counts))
     return out
 
 

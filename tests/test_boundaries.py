@@ -141,6 +141,9 @@ SCHEDULE = {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [
         ({"seed": 1, "gen": dict(BERNOULLI, count="two")}, ["gen"]),
         ({"seed": "abc", "gen": BERNOULLI}, ["gen"]),
         ({"tile_sides": ["x"]}, ["tile"]),
+        ({}, ["tile", "--sides", "0"]),
+        ({}, ["tile", "--sides", "3", "-2"]),
+        ({"tile_sides": [0]}, ["tile"]),
         *(({}, ["tile", "--sides", "3", f"--eps={eps}"]) for eps in ("-1/2", "2", "3/2")),
         ({"seed": 1, "schedule": dict(SCHEDULE, folner_indices=[-1])}, ["construct"]),
         ({"seed": 1, "schedule": SCHEDULE, "representatives": ["vertex"]}, ["construct"]),
@@ -175,6 +178,7 @@ SCHEDULE = {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [
     ids=[
         "gen-without-probs", "gen-count-not-int",
         "seed-not-int", "tile-sides-not-int",
+        "tile-sides-0", "tile-sides--2", "tile-sides-config-0",
         "tile-eps--1/2", "tile-eps-2", "tile-eps-3/2", "schedule-folner-index--1",
         "representatives-as-list",
         "vertex-not-int", "vertex-out-of-range",

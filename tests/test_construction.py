@@ -265,6 +265,21 @@ def test_run_requires_congruent_grids():
         StageSchedule.geometric(1, Fraction(1, 2), [1, 1], [1, 4], [3, 7])
 
 
+def test_run_raises_when_stages_on_a_window_that_is_not_a_box_do_not_nest():
+    # Side 3 divides side 6, but the greedy 6x6 tile cannot sit at (0, 0)
+    # and goes to (0, 1), which the 3x3 tile at (0, 0) straddles.
+    window = Shape.of([(x, 0) for x in range(3)] + [(x, y) for x in range(6) for y in range(1, 7)])
+    f = folner_box(1, 2)
+    target = ConvexTarget(tuple(
+        CylinderMeasure(1, f, {Block.constant(f, 1, (2,), s): Fraction(1)}) for s in (0, 1)
+    ))
+    config = sample_bernoulli(window, STACK, [[Fraction(1, 2)] * 2], seed=1)
+    sched = StageSchedule.geometric(2, Fraction(1, 50), [1, 1], [1, 1], [3, 6])
+    src = vertex_rep_source(target, 0, seed=5, count=2, sizes=STACK.sizes)
+    with pytest.raises(ValueError, match="stage 2 tiling not congruent with stage 1"):
+        run(config, sched, target, family_from(config), src)
+
+
 def test_run_three_stages_summable_and_invertible():
     window = Shape.interval(0, 26)
     config = sample_bernoulli(window, STACK, [[Fraction(1, 4), Fraction(3, 4)]], seed=33)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import no_layout, switch_layouts
 from test_stage_passes import pairwise_congruent, tile_cells
 
-from blockdyn import construction, group, quasitiling, symbolic
+from blockdyn import construction, group, symbolic
 from blockdyn.construction import run, sample_from_measure, vertex_rep_source
 from blockdyn.files import StageSchedule
 from blockdyn.group import Shape, folner_box
@@ -242,9 +242,10 @@ def test_tiling_on_boxes_makes_no_point_add_call(monkeypatch):
 
 
 # Grid tilings: one box shape on a box window, centers a product of per-axis
-# progressions.  The greedy grid, the one ``greedy_tile`` places, is placed,
-# verified and compared by arithmetic; any other grid is built by hand and
-# takes the scans.  The tests below check both paths against point-set
+# progressions.  The greedy grid, the one ``greedy_tile`` places, is placed
+# and verified by arithmetic, and two nested greedy grids are congruent by
+# a lemma; any other grid is built by hand and takes the scans, as does any
+# other pair.  The tests below check both paths against point-set
 # definitions.
 
 SIDES = {1: 12, 2: 6, 3: 4}  # the largest window side drawn per dimension
@@ -261,10 +262,15 @@ def box_for(draw, window):
 
 
 @st.composite
-def box_and_window(draw):
+def box_window(draw):
     dim = draw(st.integers(1, 3))
     wlo = [draw(st.integers(-3, 3)) for _ in range(dim)]
-    window = Shape.box(wlo, [a + draw(st.integers(0, SIDES[dim] - 1)) for a in wlo])
+    return Shape.box(wlo, [a + draw(st.integers(0, SIDES[dim] - 1)) for a in wlo])
+
+
+@st.composite
+def box_and_window(draw):
+    window = draw(box_window())
     return window, draw(box_for(window))
 
 
@@ -385,48 +391,6 @@ def test_grid_congruence_fails_on_shifted_origins_and_non_dividing_sides(dim):
         assert pairwise_congruent(coarse, fine) is expected
 
 
-def every_value_decides(values, coarse, a, b, fa, fb) -> tuple[bool, bool]:
-    """(hit, straddle) of one axis over every fine value, by point sets: a
-    fine interval hits when it meets a coarse one, and straddles when it
-    meets one that does not contain it."""
-    intervals = [set(range(s + a, s + b + 1)) for s in coarse]
-    hit = straddle = False
-    for v in values:
-        cells = set(range(v + fa, v + fb + 1))
-        met = [c for c in intervals if c & cells]
-        hit = hit or bool(met)
-        straddle = straddle or any(not cells <= c for c in met)
-    return hit, straddle
-
-
-@settings(max_examples=1000, deadline=None)
-@given(
-    st.integers(-15, 15), st.integers(0, 6), st.integers(-3, 3), st.integers(0, 5),
-    st.integers(0, 6), st.integers(-25, 25), st.integers(1, 9), st.integers(0, 20),
-    st.integers(-3, 3), st.integers(0, 7),
-)
-def test_grid_congruence_on_one_axis_is_exact_for_any_progressions(
-    cs, cn, a, cw, gap, fs, step, fn, fa, fw
-):
-    # Disjoint coarse intervals (a step of at least the side) and any fine
-    # progression: the one-axis case of _grids_congruent, which reads only
-    # the fine values that _fine_sample picks.
-    t = cw + 1 + gap
-    coarse, values = range(cs, cs + t * cn, t), range(fs, fs + step * fn, step)
-    b, fb = a + cw, fa + fw
-    hit, straddle = every_value_decides(values, coarse, a, b, fa, fb)
-    got = quasitiling._grids_congruent(
-        (coarse,), Shape.interval(a, b), (values,), Shape.interval(fa, fb)
-    )
-    assert got == (not (hit and straddle))
-    sample = list(quasitiling._fine_sample(values, coarse, a, b, fa, fb))
-    assert set(sample) <= set(values)
-    assert every_value_decides(sample, coarse, a, b, fa, fb) == (hit, straddle)
-    # one period, and at each end the values whose interval holds a coarse
-    # end: at most one on grids, where the fine step is at least the side
-    assert len(sample) <= t + 2 * ((fw - 1) // step + 1)
-
-
 def test_congruence_of_part_of_a_grid_reads_only_its_tiles():
     # Only the missing coarse tile at (0, 2) would cut the fine one.
     window = Shape.box((0, 0), (5, 5))
@@ -446,11 +410,20 @@ def test_grid_tilings_make_no_kernel_call(dim):
         assert min(off.centers[0]) == (1,) * dim
         assert verify(coarse).covered_cells == 8**dim and verify(fine).covered_fraction == 1
         assert verify(off).disjoint
-        assert congruent(coarse, fine) and not congruent(fine, coarse)
-        assert not congruent(off, fine)
+        assert congruent(coarse, fine)
         # Several shapes keep the scan.
         with pytest.raises(AssertionError, match="layout built"):
             greedy_tile(window, [Shape.box((0,) * dim, (3,) * dim), fine.shapes[0]], Fraction(1))
+    # Pairs that do not nest take the scan.
+    for tiling, previous in ((fine, coarse), (off, fine)):
+        assert not congruent(tiling, previous) and not pairwise_congruent(tiling, previous)
+
+
+def nested(tiling: Quasitiling, previous: Quasitiling) -> bool:
+    """One box each, sharing a lower corner, each side of ``tiling``'s a
+    multiple of the matching side of ``previous``'s."""
+    (lo, hi), (flo, fhi) = tiling.shapes[0].bounds(), previous.shapes[0].bounds()
+    return lo == flo and all((b - a + 1) % (d - a + 1) == 0 for a, b, d in zip(lo, hi, fhi))
 
 
 @settings(max_examples=300, deadline=None)
@@ -461,10 +434,13 @@ def test_greedy_grids_take_the_arithmetic_paths_and_match_the_definitions(data):
     first = greedy_tile(window, [shape], Fraction(1)).tiling
     second = greedy_tile(window, [other], Fraction(1)).tiling
     assert first.grid is not None and second.grid is not None
+    pairs = [(first, second), (second, first), (first, first)]
+    nests = [pair for pair in pairs if nested(*pair)]  # (first, first) at least
+    others = [pair for pair in pairs if not nested(*pair)]
     with switch_layouts(box=no_layout, cells=no_layout):
         reports = [verify(t) for t in (first, second)]
-        pairs = [(first, second), (second, first), (first, first)]
-        got = [congruent(coarse, fine) for coarse, fine in pairs]
+        got = [congruent(coarse, fine) for coarse, fine in nests]
+    got += [congruent(coarse, fine) for coarse, fine in others]
     for tiling, rep in zip((first, second), reports):
         cells = tile_cells(tiling)
         covered = frozenset().union(*cells)
@@ -472,7 +448,24 @@ def test_greedy_grids_take_the_arithmetic_paths_and_match_the_definitions(data):
         assert rep.covered_fraction == Fraction(len(covered), len(window))
         assert rep.disjoint and sum(map(len, cells)) == len(covered)
         assert rep.unique_representation and len(set(cells)) == len(cells)
-    assert got == [pairwise_congruent(coarse, fine) for coarse, fine in pairs]
+    assert got == [pairwise_congruent(coarse, fine) for coarse, fine in nests + others]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nested_greedy_grids_are_congruent_without_a_layout(data):
+    window = data.draw(box_window())
+    corner = [data.draw(st.integers(-3, 3)) for _ in range(window.dim)]
+    fine_sides = [data.draw(st.integers(1, 4)) for _ in corner]
+    coarse_sides = [n * data.draw(st.integers(1, 4)) for n in fine_sides]
+    fine, coarse = (
+        greedy_tile(window, [Shape.box(corner, [a + n - 1 for a, n in zip(corner, sides)])],
+                    Fraction(1)).tiling
+        for sides in (fine_sides, coarse_sides)
+    )
+    with switch_layouts(box=no_layout, cells=no_layout):
+        assert congruent(coarse, fine) is True
+    assert pairwise_congruent(coarse, fine)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -507,6 +500,14 @@ def test_staged_runs_and_measure_samples_on_boxes_make_no_kernel_call(monkeypatc
         return got
 
     monkeypatch.setattr(construction, "greedy_tile", recording_greedy_tile)
+    compared = []
+
+    def layout_free_congruent(tiling, previous):
+        compared.append((tiling, previous))
+        with switch_layouts(box=no_layout, cells=no_layout):
+            return congruent(tiling, previous)
+
+    monkeypatch.setattr(construction, "congruent", layout_free_congruent)
     stack = AlphabetStack((2,))
     cases = ((Shape.interval(0, 26), [3, 9, 27]), (Shape.box((0, 0), (8, 8)), [3, 9]))
     with switch_layouts(cells=no_layout):
@@ -528,3 +529,5 @@ def test_staged_runs_and_measure_samples_on_boxes_make_no_kernel_call(monkeypatc
             assert len(result.stages) == n
             assert sample_from_measure(uniform, window, 1, seed=3).shape == window
     assert len(tilings) > 10 and all(t.grid is not None for t in tilings)
+    # every consecutive stage pair: 3 and 9, 9 and 27 in 1-D, 3 and 9 in 2-D
+    assert len(compared) == 3

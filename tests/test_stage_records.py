@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdyn import cli, construction, files
+from blockdyn import cli, construction, files, frequency
 from blockdyn.construction import (
     ChangeRecord,
     RunResult,
@@ -30,7 +30,7 @@ from blockdyn.construction import (
     apply_changes,
     stage_transform,
 )
-from blockdyn.frequency import freq_table
+from blockdyn.frequency import embedding_anchors, freq_table
 from blockdyn.group import Shape, folner_box
 from blockdyn.measures import (
     ConvexTarget, CylinderMeasure, DistanceInterval, HullDistance, block_measure, dist_to_hull
@@ -161,8 +161,40 @@ def test_window_read_tile_counts_mix_box_and_point_set_shapes():
     base = folner_box(1, 2)
     got = _tile_counts(config, tiling, base, 1)
     assert [(n, decoded(c, (3,), 9)) for n, c in got] == tile_copy_counts(config, tiling, base, 1)
-    assert [n for n, _ in got] == [4, 3, 1]
+    assert [n for n, _ in got] == [4, 3, 0]
     assert [sum(c.values()) for _, c in got] == [8, 6, 0]
+
+
+@pytest.mark.parametrize(
+    "window, shape, centers",
+    [
+        (Shape.interval(0, 19), Shape.of([(x,) for x in (0, 1, 2, 3, 5)]), {(8,), (14,)}),
+        (
+            Shape.box((0, 0), (7, 7)),
+            Shape.of([p for p in product(range(4), repeat=2) if p != (3, 3)]),
+            {(4, 0), (0, 4)},
+        ),
+    ],
+    ids=["gapped-1d", "notched-2d"],
+)
+def test_tile_counts_enumerate_a_non_box_shapes_anchors_once(monkeypatch, window, shape, centers):
+    calls = []
+
+    def counted(outer, inner):
+        calls.append(outer)
+        return embedding_anchors(outer, inner)
+
+    monkeypatch.setattr(frequency, "embedding_anchors", counted)
+    rng = random.Random(7)
+    config = Block(window, 1, (3,), tuple(rng.randrange(3) for _ in range(len(window))))
+    box = Shape.box((0,) * window.dim, (3,) * window.dim)
+    tiling = Quasitiling(window, (box, shape), (frozenset({(0,) * window.dim}), frozenset(centers)))
+    base = folner_box(1, window.dim)
+    got = _tile_counts(config, tiling, base, 1)
+    assert calls == [shape]
+    assert [(n, decoded(c, (3,), len(base))) for n, c in got] == tile_copy_counts(
+        config, tiling, base, 1
+    )
 
 
 def test_equal_tile_contents_share_one_block_and_one_solve(monkeypatch):
