@@ -18,7 +18,7 @@ from .frequency import _count, corpus_subblocks, freq_table
 from .frequency import tiling_average_gap_bound
 from .group import Point, Shape, _Record, folner_box
 from .measures import ConvexTarget, CylinderMeasure, HullDistance, block_measure, dist_to_hull
-from .quasitiling import Quasitiling, congruent, greedy_tile, verify
+from .quasitiling import Quasitiling, TilingReport, congruent, greedy_tile, verify
 from .symbolic import Block, BlockFamily, Corpus, _categorical, _draw, _layout, decode_pattern
 from .symbolic import subblock_at
 
@@ -127,6 +127,9 @@ def far_mass(
     return Fraction(total, len(tiling.window))
 
 
+_Entry = tuple[Fraction, bool, Block, Mapping[int, int]]
+
+
 def stage_transform(
     config: Block,
     tiling: Quasitiling,
@@ -136,13 +139,17 @@ def stage_transform(
     families: Sequence[BlockFamily],
 ) -> tuple[Block, StageReport]:
     """Overwrite the leading rows of every far tile with its shape's
-    representative; leave everything else untouched.
+    representative, in one pass that reads, judges and writes each tile
+    once; leave everything else untouched.
 
     The change log records each replaced tile's previous content, so
-    replaying it backwards restores the input exactly.
+    replaying it backwards restores the input exactly.  On a tiling of the
+    configuration's own window, as in ``run``, the report carries the
+    concatenation check of the output, summed from the memo; else None.
     """
     delta = Fraction(delta)
-    report0 = verify(tiling)
+    base = folner_box(1, config.dim)
+    report0 = verify(tiling, base)
     if not report0.disjoint:
         raise ValueError("stage tilings must be disjoint")
     reps: dict[Shape, Block] = dict(representatives)
@@ -154,6 +161,7 @@ def stage_transform(
         raise ValueError("representative depth exceeds the configuration depth")
     if k < target.depth:
         raise ValueError("representative depth below the target depth")
+    sizes = config.sizes[:k]
     for i, shape in enumerate(tiling.shapes):
         if not tiling.centers[i]:
             continue
@@ -161,33 +169,37 @@ def stage_transform(
             raise ValueError("missing representative for a tiling shape")
         if reps[shape].shape != shape:
             raise ValueError("representative does not live on its shape")
+        if reps[shape].sizes != sizes:
+            raise ValueError("representative alphabet differs from the configuration")
 
     # The stage's one hull-distance memo, keyed by (shape index, content),
-    # holds the distance, whether it is above delta, and the one Block of that
-    # content; blocks are immutable, so a change record shares it.  Tiles are
-    # disjoint and writes touch only replaced tiles, so a kept tile keeps its
-    # distance (at most delta) and a replaced one reads back as exactly its
-    # representative: the far mass after the stage reads the representative's
-    # entry.
-    memo: dict[tuple[int, tuple[int, ...]], tuple[Fraction, bool, Block]] = {}
-    sizes = config.sizes[:k]
+    # holds the distance, whether it is above delta, the one Block of that
+    # content (a change record shares it) and its level-1 pattern counts.
+    # Tiles are disjoint and writes touch only replaced tiles, so a kept tile
+    # keeps its content and a replaced one reads back as exactly its
+    # representative: the far mass after the stage and the output's tile
+    # counts read the representative's entry.
+    memo: dict[tuple[int, tuple[int, ...]], _Entry] = {}
 
-    def lower(
-        i: int, content: tuple[int, ...], block: Block | None = None
-    ) -> tuple[Fraction, bool, Block]:
+    def lower(i: int, content: tuple[int, ...], block: Block | None = None) -> _Entry:
         entry = memo.get((i, content))
         if entry is None:
             if block is None:
                 block = Block(tiling.shapes[i], k, sizes, content)
             d = dist_to_hull(block, target, families).value
-            entry = memo[i, content] = (d, d > delta, block)
+            # Families start at level 1, so the solve has just cached this.
+            counts = freq_table(block, base, 1).counts
+            entry = memo[i, content] = (d, d > delta, block, counts)
         return entry
 
     tile_records = []
     changes = []
+    # The tiles of the output per (shape index, content) they show.
+    shown: dict[tuple[int, tuple[int, ...]], int] = {}
     far_tiles = [0] * len(tiling.shapes)
     window, symbols = config.shape, config.symbols
-    # One layout per shape; a tile is then read at its position.
+    out = list(symbols)
+    # One layout per shape; a tile is then read, and written, at its position.
     layouts = [_layout(window, shape, k) for shape in tiling.shapes]
     shape_reps = [reps.get(shape) for shape in tiling.shapes]
     for c, i in tiling.tiles():
@@ -195,19 +207,35 @@ def stage_transform(
         at = layout.at(c)
         if at is None:
             raise ValueError(f"tile at {c} escapes the configuration")
-        content = layout.read(symbols, at)
-        d, far, sub = memo.get((i, content)) or lower(i, content)
+        key = (i, layout.read(symbols, at))
+        d, far, sub, _ = memo.get(key) or lower(*key)
         tile_records.append(TileRecord(c, i, d, far))
         if far:
             far_tiles[i] += 1
-            changes.append(ChangeRecord(c, i, sub, shape_reps[i]))
+            rep = shape_reps[i]
+            changes.append(ChangeRecord(c, i, sub, rep))
+            layout.write(out, at, rep.symbols)
+        else:
+            shown[key] = shown.get(key, 0) + 1
     far_cells = far_cells_after = 0
     for i, (n, shape, rep) in enumerate(zip(far_tiles, tiling.shapes, shape_reps)):
         if n:
             far_cells += n * len(shape)
             if lower(i, rep.symbols, rep)[1]:
                 far_cells_after += n * len(shape)
-    out = apply_changes(config, changes)
+            shown[i, rep.symbols] = shown.get((i, rep.symbols), 0) + n
+    # The list goes before the check, whose host table is the stage's peak.
+    out = Block(window, config.depth, config.sizes, tuple(out))
+    dev = bound = None
+    if tiling.window == window:
+        # Per shape, the output's tile counts: the counts of each content
+        # times the tiles that show it.
+        sums: list[dict[int, int]] = [{} for _ in tiling.shapes]
+        for (i, content), n in shown.items():
+            total = sums[i]
+            for code, m in memo[i, content][3].items():
+                total[code] = total.get(code, 0) + n * m
+        dev, bound = _concatenation_check(out, tiling, report0, _with_anchors(tiling, sums))
     far_before = Fraction(far_cells, len(tiling.window))
     report = StageReport(
         stage=0,
@@ -222,8 +250,8 @@ def stage_transform(
         changes=tuple(changes),
         window_distance_before=None,
         window_distance_after=None,
-        concat_deviation=None,
-        concat_bound=None,
+        concat_deviation=dev,
+        concat_bound=bound,
     )
     return out, report
 
@@ -373,15 +401,12 @@ def run(
             current, tiling, target, st.delta, {box: rep}, families
         )
         wd_after = dist_to_hull(block_measure(out, target.depth), target, families).value
-        dev, bound = _concatenation_check(out, tiling)
         reports.append(
             rep_report._replace(
                 stage=st.index,
                 eps=st.eps,
                 window_distance_before=wd_before,
                 window_distance_after=wd_after,
-                concat_deviation=dev,
-                concat_bound=bound,
             )
         )
         current, wd_before, previous_tiling = out, wd_after, tiling
@@ -389,13 +414,26 @@ def run(
 
 
 def _concatenation_check(
-    config: Block, tiling: Quasitiling
+    config: Block,
+    tiling: Quasitiling,
+    report: TilingReport,
+    tile_counts: Sequence[tuple[int, Mapping[int, int]]],
 ) -> tuple[Fraction | None, Fraction | None]:
-    """Worst deviation between window frequencies and the tile-weighted
-    average, with the matching bound when it is evaluable."""
-    level = 1
-    base = folner_box(level, config.dim)
-    report = verify(tiling, base)
+    """Worst deviation between the F_1 frequencies of ``config`` and the
+    tile-weighted average, with the matching bound when it is evaluable;
+    (None, None) when no tile shape has an anchor of F_1, so no average.
+    ``report`` is ``verify(tiling, F_1)``, and ``tile_counts`` per shape
+    its anchors and summed counts (``_tile_counts`` or a stage's memo)."""
+    total_cells = sum(len(s) * len(cs) for s, cs in zip(tiling.shapes, tiling.centers))
+    # The tile-weighted average of tile frequencies, one term per shape: the
+    # counts summed over its tiles.
+    weighted = [
+        (Fraction(len(shape), anchors * total_cells), counts)
+        for shape, (anchors, counts) in zip(tiling.shapes, tile_counts)
+        if anchors
+    ]
+    if not weighted:
+        return None, None
     assert report.invariance_ratios is not None
     # The deficiency is the largest tile invariance ratio or the uncovered
     # fraction, nudged up by 1/1000 because the invariance definition is
@@ -404,18 +442,9 @@ def _concatenation_check(
         max(report.invariance_ratios),
         1 - report.covered_fraction,
     ) + Fraction(1, 1000)
-    host_table = freq_table(config, base, level)
-    total_cells = sum(len(s) * len(cs) for s, cs in zip(tiling.shapes, tiling.centers))
-    if total_cells == 0:
-        return None, None
-    # The tile-weighted average of tile frequencies, one term per shape: the
-    # counts summed over its tiles.
-    weighted: list[tuple[Fraction, dict[int, int]]] = []
-    keys = set(host_table)
-    for shape, (anchors, counts) in zip(tiling.shapes, _tile_counts(config, tiling, base, level)):
-        keys |= counts.keys()
-        if anchors:
-            weighted.append((Fraction(len(shape), anchors * total_cells), counts))
+    base = folner_box(1, config.dim)
+    host_table = freq_table(config, base, 1)
+    keys = set(host_table).union(*(counts for _, counts in weighted))
     # |c/t - a/avg_den| = |c avg_den - t a| / (t avg_den), with the average
     # a/avg_den over the weights' common denominator
     avg_den = lcm(*(w.denominator for w, _ in weighted))
@@ -438,8 +467,17 @@ def _tile_counts(
     with no tiles) and the counts of the codes of the patterns on base x
     rows[1..level] summed over its tiles, read from the window's own
     symbols at each tile's anchors: one pattern per anchor and tile."""
-    out = []
-    for shape, centers in zip(tiling.shapes, tiling.centers):
-        counts = _count(config, base, level, shape, centers)
-        out.append((sum(counts.values()) // len(centers) if centers else 0, counts))
-    return out
+    return _with_anchors(
+        tiling, [_count(config, base, level, s, cs) for s, cs in zip(tiling.shapes, tiling.centers)]
+    )
+
+
+def _with_anchors(
+    tiling: Quasitiling, counts: Sequence[dict[int, int]]
+) -> list[tuple[int, dict[int, int]]]:
+    """Per shape, its anchors (one pattern per anchor and tile, 0 for a
+    shape with no tiles) and its tiles' summed pattern counts."""
+    return [
+        (sum(c.values()) // len(centers) if centers else 0, c)
+        for c, centers in zip(counts, tiling.centers)
+    ]

@@ -1,12 +1,13 @@
 """The cell-addressing kernel against point-by-point references.
 
 Every sub-pattern read (``subblock_at``, ``marginal``,
-``stage_transform``) and write (``apply_changes``) goes through the layout
-that ``symbolic._layout`` gives its pair of shapes, then one ``at`` per
-anchor.  The references below look each cell up by its point in the
-sorted point list and share no code with the kernel.  Shapes are boxes and
-non-boxes in 1-D to 3-D with negative corners, inner shapes may be empty,
-depths include 0, and some translates do not fit.
+``stage_transform``) and write (``stage_transform``, ``apply_changes``)
+goes through the layout that ``symbolic._layout`` gives its pair of
+shapes, then one ``at`` per anchor.  The references below look each cell
+up by its point in the sorted point list and share no code with the
+kernel.  Shapes are boxes and non-boxes in 1-D to 3-D with negative
+corners, inner shapes may be empty, depths include 0, and some
+translates do not fit.
 """
 
 import random

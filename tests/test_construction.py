@@ -240,6 +240,18 @@ def test_stage_transform_missing_representative_errors():
         stage_transform(config, tiling, two_vertex_target(), Fraction(1, 100), {}, fams)
 
 
+def test_stage_transform_rejects_a_representative_on_another_alphabet():
+    # Its codes would be counted in another radix than the window's.
+    window = Shape.interval(0, 19)
+    config = Block(window, 1, (2,), tuple([0, 1] * 10))
+    rep = Block.constant(Shape.interval(0, 4), 1, (3,), 1)
+    with pytest.raises(ValueError, match="representative alphabet differs"):
+        stage_transform(
+            config, grid_tiling(window, 5), two_vertex_target(), Fraction(1, 100),
+            {rep.shape: rep}, family_from(config),
+        )
+
+
 def test_single_stage_run_matches_stage_transform():
     window = Shape.interval(0, 26)
     config = sample_bernoulli(window, STACK, [[0.5, 0.5]], seed=33)

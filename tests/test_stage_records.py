@@ -1,9 +1,10 @@
 """A stage is written as records and read as contents.
 
 A stage's change log is written from one template, its tiles are read as
-symbol tuples with one ``Block`` per distinct content, and the concatenation
-check counts each tile's patterns in the window's own symbols.  Each must
-give what the plain definitions give.
+symbol tuples with one ``Block`` per distinct content, and its concatenation
+check sums the pattern counts of those contents, where a bare tiling's check
+counts each tile's patterns in the window's own symbols.  Each must give
+what the plain definitions give.
 """
 
 import copy
@@ -26,21 +27,24 @@ from blockdyn.construction import (
     RunResult,
     StageReport,
     TileRecord,
+    _concatenation_check,
     _tile_counts,
     apply_changes,
     stage_transform,
+    vertex_rep_source,
 )
 from blockdyn.frequency import embedding_anchors, freq_table
-from blockdyn.group import Shape, folner_box
+from blockdyn.group import Shape, folner_box, point_add
 from blockdyn.measures import (
     ConvexTarget, CylinderMeasure, DistanceInterval, HullDistance, block_measure, dist_to_hull
 )
-from blockdyn.quasitiling import GreedyTiling, Quasitiling, TilingReport, greedy_tile
+from blockdyn.quasitiling import GreedyTiling, Quasitiling, TilingReport, greedy_tile, verify
 from blockdyn.symbolic import (
-    AlphabetStack, Block, BlockFamily, Corpus, sample_bernoulli, subblock_at
+    AlphabetStack, Block, BlockFamily, Corpus, enumerate_family, sample_bernoulli, subblock_at
 )
 from blockdyn.verification import SuiteCase, SuiteResult
-from helpers import decoded, tile_copy_counts
+from helpers import block_from_word, decoded, tile_copy_counts
+from test_cell_kernel import fake_distance
 from test_integer_tables import random_block
 from test_stage_passes import FAMILIES, bernoulli_target
 
@@ -195,6 +199,135 @@ def test_tile_counts_enumerate_a_non_box_shapes_anchors_once(monkeypatch, window
     assert [(n, decoded(c, (3,), len(base))) for n, c in got] == tile_copy_counts(
         config, tiling, base, 1
     )
+
+
+@st.composite
+def stage_tilings(draw, window: Shape) -> Quasitiling:
+    """A disjoint tiling: one of ``tilings``, keeping tiles in center order
+    while they miss the kept ones, or a greedy tiling by a box and a
+    point-set shape."""
+    if draw(st.booleans()):
+        tiling = draw(tilings(window))
+        (shape,) = tiling.shapes
+        kept, cells = [], set()
+        for c in sorted(tiling.centers[0]):
+            tile = {point_add(p, c) for p in shape.points}
+            if not tile & cells:
+                kept.append(c)
+                cells |= tile
+        return Quasitiling(window, (shape,), (frozenset(kept),))
+    dim = window.dim
+    box = Shape.box([0] * dim, [2] * dim)
+    pts = draw(st.lists(st.sampled_from(box.sorted_points), min_size=1, max_size=6, unique=True))
+    return greedy_tile(window, [draw(boxes(dim, 3)), Shape.of(pts)], Fraction(1)).tiling
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_stage_sums_its_memo_to_the_counts_of_the_window_scan(data):
+    dim = data.draw(st.integers(1, 3))
+    window = data.draw(boxes(dim, {1: 14, 2: 7, 3: 4}[dim], lo=st.integers(-3, 3)))
+    sizes = tuple(data.draw(st.integers(2, 3)) for _ in range(data.draw(st.integers(1, 2))))
+    tiling = data.draw(stage_tilings(window))
+    # Now and then the configuration lies on a box one cell wider.
+    wider = data.draw(st.integers(0, 4)) == 0
+    lo, hi = window.bounds()
+    config = random_block(data.draw, Shape.box(lo, [h + wider for h in hi]), sizes)
+    k = data.draw(st.integers(1, len(sizes)))
+    reps = {s: random_block(data.draw, s, sizes[:k]) for s in tiling.shapes}
+    tiles = tiling.tiles()
+    if tiles and data.draw(st.booleans()):
+        # A representative with the content of one of its shape's tiles.
+        c, i = data.draw(st.sampled_from(tiles))
+        reps[tiling.shapes[i]] = subblock_at(config, tiling.shapes[i], c, k)
+    # The distances lie in [0, 1], so -1 replaces every tile and 1 none.
+    delta = data.draw(st.sampled_from([Fraction(-1), Fraction(1, 3), Fraction(2, 3), Fraction(1)]))
+    sums = []
+
+    def check(config, tiling, report, tile_counts):
+        sums.append(tile_counts)
+        return _concatenation_check(config, tiling, report, tile_counts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construction, "dist_to_hull", lambda block, *_: fake_distance(block))
+        mp.setattr(construction, "_concatenation_check", check)
+        out, report = stage_transform(config, tiling, SimpleNamespace(depth=1), delta, reps, [])
+    if delta < 0:
+        assert len(report.changes) == len(tiles)
+    if delta == 1:
+        assert not report.changes
+    if wider:
+        assert report.concat_deviation is None and report.concat_bound is None and not sums
+        return
+    base = folner_box(1, dim)
+    assert (report.concat_deviation, report.concat_bound) == _concatenation_check(
+        out, tiling, verify(tiling, base), _tile_counts(out, tiling, base, 1)
+    )
+    assert [(n, decoded(c, sizes[:1], len(base))) for n, c in sums[0]] == tile_copy_counts(
+        out, tiling, base, 1
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_stage_of_run_is_one_pass(dim):
+    window = Shape.box((0,) * dim, ((26, 8)[dim - 1],) * dim)
+    config = sample_bernoulli(window, STACK, [[Fraction(1, 2)] * 2], seed=5)
+    f1 = folner_box(1, dim)
+    target = ConvexTarget(tuple(
+        CylinderMeasure(1, f1, {Block.constant(f1, 1, (2,), s): Fraction(1)}) for s in (0, 1)
+    ))
+    families = [enumerate_family(Corpus(STACK, (config,)), 1)]
+    schedule = files.StageSchedule.geometric(dim, Fraction(1, 2), [1, 1], [1, 4], [3, 9])
+    source = vertex_rep_source(target, 0, seed=3, count=2, sizes=STACK.sizes)
+    verified, per_stage = [], []
+
+    def counted(*args):
+        verified.append(args)
+        return verify(*args)
+
+    def stage(*args):
+        before = len(verified)
+        result = stage_transform(*args)
+        per_stage.append(len(verified) - before)
+        return result
+
+    def rereads(*args):
+        raise AssertionError("a stage reads the window again")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construction, "verify", counted)
+        mp.setattr(construction, "stage_transform", stage)
+        mp.setattr(construction, "apply_changes", rereads)
+        mp.setattr(construction, "_tile_counts", rereads)
+        result = construction.run(config, schedule, target, families, source)
+    assert per_stage == [1, 1]
+    assert any(report.changes for report in result.stages)
+    current = config
+    for report in result.stages:
+        assert report.concat_deviation is not None
+        out = apply_changes(current, report.changes)
+        assert apply_changes(out, report.changes, undo=True) == current
+        current = out
+    assert current == result.final
+
+
+def test_no_tile_shape_with_an_anchor_gives_no_average():
+    # Side-2 tiles hold no copy of F_1 = [-1, 1], so there is no average;
+    # an empty one would give the largest window frequency, 1/6 here.
+    config = block_from_word("aaabbbab")
+    two = Shape.interval(0, 1)
+    tiling = greedy_tile(config.shape, [two], Fraction(1)).tiling
+    base = folner_box(1, 1)
+    assert _tile_counts(config, tiling, base, 1) == [(0, {})]
+    assert _concatenation_check(
+        config, tiling, verify(tiling, base), _tile_counts(config, tiling, base, 1)
+    ) == (None, None)
+    rep = Block.constant(two, 1, (2,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construction, "dist_to_hull", lambda block, *_: fake_distance(block))
+        _, report = stage_transform(config, tiling, SimpleNamespace(depth=1), 0, {two: rep}, [])
+    assert report.changes and report.tiles
+    assert (report.concat_deviation, report.concat_bound) == (None, None)
 
 
 def test_equal_tile_contents_share_one_block_and_one_solve(monkeypatch):
