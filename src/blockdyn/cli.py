@@ -210,9 +210,8 @@ def cmd_tile(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
     if not 0 <= eps <= 1:
         raise ConfigError(f"--eps must lie in [0, 1], got {args.eps}")
     result = greedy_tile(cfg.window, shapes, eps)
-    report = verify_tiling(result.tiling, folner_box(1, cfg.dim))
+    report = verify_tiling(result.tiling)
     files.write_tiling(rundir / "tiling.json", result.tiling)
-    assert report.invariance_ratios is not None
     rows = [
         [
             i,
@@ -261,11 +260,11 @@ def cmd_construct(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path)
         source = corpus_rep_source(corpus, _count_option(rep_cfg, "limit", 64))
     result: RunResult = run_stages(initial, cfg.schedule, target, fams, source)
     _write_run(rundir, cfg, result)
-    last = result.stages[-1]
+    before, after = result.window_distances[-2:]
     print(
         f"{len(result.stages)} stage(s); final replaced fraction "
-        f"{last.replaced_fraction}, window distance "
-        f"{last.window_distance_before} -> {last.window_distance_after}"
+        f"{result.stages[-1].far_mass_before}, window distance "
+        f"{before.value} -> {after.value}"
     )
     return 0
 
@@ -283,24 +282,27 @@ def _write_run(rundir: Path, cfg: ExperimentConfig, result: RunResult) -> None:
         "stages": len(result.stages),
     }
     files.write_json(rundir / "run_manifest.json", manifest)
-    rows = []
-    for rep in result.stages:
-        rows.append(
-            [
-                rep.stage,
-                frac_str(rep.eps),
-                frac_str(rep.delta),
-                rep.depth,
-                frac_str(rep.covered_fraction),
-                frac_str(rep.far_mass_before),
-                frac_str(rep.far_mass_after),
-                frac_str(rep.replaced_fraction),
-                frac_str(rep.window_distance_before or Fraction(0)),
-                frac_str(rep.window_distance_after or Fraction(0)),
-                frac_str(rep.concat_deviation or Fraction(0)),
-                "" if rep.concat_bound is None else frac_str(rep.concat_bound),
-            ]
-        )
+    # Stage t's window distances are entries t - 1 and t; its far mass
+    # before is the fraction it replaced.
+    stages = list(zip(cfg.schedule.stages, result.stages))
+    distances = result.window_distances
+    rows = [
+        [
+            st.index,
+            frac_str(st.eps),
+            frac_str(rep.delta),
+            rep.depth,
+            frac_str(rep.covered_fraction),
+            frac_str(rep.far_mass_before),
+            frac_str(rep.far_mass_after),
+            frac_str(rep.far_mass_before),
+            frac_str(distances[t].value),
+            frac_str(distances[t + 1].value),
+            frac_str(rep.concat_deviation or Fraction(0)),
+            "" if rep.concat_bound is None else frac_str(rep.concat_bound),
+        ]
+        for t, (st, rep) in enumerate(stages)
+    ]
     files.write_csv(
         rundir / "stages.csv",
         ["stage", "eps", "delta", "depth", "covered_fraction", "far_mass_before",
@@ -308,7 +310,7 @@ def _write_run(rundir: Path, cfg: ExperimentConfig, result: RunResult) -> None:
          "window_lower_after", "concat_deviation", "concat_bound"],
         rows,
     )
-    for rep in result.stages:
+    for st, rep in stages:
         # One text per distinct distance, not one per tile, keyed by value as
         # (numerator, denominator): a Fraction's hash costs a modular inverse.
         lowers: dict[tuple[int, int], str] = {}
@@ -322,11 +324,11 @@ def _write_run(rundir: Path, cfg: ExperimentConfig, result: RunResult) -> None:
             center = "(" + " ".join(map(str, t.center)) + ")"
             tile_rows.append([center, t.shape_index, text, t.replaced])
         files.write_csv(
-            rundir / f"stage_t{rep.stage}_tiles.csv",
+            rundir / f"stage_t{st.index}_tiles.csv",
             ["center", "shape_index", "d_lower", "replaced"],
             tile_rows,
         )
-        files.write_changes(rundir / f"changes_t{rep.stage}.json", rep.changes)
+        files.write_changes(rundir / f"changes_t{st.index}.json", rep.changes)
     files.write_corpus(
         rundir / "final_block.json", Corpus(cfg.stack, (result.final,))
     )

@@ -61,23 +61,20 @@ class ChangeRecord(_WritableRecord):
 
 
 class StageReport(_Record):
+    """What one stage received (delta, depth) and measured.  The far mass
+    before a stage is also the fraction of the window it replaced."""
+
     __slots__ = (
-        "stage", "eps", "delta", "depth", "covered_fraction", "far_mass_before",
-        "far_mass_after", "replaced_fraction", "tiles", "changes", "window_distance_before",
-        "window_distance_after", "concat_deviation", "concat_bound",
+        "delta", "depth", "covered_fraction", "far_mass_before", "far_mass_after",
+        "tiles", "changes", "concat_deviation", "concat_bound",
     )
-    stage: int
-    eps: Fraction
     delta: Fraction
     depth: int
     covered_fraction: Fraction
     far_mass_before: Fraction
     far_mass_after: Fraction
-    replaced_fraction: Fraction
     tiles: tuple[TileRecord, ...]
     changes: tuple[ChangeRecord, ...]
-    window_distance_before: Fraction | None
-    window_distance_after: Fraction | None
     concat_deviation: Fraction | None
     concat_bound: Fraction | None
 
@@ -149,7 +146,7 @@ def stage_transform(
     """
     delta = Fraction(delta)
     base = folner_box(1, config.dim)
-    report0 = verify(tiling, base)
+    report0 = verify(tiling)
     if not report0.disjoint:
         raise ValueError("stage tilings must be disjoint")
     reps: dict[Shape, Block] = dict(representatives)
@@ -236,20 +233,14 @@ def stage_transform(
             for code, m in memo[i, content][3].items():
                 total[code] = total.get(code, 0) + n * m
         dev, bound = _concatenation_check(out, tiling, report0, _with_anchors(tiling, sums))
-    far_before = Fraction(far_cells, len(tiling.window))
     report = StageReport(
-        stage=0,
-        eps=Fraction(0),
         delta=delta,
         depth=k,
         covered_fraction=report0.covered_fraction,
-        far_mass_before=far_before,
+        far_mass_before=Fraction(far_cells, len(tiling.window)),
         far_mass_after=Fraction(far_cells_after, len(tiling.window)),
-        replaced_fraction=far_before,
         tiles=tuple(tile_records),
         changes=tuple(changes),
-        window_distance_before=None,
-        window_distance_after=None,
         concat_deviation=dev,
         concat_bound=bound,
     )
@@ -357,10 +348,15 @@ def vertex_rep_source(
 
 
 class RunResult(_Record):
-    __slots__ = ("initial", "final", "stages")
+    """A run's input, output and stage reports, with the hull distance of
+    the window before stage 1 and after each stage: one more entry than
+    there are stages."""
+
+    __slots__ = ("initial", "final", "stages", "window_distances")
     initial: Block
     final: Block
     stages: tuple[StageReport, ...]
+    window_distances: tuple[HullDistance, ...]
 
 
 def run(
@@ -372,11 +368,11 @@ def run(
 ) -> RunResult:
     """Apply the staged transform with congruent coarsening grid tilings.
 
-    Emits one report per stage with far masses, the replaced fraction, the
-    whole-window empirical distance to the target before and after, and a
-    concatenation check of the window frequencies against the tile-weighted
-    average (bound evaluable only when the per-stage deficiency is small
-    enough).
+    Emits one report per stage with far masses and a concatenation check
+    of the window frequencies against the tile-weighted average (bound
+    evaluable only when the per-stage deficiency is small enough), and the
+    whole-window empirical distance to the target before the first stage
+    and after each one.
     """
     if schedule.dim != config.dim:
         raise ValueError("schedule dimension differs from the configuration")
@@ -385,7 +381,7 @@ def run(
     current = config
     previous_tiling: Quasitiling | None = None
     # A stage starts from the previous output, so at its window distance.
-    wd_before = dist_to_hull(block_measure(config, target.depth), target, families).value
+    distances = [dist_to_hull(block_measure(config, target.depth), target, families)]
     for st in schedule.stages:
         if st.depth > config.depth or st.depth < target.depth:
             raise ValueError(
@@ -397,20 +393,13 @@ def run(
             raise ValueError(f"stage {st.index} tiling not congruent with stage {st.index - 1}")
         candidates = rep_source(box, st.depth)
         rep, _rep_dist = select_representative(box, target, candidates, families)
-        out, rep_report = stage_transform(
+        current, report = stage_transform(
             current, tiling, target, st.delta, {box: rep}, families
         )
-        wd_after = dist_to_hull(block_measure(out, target.depth), target, families).value
-        reports.append(
-            rep_report._replace(
-                stage=st.index,
-                eps=st.eps,
-                window_distance_before=wd_before,
-                window_distance_after=wd_after,
-            )
-        )
-        current, wd_before, previous_tiling = out, wd_after, tiling
-    return RunResult(initial=config, final=current, stages=tuple(reports))
+        reports.append(report)
+        distances.append(dist_to_hull(block_measure(current, target.depth), target, families))
+        previous_tiling = tiling
+    return RunResult(config, current, tuple(reports), tuple(distances))
 
 
 def _concatenation_check(
@@ -422,7 +411,7 @@ def _concatenation_check(
     """Worst deviation between the F_1 frequencies of ``config`` and the
     tile-weighted average, with the matching bound when it is evaluable;
     (None, None) when no tile shape has an anchor of F_1, so no average.
-    ``report`` is ``verify(tiling, F_1)``, and ``tile_counts`` per shape
+    ``report`` is ``verify(tiling)``, and ``tile_counts`` per shape
     its anchors and summed counts (``_tile_counts`` or a stage's memo)."""
     total_cells = sum(len(s) * len(cs) for s, cs in zip(tiling.shapes, tiling.centers))
     # The tile-weighted average of tile frequencies, one term per shape: the
@@ -434,7 +423,6 @@ def _concatenation_check(
     ]
     if not weighted:
         return None, None
-    assert report.invariance_ratios is not None
     # The deficiency is the largest tile invariance ratio or the uncovered
     # fraction, nudged up by 1/1000 because the invariance definition is
     # strict (ratio < delta).

@@ -193,7 +193,9 @@ def read_json(path: Path) -> Any:
         raise ConfigError(f"missing file: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer literal longer than int()'s
+        # digit limit, which json reports as a plain ValueError.
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -23,13 +23,13 @@ _setattr = object.__setattr__
 
 class _Record:
     """A read-only value whose fields are the public names in ``__slots__``,
-    read in slot order by equality, hash, a dataclass-style repr, copy and
-    ``_replace``; other slots are caches (see ``_cached``).  ``_set`` takes
-    the fields as a dataclass's ``__init__`` does and stores them: it is
-    the constructor, or the last step of a class's own checking one.  Any
-    assignment is an AttributeError.  A plain class: a dataclass costs an
-    import of ``dataclasses`` and ``inspect`` and about a millisecond per
-    class at every import."""
+    read in slot order by equality, hash, a dataclass-style repr and copy;
+    other slots are caches (see ``_cached``).  ``_set`` takes the fields as
+    a dataclass's ``__init__`` does and stores them: it is the constructor,
+    or the last step of a class's own checking one.  Any assignment is an
+    AttributeError.  A plain class: a dataclass costs an import of
+    ``dataclasses`` and ``inspect`` and about a millisecond per class at
+    every import."""
 
     __slots__ = ()
 
@@ -52,11 +52,6 @@ class _Record:
             cls._values = staticmethod(attrgetter(*fields))
         else:
             cls._values = staticmethod(lambda self: tuple(getattr(self, n) for n in fields))
-
-    def _replace(self, **changes: object) -> _Record:
-        """A copy with the fields named in ``changes`` replaced, made by the
-        class's own constructor."""
-        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

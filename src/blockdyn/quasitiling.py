@@ -8,7 +8,7 @@ from itertools import product as cartesian
 from typing import Sequence
 
 from .frequency import _anchor_ranges, embedding_anchors
-from .group import Point, Shape, _Record, _cached, invariance_ratio
+from .group import Point, Shape, _Record, _cached, folner_box, invariance_ratio
 from .symbolic import Block, _layout
 
 
@@ -49,15 +49,10 @@ class Quasitiling(_Record):
 
 
 class TilingReport(_Record):
-    __slots__ = (
-        "disjoint", "covered_cells", "covered_fraction", "unique_representation",
-        "invariance_ratios",
-    )
+    __slots__ = ("disjoint", "covered_fraction", "invariance_ratios")
     disjoint: bool
-    covered_cells: int
     covered_fraction: Fraction
-    unique_representation: bool
-    invariance_ratios: tuple[Fraction, ...] | None
+    invariance_ratios: tuple[Fraction, ...]
 
 
 def _tile_runs(tiling: Quasitiling, c: Point, i: int) -> list[tuple[int, int]]:
@@ -80,9 +75,9 @@ def _grid(window: Shape, shapes: Sequence[Shape]) -> tuple[range, ...] | None:
     return tuple(r[:: b - a + 1] for r, a, b in zip(_anchor_ranges(window, shapes[0]), lo, hi))
 
 
-def verify(tiling: Quasitiling, folner: Shape | None = None) -> TilingReport:
-    """Check disjointness and coverage; optionally rate each shape's
-    invariance against a supplied Folner shape.
+def verify(tiling: Quasitiling) -> TilingReport:
+    """Check disjointness and coverage, and rate each shape's invariance
+    against F_1 = ``folner_box(1, dim)``.
 
     A tiling on the greedy grid (``Quasitiling.grid``) is checked by
     arithmetic, any other by a scan of its tiles' cells.  Raises if a tile
@@ -91,30 +86,22 @@ def verify(tiling: Quasitiling, folner: Shape | None = None) -> TilingReport:
     window = tiling.window
     if not window:
         raise ValueError("empty window")
+    disjoint = True
     if tiling.grid is not None:
-        # Tiles a side apart on every axis are disjoint and distinct.
-        disjoint, unique = True, True
+        # Tiles a side apart on every axis are disjoint.
         covered = tiling.tile_count() * len(tiling.shapes[0])
     else:
         seen = bytearray(len(window))  # one byte per cell, in symbol order
-        disjoint = True
-        # The runs of a tile list its positions in order, one run per row of
-        # a box or one per cell, so two tiles cover the same cells exactly
-        # when their runs are equal.
-        tile_runs: set[tuple[tuple[int, int], ...]] = set()
         for c, i in tiling.tiles():
             runs = _tile_runs(tiling, c, i)
             if any(seen.find(1, a, b) >= 0 for a, b in runs):
                 disjoint = False
             for a, b in runs:
                 seen[a:b] = b"\x01" * (b - a)
-            tile_runs.add(tuple(runs))
         covered = seen.count(1)
-        unique = len(tile_runs) == tiling.tile_count()
-    ratios = None
-    if folner is not None:
-        ratios = tuple(invariance_ratio(s, folner) for s in tiling.shapes)
-    return TilingReport(disjoint, covered, Fraction(covered, len(window)), unique, ratios)
+    folner = folner_box(1, window.dim)
+    ratios = tuple(invariance_ratio(s, folner) for s in tiling.shapes)
+    return TilingReport(disjoint, Fraction(covered, len(window)), ratios)
 
 
 def congruent(tiling: Quasitiling, previous: Quasitiling) -> bool:

@@ -18,6 +18,14 @@ from .measures import CylinderMeasure, block_measure, dist, dist_k
 from .quasitiling import Quasitiling, verify
 from .symbolic import AlphabetStack, Block, BlockFamily, Corpus, sample_bernoulli
 
+# Suite sizes: planar windows of the gap suite, tiled instances of the
+# tiling suite, measure triples of the metric suite and the atoms of each
+# of their measures.
+PLANAR_INSTANCES = 200
+INSTANCES = 100
+TRIPLES = 50
+SUPPORT = 8
+
 
 class SuiteCase(_Record):
     __slots__ = ("name", "deviation", "bound", "violation")
@@ -34,16 +42,9 @@ class SuiteCase(_Record):
 
 
 class SuiteResult(_Record):
-    """A suite's name and the cases it appends to a list of its own."""
-
     __slots__ = ("name", "cases")
     name: str
-    cases: list[SuiteCase]
-
-    def __init__(self, name: str, cases: list[SuiteCase] | None = None) -> None:
-        self._set(name, [] if cases is None else cases)
-
-    __hash__ = None  # type: ignore[assignment]
+    cases: tuple[SuiteCase, ...]
 
     @property
     def violations(self) -> int:
@@ -73,9 +74,7 @@ def _measure_gap(block: Block, depth: int) -> Fraction:
     return marginal_deviation(block, block_measure(block, depth), depth)
 
 
-def block_measure_gap_suite(
-    seed: int, corpus: Corpus | None = None, planar_instances: int = 200
-) -> SuiteResult:
+def block_measure_gap_suite(seed: int, corpus: Corpus | None = None) -> SuiteResult:
     """Frequency-vs-block-measure gap against its bound.
 
     Exhaustive sweep of all binary one-row blocks on [-3, 3] at level 1,
@@ -84,7 +83,7 @@ def block_measure_gap_suite(
     window is so small that delta * |F| >= 1 the bound degenerates to no
     constraint and only the exact-zero level check applies.
     """
-    result = SuiteResult("block-measure gap bound")
+    cases = []
     window = Shape.interval(-3, 3)
     f1 = folner_box(1, 1)
     delta = invariance_ratio(window, f1)
@@ -93,9 +92,7 @@ def block_measure_gap_suite(
         bits = tuple((value >> i) & 1 for i in range(len(window)))
         block = Block(window, 1, (2,), bits)
         gap = _measure_gap(block, 1)
-        result.cases.append(
-            SuiteCase(f"exhaustive-1d-{value}", gap, bound, gap > bound)
-        )
+        cases.append(SuiteCase(f"exhaustive-1d-{value}", gap, bound, gap > bound))
 
     window2 = Shape.box((-8, -8), (8, 8))
     f1_2 = folner_box(1, 2)
@@ -104,13 +101,13 @@ def block_measure_gap_suite(
     bound2 = block_measure_gap_bound(delta2, len(f1_2)) if u < 1 else None
     stack = AlphabetStack((2,))
     rng = random.Random(seed)
-    for i in range(planar_instances):
+    for i in range(PLANAR_INSTANCES):
         block = sample_bernoulli(
             window2, stack, [[0.5, 0.5]], seed=rng.randrange(2**30)
         )
         gap = _measure_gap(block, 1)
         violation = gap > bound2 if bound2 is not None else gap > 0
-        result.cases.append(SuiteCase(f"planar-{i}", gap, bound2, violation))
+        cases.append(SuiteCase(f"planar-{i}", gap, bound2, violation))
 
     if corpus is not None and corpus.stack.depth >= 2:
         f2 = folner_box(2, corpus.dim)
@@ -120,10 +117,8 @@ def block_measure_gap_suite(
                 continue
             bound_c = block_measure_gap_bound(delta_c, len(f2))
             gap = _measure_gap(block, 2)
-            result.cases.append(
-                SuiteCase(f"corpus-{i}", gap, bound_c, gap > bound_c)
-            )
-    return result
+            cases.append(SuiteCase(f"corpus-{i}", gap, bound_c, gap > bound_c))
+    return SuiteResult("block-measure gap bound", tuple(cases))
 
 
 def _tiled_instance(
@@ -148,31 +143,32 @@ def _tiled_instance(
     return block, tiling
 
 
-def tiling_average_gap_suite(seed: int, instances: int = 100) -> SuiteResult:
+def tiling_average_gap_suite(seed: int) -> SuiteResult:
     """Host-vs-tile-average frequency gap against its bound.
 
     Each instance is scored by the concatenation check of the staged run,
     which derives the deficiency from the tiling itself.  A gapped tiling
     has no stage memo, so its tile counts are read from the block.
     """
-    result = SuiteResult("tiling average gap bound")
+    cases = []
     rng = random.Random(seed)
     base = folner_box(1, 1)
-    for i in range(instances):
+    for i in range(INSTANCES):
         side = rng.choice([30, 36, 44, 50, 60])
         tiles = rng.randint(2, 6)
         block, tiling = _tiled_instance(rng, side, tiles)
         dev, bound = _concatenation_check(
-            block, tiling, verify(tiling, base), _tile_counts(block, tiling, base, 1)
+            block, tiling, verify(tiling), _tile_counts(block, tiling, base, 1)
         )
         assert dev is not None
         violation = bound is None or dev > bound
-        result.cases.append(SuiteCase(f"tiled-{i}", dev, bound, violation))
-    return result
+        cases.append(SuiteCase(f"tiled-{i}", dev, bound, violation))
+    return SuiteResult("tiling average gap bound", tuple(cases))
 
 
-def _random_measure(rng: random.Random, support: int = 8) -> CylinderMeasure:
-    """A random depth-2 measure on F_2 x rows[1..2] with exact rational masses."""
+def _random_measure(rng: random.Random, support: int) -> CylinderMeasure:
+    """A random depth-2 measure on F_2 x rows[1..2] with exact rational
+    masses on ``support`` patterns."""
     base = folner_box(2, 1)
     sizes = (2, 2)
     cells = len(base)
@@ -202,7 +198,7 @@ def _families_for(measures: Sequence[CylinderMeasure]) -> list[BlockFamily]:
     ]
 
 
-def metric_axioms_suite(seed: int, triples: int = 50) -> SuiteResult:
+def metric_axioms_suite(seed: int) -> SuiteResult:
     """Exact symmetry, triangle inequality and self-distance of the metric.
 
     The deviation recorded per case is the largest amount by which an axiom
@@ -210,10 +206,10 @@ def metric_axioms_suite(seed: int, triples: int = 50) -> SuiteResult:
     triangle-inequality room the instances actually had is not meaningful
     and is omitted.
     """
-    result = SuiteResult("metric axioms")
+    cases = []
     rng = random.Random(seed)
-    for i in range(triples):
-        mu, nu, lam = (_random_measure(rng) for _ in range(3))
+    for i in range(TRIPLES):
+        mu, nu, lam = (_random_measure(rng, SUPPORT) for _ in range(3))
         families = _families_for([mu, nu, lam])
         worst = Fraction(0)
         for fam in families:
@@ -231,7 +227,5 @@ def metric_axioms_suite(seed: int, triples: int = 50) -> SuiteResult:
             d_ab + dist(nu, lam, families).lower
         )
         worst = max(worst, tri_full)
-        result.cases.append(
-            SuiteCase(f"triple-{i}", worst, Fraction(0), worst > 0)
-        )
-    return result
+        cases.append(SuiteCase(f"triple-{i}", worst, Fraction(0), worst > 0))
+    return SuiteResult("metric axioms", tuple(cases))

@@ -135,7 +135,7 @@ def test_the_tiling_and_stage_layers_build_no_point_set_on_boxes(built, dim, sid
     coarse_box, fine_box = (Shape.box((0,) * dim, (s - 1,) * dim) for s in sides)
     coarse = greedy_tile(window, [coarse_box], Fraction(1)).tiling
     fine = greedy_tile(window, [fine_box], Fraction(1)).tiling
-    assert verify(fine, folner_box(1, dim)).disjoint
+    assert verify(fine).disjoint
     assert congruent(fine, coarse) in (True, False)
     config = sample_bernoulli(window, stack, [[0.5, 0.5]], seed=7)
     vertices = tuple(

@@ -171,7 +171,7 @@ def test_stage_transform_no_far_tiles_is_identity():
         config, tiling, two_vertex_target(), Fraction(1, 100), reps, fams
     )
     assert out == config
-    assert report.replaced_fraction == 0
+    assert report.far_mass_before == 0
     assert report.changes == ()
 
 
@@ -184,7 +184,7 @@ def test_stage_transform_all_far_replaces_every_tile():
     out, report = stage_transform(
         config, tiling, two_vertex_target(), Fraction(1, 100), {rep.shape: rep}, fams
     )
-    assert report.replaced_fraction == verify_covering(tiling)
+    assert report.far_mass_before == verify_covering(tiling)
     assert set(out.row(1)) == {0}
 
 
@@ -204,9 +204,8 @@ def test_stage_transform_mixed_quarter_replaced():
     out, report = stage_transform(
         config, tiling, two_vertex_target(), Fraction(1, 100), {rep.shape: rep}, fams
     )
-    assert report.replaced_fraction == Fraction(1, 4)
+    assert report.far_mass_before == Fraction(1, 4)
     assert len(report.changes) == 1
-    assert report.replaced_fraction <= report.far_mass_before
 
 
 def test_stage_transform_locality_and_inversion():
@@ -269,7 +268,7 @@ def test_single_stage_run_matches_stage_transform():
         config, tiling, target, sched.stages[0].delta, {rep_block.shape: rep_block}, fams
     )
     assert result.final == out
-    assert result.stages[0].replaced_fraction == report.replaced_fraction
+    assert result.stages == (report,)
 
 
 def test_run_requires_congruent_grids():
@@ -301,9 +300,10 @@ def test_run_three_stages_summable_and_invertible():
     sched = StageSchedule.geometric(1, Fraction(1, 2), [1, 1, 1], [1, 4, 13], [3, 9, 27])
     src = vertex_rep_source(target, 0, seed=99, count=4, sizes=STACK.sizes)
     result = run(config, sched, target, fams, src)
-    assert [r.stage for r in result.stages] == [1, 2, 3]
+    assert [r.depth for r in result.stages] == [1, 1, 1]
     for rep in result.stages:
-        assert rep.replaced_fraction <= rep.far_mass_before
+        replaced = sum(len(ch.before.shape) for ch in rep.changes)
+        assert Fraction(replaced, len(window)) == rep.far_mass_before
     current = result.final
     for rep in reversed(result.stages):
         current = apply_changes(current, rep.changes, undo=True)
@@ -331,11 +331,10 @@ def test_run_from_vertex_sampled_config_regression():
     sched = StageSchedule.geometric(1, Fraction(1, 2), [1, 1], [1, 4], [27, 81])
     src = vertex_rep_source(target, 0, seed=7, count=4, sizes=STACK.sizes)
     result = run(config, sched, target, fams, src)
-    total_replaced = sum((r.replaced_fraction for r in result.stages), Fraction(0))
+    total_replaced = sum((r.far_mass_before for r in result.stages), Fraction(0))
     assert total_replaced <= sched.eps_total
     # regression values recorded on first run
     assert [r.far_mass_before for r in result.stages] == [Fraction(0), Fraction(0)]
-    assert [r.replaced_fraction for r in result.stages] == [Fraction(0), Fraction(0)]
 
 
 def test_corpus_rep_source_yields_requested_shape():

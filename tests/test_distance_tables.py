@@ -21,7 +21,7 @@ from blockdyn.measures import (
 from blockdyn.quasitiling import greedy_tile
 from blockdyn.symbolic import AlphabetStack, Block, enumerate_full_family, sample_bernoulli
 from blockdyn.testkit import grid_hull_distance, oracle_freq, oracle_measure_value
-from blockdyn.verification import _families_for, _random_measure
+from blockdyn.verification import SUPPORT, _families_for, _random_measure
 
 F1 = Shape.interval(-1, 1)
 
@@ -54,7 +54,7 @@ def _instances():
     rng = random.Random(8)
     out = []
     for n in range(4):
-        measures = [_random_measure(rng) for _ in range(4)]
+        measures = [_random_measure(rng, SUPPORT) for _ in range(4)]
         window = Shape.interval(0, rng.randint(12, 30))
         block = sample_bernoulli(window, AlphabetStack((2, 2)), [[0.5, 0.5]] * 2, seed=n)
         target = ConvexTarget(tuple(measures[2:]))

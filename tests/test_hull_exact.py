@@ -24,7 +24,7 @@ from blockdyn.symbolic import (
     enumerate_full_family,
     sample_bernoulli,
 )
-from blockdyn.verification import _families_for, _random_measure
+from blockdyn.verification import SUPPORT, _families_for, _random_measure
 from helpers import fraction_hull_lp
 
 
@@ -34,7 +34,7 @@ def _sweep():
     out = []
     for _ in range(60):
         m = rng.randint(3, 6)
-        measures = [_random_measure(rng) for _ in range(m + 1)]
+        measures = [_random_measure(rng, SUPPORT) for _ in range(m + 1)]
         out.append((measures[0], ConvexTarget(tuple(measures[1:])), _families_for(measures)))
     return out
 

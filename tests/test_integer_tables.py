@@ -155,7 +155,7 @@ def test_concatenation_check_equals_the_fraction_oracle(data):
     tiling = greedy_tile(window, shapes, Fraction(1, 10)).tiling
     base = folner_box(1, dim)
     dev, _ = _concatenation_check(
-        config, tiling, verify(tiling, base), _tile_counts(config, tiling, base, 1)
+        config, tiling, verify(tiling), _tile_counts(config, tiling, base, 1)
     )
 
     total_cells = sum(len(s) * len(cs) for s, cs in zip(tiling.shapes, tiling.centers))

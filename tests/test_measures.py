@@ -19,7 +19,7 @@ from blockdyn.measures import (
 )
 from blockdyn.symbolic import AlphabetStack, Block, BlockFamily, Corpus, sample_bernoulli
 from blockdyn.testkit import grid_hull_distance
-from blockdyn.verification import _families_for, _random_measure
+from blockdyn.verification import SUPPORT, _families_for, _random_measure
 from helpers import block_from_word, code_of, cylinder_mass
 
 WORD = block_from_word("aababab", start=-3)
@@ -259,7 +259,7 @@ def test_block_measure_gap_bound_holds_at_depth_two():
 def test_metric_axioms_random_triples():
     rng = random.Random(12)
     for _ in range(10):
-        mu, nu, lam = (_random_measure(rng) for _ in range(3))
+        mu, nu, lam = (_random_measure(rng, SUPPORT) for _ in range(3))
         fams = _families_for([mu, nu, lam])
         for fam in fams:
             assert dist_k(mu, nu, fam) == dist_k(nu, mu, fam)
@@ -269,7 +269,7 @@ def test_metric_axioms_random_triples():
 
 def test_identity_of_indiscernibles_at_truncation_depth():
     rng = random.Random(13)
-    mu, nu = _random_measure(rng), _random_measure(rng)
+    mu, nu = _random_measure(rng, SUPPORT), _random_measure(rng, SUPPORT)
     fams = _families_for([mu, nu])
     d = dist(mu, nu, fams)
     equal_marginals = all(cylinder_mass(mu, b) == cylinder_mass(nu, b) for fam in fams for b in fam.blocks)
@@ -325,7 +325,7 @@ def test_hull_solver_agrees_with_grid_on_random_instances():
 
 def test_hull_distance_is_lower_bound_for_distances_to_mixes():
     rng = random.Random(616)
-    measures = [_random_measure(rng) for _ in range(3)]
+    measures = [_random_measure(rng, SUPPORT) for _ in range(3)]
     x, verts = measures[0], tuple(measures[1:])
     target = ConvexTarget(verts)
     fams = _families_for(measures)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdyn import files
+from blockdyn import cli, files
 from blockdyn.symbolic import _row_codes, check_alphabet, decode_pattern, encode_pattern
 from helpers import oracle_read_corpus, oracle_read_measure
 
@@ -289,3 +289,45 @@ def test_each_rejection_keeps_its_message(tmp_path, obj, message):
     with pytest.raises(files.ConfigError) as info:
         read(path)
     assert str(info.value) == f"malformed {obj['kind']} file {path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "digits, limit",
+    [
+        (5000, None),
+        pytest.param(700, 640, marks=pytest.mark.skipif(
+            not hasattr(sys, "set_int_max_str_digits"),
+            reason="int() has no digit limit before Python 3.10.7",
+        )),
+    ],
+)
+@pytest.mark.parametrize("bad", ["config.json", "corpus.json", "measure.json"])
+def test_an_integer_past_the_digit_limit_exits_2_and_names_its_file(
+    tmp_path, capsys, digits, limit, bad
+):
+    """json raises a plain ValueError, not a JSONDecodeError, on an integer
+    literal longer than int()'s digit limit: by default 4,300 digits, and
+    640 at the lowest limit."""
+    texts = {
+        "config.json": json.dumps({
+            "dim": 1, "alphabet": [2], "window": {"min": [0], "max": [1]},
+            "corpus": ["corpus.json"],
+        }),
+        "corpus.json": json.dumps(dict(CORPUS, blocks=[_block([[0, 1]])])),
+        "measure.json": json.dumps(dict(MEASURE, masses=[_entry([[0, 1]], "1")])),
+    }
+    # The integer stands in for a field its file reads first.
+    texts[bad] = texts[bad].replace('"dim": 1', '"dim": ' + "1" * digits)
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = ["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out"),
+            "dist", "--block", "0", "--nu", str(tmp_path / "measure.json")]
+    before = limit and sys.get_int_max_str_digits()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        assert cli.main(argv) == 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(before)
+    assert f"error: invalid JSON in {tmp_path / bad}: " in capsys.readouterr().err

@@ -14,7 +14,7 @@ import pytest
 
 from blockdyn import cli
 from blockdyn.construction import far_mass, stage_transform
-from blockdyn.group import Shape, point_add
+from blockdyn.group import Shape, folner_box, invariance_ratio, point_add
 from blockdyn.measures import ConvexTarget, CylinderMeasure
 from blockdyn.quasitiling import Quasitiling, congruent, encode_symbolic, greedy_tile, verify
 from blockdyn.symbolic import AlphabetStack, Block, enumerate_full_family, sample_bernoulli
@@ -139,13 +139,15 @@ def test_verify_and_congruent_match_the_definitions_on_any_window():
         cells = tile_cells(coarse)
         covered = frozenset().union(*cells)
         rep = verify(coarse)
-        assert rep.covered_cells == len(covered)
+        assert rep.covered_fraction == Fraction(len(covered), len(window))
         assert rep.disjoint == (sum(map(len, cells)) == len(covered))
-        assert rep.unique_representation == (len(set(cells)) == len(cells))
+        assert rep.invariance_ratios == tuple(
+            invariance_ratio(s, folner_box(1, window.dim)) for s in coarse.shapes
+        )
         got = congruent(coarse, fine)
         assert got == pairwise_congruent(coarse, fine), (coarse, fine)
         seen["overlap"] += not rep.disjoint
-        seen["repeat"] += not rep.unique_representation
+        seen["repeat"] += len(set(cells)) < len(cells)
         seen["congruent" if got else "not congruent"] += 1
     assert min(seen.values()) >= 100, seen
 
@@ -180,24 +182,26 @@ def bernoulli_measure_obj(p: Fraction, dim: int = 1) -> dict:
     }
 
 
-# SHA-256 of the construct run tree below; stage reports, change logs and
-# the final block must not move by a byte.
+# SHA-256 of the construct run tree below; stage reports, change logs, the
+# manifest, the final block and the printed line must not move by a byte.
 CONSTRUCT_DIGESTS = {
     "changes_t1.json": "4155284d3ee81f1b8a1fdb7da826a5f5792455a15bee264eb4ffb9b14b5309ac",
     "changes_t2.json": "a74545d54434957ada22cf23189c24397772d52bcf12a51f2657ad64c8382c3a",
     "changes_t3.json": "9a76e5f52392815b2ab22db35203fdff9cb56ed48e2df077468ca38d9e0f5744",
     "final_block.json": "5b8c40de4e3b29cc797f5f84b5c5ef909ee199af1c9768afc1b5506e927ddfb6",
+    "run_manifest.json": "bcd2869aa7affa190e4b83534d01958e6cefb9c8b14e70dd5d18f42f4ec84740",
     "stage_t1_tiles.csv": "bbc3e5bab9d5f005c94b76b56f462d539f3fe93fa9823abc9ccdd67dea10779b",
     "stage_t2_tiles.csv": "995e2795dd1175c704dd7156b428b1cbcab0f1f6cd91ae50685be528957331fe",
     "stage_t3_tiles.csv": "88e3ce307674bc6f71dcc3ddb0c275503c8ef6cd2c0d30ad7bfadf25029cfe48",
     "stages.csv": "0d1158e9e68175d5371bbf733e7ea9f32a639acd9adc64dd1728c36b656505d3",
+    "stdout": "6dbb493957fb85a9d5d585edcf7ec0de9a757cfb0e929540a509d27f793fd316",
 }
 
 
 def run_tree_digests(tmp_path, dim: int, cells: int, row: list[int], sides: list[int]) -> dict:
-    """SHA-256 of the pinned files of a seeded three-stage ``construct`` run
-    from ``row`` on the box window [0, cells - 1]^dim, with three Bernoulli
-    vertices on [-1, 1]^dim."""
+    """SHA-256 of the pinned files and the printed line of a seeded
+    three-stage ``construct`` run from ``row`` on the box window
+    [0, cells - 1]^dim, with three Bernoulli vertices on [-1, 1]^dim."""
     corpus = {
         "kind": "corpus", "dim": dim, "alphabet": [2],
         "blocks": [{"min": [0] * dim, "max": [cells - 1] * dim, "depth": 1, "rows": [row]}],
@@ -220,15 +224,19 @@ def run_tree_digests(tmp_path, dim: int, cells: int, row: list[int], sides: list
     }
     (tmp_path / "config.json").write_text(json.dumps(cfg))
     out = tmp_path / "runs"
-    assert cli.main(["--config", str(tmp_path / "config.json"), "--out", str(out), "construct"]) == 0
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["--config", str(tmp_path / "config.json"), "--out", str(out), "construct"]) == 0
     (rundir,) = out.iterdir()
-    pinned = ["stages.csv", "final_block.json"] + [
+    pinned = ["stages.csv", "final_block.json", "run_manifest.json"] + [
         f"{stem}_t{t}{ext}" for t in (1, 2, 3)
         for stem, ext in (("stage", "_tiles.csv"), ("changes", ".json"))
     ]
-    return {
+    digests = {
         name: hashlib.sha256((rundir / name).read_bytes()).hexdigest() for name in pinned
     }
+    digests["stdout"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return digests
 
 
 def test_construct_run_tree_is_pinned(tmp_path):
@@ -246,10 +254,12 @@ CONSTRUCT_DIGESTS_2D = {
     "changes_t2.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     "changes_t3.json": "52bc09bc6d897104070f909ec98f09993e53a903c2145ee889b9081e0cc8c942",
     "final_block.json": "e0cec8a7ba08605b63321f17d8ede1e0032b58e9e0be115ef983415026621831",
+    "run_manifest.json": "ea764fe92b1703dcfd4971cedc04a1d01cab1c02330a05d0b6e03684fa840110",
     "stage_t1_tiles.csv": "5dcea390e987706dc96adcbd7cd5c1f25a7145d2b28ec3982a0fa64a1c7eadff",
     "stage_t2_tiles.csv": "a364460702ba873731e0626a8f4bf385bb0d8820f857e5920ed50e789570b7dd",
     "stage_t3_tiles.csv": "ad91215de61a60e64db25515212ef64c6157c6d3dc8445555a76abae34071e21",
     "stages.csv": "cf895f0a2f320f6417e04f77f923d9005967debdbbbdbcb9721131601b4c19b3",
+    "stdout": "8d0f2b8ad1dff0ce207fd9e167ec562f56fceaf35ddf507d4af447701c075e8f",
 }
 
 

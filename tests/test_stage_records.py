@@ -261,7 +261,7 @@ def test_a_stage_sums_its_memo_to_the_counts_of_the_window_scan(data):
         return
     base = folner_box(1, dim)
     assert (report.concat_deviation, report.concat_bound) == _concatenation_check(
-        out, tiling, verify(tiling, base), _tile_counts(out, tiling, base, 1)
+        out, tiling, verify(tiling), _tile_counts(out, tiling, base, 1)
     )
     assert [(n, decoded(c, sizes[:1], len(base))) for n, c in sums[0]] == tile_copy_counts(
         out, tiling, base, 1
@@ -311,6 +311,38 @@ def test_a_stage_of_run_is_one_pass(dim):
     assert current == result.final
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_run_keeps_the_window_distance_before_and_after_each_stage(tmp_path, dim):
+    window = Shape.box((0,) * dim, ((26, 8)[dim - 1],) * dim)
+    config = sample_bernoulli(window, STACK, [[Fraction(1, 4), Fraction(3, 4)]], seed=6)
+    f1 = folner_box(1, dim)
+    target = ConvexTarget(tuple(
+        CylinderMeasure(1, f1, {Block.constant(f1, 1, (2,), s): Fraction(1)}) for s in (0, 1)
+    ))
+    families = [enumerate_family(Corpus(STACK, (config,)), 1)]
+    schedule = files.StageSchedule.geometric(dim, Fraction(1, 2), [1, 1], [1, 4], [3, 9])
+    source = vertex_rep_source(target, 0, seed=3, count=2, sizes=STACK.sizes)
+    result = construction.run(config, schedule, target, families, source)
+    outputs = [config]
+    for report in result.stages:
+        outputs.append(apply_changes(outputs[-1], report.changes))
+    assert outputs[-1] == result.final and len(set(outputs)) > 1
+    assert len(result.window_distances) == len(result.stages) + 1 == 3
+    assert list(result.window_distances) == [
+        dist_to_hull(block_measure(block, target.depth), target, families) for block in outputs
+    ]
+    cfg = SimpleNamespace(content_hash=lambda: "0", schedule=schedule, stack=STACK)
+    cli._write_run(tmp_path, cfg, result)
+    header, *rows = [
+        line.split(",") for line in (tmp_path / "stages.csv").read_text().splitlines()
+    ]
+    before, after = header.index("window_lower_before"), header.index("window_lower_after")
+    assert [(row[before], row[after]) for row in rows] == [
+        (files.frac_str(a.value), files.frac_str(b.value))
+        for a, b in zip(result.window_distances, result.window_distances[1:])
+    ]
+
+
 def test_no_tile_shape_with_an_anchor_gives_no_average():
     # Side-2 tiles hold no copy of F_1 = [-1, 1], so there is no average;
     # an empty one would give the largest window frequency, 1/6 here.
@@ -320,7 +352,7 @@ def test_no_tile_shape_with_an_anchor_gives_no_average():
     base = folner_box(1, 1)
     assert _tile_counts(config, tiling, base, 1) == [(0, {})]
     assert _concatenation_check(
-        config, tiling, verify(tiling, base), _tile_counts(config, tiling, base, 1)
+        config, tiling, verify(tiling), _tile_counts(config, tiling, base, 1)
     ) == (None, None)
     rep = Block.constant(two, 1, (2,))
     with pytest.MonkeyPatch.context() as mp:
@@ -393,13 +425,13 @@ FOUR = Shape.interval(0, 3)
 TILING = Quasitiling(FOUR, (ONE,), (frozenset({(0,), (2,)}),))
 # A report with empty tile and change lists hashes, as the dataclass did.
 REPORT = (
-    1, Fraction(1, 2), Fraction(1, 1000), 1, Fraction(1), Fraction(1, 3), Fraction(0),
-    Fraction(1, 4), (), (), Fraction(1, 5), Fraction(0), Fraction(1, 7), None,
+    Fraction(1, 1000), 1, Fraction(1), Fraction(1, 3), Fraction(0), (), (), Fraction(1, 7), None,
 )
 OTHER_REPORT = (
-    2, Fraction(1, 4), Fraction(1, 2000), 2, Fraction(1, 2), Fraction(1, 6), Fraction(1, 9),
-    Fraction(1, 8), (TILE,), (ChangeRecord((1,), 0, A, B),), None, None, None, Fraction(1),
+    Fraction(1, 2000), 2, Fraction(1, 2), Fraction(1, 6), Fraction(1, 9), (TILE,),
+    (ChangeRecord((1,), 0, A, B),), None, Fraction(1),
 )
+NEAR, FAR = (HullDistance(d, (Fraction(1),), Fraction(1, 8)) for d in (Fraction(0), Fraction(1)))
 CASE = SuiteCase("triple-0", Fraction(1, 3), Fraction(1, 2), False)
 
 
@@ -421,8 +453,7 @@ def one_other(values: tuple, others: tuple) -> list[tuple]:
 # hashable and read-only, and constructor arguments it refuses with their
 # messages.  TileRecord and ChangeRecord are made once per tile, so they
 # stay writable and unhashable.  Every other class was a frozen dataclass,
-# except SuiteResult, a mutable one whose cases list is still appended to,
-# and BlockFamily, a plain class that compares its keys by value.
+# except BlockFamily, a plain class that compares its keys by value.
 RECORDS = [
     (TileRecord, ((1,), 0, Fraction(1, 3), True),
      one_other(((1,), 0, Fraction(1, 3), True), ((2,), 1, Fraction(1, 2), False)),
@@ -486,8 +517,8 @@ RECORDS = [
          "tile sides must coarsen by integer multiples"),
     ]),
     (StageReport, REPORT, one_other(REPORT, OTHER_REPORT), True, True, []),
-    (RunResult, (A, B, (StageReport(*REPORT),)), one_other(
-        (A, B, (StageReport(*REPORT),)), (B, A, ())
+    (RunResult, (A, B, (StageReport(*REPORT),), (FAR, NEAR)), one_other(
+        (A, B, (StageReport(*REPORT),), (FAR, NEAR)), (B, A, (), (NEAR,))
     ), True, True, []),
     (Quasitiling, (FOUR, (ONE,), (frozenset({(0,), (2,)}),)), one_other(
         (FOUR, (ONE,), (frozenset({(0,), (2,)}),)),
@@ -498,8 +529,8 @@ RECORDS = [
          "shape dimension differs from the window"),
         ((FOUR, (Shape(1, ()),), (frozenset(),)), "empty tile shape"),
     ]),
-    (TilingReport, (True, 4, Fraction(1), True, (Fraction(1, 2),)), one_other(
-        (True, 4, Fraction(1), True, (Fraction(1, 2),)), (False, 3, Fraction(3, 4), False, None)
+    (TilingReport, (True, Fraction(1), (Fraction(1, 2),)), one_other(
+        (True, Fraction(1), (Fraction(1, 2),)), (False, Fraction(3, 4), ())
     ), True, True, []),
     (GreedyTiling, (TILING, Fraction(1), True), one_other(
         (TILING, Fraction(1), True),
@@ -509,8 +540,8 @@ RECORDS = [
         ("triple-0", Fraction(1, 3), Fraction(1, 2), False),
         ("triple-1", Fraction(1, 4), None, True),
     ), True, True, []),
-    (SuiteResult, ("metric axioms", [CASE]), [("other", [CASE]), ("metric axioms", [])],
-     NO_HASH, True, []),
+    (SuiteResult, ("metric axioms", (CASE,)), [("other", (CASE,)), ("metric axioms", ())],
+     True, True, []),
     (BlockFamily, (1, ONE, (2,), (0, 3)), [
         (1, Shape.interval(1, 2), (2,), (0, 3)), (1, ONE, (2,), (0, 2)), (1, ONE, (3,), (0, 3)),
     ], NO_HASH, True, [
@@ -566,14 +597,13 @@ def test_records_compare_by_value_and_keep_their_constructor_and_repr():
          "HullDistance.__init__() missing 1 required positional argument: 'tail'"),
         (lambda: SuiteCase(name="c", bound=None), "SuiteCase.__init__() missing 2 required "
          "positional arguments: 'deviation' and 'violation'"),
-        (lambda: StageReport(*REPORT[:10]),
+        (lambda: StageReport(*REPORT[:5]),
          "StageReport.__init__() missing 4 required positional arguments: "
-         "'window_distance_before', 'window_distance_after', 'concat_deviation', and "
-         "'concat_bound'"),
+         "'tiles', 'changes', 'concat_deviation', and 'concat_bound'"),
         (lambda: HullDistance(Fraction(1), (), Fraction(0), Fraction(0)),
          "HullDistance.__init__() takes 4 positional arguments but 5 were given"),
         (lambda: StageReport(*REPORT, None),
-         "StageReport.__init__() takes 15 positional arguments but 16 were given"),
+         "StageReport.__init__() takes 10 positional arguments but 11 were given"),
         (lambda: HullDistance(Fraction(1), (), Fraction(0), depth=2),
          "HullDistance.__init__() got an unexpected keyword argument 'depth'"),
         (lambda: HullDistance(value=Fraction(1), weights=(), depth=2),
@@ -584,8 +614,8 @@ def test_records_compare_by_value_and_keep_their_constructor_and_repr():
          "RunResult.__init__() got multiple values for argument 'final'"),
         (lambda: Quasitiling(FOUR, (ONE,)),
          "Quasitiling.__init__() missing 1 required positional argument: 'centers'"),
-        (lambda: SuiteResult("s", [], cases=[]),
-         "SuiteResult.__init__() got multiple values for argument 'cases'"),
+        (lambda: Quasitiling(FOUR, (ONE,), (), centers=()),
+         "Quasitiling.__init__() got multiple values for argument 'centers'"),
     ],
     ids=[
         "missing", "missing-two", "missing-before-defaults", "too-many", "too-many-defaults",
@@ -597,27 +627,6 @@ def test_a_record_refuses_a_missing_unexpected_or_repeated_argument(make, messag
     """Each message is the one the parent's dataclass or constructor gave."""
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         make()
-
-
-def test_a_stage_report_takes_all_fourteen_fields_and_is_replaced_by_name():
-    fields = (*REPORT[:10], None, None, None, None)
-    short = StageReport(*fields)
-    assert short == StageReport(**dict(zip(public_fields(StageReport), fields)))
-    assert short.concat_bound is None and short.tiles == ()
-    full = short._replace(window_distance_before=Fraction(1, 5), concat_deviation=Fraction(1, 7))
-    assert full == StageReport(*REPORT[:10], Fraction(1, 5), None, Fraction(1, 7), None)
-    assert short == StageReport(*fields)  # _replace made a new report
-    message = "StageReport.__init__() got an unexpected keyword argument 'tile'"
-    with pytest.raises(TypeError, match=re.escape(message)):
-        short._replace(tile=())
-
-
-def test_suite_results_do_not_share_a_cases_list():
-    first, second = SuiteResult("first"), SuiteResult("second")
-    first.cases.append(CASE)
-    assert second.cases == [] and first.cases == [CASE]
-    assert SuiteResult("third").cases == []
-    assert first.cases is not second.cases
 
 
 def test_a_quasitiling_s_grid_cache_takes_no_part_in_its_value():
@@ -659,8 +668,7 @@ def write_stage(tmp_path, report) -> list[list[str]]:
     (tmp_path / "config.json").write_text(files.canonical_json(config))
     cfg = files.ExperimentConfig.load(tmp_path / "config.json")
     block = Block.constant(WINDOW, 1, (2,))
-    report = report._replace(stage=1, eps=Fraction(1, 2))
-    cli._write_run(tmp_path / "run", cfg, RunResult(block, block, (report,)))
+    cli._write_run(tmp_path / "run", cfg, RunResult(block, block, (report,), (FAR, NEAR)))
     text = (tmp_path / "run" / "stage_t1_tiles.csv").read_text()
     return [line.split(",") for line in text.splitlines()]
 
@@ -711,8 +719,7 @@ def naive_tile_table(report) -> str:
 def test_the_tile_table_equals_a_naive_per_tile_writer(tmp_path_factory, tiles):
     records = tuple(TileRecord(c, i, Fraction(n, d), f) for c, i, n, d, f in tiles)
     report = StageReport(
-        0, Fraction(0), Fraction(1, 2), 1, Fraction(1), Fraction(0), Fraction(0), Fraction(0),
-        records, (), None, None, None, None,
+        Fraction(1, 2), 1, Fraction(1), Fraction(0), Fraction(0), records, (), None, None
     )
     tmp_path = tmp_path_factory.mktemp("stage")
     write_stage(tmp_path, report)

@@ -77,7 +77,7 @@ def test_tiling_bound_domain_errors():
 
 
 def test_tiling_bound_dominates_on_seeded_instances():
-    result = tiling_average_gap_suite(seed=555, instances=25)
+    result = tiling_average_gap_suite(seed=555)
     assert result.passed
 
 
