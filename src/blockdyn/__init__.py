@@ -18,10 +18,10 @@ __all__ = [
     "AlphabetStack", "Block", "BlockFamily", "ConvexTarget", "Corpus", "CylinderMeasure",
     "DistanceInterval", "HullDistance", "Quasitiling", "Shape", "StageSchedule", "apply_changes",
     "block_measure", "congruent", "count_embeddings", "decode_pattern", "decode_symbolic", "dist",
-    "dist_block", "dist_k", "dist_to_hull", "encode_pattern", "encode_symbolic",
-    "enumerate_family", "enumerate_full_family", "far_mass", "folner_box", "freq", "freq_table",
-    "greedy_tile", "invariance_ratio", "mix", "run", "sample_bernoulli", "select_representative",
-    "shape_product", "stage_transform", "subblock_at", "tail_depth", "translate", "verify",
+    "dist_to_hull", "encode_pattern", "encode_symbolic", "enumerate_family",
+    "enumerate_full_family", "far_mass", "folner_box", "freq", "freq_table", "greedy_tile",
+    "invariance_ratio", "mix", "run", "sample_bernoulli", "select_representative", "shape_product",
+    "stage_transform", "subblock_at", "tail_depth", "translate", "verify",
 ]
 
 # The module that defines each public name.
@@ -38,7 +38,7 @@ _HOME = {
         (
             "measures",
             "ConvexTarget CylinderMeasure DistanceInterval HullDistance block_measure dist"
-            " dist_block dist_k dist_to_hull mix tail_depth",
+            " dist_to_hull mix tail_depth",
         ),
         ("quasitiling", "Quasitiling congruent decode_symbolic encode_symbolic greedy_tile verify"),
         ("files", "StageSchedule"),

@@ -30,7 +30,7 @@ from .construction import (
 from .files import ConfigError, ExperimentConfig, frac_str, parse_frac, ratio_str
 from .frequency import count_embeddings, freq_table
 from .group import folner_box
-from .measures import CylinderMeasure, block_measure, dist, dist_block, dist_to_hull
+from .measures import CylinderMeasure, block_measure, dist, dist_to_hull
 from .quasitiling import greedy_tile, verify as verify_tiling
 from .symbolic import Block, Corpus, enumerate_family, sample_bernoulli, sample_markov
 from .verification import (
@@ -161,17 +161,15 @@ def cmd_dist(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
     x: Block | CylinderMeasure
     if args.mu is not None:
         x = _read_measure(cfg, Path(args.mu))
-        x_depth = x.depth
     elif args.block is not None:
         x = _corpus_block(corpus, args.block)
-        x_depth = x.depth
     else:
         raise ConfigError("dist needs --mu or --block")
 
     rows = []
     if args.hull:
         target = _load_vertices(cfg)
-        levels = min(target.depth if args.levels is None else args.levels, target.depth, x_depth)
+        levels = min(target.depth if args.levels is None else args.levels, target.depth, x.depth)
         fams = _families(corpus, levels)
         hd = dist_to_hull(x, target, fams)
         rows.append(["hull_lower", "", frac_str(hd.value)])
@@ -183,12 +181,9 @@ def cmd_dist(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
         if args.nu is None:
             raise ConfigError("dist needs --nu (or --hull)")
         nu = _read_measure(cfg, Path(args.nu))
-        levels = min(nu.depth if args.levels is None else args.levels, nu.depth, x_depth)
+        levels = min(nu.depth if args.levels is None else args.levels, nu.depth, x.depth)
         fams = _families(corpus, levels)
-        if isinstance(x, Block):
-            interval = dist_block(x, nu, fams)
-        else:
-            interval = dist(x, nu, fams)
+        interval = dist(x, nu, fams)
         for level, d_k in enumerate(interval.levels, start=1):
             rows.append(["d_k", level, frac_str(d_k)])
         rows.append(["lower", "", frac_str(interval.lower)])
@@ -244,6 +239,11 @@ def cmd_construct(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path)
     corpus = cfg.load_corpus()
     target = _load_vertices(cfg)
     initial = _corpus_block(corpus, args.block)
+    if initial.shape != cfg.window:
+        raise ConfigError(
+            f"corpus block {args.block} lies on the box with corners "
+            f"{initial.shape.bounds()}, not on the window {cfg.window.bounds()}"
+        )
     fams = _families(corpus, target.depth)
     rep_cfg = _section(cfg, "representatives", {"source": "corpus"})
     kind = rep_cfg.get("source", "corpus")

@@ -265,7 +265,7 @@ def apply_changes(
 RepSource = Callable[[Shape, int], Sequence[Block]]
 
 
-def corpus_rep_source(corpus: Corpus, limit: int = 64) -> RepSource:
+def corpus_rep_source(corpus: Corpus, limit: int) -> RepSource:
     """The first ``limit`` representative candidates of a corpus, in scan
     order."""
     if limit < 1:
@@ -330,8 +330,7 @@ def sample_from_measure(
 
 
 def vertex_rep_source(
-    target: ConvexTarget, vertex: int, seed: int, count: int = 8,
-    sizes: Sequence[int] | None = None,
+    target: ConvexTarget, vertex: int, seed: int, count: int, sizes: Sequence[int]
 ) -> RepSource:
     """Representative candidates sampled from one designated vertex measure."""
     if count < 1:

@@ -214,32 +214,17 @@ def mix(weights: Sequence[Fraction], measures: Sequence[CylinderMeasure]) -> Cyl
 
 
 def _x_table(x: Block | CylinderMeasure, family: BlockFamily) -> CountTable:
-    """The one table that holds x on a family: the frequency table of a
-    block, the family-level marginal of a measure."""
-    if isinstance(x, Block):
-        return freq_table(x, family.base, family.level)
+    """The one table that holds x on a family, and the one check of x
+    against it, the same for both kinds: x must be as deep as the family
+    and carry its alphabets.  The table is the frequency table of a block
+    or the family-level marginal of a measure."""
+    if family.level > x.depth:
+        raise ValueError(f"family level {family.level} exceeds the operand depth {x.depth}")
     if family.sizes != x.sizes[: family.level]:
         raise ValueError("alphabet stack mismatch")
+    if isinstance(x, Block):
+        return freq_table(x, family.base, family.level)
     return x.marginal(family.base, family.level)
-
-
-def _level_term(
-    x: Block | CylinderMeasure, nu: CylinderMeasure, family: BlockFamily
-) -> Fraction:
-    """d_k: the average of |x - nu| over one family."""
-    xt, nt = _x_table(x, family), _x_table(nu, family)
-    xc, t, nc, d = xt.counts, xt.total, nt.counts, nt.total
-    total = sum(abs(xc.get(key, 0) * d - nc.get(key, 0) * t) for key in family.keys)
-    return Fraction(total, t * d * len(family))
-
-
-def dist_k(mu: CylinderMeasure, nu: CylinderMeasure, family: BlockFamily) -> Fraction:
-    """Average absolute mass difference over a family of same-level blocks."""
-    if not family.keys:
-        raise ValueError("empty family")
-    if family.level > mu.depth or family.level > nu.depth:
-        raise ValueError("family level exceeds a measure depth")
-    return _level_term(mu, nu, family)
 
 
 class DistanceInterval(_Record):
@@ -270,34 +255,24 @@ def _check_families(families: Sequence[BlockFamily]) -> None:
             raise ValueError(f"family at level {i} is empty")
 
 
-def _series(levels: Sequence[Fraction]) -> DistanceInterval:
-    """The truncated series over per-level terms d_1, ..., d_J."""
-    lower = sum(
-        (Fraction(1, 2**k) * d for k, d in enumerate(levels, start=1)), Fraction(0)
-    )
-    return DistanceInterval(lower, Fraction(1, 2 ** len(levels)), tuple(levels))
-
-
 def dist(
-    mu: CylinderMeasure, nu: CylinderMeasure, families: Sequence[BlockFamily]
+    x: Block | CylinderMeasure, nu: CylinderMeasure, families: Sequence[BlockFamily]
 ) -> DistanceInterval:
     """Truncated series sum_k 2^-k d_k with a certified tail of 2^-J.
 
-    Each d_k averages |mu - nu| over the level-k family, hence d_k <= 1 and
+    x is a measure or a block, whose frequencies play the role of masses.
+    Each d_k averages |x - nu| over the level-k family, hence d_k <= 1 and
     the discarded levels contribute at most sum_{k>J} 2^-k = 2^-J.
     """
     _check_families(families)
-    return _series([dist_k(mu, nu, fam) for fam in families])
-
-
-def dist_block(
-    block: Block, nu: CylinderMeasure, families: Sequence[BlockFamily]
-) -> DistanceInterval:
-    """Block-to-measure distance: frequencies play the role of masses."""
-    _check_families(families)
-    if block.depth < len(families):
-        raise ValueError("block shallower than the deepest family level")
-    return _series([_level_term(block, nu, fam) for fam in families])
+    levels = []
+    for fam in families:
+        xt, nt = _x_table(x, fam), _x_table(nu, fam)
+        xc, xn, nc, nn = xt.counts, xt.total, nt.counts, nt.total
+        total = sum(abs(xc.get(key, 0) * nn - nc.get(key, 0) * xn) for key in fam.keys)
+        levels.append(Fraction(total, xn * nn * len(fam)))
+    lower = sum((Fraction(1, 2**k) * d for k, d in enumerate(levels, start=1)), Fraction(0))
+    return DistanceInterval(lower, Fraction(1, 2 ** len(levels)), tuple(levels))
 
 
 def tail_depth(eps: Fraction) -> int:
@@ -365,8 +340,6 @@ def _objective_terms(
 ) -> tuple[list[Term], int]:
     """The terms and their denominator, the lcm of the totals of the tables."""
     _check_families(families)
-    if len(families) > target.depth:
-        raise ValueError("more family levels than target depth")
     tables = [[_x_table(v, fam) for v in (x, *target.vertices)] for fam in families]
     den = lcm(*(t.total for ts in tables for t in ts))
     terms: list[Term] = []

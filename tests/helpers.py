@@ -4,8 +4,11 @@ Words spell one-row blocks in letters, 'a' -> 0, 'b' -> 1, ...; the
 library itself stores small integers only.
 """
 
+import hashlib
+import io
 import json
-from contextlib import contextmanager
+import random
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -14,7 +17,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import pytest
 
-from blockdyn import symbolic
+from blockdyn import cli, symbolic
 from blockdyn.group import Point, Shape, point_add
 from blockdyn.measures import CylinderMeasure, Term
 from blockdyn.quasitiling import Quasitiling
@@ -28,6 +31,43 @@ def block_from_word(word: str, start: int = 0, sizes: Sequence[int] = (2,)) -> B
     symbols = tuple(_LETTERS.index(ch) for ch in word)
     window = Shape.interval(start, start + len(word) - 1)
     return Block(window, 1, tuple(sizes), symbols)
+
+
+def write_seeded_corpus(
+    tmp_path: Path, dim: int, side: int, sizes: list[int], rng: random.Random, **config: object
+) -> list[list[int]]:
+    """Write ``corpus.json``, one block over ``sizes`` on [0, side - 1]^dim
+    with entries drawn uniformly from ``rng``, and ``config.json`` on that
+    window with the extra ``config`` fields; return the block's rows."""
+    rows = [[rng.randrange(size) for _ in range(side**dim)] for size in sizes]
+    corpus = {
+        "kind": "corpus", "dim": dim, "alphabet": sizes,
+        "blocks": [{"min": [0] * dim, "max": [side - 1] * dim, "depth": len(sizes), "rows": rows}],
+    }
+    (tmp_path / "corpus.json").write_text(json.dumps(corpus))
+    cfg = {
+        "dim": dim, "alphabet": sizes, "corpus": ["corpus.json"],
+        "window": {"min": [0] * dim, "max": [side - 1] * dim}, **config,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    return rows
+
+
+def run_digests(out: Path, commands: Sequence[list[str]]) -> dict[str, str]:
+    """SHA-256 of every file in the one run directory that ``commands``, each
+    a ``blockdyn`` command line without ``--out``, leave under ``out``, and of
+    the lines they print, with ``out`` spelled "runs"."""
+    printed = []
+    for argv in commands:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert cli.main(["--out", str(out)] + argv) == 0
+        printed.append(buf.getvalue())
+    (rundir,) = out.iterdir()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(rundir.iterdir())}
+    text = "".join(printed).replace(str(out), "runs")
+    digests["stdout"] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
 
 
 def block_to_word(block: Block, row: int = 1) -> str:

@@ -25,7 +25,7 @@ from blockdyn.measures import (
     ConvexTarget,
     CylinderMeasure,
     block_measure,
-    dist_block,
+    dist,
     tail_depth,
 )
 from blockdyn.quasitiling import congruent, greedy_tile, verify as verify_tiling
@@ -122,7 +122,7 @@ def test_criterion_3_tail_premise_implication():
         if not premise:
             continue
         nonvacuous += 1
-        interval = dist_block(block, nu, fams)
+        interval = dist(block, nu, fams)
         if not interval.lower + interval.tail < eps:
             violations += 1
     assert violations == 0

@@ -76,7 +76,7 @@ def _config(tmp_path: Path) -> Path:
     cfg = {
         "dim": 1,
         "alphabet": [2],
-        "window": {"min": [0], "max": [9]},
+        "window": {"min": [0], "max": [4]},
         "corpus": ["corpus.json"],
         "target_vertices": ["v0.json"],
     }
@@ -134,43 +134,53 @@ BERNOULLI = {"kind": "bernoulli", "probs": [["1/2", "1/2"]]}
 SCHEDULE = {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [3]}
 
 
+# Each case names the field its error must name, so that a check which fires
+# first cannot stand in for the one the case is about.
 @pytest.mark.parametrize(
-    "extra, argv",
+    "extra, argv, field",
     [
-        ({"seed": 1, "gen": {"kind": "bernoulli"}}, ["gen"]),
-        ({"seed": 1, "gen": dict(BERNOULLI, count="two")}, ["gen"]),
-        ({"seed": "abc", "gen": BERNOULLI}, ["gen"]),
-        ({"tile_sides": ["x"]}, ["tile"]),
-        ({}, ["tile", "--sides", "0"]),
-        ({}, ["tile", "--sides", "3", "-2"]),
-        ({"tile_sides": [0]}, ["tile"]),
-        *(({}, ["tile", "--sides", "3", f"--eps={eps}"]) for eps in ("-1/2", "2", "3/2")),
-        ({"seed": 1, "schedule": dict(SCHEDULE, folner_indices=[-1])}, ["construct"]),
-        ({"seed": 1, "schedule": SCHEDULE, "representatives": ["vertex"]}, ["construct"]),
+        ({"seed": 1, "gen": {"kind": "bernoulli"}}, ["gen"], "probs"),
+        ({"seed": 1, "gen": dict(BERNOULLI, count="two")}, ["gen"], "count"),
+        ({"seed": "abc", "gen": BERNOULLI}, ["gen"], "seed"),
+        ({"tile_sides": ["x"]}, ["tile"], "tile_sides"),
+        ({}, ["tile", "--sides", "0"], "--sides"),
+        ({}, ["tile", "--sides", "3", "-2"], "--sides"),
+        ({"tile_sides": [0]}, ["tile"], "tile_sides"),
+        *(({}, ["tile", "--sides", "3", f"--eps={eps}"], "--eps") for eps in ("-1/2", "2", "3/2")),
+        ({"seed": 1, "schedule": dict(SCHEDULE, folner_indices=[-1])}, ["construct"], "schedule"),
+        (
+            {"seed": 1, "schedule": SCHEDULE, "representatives": ["vertex"]},
+            ["construct"],
+            "representatives",
+        ),
         (
             {"seed": 1, "schedule": SCHEDULE,
              "representatives": {"source": "vertex", "vertex": "a"}},
             ["construct"],
+            "vertex",
         ),
         (
             {"seed": 1, "schedule": SCHEDULE,
              "representatives": {"source": "vertex", "vertex": 5}},
             ["construct"],
+            "vertex 5",
         ),
         *(
             case
             for n in (0, -1)
             for case in (
-                ({"seed": 1, "gen": dict(BERNOULLI, count=n)}, ["gen"]),
+                ({"seed": 1, "gen": dict(BERNOULLI, count=n)}, ["gen"], "count"),
                 (
                     {"seed": 1, "schedule": SCHEDULE,
                      "representatives": {"source": "vertex", "count": n}},
                     ["construct"],
+                    "count",
                 ),
                 (
                     {"seed": 1, "schedule": SCHEDULE,
                      "representatives": {"source": "corpus", "limit": n}},
                     ["construct"],
+                    "limit",
                 ),
             )
         ),
@@ -186,7 +196,7 @@ SCHEDULE = {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [
         "gen-count--1", "representatives-count--1", "representatives-limit--1",
     ],
 )
-def test_malformed_config_section_exits_2(tmp_path, capsys, extra, argv):
+def test_malformed_config_section_exits_2(tmp_path, capsys, extra, argv, field):
     (tmp_path / "corpus.json").write_text(json.dumps(GOOD_CORPUS))
     (tmp_path / "v0.json").write_text(json.dumps(GOOD_MEASURE))
     config = _config(tmp_path)
@@ -195,7 +205,7 @@ def test_malformed_config_section_exits_2(tmp_path, capsys, extra, argv):
     rc = cli.main(["--config", str(config), "--out", str(out)] + argv)
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and field in err
     assert "Traceback" not in err
 
 
@@ -263,6 +273,24 @@ def test_unknown_representatives_source_exits_2_and_a_missing_one_is_corpus(tmp_
     cli.main(["--config", str(config), "--out", out, "construct"])
     err = capsys.readouterr().err
     assert err.startswith("error: ") and all(w in err for w in ("vertx", '"vertex"', '"corpus"'))
+
+
+def test_construct_on_a_block_that_is_not_the_window_exits_2(tmp_path, capsys):
+    # The corpus block is [0, 4]; construct runs on the configured window.
+    (tmp_path / "corpus.json").write_text(json.dumps(GOOD_CORPUS))
+    (tmp_path / "v0.json").write_text(json.dumps(GOOD_MEASURE))
+    config = _config(tmp_path)
+    base = dict(json.loads(config.read_text()), seed=1, schedule=SCHEDULE)
+    out = str(tmp_path / "out")
+    for hi, rc in [(9, 2), (3, 2), (4, 0)]:
+        config.write_text(canonical_json(dict(base, window={"min": [0], "max": [hi]})))
+        capsys.readouterr()
+        assert cli.main(["--config", str(config), "--out", out, "construct"]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("error: corpus block 0 ")
+            assert "((0,), (4,))" in err and f"((0,), ({hi},))" in err
+            assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("levels", ["0", "-1"])

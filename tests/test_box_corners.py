@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from blockdyn.construction import stage_transform
 from blockdyn.frequency import freq_table
 from blockdyn.group import Shape, folner_box, invariance_ratio, shape_product, translate
-from blockdyn.measures import ConvexTarget, block_measure, dist_block, dist_to_hull
+from blockdyn.measures import ConvexTarget, block_measure, dist, dist_to_hull
 from blockdyn.quasitiling import congruent, greedy_tile, verify
 from blockdyn.symbolic import AlphabetStack, Block, Corpus, enumerate_family, sample_bernoulli
 
@@ -122,7 +122,7 @@ def test_the_counting_and_distance_layers_build_no_point_set_on_boxes(built, dim
     x, *vertices = [block_measure(b, 2) for b in blocks]
     assert sum(freq_table(blocks[0], folner_box(1, dim), 1).values()) == 1
     assert sum(x.marginal(folner_box(1, dim), 1).values()) == 1
-    dist_block(blocks[0], vertices[0], families)
+    dist(blocks[0], vertices[0], families)
     dist_to_hull(blocks[0], ConvexTarget(tuple(vertices)), families)
     dist_to_hull(x, ConvexTarget(tuple(vertices)), families)
     assert built == []

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import blockdyn.frequency as frequency
 from blockdyn.frequency import embedding_anchors, freq_table, pattern_counts
 from blockdyn.group import Shape, folner_box, point_add
-from blockdyn.measures import CylinderMeasure, dist_block
+from blockdyn.measures import CylinderMeasure, dist
 from blockdyn.symbolic import (
     AlphabetStack,
     Block,
@@ -219,7 +219,7 @@ def test_dist_block_after_enumerate_family_counts_each_level_once(monkeypatch):
         2, folner_box(2, 2), {b: F(1, len(families[1])) for b in families[1]}, stack.sizes
     )
     for block in corpus.blocks:
-        dist_block(block, nu, families)
+        dist(block, nu, families)
     expected = [(b, folner_box(k, 2), k) for k in (1, 2) for b in corpus.blocks]
     assert sorted(calls, key=lambda c: (c[2], corpus.blocks.index(c[0]))) == expected
 

@@ -402,5 +402,5 @@ def test_rep_sources_reject_a_limit_or_count_below_one(n):
     with pytest.raises(ValueError, match="limit of at least 1"):
         corpus_rep_source(corpus, limit=n)
     with pytest.raises(ValueError, match="count of at least 1"):
-        vertex_rep_source(two_vertex_target(), 0, seed=1, count=n)
+        vertex_rep_source(two_vertex_target(), 0, seed=1, count=n, sizes=STACK.sizes)
     assert len(corpus_rep_source(corpus, limit=1)(Shape.interval(0, 2), 1)) == 1

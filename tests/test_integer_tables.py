@@ -14,7 +14,7 @@ from blockdyn import symbolic
 from blockdyn.construction import _concatenation_check, _tile_counts
 from blockdyn.frequency import freq_table, marginal_deviation
 from blockdyn.group import Shape, folner_box, point_add, translate
-from blockdyn.measures import CylinderMeasure, block_measure, dist_block, dist_k, mix
+from blockdyn.measures import CylinderMeasure, block_measure, dist, mix
 from blockdyn.quasitiling import greedy_tile, verify
 from blockdyn.symbolic import Block, BlockFamily, encode_pattern
 from blockdyn.testkit import oracle_freq, oracle_measure_value
@@ -128,17 +128,18 @@ def test_dist_k_and_dist_block_equal_the_fraction_oracles(data):
     mu = data.draw(measures(block.dim, depth, block.sizes))
     nu = data.draw(measures(block.dim, depth, block.sizes))
     families = [family_of(data.draw, block.dim, k, block.sizes) for k in range(1, depth + 1)]
-    for fam in families:
-        want = sum(
-            abs(oracle_measure_value(mu, b) - oracle_measure_value(nu, b)) for b in fam.blocks
-        ) / Fraction(len(fam))
-        assert dist_k(mu, nu, fam) == want
+    want = tuple(
+        sum(abs(oracle_measure_value(mu, b) - oracle_measure_value(nu, b)) for b in fam.blocks)
+        / Fraction(len(fam))
+        for fam in families
+    )
+    assert dist(mu, nu, families).levels == want
     levels = tuple(
         sum(abs(oracle_freq(block, b) - oracle_measure_value(nu, b)) for b in fam.blocks)
         / Fraction(len(fam))
         for fam in families
     )
-    got = dist_block(block, nu, families)
+    got = dist(block, nu, families)
     assert got.levels == levels
     assert got.lower == sum(d / 2**k for k, d in enumerate(levels, start=1))
 

@@ -11,8 +11,6 @@ from blockdyn.measures import (
     CylinderMeasure,
     block_measure,
     dist,
-    dist_block,
-    dist_k,
     dist_to_hull,
     mix,
     tail_depth,
@@ -125,26 +123,26 @@ def test_mix_tile_weights():
 
 def test_dist_k_self_zero():
     mu = block_measure(WORD, 1)
-    assert dist_k(mu, mu, word_family()) == 0
+    assert dist(mu, mu, [word_family()]).levels == (0,)
 
 
 def test_dist_k_worked_example():
     mu = block_measure(WORD, 1)  # aab:1/5 aba:2/5 bab:2/5
     nu = CylinderMeasure(1, F1, {ABA: Fraction(1)})
-    assert dist_k(mu, nu, word_family()) == Fraction(2, 5)
+    assert dist(mu, nu, [word_family()]).levels == (Fraction(2, 5),)
 
 
 def test_dist_k_point_masses():
     fam = word_family()
     a = CylinderMeasure(1, F1, {AAB: Fraction(1)})
     b = CylinderMeasure(1, F1, {BAB: Fraction(1)})
-    assert dist_k(a, b, fam) == Fraction(2, len(fam))
+    assert dist(a, b, [fam]).levels == (Fraction(2, len(fam)),)
 
 
 def test_dist_k_empty_family_errors():
     mu = block_measure(WORD, 1)
-    with pytest.raises(ValueError):
-        dist_k(mu, mu, BlockFamily(1, F1, (2,), ()))
+    with pytest.raises(ValueError, match="family at level 1 is empty"):
+        dist(mu, mu, [BlockFamily(1, F1, (2,), ())])
 
 
 def test_dist_self_interval():
@@ -175,13 +173,13 @@ def test_dist_tail_halves_per_level():
 
 def test_dist_block_level_j_contributes_zero():
     mu = block_measure(WORD, 1)
-    d = dist_block(WORD, mu, [word_family()])
+    d = dist(WORD, mu, [word_family()])
     assert d.lower == 0
 
 
 def test_dist_block_point_mass_example():
     nu = CylinderMeasure(1, F1, {ABA: Fraction(1)})
-    d = dist_block(WORD, nu, [word_family()])
+    d = dist(WORD, nu, [word_family()])
     assert d.lower == Fraction(1, 5)
 
 
@@ -227,7 +225,7 @@ def test_tail_premise_implies_certified_distance():
                 break
         if premise:
             nonvacuous += 1
-            interval = dist_block(block, nu, fams)
+            interval = dist(block, nu, fams)
             assert interval.lower + interval.tail < eps
     assert nonvacuous >= 10
 
@@ -261,9 +259,9 @@ def test_metric_axioms_random_triples():
     for _ in range(10):
         mu, nu, lam = (_random_measure(rng, SUPPORT) for _ in range(3))
         fams = _families_for([mu, nu, lam])
-        for fam in fams:
-            assert dist_k(mu, nu, fam) == dist_k(nu, mu, fam)
-            assert dist_k(mu, lam, fam) <= dist_k(mu, nu, fam) + dist_k(nu, lam, fam)
+        ab, ba, al, bl = (dist(p, q, fams) for p, q in ((mu, nu), (nu, mu), (mu, lam), (nu, lam)))
+        assert ab.levels == ba.levels
+        assert all(c <= a + b for a, b, c in zip(ab.levels, bl.levels, al.levels))
         assert dist(mu, mu, fams).lower == 0
 
 

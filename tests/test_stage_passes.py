@@ -2,9 +2,6 @@
 tile pass, congruence is checked in one pass, and the construct and census
 run trees are pinned to the byte."""
 
-import contextlib
-import hashlib
-import io
 import json
 import random
 from fractions import Fraction
@@ -12,12 +9,12 @@ from itertools import product
 
 import pytest
 
-from blockdyn import cli
 from blockdyn.construction import far_mass, stage_transform
 from blockdyn.group import Shape, folner_box, invariance_ratio, point_add
 from blockdyn.measures import ConvexTarget, CylinderMeasure
 from blockdyn.quasitiling import Quasitiling, congruent, encode_symbolic, greedy_tile, verify
 from blockdyn.symbolic import AlphabetStack, Block, enumerate_full_family, sample_bernoulli
+from helpers import run_digests, write_seeded_corpus
 
 STACK = AlphabetStack((2,))
 F1 = Shape.interval(-1, 1)
@@ -199,8 +196,7 @@ CONSTRUCT_DIGESTS = {
 
 
 def run_tree_digests(tmp_path, dim: int, cells: int, row: list[int], sides: list[int]) -> dict:
-    """SHA-256 of the pinned files and the printed line of a seeded
-    three-stage ``construct`` run from ``row`` on the box window
+    """``run_digests`` of a seeded three-stage ``construct`` run from ``row`` on the box window
     [0, cells - 1]^dim, with three Bernoulli vertices on [-1, 1]^dim."""
     corpus = {
         "kind": "corpus", "dim": dim, "alphabet": [2],
@@ -223,20 +219,7 @@ def run_tree_digests(tmp_path, dim: int, cells: int, row: list[int], sides: list
         "seed": 1,
     }
     (tmp_path / "config.json").write_text(json.dumps(cfg))
-    out = tmp_path / "runs"
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert cli.main(["--config", str(tmp_path / "config.json"), "--out", str(out), "construct"]) == 0
-    (rundir,) = out.iterdir()
-    pinned = ["stages.csv", "final_block.json", "run_manifest.json"] + [
-        f"{stem}_t{t}{ext}" for t in (1, 2, 3)
-        for stem, ext in (("stage", "_tiles.csv"), ("changes", ".json"))
-    ]
-    digests = {
-        name: hashlib.sha256((rundir / name).read_bytes()).hexdigest() for name in pinned
-    }
-    digests["stdout"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    return digests
+    return run_digests(tmp_path / "runs", [["--config", str(tmp_path / "config.json"), "construct"]])
 
 
 def test_construct_run_tree_is_pinned(tmp_path):
@@ -271,39 +254,18 @@ def test_planar_construct_run_tree_is_pinned(tmp_path):
 
 
 def census_digests(tmp_path, dim: int, side: int, sizes: list[int], seed: str) -> dict:
-    """SHA-256 of every file and of the printed lines of ``blocks``, ``freq``
-    and ``measure`` at levels 1 and 2, on one seeded uniform block over
-    ``sizes`` on the box window [0, side - 1]^dim."""
-    rng = random.Random(seed)
-    cells = side**dim
-    rows = [[rng.randrange(size) for _ in range(cells)] for size in sizes]
-    corpus = {
-        "kind": "corpus", "dim": dim, "alphabet": sizes,
-        "blocks": [{"min": [0] * dim, "max": [side - 1] * dim, "depth": len(sizes), "rows": rows}],
-    }
-    (tmp_path / "corpus.json").write_text(json.dumps(corpus))
-    cfg = {
-        "dim": dim, "alphabet": sizes, "corpus": ["corpus.json"],
-        "window": {"min": [0] * dim, "max": [side - 1] * dim},
-    }
-    (tmp_path / "config.json").write_text(json.dumps(cfg))
-    out = tmp_path / "runs"
-    printed = []
-    for level in ("1", "2"):
-        for command in (["blocks", "--level"], ["freq", "--level"], ["measure", "--depth"]):
-            args = ["--config", str(tmp_path / "config.json"), "--out", str(out)]
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                assert cli.main(args + command + [level]) == 0
-            printed.append(buf.getvalue())
-    (rundir,) = out.iterdir()
-    digests = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(rundir.iterdir())
-    }
-    # The measure job prints its output path, which is taken relative to out.
-    text = "".join(printed).replace(str(out), "runs")
-    digests["stdout"] = hashlib.sha256(text.encode()).hexdigest()
-    return digests
+    """``run_digests`` of ``blocks``, ``freq`` and ``measure`` at levels 1
+    and 2, on one seeded uniform block over ``sizes`` on the box window
+    [0, side - 1]^dim."""
+    write_seeded_corpus(tmp_path, dim, side, sizes, random.Random(seed))
+    config = ["--config", str(tmp_path / "config.json")]
+    commands = [
+        config + command + [level]
+        for level in ("1", "2")
+        for command in (["blocks", "--level"], ["freq", "--level"], ["measure", "--depth"])
+    ]
+    # The measure job prints its output path, which run_digests spells "runs".
+    return run_digests(tmp_path / "runs", commands)
 
 
 # SHA-256 of the census run trees below, captured before family and measure
