@@ -198,10 +198,11 @@ def marginal_deviation(block: Block, measure: "CylinderMeasure", depth: int) -> 
         marg = measure.marginal(base, level)
         counts, t = table.counts, table.total
         nums, d = marg.counts, marg.total
-        # |c/t - n/d| = |c d - n t| / (t d)
+        # |c/t - n/d| = |c d - n t| / (t d); a pattern only the measure has
+        # deviates by n t
         top = max(
-            (abs(counts.get(key, 0) * d - nums.get(key, 0) * t) for key in set(counts) | set(nums)),
-            default=0,
+            max((abs(c * d - nums.get(key, 0) * t) for key, c in counts.items()), default=0),
+            max((nums[key] for key in nums.keys() - counts.keys()), default=0) * t,
         )
         worst = max(worst, Fraction(top, t * d))
     return worst

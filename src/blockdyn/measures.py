@@ -93,7 +93,7 @@ class CylinderMeasure:
         den: int,
     ) -> None:
         g = gcd(den, *nums.values())
-        nums = {key: n // g for key, n in sorted(nums.items())}
+        nums = {key: nums[key] // g for key in sorted(nums)}
         for name, value in zip(self.__slots__, (depth, base, sizes, nums, den // g, {})):
             object.__setattr__(self, name, value)
 
@@ -147,6 +147,10 @@ class CylinderMeasure:
             raise ValueError("marginal shape is not a subset of the base")
         if not 1 <= level <= self.depth:
             raise ValueError(f"level {level} outside depth {self.depth}")
+        if level == self.depth and e == self.base:
+            # every atom is its own full pattern: the marginal is the atom table
+            view = self._marginals[key] = self.atoms()
+            return view
         # places[p]: the number of values of an atom's digits p, p + 1, ...
         cells = len(self.base)
         radices = [size for size in reversed(self.sizes) for _ in range(cells)]

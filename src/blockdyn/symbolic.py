@@ -11,7 +11,7 @@ import random
 from bisect import bisect_right
 from codecs import charmap_decode
 from functools import lru_cache
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, product, repeat, starmap
 from math import prod
 from operator import index, le, lt, mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -422,11 +422,13 @@ def sample_bernoulli(
     lexicographic point order).
     """
     uniform = random.Random(seed).random
-    cells = range(len(window))
+    cells = len(window)
     symbols: list[int] = []
     for cum in _cumulative(stack, probabilities):
-        # _draw inlined: bisecting all but the last weight is its min(..., n - 1).
-        symbols += [bisect_right(cum, uniform(), 0, len(cum) - 1) for _ in cells]
+        # _draw on a whole row at once: bisecting all but the last weight is
+        # its min(..., n - 1), and each cell takes the next variate, also in a
+        # one-symbol row.
+        symbols += map(bisect_right, repeat(cum[:-1], cells), starmap(uniform, repeat((), cells)))
     return Block(window, stack.depth, stack.sizes, tuple(symbols))
 
 

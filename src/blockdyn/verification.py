@@ -202,9 +202,10 @@ def metric_axioms_suite(seed: int) -> SuiteResult:
     """Exact symmetry, triangle inequality and self-distance of the metric.
 
     The deviation recorded per case is the largest amount by which an axiom
-    fails (0 when all hold); the bound is 0, so slack reports how much
-    triangle-inequality room the instances actually had is not meaningful
-    and is omitted.
+    fails (0 when all hold).  Every case has bound 0, so its slack is minus
+    its deviation: 0 on each passing case, and the summary's worst slack is
+    0 when the suite passes.  It does not measure how much room the
+    triangle inequality had.
     """
     cases = []
     rng = random.Random(seed)

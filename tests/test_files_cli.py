@@ -18,7 +18,7 @@ from blockdyn.group import Shape, folner_box
 from blockdyn.measures import CylinderMeasure, block_measure
 from blockdyn.quasitiling import Quasitiling
 from blockdyn.symbolic import AlphabetStack, Block, Corpus, sample_bernoulli
-from helpers import block_from_word, block_to_word
+from helpers import block_from_word, block_to_word, run_digests
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -156,6 +156,22 @@ def test_cli_gen_blocks_freq_measure(tmp_path, capsys):
     assert cli.main(["--config", str(p), "--out", str(out), "measure", "--depth", "1"]) == 0
     mu = files.read_measure(rundir / "measure_b0_j1.json")
     assert sum(m for _, m in mu.items()) == 1
+
+
+def test_gen_run_tree_is_pinned(tmp_path):
+    # Two 2-D blocks whose first row has one symbol: that row still draws
+    # one variate per cell, so the second row's symbols depend on it.
+    p = write_config(
+        tmp_path,
+        dim=2,
+        alphabet=[1, 3],
+        window={"min": [0, 0], "max": [4, 6]},
+        gen={"kind": "bernoulli", "probs": [["1"], ["1/5", "0", "4/5"]], "count": 2},
+    )
+    assert run_digests(tmp_path / "out", [["--config", str(p), "gen"]]) == {
+        "corpus.json": "f92fc8631aad8c129b02bcff380c431e9f61aeae1b05388629a7926bf22e9430",
+        "stdout": "456b3cdb40b0a4739ec1afc3a1b495250d32c23f187d7fda4634a55c9ce55cbe",
+    }
 
 
 def test_cli_dist_and_tile(tmp_path):

@@ -7,7 +7,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockdyn import symbolic
@@ -18,7 +18,7 @@ from blockdyn.measures import CylinderMeasure, block_measure, dist, mix
 from blockdyn.quasitiling import greedy_tile, verify
 from blockdyn.symbolic import Block, BlockFamily, encode_pattern
 from blockdyn.testkit import oracle_freq, oracle_measure_value
-from helpers import block_from_function, code_of, decoded
+from helpers import block_from_function, block_from_word, code_of, decoded
 
 
 def random_block(draw, shape: Shape, sizes: tuple[int, ...]) -> Block:
@@ -99,8 +99,24 @@ def block_and_measure(draw):
     return block, measure, depth
 
 
+F1 = folner_box(1, 1)
+
+
+def point_masses(*patterns: tuple[int, ...]) -> CylinderMeasure:
+    """Equal masses on the given one-row binary patterns on F_1."""
+    return CylinderMeasure(
+        1, F1, {Block(F1, 1, (2,), p): Fraction(1, len(patterns)) for p in patterns}
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(block_and_measure())
+# The maximum is 1, on (1, 1, 1), which only the measure has; the block's
+# two patterns deviate by 1/2.
+@example((block_from_word("aaab"), point_masses((1, 1, 1)), 1))
+# The maximum is 1, on (0, 0, 0), which only the block shows; the measure's
+# two patterns deviate by 1/2.
+@example((block_from_word("aaaa"), point_masses((1, 1, 1), (0, 1, 1)), 1))
 def test_marginal_deviation_equals_the_fraction_oracle(case):
     block, measure, depth = case
     levels = [deviations(block, measure, level) for level in range(1, depth + 1)]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from blockdyn import files
 from blockdyn.frequency import block_measure_gap_bound, freq, freq_table
 from blockdyn.group import Shape, folner_box, invariance_ratio
 from blockdyn.measures import (
@@ -16,7 +17,7 @@ from blockdyn.measures import (
     tail_depth,
 )
 from blockdyn.symbolic import AlphabetStack, Block, BlockFamily, Corpus, sample_bernoulli
-from blockdyn.testkit import grid_hull_distance
+from blockdyn.testkit import grid_hull_distance, oracle_measure_value
 from blockdyn.verification import SUPPORT, _families_for, _random_measure
 from helpers import block_from_word, code_of, cylinder_mass
 
@@ -91,6 +92,68 @@ def test_value_partition_sums_to_one():
     # marginal to level 1 over all patterns
     total = sum(mu.marginal(F1, 1).values())
     assert total == 1
+
+
+def _bernoulli_measure(dim: int, side: int, sizes: tuple[int, ...], seed: int) -> CylinderMeasure:
+    window = Shape.box((0,) * dim, (side - 1,) * dim)
+    probs = [[Fraction(1, size)] * size for size in sizes]
+    return block_measure(sample_bernoulli(window, AlphabetStack(sizes), probs, seed), len(sizes))
+
+
+def _written_and_read(tmp_path, mu: CylinderMeasure) -> CylinderMeasure:
+    files.write_measure(tmp_path / "mu.json", mu)
+    return files.read_measure(tmp_path / "mu.json")
+
+
+FULL_MARGINAL_MEASURES = {
+    "constructor": lambda tmp_path: CylinderMeasure(
+        1, F1, {AAB: Fraction(1, 6), ABA: Fraction(1, 3), BAB: Fraction(1, 2)}
+    ),
+    "block-measure-1d": lambda tmp_path: _bernoulli_measure(1, 15, (2, 3), seed=8),
+    "block-measure-2d": lambda tmp_path: _bernoulli_measure(2, 6, (2,), seed=9),
+    "mix": lambda tmp_path: mix(
+        [Fraction(1, 3), Fraction(2, 3)],
+        [_bernoulli_measure(1, 12, (2, 2), seed=10), _bernoulli_measure(1, 12, (2, 2), seed=11)],
+    ),
+    "read-measure": lambda tmp_path: _written_and_read(
+        tmp_path, _bernoulli_measure(1, 13, (3, 2), seed=12)
+    ),
+}
+
+
+def _oracle_marginal(mu: CylinderMeasure, shape: Shape, level: int) -> dict[int, Fraction]:
+    """The non-zero oracle masses of every pattern on shape x rows[1..level]."""
+    sizes = mu.sizes[:level]
+    out = {}
+    for symbols in itertools.product(*(range(size) for size in sizes for _ in shape.points)):
+        pattern = Block(shape, level, sizes, symbols)
+        mass = oracle_measure_value(mu, pattern)
+        if mass:
+            out[code_of(pattern)] = mass
+    return out
+
+
+@pytest.mark.parametrize("build", FULL_MARGINAL_MEASURES.values(), ids=FULL_MARGINAL_MEASURES)
+def test_the_full_marginal_is_the_atom_table(tmp_path, build):
+    mu = build(tmp_path)
+    full = mu.marginal(mu.base, mu.depth)
+    assert full == mu.atoms() and list(full) == list(mu.atoms())
+    assert dict(full) == {code_of(b): oracle_measure_value(mu, b) for b, _ in mu.items()}
+    assert mu.marginal(mu.base, mu.depth) is full
+    key = next(iter(full))
+    with pytest.raises(TypeError):
+        full.counts[key] = 0
+    with pytest.raises(TypeError):
+        full[key] = Fraction(0)
+    with pytest.raises(AttributeError):
+        full.total = 1
+    # shallower marginals read afterwards still sum the atoms
+    center = Shape.of([(0,) * mu.base.dim])
+    shallower = [(center, 1)]
+    if mu.depth > 1:
+        shallower += [(mu.base, mu.depth - 1), (folner_box(1, mu.base.dim), 1)]
+    for shape, level in shallower:
+        assert dict(mu.marginal(shape, level)) == _oracle_marginal(mu, shape, level)
 
 
 def test_measure_validation():

@@ -37,6 +37,18 @@ def test_sample_bernoulli_zero_probability_symbol_pinned():
     assert block.symbols == (0, 2, 0, 2, 2, 0, 0, 2, 0, 0, 2, 0)
 
 
+def test_sample_bernoulli_one_symbol_row_pinned():
+    # A one-symbol row still draws one variate per cell: with none drawn for
+    # row 1, row 2 would read (2, 0, 2, 0, 0, 2, 2, 2, 2, 2, 2, 2).
+    block = sample_bernoulli(
+        Shape.box((0, 0), (2, 3)), AlphabetStack((1, 3)), [[F(1)], [F(1, 5), F(0), F(4, 5)]], seed=4
+    )
+    assert block.symbols == (
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2,
+    )
+
+
 def test_sample_markov_pinned():
     block = sample_markov(
         Shape.interval(-4, 15),
