@@ -14,16 +14,6 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphabetStack", "Block", "BlockFamily", "ConvexTarget", "Corpus", "CylinderMeasure",
-    "DistanceInterval", "HullDistance", "Quasitiling", "Shape", "StageSchedule", "apply_changes",
-    "block_measure", "congruent", "count_embeddings", "decode_pattern", "decode_symbolic", "dist",
-    "dist_to_hull", "encode_pattern", "encode_symbolic", "enumerate_family",
-    "enumerate_full_family", "far_mass", "folner_box", "freq", "freq_table", "greedy_tile",
-    "invariance_ratio", "mix", "run", "sample_bernoulli", "select_representative", "shape_product",
-    "stage_transform", "subblock_at", "tail_depth", "translate", "verify",
-]
-
 # The module that defines each public name.
 _HOME = {
     name: module
@@ -32,7 +22,7 @@ _HOME = {
         (
             "symbolic",
             "AlphabetStack Block BlockFamily Corpus decode_pattern encode_pattern"
-            " enumerate_family enumerate_full_family sample_bernoulli subblock_at",
+            " enumerate_family sample_bernoulli subblock_at",
         ),
         ("frequency", "count_embeddings freq freq_table"),
         (
@@ -42,10 +32,11 @@ _HOME = {
         ),
         ("quasitiling", "Quasitiling congruent decode_symbolic encode_symbolic greedy_tile verify"),
         ("files", "StageSchedule"),
-        ("construction", "apply_changes far_mass run select_representative stage_transform"),
+        ("construction", "apply_changes run select_representative stage_transform"),
     )
     for name in names.split()
 }
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str) -> object:

@@ -106,7 +106,10 @@ def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> in
             raise ConfigError(f"unknown generator kind: {kind}")
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed gen section: {exc!r}") from exc
-    blocks = [draw(seed + 7919 * i) for i in range(count)]
+    try:
+        blocks = [draw(seed + 7919 * i) for i in range(count)]
+    except ValueError as exc:
+        raise ConfigError(f"gen: {exc}") from exc
     corpus = Corpus(cfg.stack, tuple(blocks))
     files.write_corpus(rundir / "corpus.json", corpus)
     print(f"wrote {count} block(s) to {rundir / 'corpus.json'}")
@@ -345,11 +348,9 @@ def cmd_verify(
     cfg: ExperimentConfig | None, args: argparse.Namespace, rundir: Path
 ) -> int:
     corpus = cfg.load_corpus() if cfg is not None and cfg.corpus_paths else _micro_corpus()
-    if args.seed is not None:
-        seed = args.seed
-    elif cfg is not None and cfg.seed is not None:
-        seed = cfg.seed
-    else:
+    # a configuration's seed already holds --seed
+    seed = cfg.seed if cfg is not None else args.seed
+    if seed is None:
         seed = 2026
     suites: list[SuiteResult] = [
         block_measure_gap_suite(seed, corpus),

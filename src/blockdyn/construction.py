@@ -19,8 +19,7 @@ from .frequency import tiling_average_gap_bound
 from .group import Point, Shape, _Record, folner_box
 from .measures import ConvexTarget, CylinderMeasure, HullDistance, block_measure, dist_to_hull
 from .quasitiling import Quasitiling, TilingReport, congruent, greedy_tile, verify
-from .symbolic import Block, BlockFamily, Corpus, _categorical, _draw, _layout, decode_pattern
-from .symbolic import subblock_at
+from .symbolic import Block, BlockFamily, Corpus, _categorical, _draws, _layout, decode_pattern
 
 if TYPE_CHECKING:
     from .files import StageSchedule
@@ -101,27 +100,6 @@ def select_representative(
         ),
         key=lambda scored: (scored[1].value, scored[0].symbols),
     )
-
-
-def far_mass(
-    config: Block,
-    tiling: Quasitiling,
-    target: ConvexTarget,
-    delta: Fraction,
-    families: Sequence[BlockFamily],
-) -> Fraction:
-    """Fraction of window cells covered by tiles whose block is certified
-    farther than delta from the target hull: one solve per tile, no cache."""
-    delta = Fraction(delta)
-    total = 0
-    for shape, centers in zip(tiling.shapes, tiling.centers):
-        for c in centers:
-            sub = subblock_at(config, shape, c, target.depth)
-            if sub is None:
-                raise ValueError(f"tile at {c} escapes the configuration")
-            if dist_to_hull(sub, target, families).value > delta:
-                total += len(shape)
-    return Fraction(total, len(tiling.window))
 
 
 _Entry = tuple[Fraction, bool, Block, Mapping[int, int]]
@@ -278,38 +256,34 @@ def corpus_rep_source(corpus: Corpus, limit: int) -> RepSource:
 
 
 def sample_from_measure(
-    measure: CylinderMeasure,
-    shape: Shape,
-    depth: int,
-    seed: int,
-    sizes: Sequence[int] | None = None,
+    measure: CylinderMeasure, shape: Shape, depth: int, seed: int, sizes: Sequence[int]
 ) -> Block:
-    """Seeded block on shape x rows[1..depth] that imitates a measure.
+    """Seeded block on shape x rows[1..depth] over the alphabets ``sizes``
+    that imitates a measure.
 
     Disjoint translates of the measure's base are greedily placed in the
     shape and filled with independent draws of full patterns; leftover
     cells draw from the measure's per-row aggregate symbol distribution.
-    Rows beyond the measure depth (if any) need explicit alphabet sizes
-    and are filled uniformly.
+    Rows beyond the measure depth (if any) are filled uniformly.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    full_sizes = tuple(sizes) if sizes is not None else measure.sizes
+    full_sizes = tuple(sizes)
     if len(full_sizes) < depth or full_sizes[: measure.depth] != measure.sizes:
         raise ValueError("alphabet sizes incompatible with the measure")
     rng = random.Random(seed)
     atoms = measure.atoms()
     cells = len(measure.base)
     keys = [decode_pattern(key, measure.sizes, cells) for key in atoms.counts]
-    cumulative = _categorical(list(atoms.values()), len(keys), "measure atoms")
-    placed = greedy_tile(shape, [measure.base], Fraction(1)).tiling
+    cuts = _categorical(list(atoms.values()), len(keys), "measure atoms")
+    placed = sorted(greedy_tile(shape, [measure.base], Fraction(1)).tiling.centers[0])
     n_shape = len(shape)
     symbols: list[int | None] = [None] * (n_shape * depth)
     layout = _layout(shape, measure.base, min(depth, measure.depth))
-    for c in sorted(placed.centers[0]):
-        layout.write(symbols, layout.at(c), keys[_draw(rng, cumulative)])
+    for c, i in zip(placed, _draws(rng, cuts, len(placed))):
+        layout.write(symbols, layout.at(c), keys[i])
 
-    row_cumulative: list[list[float]] = []
+    row_cuts: list[list[float]] = []
     for r in range(depth):
         n = full_sizes[r]
         if r < measure.depth:
@@ -320,12 +294,12 @@ def sample_from_measure(
             probs = [Fraction(a, sum(acc)) for a in acc]
         else:
             probs = [Fraction(1, n)] * n
-        row_cumulative.append(_categorical(probs, n, f"row {r + 1}"))
+        row_cuts.append(_categorical(probs, n, f"row {r + 1}"))
 
-    for r in range(depth):
-        for pos in range(r * n_shape, (r + 1) * n_shape):
-            if symbols[pos] is None:
-                symbols[pos] = _draw(rng, row_cumulative[r])
+    for r, cuts in enumerate(row_cuts):
+        free = [pos for pos in range(r * n_shape, (r + 1) * n_shape) if symbols[pos] is None]
+        for pos, v in zip(free, _draws(rng, cuts, len(free))):
+            symbols[pos] = v
     return Block(shape, depth, full_sizes[:depth], tuple(symbols))  # type: ignore[arg-type]
 
 

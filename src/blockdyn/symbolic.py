@@ -10,9 +10,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from codecs import charmap_decode
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, product, repeat, starmap
-from math import prod
+from math import lcm, prod
 from operator import index, le, lt, mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -65,10 +66,6 @@ class Block(_Record):
         for r, size in enumerate(sizes):
             check_alphabet(symbols[r * cells : (r + 1) * cells], size, r + 1)
         self._set(shape, depth, sizes, symbols)
-
-    @classmethod
-    def constant(cls, shape: Shape, depth: int, sizes: Sequence[int], value: int = 0) -> Block:
-        return cls(shape, depth, tuple(sizes), (value,) * (len(shape) * depth))
 
     def get(self, p: Point, row: int) -> int:
         """Entry at cell (p, row); row is 1-based."""
@@ -391,25 +388,6 @@ def enumerate_family(corpus: Corpus, k: int) -> BlockFamily:
     return BlockFamily(k, base, corpus.stack.sizes[:k], tuple(sorted(seen)))
 
 
-def enumerate_full_family(
-    stack: AlphabetStack, k: int, dim: int, cap: int = 10**6
-) -> BlockFamily:
-    """Exhaustive family of all patterns on F_k x rows[1..k]: every code
-    below the number of patterns.
-
-    Refuses to enumerate more than ``cap`` candidates.
-    """
-    if not 1 <= k <= stack.depth:
-        raise ValueError(f"level {k} outside stack of depth {stack.depth}")
-    base = folner_box(k, dim)
-    total = 1
-    for j in range(k):
-        total *= stack.sizes[j] ** len(base)
-        if total > cap:
-            raise ValueError(f"exhaustive enumeration would exceed {cap} candidates")
-    return BlockFamily(k, base, stack.sizes[:k], range(total))
-
-
 def sample_bernoulli(
     window: Shape,
     stack: AlphabetStack,
@@ -421,47 +399,45 @@ def sample_bernoulli(
     The same seed always yields the same block (cells filled row-major in
     lexicographic point order).
     """
-    uniform = random.Random(seed).random
-    cells = len(window)
-    symbols: list[int] = []
-    for cum in _cumulative(stack, probabilities):
-        # _draw on a whole row at once: bisecting all but the last weight is
-        # its min(..., n - 1), and each cell takes the next variate, also in a
-        # one-symbol row.
-        symbols += map(bisect_right, repeat(cum[:-1], cells), starmap(uniform, repeat((), cells)))
-    return Block(window, stack.depth, stack.sizes, tuple(symbols))
-
-
-def _cumulative(
-    stack: AlphabetStack, probabilities: Sequence[Sequence[object]]
-) -> list[list[float]]:
     if len(probabilities) != stack.depth:
         raise ValueError("one probability vector per row is required")
-    return [
+    rows = [
         _categorical(probs, size, f"row {row}")
         for row, (probs, size) in enumerate(zip(probabilities, stack.sizes), start=1)
     ]
+    rng, cells = random.Random(seed), len(window)
+    symbols: list[int] = []
+    for cuts in rows:
+        symbols += _draws(rng, cuts, cells)
+    return Block(window, stack.depth, stack.sizes, tuple(symbols))
 
 
 def _categorical(probs: Sequence[object], n: int, name: str) -> list[float]:
-    """Cumulative weights of one distribution over n symbols: exactly n
-    non-negative probabilities that sum to 1 within 1e-9."""
+    """The cut points of one distribution over n symbols: exactly n
+    non-negative probabilities whose exact sum is 1, a float counting at its
+    exact value.  The cuts are the running float sums of all but the last
+    probability, so a variate u draws ``bisect_right(cuts, u)``."""
     if len(probs) != n:
         raise ValueError(f"{name} needs {n} probabilities")
-    vals = [float(p) for p in probs]
-    if any(v < 0 for v in vals):
+    try:
+        exact = [Fraction(p) for p in probs]
+    except (OverflowError, ValueError) as exc:  # an infinity or a NaN
+        raise ValueError(f"{name}: {exc}") from exc
+    # the numerators over the common denominator: a sum of Fractions would
+    # reduce each partial sum
+    den = lcm(*(p.denominator for p in exact))
+    nums = [p.numerator * (den // p.denominator) for p in exact]
+    if min(nums) < 0:
         raise ValueError(f"{name}: probabilities must be non-negative")
-    total = sum(vals)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"{name} probabilities sum to {total}, not 1")
-    return list(accumulate(vals))
+    if sum(nums) != den:
+        raise ValueError(f"{name} probabilities sum to {Fraction(sum(nums), den)}, not 1")
+    return list(accumulate(map(float, exact[:-1])))
 
 
-def _draw(rng: random.Random, cumulative: Sequence[float]) -> int:
-    """Index of one categorical draw: the first cumulative weight above a
-    uniform variate, or the last index when rounding leaves the variate at
-    or above the final sum."""
-    return min(bisect_right(cumulative, rng.random()), len(cumulative) - 1)
+def _draws(rng: random.Random, cuts: list[float], count: int) -> list[int]:
+    """``count`` categorical draws over ``_categorical`` cut points, one
+    variate of ``rng`` each, in one pass."""
+    return list(map(bisect_right, repeat(cuts, count), starmap(rng.random, repeat((), count))))
 
 
 def sample_markov(
@@ -477,16 +453,16 @@ def sample_markov(
     if stack.depth != 1:
         raise ValueError("Markov sampling is only supported for depth-1 stacks")
     n = stack.sizes[0]
-    init_cum = _categorical(initial, n, "initial distribution")
+    cuts = _categorical(initial, n, "initial distribution")
     if len(transition) != n:
         raise ValueError(f"transition matrix needs {n} rows")
-    row_cums = [
+    rows = [
         _categorical(row, n, f"transition row {i}") for i, row in enumerate(transition, start=1)
     ]
-    rng = random.Random(seed)
+    uniform = random.Random(seed).random
     symbols: list[int] = []
-    state: int | None = None
     for _ in range(len(window)):
-        state = _draw(rng, init_cum if state is None else row_cums[state])
+        state = bisect_right(cuts, uniform())
         symbols.append(state)
+        cuts = rows[state]
     return Block(window, 1, stack.sizes, tuple(symbols))

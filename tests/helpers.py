@@ -18,10 +18,12 @@ from typing import Callable, Iterator, Mapping, Sequence
 import pytest
 
 from blockdyn import cli, symbolic
-from blockdyn.group import Point, Shape, point_add
-from blockdyn.measures import CylinderMeasure, Term
+from blockdyn.group import Point, Shape, folner_box, point_add
+from blockdyn.measures import ConvexTarget, CylinderMeasure, Term, dist_to_hull
 from blockdyn.quasitiling import Quasitiling
-from blockdyn.symbolic import Block, decode_pattern, encode_pattern, subblock_at
+from blockdyn.symbolic import (
+    AlphabetStack, Block, BlockFamily, decode_pattern, encode_pattern, subblock_at
+)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -31,6 +33,52 @@ def block_from_word(word: str, start: int = 0, sizes: Sequence[int] = (2,)) -> B
     symbols = tuple(_LETTERS.index(ch) for ch in word)
     window = Shape.interval(start, start + len(word) - 1)
     return Block(window, 1, tuple(sizes), symbols)
+
+
+def constant_block(shape: Shape, depth: int, sizes: Sequence[int], value: int = 0) -> Block:
+    """The block on shape x rows[1..depth] with every entry ``value``."""
+    return Block(shape, depth, tuple(sizes), (value,) * (len(shape) * depth))
+
+
+def enumerate_full_family(
+    stack: AlphabetStack, k: int, dim: int, cap: int = 10**6
+) -> BlockFamily:
+    """Exhaustive family of all patterns on F_k x rows[1..k]: every code
+    below the number of patterns.
+
+    Refuses to enumerate more than ``cap`` candidates.
+    """
+    if not 1 <= k <= stack.depth:
+        raise ValueError(f"level {k} outside stack of depth {stack.depth}")
+    base = folner_box(k, dim)
+    total = 1
+    for j in range(k):
+        total *= stack.sizes[j] ** len(base)
+        if total > cap:
+            raise ValueError(f"exhaustive enumeration would exceed {cap} candidates")
+    return BlockFamily(k, base, stack.sizes[:k], range(total))
+
+
+def far_mass(
+    config: Block,
+    tiling: Quasitiling,
+    target: ConvexTarget,
+    delta: Fraction,
+    families: Sequence[BlockFamily],
+) -> Fraction:
+    """Fraction of window cells covered by tiles whose block is certified
+    farther than delta from the target hull: one solve per tile, no cache,
+    the oracle that stage reports are checked against."""
+    delta = Fraction(delta)
+    total = 0
+    for shape, centers in zip(tiling.shapes, tiling.centers):
+        for c in centers:
+            sub = subblock_at(config, shape, c, target.depth)
+            if sub is None:
+                raise ValueError(f"tile at {c} escapes the configuration")
+            if dist_to_hull(sub, target, families).value > delta:
+                total += len(shape)
+    return Fraction(total, len(tiling.window))
 
 
 def write_seeded_corpus(

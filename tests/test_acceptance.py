@@ -47,6 +47,7 @@ from blockdyn.verification import (
     metric_axioms_suite,
     tiling_average_gap_suite,
 )
+from helpers import constant_block
 
 SEED = 2026
 
@@ -163,7 +164,7 @@ def test_criterion_7_stage_transform_three_stages():
     )
     f1 = folner_box(1, 1)
     vertices = tuple(
-        CylinderMeasure(1, f1, {Block.constant(f1, 1, (2,), s): Fraction(1)})
+        CylinderMeasure(1, f1, {constant_block(f1, 1, (2,), s): Fraction(1)})
         for s in (0, 1)
     )
     target = ConvexTarget(vertices)
@@ -252,7 +253,7 @@ def test_criterion_9_byte_identical_runs(tmp_path):
     files.write_corpus(tmp_path / "corpus.json", Corpus(stack, (block,)))
     f1 = folner_box(1, 1)
     for i, sym in enumerate((0, 1)):
-        m = CylinderMeasure(1, f1, {Block.constant(f1, 1, (2,), sym): Fraction(1)})
+        m = CylinderMeasure(1, f1, {constant_block(f1, 1, (2,), sym): Fraction(1)})
         files.write_measure(tmp_path / f"v{i}.json", m)
     cfg = {
         "dim": 1,

@@ -184,6 +184,15 @@ SCHEDULE = {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [
                 ),
             )
         ),
+        # as a measure's masses must, a gen row sums to exactly 1
+        *(
+            ({"seed": 1, "gen": dict(BERNOULLI, probs=[row])}, ["gen"], f"row 1 {error}")
+            for row, error in (
+                (["1/3", "666666667/1000000000"], "probabilities sum to 3000000001/3000000000"),
+                (["1/2", "1/4"], "probabilities sum to 3/4"),
+                (["1/2", "1/2", "0"], "needs 2 probabilities"),
+            )
+        ),
     ],
     ids=[
         "gen-without-probs", "gen-count-not-int",
@@ -194,6 +203,7 @@ SCHEDULE = {"eps1": "1/2", "depths": [1], "folner_indices": [1], "tile_sides": [
         "vertex-not-int", "vertex-out-of-range",
         "gen-count-0", "representatives-count-0", "representatives-limit-0",
         "gen-count--1", "representatives-count--1", "representatives-limit--1",
+        "gen-row-sum-above-1", "gen-row-sum-3/4", "gen-row-of-3-on-a-binary-alphabet",
     ],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, extra, argv, field):
@@ -241,7 +251,7 @@ def test_production_code_does_not_import_testkit():
 # addressed only through ``_layout``, and only frequency's counting helper
 # tells a box layout from a cell layout.
 KERNEL_IMPORTS = {
-    "construction": {"_categorical", "_draw", "_layout"},
+    "construction": {"_categorical", "_draws", "_layout"},
     "files": {"_PIECE", "_row_codes"},
     "frequency": {"_BoxLayout", "_layout"},
     "measures": {"_layout"},
@@ -257,6 +267,19 @@ def test_modules_import_only_the_kernel_interface_from_symbolic():
                 names = {a.name for a in node.names if a.name.startswith("_")}
                 got.setdefault(path.stem, set()).update(names)
     assert {module: names for module, names in got.items() if names} == KERNEL_IMPORTS
+
+
+def test_only_symbolic_bisects_cut_points_or_reads_a_variate():
+    """``bisect_right`` and every ``.random`` attribute appear in
+    ``symbolic`` alone, so each sampler draws through its one rule."""
+    sites = set()
+    for path in sorted(Path(blockdyn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a name, an attribute, an import or a definition
+            names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            if "bisect_right" in names or isinstance(node, ast.Attribute) and node.attr == "random":
+                sites.add(path.stem)
+    assert sites == {"symbolic"}
 
 
 def test_unknown_representatives_source_exits_2_and_a_missing_one_is_corpus(tmp_path, capsys):
@@ -473,15 +496,12 @@ def test_testkit_offers_only_its_own_oracles():
 
 # Public names that no module and no benchmark script reads, kept on purpose.
 KEEP = {
-    "far_mass": "the one-solve-per-tile far-mass oracle that stage reports are checked against",
     "read_tiling": "the reader of the documented tiling file format",
     "freq": "the production side of the frequency oracle checks",
     "mix": "the mixture of measures that modelling the whole face builds on",
     "tail_depth": "the depth an eps needs, for certified stage intervals",
     "encode_symbolic": "the paper's symbolic coding of a tiling",
     "decode_symbolic": "the inverse of the symbolic coding",
-    "enumerate_full_family": "the exhaustive family, a fixture of several test files",
-    "Block.constant": "the constant block, a fixture of several test files",
     "translate": "the group action on shapes, whose coordinate checks README documents",
 }
 

@@ -16,6 +16,7 @@ from blockdyn.group import Shape, folner_box, invariance_ratio, shape_product, t
 from blockdyn.measures import ConvexTarget, block_measure, dist, dist_to_hull
 from blockdyn.quasitiling import congruent, greedy_tile, verify
 from blockdyn.symbolic import AlphabetStack, Block, Corpus, enumerate_family, sample_bernoulli
+from helpers import constant_block
 
 
 def moved(p, g):
@@ -140,10 +141,10 @@ def test_the_tiling_and_stage_layers_build_no_point_set_on_boxes(built, dim, sid
     config = sample_bernoulli(window, stack, [[0.5, 0.5]], seed=7)
     vertices = tuple(
         block_measure(sample_bernoulli(window, stack, [[p, 1 - p]], seed=8), 1)
-        for p in (0.1, 0.9)
+        for p in map(Fraction, (0.1, 0.9))
     )
     families = [enumerate_family(Corpus(stack, (config,)), 1)]
-    reps = {fine_box: Block.constant(fine_box, 1, (2,), 1)}
+    reps = {fine_box: constant_block(fine_box, 1, (2,), 1)}
     target = ConvexTarget(vertices)
     out, report = stage_transform(config, fine, target, Fraction(1, 1000), reps, families)
     assert report.changes and out.shape == window

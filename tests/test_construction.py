@@ -6,7 +6,6 @@ import pytest
 from blockdyn.construction import (
     apply_changes,
     corpus_rep_source,
-    far_mass,
     run,
     sample_from_measure,
     select_representative,
@@ -20,6 +19,7 @@ from blockdyn.measures import ConvexTarget, CylinderMeasure, block_measure
 from blockdyn.quasitiling import Quasitiling
 from blockdyn.symbolic import AlphabetStack, Block, Corpus, enumerate_family, sample_bernoulli
 from blockdyn.testkit import grid_hull_distance
+from helpers import constant_block, far_mass
 
 F1 = folner_box(1, 1)
 STACK = AlphabetStack((2,))
@@ -27,7 +27,7 @@ STACK = AlphabetStack((2,))
 
 def point_mass(symbol: int) -> CylinderMeasure:
     return CylinderMeasure(
-        1, F1, {Block.constant(F1, 1, (2,), symbol): Fraction(1)}
+        1, F1, {constant_block(F1, 1, (2,), symbol): Fraction(1)}
     )
 
 
@@ -88,9 +88,9 @@ def test_schedule_rejects_infeasible_delta():
 def test_select_representative_prefers_vertex_sample():
     target = two_vertex_target()
     shape = Shape.interval(0, 4)
-    const0 = Block.constant(shape, 1, (2,), 0)
+    const0 = constant_block(shape, 1, (2,), 0)
     noisy = Block(shape, 1, (2,), (0, 1, 0, 1, 0))
-    fams = family_from(Block.constant(Shape.interval(0, 9), 1, (2,), 0), noisy)
+    fams = family_from(constant_block(Shape.interval(0, 9), 1, (2,), 0), noisy)
     block, hd = select_representative(shape, target, [noisy, const0], fams)
     assert block == const0
     assert hd.value == 0
@@ -112,8 +112,8 @@ def test_select_representative_matches_grid_oracle_ordering():
 def test_select_representative_tie_breaks_lexicographically():
     target = two_vertex_target()
     shape = Shape.interval(0, 4)
-    a = Block.constant(shape, 1, (2,), 0)
-    b = Block.constant(shape, 1, (2,), 1)
+    a = constant_block(shape, 1, (2,), 0)
+    b = constant_block(shape, 1, (2,), 1)
     fams = family_from(a, b)
     # both are vertices, both at distance 0: the lexicographically smaller wins
     block, _ = select_representative(shape, target, [b, a, b], fams)
@@ -136,7 +136,7 @@ def grid_tiling(window: Shape, side: int) -> Quasitiling:
 
 def test_far_mass_zero_when_all_tiles_match():
     window = Shape.interval(0, 19)
-    config = Block.constant(window, 1, (2,), 0)
+    config = constant_block(window, 1, (2,), 0)
     tiling = grid_tiling(window, 5)
     fams = family_from(config)
     assert far_mass(config, tiling, two_vertex_target(), Fraction(1, 100), fams) == 0
@@ -163,10 +163,10 @@ def test_far_mass_half_by_cell_count():
 
 def test_stage_transform_no_far_tiles_is_identity():
     window = Shape.interval(0, 19)
-    config = Block.constant(window, 1, (2,), 0)
+    config = constant_block(window, 1, (2,), 0)
     tiling = grid_tiling(window, 5)
     fams = family_from(config)
-    reps = {Shape.interval(0, 4): Block.constant(Shape.interval(0, 4), 1, (2,), 0)}
+    reps = {Shape.interval(0, 4): constant_block(Shape.interval(0, 4), 1, (2,), 0)}
     out, report = stage_transform(
         config, tiling, two_vertex_target(), Fraction(1, 100), reps, fams
     )
@@ -180,7 +180,7 @@ def test_stage_transform_all_far_replaces_every_tile():
     config = Block(window, 1, (2,), tuple([0, 1] * 10))
     tiling = grid_tiling(window, 5)
     fams = family_from(config)
-    rep = Block.constant(Shape.interval(0, 4), 1, (2,), 0)
+    rep = constant_block(Shape.interval(0, 4), 1, (2,), 0)
     out, report = stage_transform(
         config, tiling, two_vertex_target(), Fraction(1, 100), {rep.shape: rep}, fams
     )
@@ -200,7 +200,7 @@ def test_stage_transform_mixed_quarter_replaced():
     config = Block(window, 1, (2,), tuple([0, 1, 0, 1, 0] + [0] * 15))
     tiling = grid_tiling(window, 5)
     fams = family_from(config)
-    rep = Block.constant(Shape.interval(0, 4), 1, (2,), 0)
+    rep = constant_block(Shape.interval(0, 4), 1, (2,), 0)
     out, report = stage_transform(
         config, tiling, two_vertex_target(), Fraction(1, 100), {rep.shape: rep}, fams
     )
@@ -213,7 +213,7 @@ def test_stage_transform_locality_and_inversion():
     config = sample_bernoulli(window, STACK, [[0.5, 0.5]], seed=21)
     tiling = grid_tiling(window, 3)
     fams = family_from(config)
-    rep = Block.constant(Shape.interval(0, 2), 1, (2,), 0)
+    rep = constant_block(Shape.interval(0, 2), 1, (2,), 0)
     out, report = stage_transform(
         config, tiling, two_vertex_target(), Fraction(1, 18), {rep.shape: rep}, fams
     )
@@ -243,7 +243,7 @@ def test_stage_transform_rejects_a_representative_on_another_alphabet():
     # Its codes would be counted in another radix than the window's.
     window = Shape.interval(0, 19)
     config = Block(window, 1, (2,), tuple([0, 1] * 10))
-    rep = Block.constant(Shape.interval(0, 4), 1, (3,), 1)
+    rep = constant_block(Shape.interval(0, 4), 1, (3,), 1)
     with pytest.raises(ValueError, match="representative alphabet differs"):
         stage_transform(
             config, grid_tiling(window, 5), two_vertex_target(), Fraction(1, 100),
@@ -282,7 +282,7 @@ def test_run_raises_when_stages_on_a_window_that_is_not_a_box_do_not_nest():
     window = Shape.of([(x, 0) for x in range(3)] + [(x, y) for x in range(6) for y in range(1, 7)])
     f = folner_box(1, 2)
     target = ConvexTarget(tuple(
-        CylinderMeasure(1, f, {Block.constant(f, 1, (2,), s): Fraction(1)}) for s in (0, 1)
+        CylinderMeasure(1, f, {constant_block(f, 1, (2,), s): Fraction(1)}) for s in (0, 1)
     ))
     config = sample_bernoulli(window, STACK, [[Fraction(1, 2)] * 2], seed=1)
     sched = StageSchedule.geometric(2, Fraction(1, 50), [1, 1], [1, 1], [3, 6])
@@ -325,7 +325,7 @@ def test_run_from_vertex_sampled_config_regression():
     )
     target = ConvexTarget((uniform, point_mass(1)))
     window = Shape.interval(0, 80)
-    config = sample_from_measure(uniform, window, 1, seed=202)
+    config = sample_from_measure(uniform, window, 1, seed=202, sizes=uniform.sizes)
     corpus = Corpus(STACK, (config,))
     fams = [enumerate_family(corpus, 1)]
     sched = StageSchedule.geometric(1, Fraction(1, 2), [1, 1], [1, 4], [27, 81])
@@ -351,8 +351,8 @@ def test_corpus_rep_source_yields_requested_shape():
 def test_sample_from_measure_deterministic_and_point_mass_exact():
     target = point_mass(1)
     shape = Shape.interval(0, 8)
-    a = sample_from_measure(target, shape, 1, seed=7)
-    b = sample_from_measure(target, shape, 1, seed=7)
+    a = sample_from_measure(target, shape, 1, seed=7, sizes=target.sizes)
+    b = sample_from_measure(target, shape, 1, seed=7, sizes=target.sizes)
     assert a == b
     assert set(a.row(1)) == {1}
 
@@ -366,7 +366,7 @@ def test_sample_from_measure_tracks_distribution():
     }
     mu = CylinderMeasure(1, base, masses)
     shape = Shape.interval(0, 299)
-    block = sample_from_measure(mu, shape, 1, seed=rng.randrange(2**30))
+    block = sample_from_measure(mu, shape, 1, seed=rng.randrange(2**30), sizes=mu.sizes)
     ones = sum(block.row(1))
     assert 0.1 < ones / 300 < 0.4
 
@@ -378,7 +378,7 @@ def test_run_two_stages_planar():
     config = sample_bernoulli(window, stack, [[Fraction(1, 2), Fraction(1, 2)]], seed=12)
     f1 = folner_box(1, 2)
     vertices = tuple(
-        CylinderMeasure(1, f1, {Block.constant(f1, 1, (2,), s): Fraction(1)})
+        CylinderMeasure(1, f1, {constant_block(f1, 1, (2,), s): Fraction(1)})
         for s in (0, 1)
     )
     target = ConvexTarget(vertices)

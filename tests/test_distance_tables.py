@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 
 from blockdyn import construction
-from blockdyn.construction import far_mass, stage_transform
+from blockdyn.construction import stage_transform
 from blockdyn.group import Shape
 from blockdyn.measures import (
     ConvexTarget,
@@ -25,12 +25,12 @@ from blockdyn.symbolic import (
     Block,
     Corpus,
     enumerate_family,
-    enumerate_full_family,
     sample_bernoulli,
 )
 from blockdyn.testkit import grid_hull_distance, oracle_freq, oracle_measure_value
 from blockdyn.verification import SUPPORT, _families_for, _random_measure
-from helpers import run_digests, write_seeded_corpus
+import helpers
+from helpers import enumerate_full_family, far_mass, run_digests, write_seeded_corpus
 
 F1 = Shape.interval(-1, 1)
 
@@ -132,7 +132,8 @@ def _point_mass_target() -> ConvexTarget:
 
 
 def _counting(monkeypatch) -> list:
-    """Replace the hull solve seen by ``construction`` with a counting one."""
+    """Replace the hull solve seen by ``construction`` and by the ``far_mass``
+    oracle of the helpers with a counting one."""
     calls = []
 
     def counted(x, target, families):
@@ -140,6 +141,7 @@ def _counting(monkeypatch) -> list:
         return dist_to_hull(x, target, families)
 
     monkeypatch.setattr(construction, "dist_to_hull", counted)
+    monkeypatch.setattr(helpers, "dist_to_hull", counted)
     return calls
 
 

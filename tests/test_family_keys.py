@@ -15,10 +15,9 @@ from blockdyn.symbolic import (
     Corpus,
     encode_pattern,
     enumerate_family,
-    enumerate_full_family,
     sample_bernoulli,
 )
-from helpers import decoded
+from helpers import decoded, enumerate_full_family
 from test_integer_tables import random_block
 
 F1 = folner_box(1, 1)

@@ -18,7 +18,7 @@ from blockdyn.group import Shape, folner_box
 from blockdyn.measures import CylinderMeasure, block_measure
 from blockdyn.quasitiling import Quasitiling
 from blockdyn.symbolic import AlphabetStack, Block, Corpus, sample_bernoulli
-from helpers import block_from_word, block_to_word, run_digests
+from helpers import block_from_word, block_to_word, constant_block, run_digests
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -116,7 +116,7 @@ def write_vertices(tmp_path: Path) -> list[str]:
     f1 = folner_box(1, 1)
     names = []
     for i, sym in enumerate((0, 1)):
-        m = CylinderMeasure(1, f1, {Block.constant(f1, 1, (2,), sym): Fraction(1)})
+        m = CylinderMeasure(1, f1, {constant_block(f1, 1, (2,), sym): Fraction(1)})
         name = f"v{i}.json"
         files.write_measure(tmp_path / name, m)
         names.append(name)

@@ -21,11 +21,10 @@ from blockdyn.symbolic import (
     AlphabetStack,
     Corpus,
     enumerate_family,
-    enumerate_full_family,
     sample_bernoulli,
 )
 from blockdyn.verification import SUPPORT, _families_for, _random_measure
-from helpers import fraction_hull_lp
+from helpers import enumerate_full_family, fraction_hull_lp
 
 
 def _sweep():

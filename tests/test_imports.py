@@ -18,13 +18,14 @@ from test_files_cli import seeded_corpus, write_config, write_vertices
 SRC = Path(blockdyn.__file__).resolve().parents[1]
 
 # blockdyn.__all__ before its names were imported lazily, less dist_block and
-# dist_k, which ``dist`` replaced.
+# dist_k, which ``dist`` replaced, and the test fixtures enumerate_full_family
+# and far_mass, which moved to the tests' helpers.
 PUBLIC = [
     "AlphabetStack", "Block", "BlockFamily", "ConvexTarget", "Corpus", "CylinderMeasure",
     "DistanceInterval", "HullDistance", "Quasitiling", "Shape", "StageSchedule",
     "apply_changes", "block_measure", "congruent", "count_embeddings", "decode_pattern",
     "decode_symbolic", "dist", "dist_to_hull", "encode_pattern",
-    "encode_symbolic", "enumerate_family", "enumerate_full_family", "far_mass", "folner_box",
+    "encode_symbolic", "enumerate_family", "folner_box",
     "freq", "freq_table", "greedy_tile", "invariance_ratio", "mix", "run", "sample_bernoulli",
     "select_representative", "shape_product", "stage_transform", "subblock_at", "tail_depth",
     "translate", "verify",

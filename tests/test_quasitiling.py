@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import no_layout, switch_layouts
+from helpers import constant_block, no_layout, switch_layouts
 from test_stage_passes import pairwise_congruent, tile_cells
 
 from blockdyn import construction, group, symbolic
@@ -515,7 +515,7 @@ def test_staged_runs_and_measure_samples_on_boxes_make_no_kernel_call(monkeypatc
                 1, f1, {Block(f1, 1, (2,), k): Fraction(1, 2 ** len(f1))
                         for k in product((0, 1), repeat=len(f1))}
             )
-            ones = CylinderMeasure(1, f1, {Block.constant(f1, 1, (2,), 1): Fraction(1)})
+            ones = CylinderMeasure(1, f1, {constant_block(f1, 1, (2,), 1): Fraction(1)})
             target = ConvexTarget((uniform, ones))
             config = sample_bernoulli(window, stack, [[Fraction(1, 4), Fraction(3, 4)]], seed=5)
             fams = [enumerate_family(Corpus(stack, (config,)), 1)]
@@ -524,7 +524,8 @@ def test_staged_runs_and_measure_samples_on_boxes_make_no_kernel_call(monkeypatc
             src = vertex_rep_source(target, 1, seed=9, count=2, sizes=stack.sizes)
             result = run(config, sched, target, fams, src)
             assert len(result.stages) == n
-            assert sample_from_measure(uniform, window, 1, seed=3).shape == window
+            sampled = sample_from_measure(uniform, window, 1, seed=3, sizes=uniform.sizes)
+            assert sampled.shape == window
     assert len(tilings) > 10 and all(t.grid is not None for t in tilings)
     # every consecutive stage pair: 3 and 9, 9 and 27 in 1-D, 3 and 9 in 2-D
     assert len(compared) == 3

@@ -9,12 +9,12 @@ from itertools import product
 
 import pytest
 
-from blockdyn.construction import far_mass, stage_transform
+from blockdyn.construction import stage_transform
 from blockdyn.group import Shape, folner_box, invariance_ratio, point_add
 from blockdyn.measures import ConvexTarget, CylinderMeasure
 from blockdyn.quasitiling import Quasitiling, congruent, encode_symbolic, greedy_tile, verify
-from blockdyn.symbolic import AlphabetStack, Block, enumerate_full_family, sample_bernoulli
-from helpers import run_digests, write_seeded_corpus
+from blockdyn.symbolic import AlphabetStack, Block, sample_bernoulli
+from helpers import enumerate_full_family, far_mass, run_digests, write_seeded_corpus
 
 STACK = AlphabetStack((2,))
 F1 = Shape.interval(-1, 1)

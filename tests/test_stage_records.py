@@ -43,7 +43,7 @@ from blockdyn.symbolic import (
     AlphabetStack, Block, BlockFamily, Corpus, enumerate_family, sample_bernoulli, subblock_at
 )
 from blockdyn.verification import SuiteCase, SuiteResult
-from helpers import block_from_word, decoded, tile_copy_counts
+from helpers import block_from_word, constant_block, decoded, tile_copy_counts
 from test_cell_kernel import fake_distance
 from test_integer_tables import random_block
 from test_stage_passes import FAMILIES, bernoulli_target
@@ -98,8 +98,8 @@ def test_a_templated_change_log_equals_json_dumps(tmp_path_factory, data):
 def test_a_change_log_holds_one_tile_shape(tmp_path):
     one, two = Shape.interval(0, 1), Shape.interval(0, 2)
     changes = [
-        ChangeRecord((0,), 0, Block.constant(one, 1, (2,)), Block.constant(one, 1, (2,), 1)),
-        ChangeRecord((4,), 1, Block.constant(two, 1, (2,)), Block.constant(two, 1, (2,), 1)),
+        ChangeRecord((0,), 0, constant_block(one, 1, (2,)), constant_block(one, 1, (2,), 1)),
+        ChangeRecord((4,), 1, constant_block(two, 1, (2,)), constant_block(two, 1, (2,), 1)),
     ]
     with pytest.raises(ValueError, match="one tile shape"):
         files.write_changes(tmp_path / "changes.json", changes)
@@ -274,7 +274,7 @@ def test_a_stage_of_run_is_one_pass(dim):
     config = sample_bernoulli(window, STACK, [[Fraction(1, 2)] * 2], seed=5)
     f1 = folner_box(1, dim)
     target = ConvexTarget(tuple(
-        CylinderMeasure(1, f1, {Block.constant(f1, 1, (2,), s): Fraction(1)}) for s in (0, 1)
+        CylinderMeasure(1, f1, {constant_block(f1, 1, (2,), s): Fraction(1)}) for s in (0, 1)
     ))
     families = [enumerate_family(Corpus(STACK, (config,)), 1)]
     schedule = files.StageSchedule.geometric(dim, Fraction(1, 2), [1, 1], [1, 4], [3, 9])
@@ -317,7 +317,7 @@ def test_a_run_keeps_the_window_distance_before_and_after_each_stage(tmp_path, d
     config = sample_bernoulli(window, STACK, [[Fraction(1, 4), Fraction(3, 4)]], seed=6)
     f1 = folner_box(1, dim)
     target = ConvexTarget(tuple(
-        CylinderMeasure(1, f1, {Block.constant(f1, 1, (2,), s): Fraction(1)}) for s in (0, 1)
+        CylinderMeasure(1, f1, {constant_block(f1, 1, (2,), s): Fraction(1)}) for s in (0, 1)
     ))
     families = [enumerate_family(Corpus(STACK, (config,)), 1)]
     schedule = files.StageSchedule.geometric(dim, Fraction(1, 2), [1, 1], [1, 4], [3, 9])
@@ -354,7 +354,7 @@ def test_no_tile_shape_with_an_anchor_gives_no_average():
     assert _concatenation_check(
         config, tiling, verify(tiling), _tile_counts(config, tiling, base, 1)
     ) == (None, None)
-    rep = Block.constant(two, 1, (2,))
+    rep = constant_block(two, 1, (2,))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construction, "dist_to_hull", lambda block, *_: fake_distance(block))
         _, report = stage_transform(config, tiling, SimpleNamespace(depth=1), 0, {two: rep}, [])
@@ -411,10 +411,10 @@ def test_equal_tile_contents_share_one_block_and_one_solve(monkeypatch):
 
 
 ONE = Shape.interval(0, 1)
-A, B = Block.constant(ONE, 1, (2,)), Block.constant(ONE, 1, (2,), 1)
+A, B = constant_block(ONE, 1, (2,)), constant_block(ONE, 1, (2,), 1)
 STACK = AlphabetStack((2,))
 MU, NU, WIDE = (
-    CylinderMeasure(1, folner_box(n, 1), {Block.constant(folner_box(n, 1), 1, (2,), s): 1})
+    CylinderMeasure(1, folner_box(n, 1), {constant_block(folner_box(n, 1), 1, (2,), s): 1})
     for n, s in ((1, 0), (1, 1), (2, 0))
 )
 STAGE = files.Stage(1, Fraction(1, 2), Fraction(1, 1000), 1, 1, 3)
@@ -476,10 +476,10 @@ RECORDS = [
         ((ONE, 1, (2,), (0, 2)), "row 1 entry outside alphabet of size 2"),
     ]),
     (Corpus, (STACK, (A,)), [
-        (AlphabetStack((3,)), (Block.constant(ONE, 1, (3,)),)),
+        (AlphabetStack((3,)), (constant_block(ONE, 1, (3,)),)),
         (STACK, (A, B)),
     ], True, True, [
-        ((STACK, (A, Block.constant(Shape.box((0, 0), (1, 1)), 1, (2,)))),
+        ((STACK, (A, constant_block(Shape.box((0, 0), (1, 1)), 1, (2,)))),
          "corpus blocks must share a dimension"),
         ((AlphabetStack((3,)), (A,)), "corpus block does not carry the full stack"),
     ]),
@@ -645,7 +645,7 @@ def test_a_quasitiling_s_grid_cache_takes_no_part_in_its_value():
 
 
 def test_a_count_table_copies_as_a_new_read_only_table():
-    table = freq_table(Block.constant(Shape.interval(0, 3), 1, (2,)), Shape.interval(0, 1), 1)
+    table = freq_table(constant_block(Shape.interval(0, 3), 1, (2,)), Shape.interval(0, 1), 1)
     for twin in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
         assert twin == table and twin.total == table.total == 3
         assert dict(twin.counts) == dict(table.counts) and twin.counts is not table.counts
@@ -667,7 +667,7 @@ def write_stage(tmp_path, report) -> list[list[str]]:
     }
     (tmp_path / "config.json").write_text(files.canonical_json(config))
     cfg = files.ExperimentConfig.load(tmp_path / "config.json")
-    block = Block.constant(WINDOW, 1, (2,))
+    block = constant_block(WINDOW, 1, (2,))
     cli._write_run(tmp_path / "run", cfg, RunResult(block, block, (report,), (FAR, NEAR)))
     text = (tmp_path / "run" / "stage_t1_tiles.csv").read_text()
     return [line.split(",") for line in text.splitlines()]
@@ -684,7 +684,7 @@ def test_equal_distances_of_distinct_contents_are_spelled_by_value(tmp_path, mon
     monkeypatch.setattr(construction, "dist_to_hull", shared)
     config = sample_bernoulli(WINDOW, AlphabetStack((2,)), [[0.5, 0.5]], seed=4)
     tiling = greedy_tile(WINDOW, [Shape.interval(0, 2)], Fraction(1)).tiling
-    rep = Block.constant(Shape.interval(0, 2), 1, (2,))
+    rep = constant_block(Shape.interval(0, 2), 1, (2,))
     delta = Fraction(1, 2)
     target = SimpleNamespace(depth=1)
     _, report = stage_transform(config, tiling, target, delta, {tiling.shapes[0]: rep}, [])

@@ -1,7 +1,13 @@
+import math
 import random
+from bisect import bisect_right
+from fractions import Fraction
 from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockdyn import symbolic
 from blockdyn.group import Shape
@@ -10,11 +16,11 @@ from blockdyn.symbolic import (
     Block,
     Corpus,
     enumerate_family,
-    enumerate_full_family,
     sample_bernoulli,
+    sample_markov,
     subblock_at,
 )
-from helpers import block_from_word, block_to_word
+from helpers import block_from_word, block_to_word, constant_block, enumerate_full_family
 
 WORD = block_from_word("aababab", start=-3)
 
@@ -67,7 +73,7 @@ def test_enumerate_family_word():
 
 
 def test_enumerate_family_constant():
-    const = Block.constant(Shape.interval(-4, 4), 1, (2,), 1)
+    const = constant_block(Shape.interval(-4, 4), 1, (2,), 1)
     fam = enumerate_family(Corpus(AlphabetStack((2,)), (const,)), 1)
     assert len(fam) == 1 and fam.blocks[0].symbols == (1, 1, 1)
 
@@ -113,24 +119,41 @@ def test_sample_bernoulli_deterministic_and_point_mass():
     assert b2 != b4
 
 
+def old_draw(u: float, cum: list[float]) -> int:
+    """The draw rule before rows were checked exactly: the first of the
+    running float sums above u, or the last symbol when rounding leaves u
+    at or above the final sum."""
+    return min(bisect_right(cum, u), len(cum) - 1)
+
+
+def exact_row(floats: list[float]) -> list[Fraction]:
+    """The floats as Fractions, the last one replaced by 1 minus the others:
+    an exact row with the floats' cut points."""
+    head = [Fraction(p) for p in floats[:-1]]
+    return [*head, 1 - sum(head)]
+
+
 @pytest.mark.parametrize("probs", [[0.25, 0.75], [0.2, 0.3, 0.1, 0.4], [0.1] * 10])
 def test_sample_bernoulli_equals_the_cell_by_cell_draw(probs):
-    """Weights that sum to exactly 1 and weights that sum to 1 only within
-    1e-9 (``[0.1] * 10``) give the block that one _draw per cell gives."""
+    """Floats that sum to exactly 1 and floats that do not (``[0.1] * 10``
+    and ``[0.2, 0.3, 0.1, 0.4]``), made exact, give the block that one
+    ``old_draw`` per cell over the floats' running sums gives."""
     stack = AlphabetStack((len(probs), len(probs)))
     window = Shape.box((0, 0), (6, 8))
     cum = list(accumulate(probs))
     rng = random.Random(99)
-    expected = tuple(symbolic._draw(rng, cum) for _ in range(2 * len(window)))
-    assert sample_bernoulli(window, stack, [probs, probs], seed=99).symbols == expected
+    expected = tuple(old_draw(rng.random(), cum) for _ in range(2 * len(window)))
+    row = exact_row(probs)
+    assert sample_bernoulli(window, stack, [row, row], seed=99).symbols == expected
 
 
 def test_sample_bernoulli_draws_the_last_symbol_past_the_last_weight(monkeypatch):
     """``[0.1] * 10`` sums to 1 - 2**-53, the largest value random() returns,
-    so that variate lies at the last cumulative weight and must still draw
-    the last symbol, as _draw does."""
+    so that variate lies at the last cumulative weight, where ``old_draw``
+    draws the last symbol; so does the exact row with those floats."""
     top = 1 - 2**-53
     assert list(accumulate([0.1] * 10))[-1] == top
+    row = exact_row([0.1] * 10)
 
     class Top:
         def __init__(self, seed):
@@ -139,10 +162,52 @@ def test_sample_bernoulli_draws_the_last_symbol_past_the_last_weight(monkeypatch
         def random(self):
             return top
 
-    assert symbolic._draw(Top(0), list(accumulate([0.1] * 10))) == 9
+    assert symbolic._draws(Top(0), symbolic._categorical(row, 10, "row"), 1) == [9]
     monkeypatch.setattr(symbolic.random, "Random", Top)
-    block = sample_bernoulli(Shape.interval(0, 3), AlphabetStack((10,)), [[0.1] * 10], seed=0)
+    block = sample_bernoulli(Shape.interval(0, 3), AlphabetStack((10,)), [row], seed=0)
     assert block.symbols == (9, 9, 9, 9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=6).filter(any))
+@example([1])
+@example([0, 2, 0, 1, 0])
+def test_draws_follow_the_old_rule_at_every_cut(weights):
+    """On an exact row, with zero-probability symbols and one-symbol rows
+    among them, ``_draws`` draws what ``old_draw`` draws at 0, at each cut
+    point and its float neighbours, and at 1 - 2**-53."""
+    row = [Fraction(w, sum(weights)) for w in weights]
+    cuts = symbolic._categorical(row, len(row), "row")
+    cum = list(accumulate(map(float, row)))
+    near = [v for c in cuts for v in (math.nextafter(c, 0), c, math.nextafter(c, 1))]
+    variates = [0.0, *(u for u in near if 0 <= u < 1), 1 - 2**-53]
+    rng = SimpleNamespace(random=iter(variates).__next__)
+    assert symbolic._draws(rng, cuts, len(variates)) == [old_draw(u, cum) for u in variates]
+
+
+REPRO = [Fraction(1, 3), Fraction(666666667, 10**9)]
+
+
+@pytest.mark.parametrize(
+    "bad, why",
+    [
+        (REPRO, "sum to 3000000001/3000000000"),
+        ([float("nan"), 1.0], "NaN"),
+        ([float("inf"), 0.0], "Infinity"),
+        ([0.5, float("-inf")], "Infinity"),
+    ],
+    ids=["sum-above-1", "nan", "inf", "minus-inf"],
+)
+def test_every_sampler_refuses_a_row_whose_exact_sum_is_not_1(bad, why):
+    """[1/3, 666666667/1000000000] sums to 1 within 1e-9 in floats, not
+    exactly; a NaN or an infinity has no exact value."""
+    stack, window, half = AlphabetStack((2,)), Shape.interval(0, 3), [Fraction(1, 2)] * 2
+    with pytest.raises(ValueError, match=f"row 1.*{why}"):
+        sample_bernoulli(window, stack, [bad], seed=1)
+    with pytest.raises(ValueError, match=f"initial distribution.*{why}"):
+        sample_markov(window, stack, bad, [half, half], seed=1)
+    with pytest.raises(ValueError, match=f"transition row 2.*{why}"):
+        sample_markov(window, stack, half, [half, bad], seed=1)
 
 
 def test_sample_bernoulli_statistics_planar():
@@ -164,8 +229,6 @@ def test_sample_bernoulli_malformed_probabilities():
 
 
 def test_sample_markov_deterministic_chain():
-    from blockdyn.symbolic import sample_markov
-
     stack = AlphabetStack((2,))
     window = Shape.interval(0, 9)
     # deterministic alternation regardless of the draw
