@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from .frequency import _count, corpus_subblocks, freq_table
 from .frequency import tiling_average_gap_bound
 from .group import Point, Shape, _Record, folner_box
-from .measures import ConvexTarget, CylinderMeasure, HullDistance, block_measure, dist_to_hull
+from .measures import ConvexTarget, CylinderMeasure, HullDistance, dist_to_hull
 from .quasitiling import Quasitiling, TilingReport, congruent, greedy_tile, verify
 from .symbolic import Block, BlockFamily, Corpus, _categorical, _draws, _layout, decode_pattern
 
@@ -84,7 +84,7 @@ def select_representative(
     candidates: Sequence[Block],
     families: Sequence[BlockFamily],
 ) -> tuple[Block, HullDistance]:
-    """The candidate whose empirical measure is closest to the target hull.
+    """The candidate whose frequencies are closest to the target hull.
 
     Ties break lexicographically on block entries, so the choice is
     deterministic for a fixed candidate list.
@@ -94,10 +94,7 @@ def select_representative(
     if any(cand.shape != shape for cand in candidates):
         raise ValueError("candidate with a different shape")
     return min(
-        (
-            (cand, dist_to_hull(block_measure(cand, target.depth), target, families))
-            for cand in candidates
-        ),
+        ((cand, dist_to_hull(cand, target, families)) for cand in candidates),
         key=lambda scored: (scored[1].value, scored[0].symbols),
     )
 
@@ -344,8 +341,8 @@ def run(
     Emits one report per stage with far masses and a concatenation check
     of the window frequencies against the tile-weighted average (bound
     evaluable only when the per-stage deficiency is small enough), and the
-    whole-window empirical distance to the target before the first stage
-    and after each one.
+    whole window's hull distance, read from its frequencies as a tile's
+    is, before the first stage and after each one.
     """
     if schedule.dim != config.dim:
         raise ValueError("schedule dimension differs from the configuration")
@@ -354,7 +351,7 @@ def run(
     current = config
     previous_tiling: Quasitiling | None = None
     # A stage starts from the previous output, so at its window distance.
-    distances = [dist_to_hull(block_measure(config, target.depth), target, families)]
+    distances = [dist_to_hull(config, target, families)]
     for st in schedule.stages:
         if st.depth > config.depth or st.depth < target.depth:
             raise ValueError(
@@ -365,12 +362,12 @@ def run(
         if previous_tiling is not None and not congruent(tiling, previous_tiling):
             raise ValueError(f"stage {st.index} tiling not congruent with stage {st.index - 1}")
         candidates = rep_source(box, st.depth)
-        rep, _rep_dist = select_representative(box, target, candidates, families)
+        rep = select_representative(box, target, candidates, families)[0]
         current, report = stage_transform(
             current, tiling, target, st.delta, {box: rep}, families
         )
         reports.append(report)
-        distances.append(dist_to_hull(block_measure(current, target.depth), target, families))
+        distances.append(dist_to_hull(current, target, families))
         previous_tiling = tiling
     return RunResult(config, current, tuple(reports), tuple(distances))
 

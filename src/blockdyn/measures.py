@@ -313,10 +313,6 @@ class ConvexTarget(_Record):
     def depth(self) -> int:
         return self.vertices[0].depth
 
-    @property
-    def base(self) -> Shape:
-        return self.vertices[0].base
-
     def __len__(self) -> int:
         return len(self.vertices)
 

@@ -146,7 +146,7 @@ def small_instance_suite(seed: int) -> Iterator[tuple[Block, Block]]:
         stack = AlphabetStack((2, 2))
         window = Shape.interval(-(length // 2), length // 2)
         host = sample_bernoulli(
-            window, stack, [[0.5, 0.5], [0.5, 0.5]], seed=rng.randrange(2**30)
+            window, stack, [[Fraction(1, 2), Fraction(1, 2)]] * 2, seed=rng.randrange(2**30)
         )
         for _ in range(3):
             yield host, random_pattern(1, level, (2, 2))
@@ -155,7 +155,7 @@ def small_instance_suite(seed: int) -> Iterator[tuple[Block, Block]]:
         stack = AlphabetStack((2, 2))
         window = Shape.box((-half, -half), (half, half))
         host = sample_bernoulli(
-            window, stack, [[0.5, 0.5], [0.5, 0.5]], seed=rng.randrange(2**30)
+            window, stack, [[Fraction(1, 2), Fraction(1, 2)]] * 2, seed=rng.randrange(2**30)
         )
         for _ in range(3):
             yield host, random_pattern(2, level, (2, 2))

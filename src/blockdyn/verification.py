@@ -103,7 +103,7 @@ def block_measure_gap_suite(seed: int, corpus: Corpus | None = None) -> SuiteRes
     rng = random.Random(seed)
     for i in range(PLANAR_INSTANCES):
         block = sample_bernoulli(
-            window2, stack, [[0.5, 0.5]], seed=rng.randrange(2**30)
+            window2, stack, [[Fraction(1, 2), Fraction(1, 2)]], seed=rng.randrange(2**30)
         )
         gap = _measure_gap(block, 1)
         violation = gap > bound2 if bound2 is not None else gap > 0
@@ -139,7 +139,9 @@ def _tiled_instance(
         window=window, shapes=(tile_shape,), centers=(frozenset(centers),)
     )
     stack = AlphabetStack((2,))
-    block = sample_bernoulli(window, stack, [[0.5, 0.5]], seed=rng.randrange(2**30))
+    block = sample_bernoulli(
+        window, stack, [[Fraction(1, 2), Fraction(1, 2)]], seed=rng.randrange(2**30)
+    )
     return block, tiling
 
 

@@ -247,6 +247,18 @@ def test_production_code_does_not_import_testkit():
     assert offenders == []
 
 
+def test_library_code_writes_no_float_literal():
+    """Probabilities, masses and distances are exact, so no module of the
+    package, the test kit included, spells a number as a float."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(blockdyn.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+    ]
+    assert offenders == []
+
+
 # The private names of ``symbolic`` that each module imports.  Cells are
 # addressed only through ``_layout``, and only frequency's counting helper
 # tells a box layout from a cell layout.

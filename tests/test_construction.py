@@ -15,7 +15,7 @@ from blockdyn.construction import (
 from blockdyn.files import StageSchedule
 from blockdyn.frequency import block_measure_gap_bound
 from blockdyn.group import Shape, folner_box
-from blockdyn.measures import ConvexTarget, CylinderMeasure, block_measure
+from blockdyn.measures import ConvexTarget, CylinderMeasure, block_measure, dist_to_hull
 from blockdyn.quasitiling import Quasitiling
 from blockdyn.symbolic import AlphabetStack, Block, Corpus, enumerate_family, sample_bernoulli
 from blockdyn.testkit import grid_hull_distance
@@ -404,3 +404,66 @@ def test_rep_sources_reject_a_limit_or_count_below_one(n):
     with pytest.raises(ValueError, match="count of at least 1"):
         vertex_rep_source(two_vertex_target(), 0, seed=1, count=n, sizes=STACK.sizes)
     assert len(corpus_rep_source(corpus, limit=1)(Shape.interval(0, 2), 1)) == 1
+
+
+# Depth-2 data, where a block's level-1 frequencies differ from the level-1
+# marginal of its depth-2 block measure: a host with uniform rows, and two
+# vertices whose first row is biased either way.
+STACK2 = AlphabetStack((2, 2))
+HALF = Fraction(1, 2)
+
+
+def depth2_target_and_families():
+    host = sample_bernoulli(Shape.interval(0, 300), STACK2, [[HALF, HALF]] * 2, 102)
+    vertices = tuple(
+        block_measure(
+            sample_bernoulli(Shape.interval(0, 200), STACK2, [[p, 1 - p], [HALF, HALF]], s), 2
+        )
+        for p, s in ((Fraction(1, 10), 9), (Fraction(9, 10), 10))
+    )
+    corpus = Corpus(STACK2, (host,))
+    return ConvexTarget(vertices), [enumerate_family(corpus, 1), enumerate_family(corpus, 2)]
+
+
+def test_select_representative_at_depth_2_picks_the_nearest_frequencies():
+    # Their depth-2 block measures rank index 5 nearest; their own
+    # frequencies, which a stage judges a tile by, rank index 1 nearest.
+    target, fams = depth2_target_and_families()
+    box = Shape.interval(0, 8)
+    cands = vertex_rep_source(target, 0, 2, 6, STACK2.sizes)(box, 2)
+    by_measure = [dist_to_hull(block_measure(c, 2), target, fams).value for c in cands]
+    assert by_measure.index(min(by_measure)) == 5
+    values = [dist_to_hull(c, target, fams).value for c in cands]
+    block, hd = select_representative(box, target, cands, fams)
+    assert block == cands[1]
+    assert hd.value == values[1] == min(values)
+
+
+def test_depth_2_run_measures_the_window_and_candidates_by_their_frequencies():
+    target, fams = depth2_target_and_families()
+    config = sample_bernoulli(Shape.interval(0, 80), STACK2, [[HALF, HALF]] * 2, 7)
+    sched = StageSchedule.geometric(1, Fraction(1, 2), [2, 2], [1, 4], [9, 27])
+    src = vertex_rep_source(target, 0, seed=2, count=6, sizes=STACK2.sizes)
+    result = run(config, sched, target, fams, src)
+    output = result.initial
+    assert result.window_distances[0] == dist_to_hull(output, target, fams)
+    for st, report, distance in zip(sched.stages, result.stages, result.window_distances[1:]):
+        box = Shape.interval(0, st.tile_side - 1)
+        best = min(src(box, 2), key=lambda c: (dist_to_hull(c, target, fams).value, c.symbols))
+        assert report.changes
+        assert all(ch.after == best for ch in report.changes)
+        output = apply_changes(output, report.changes)
+        assert distance == dist_to_hull(output, target, fams)
+    assert output == result.final
+
+
+def test_depth_2_run_with_tiles_of_side_3_completes():
+    # A 3-cell tile admits no embedding of F_2, so it has no depth-2 block
+    # measure; its frequencies on the family bases still place it.
+    target, fams = depth2_target_and_families()
+    config = sample_bernoulli(Shape.interval(0, 26), STACK2, [[HALF, HALF]] * 2, 7)
+    sched = StageSchedule.geometric(1, Fraction(1, 2), [2, 2], [1, 4], [3, 9])
+    src = vertex_rep_source(target, 0, seed=2, count=6, sizes=STACK2.sizes)
+    result = run(config, sched, target, fams, src)
+    assert [len(r.tiles) for r in result.stages] == [9, 3]
+    assert len(result.window_distances) == 3

@@ -657,3 +657,28 @@ def test_every_integer_field_must_be_a_json_integer(tmp_path, capsys, field, val
     assert run("bad") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be integers" in err
+
+
+def test_cli_construct_at_depth_2_on_tiles_of_side_3(tmp_path):
+    # A 3-cell tile admits no embedding of F_2; the run measures it, its
+    # candidates and the window by their frequencies, so it completes.
+    stack = AlphabetStack((2, 2))
+    half = [Fraction(1, 2), Fraction(1, 2)]
+    files.write_corpus(
+        tmp_path / "corpus.json",
+        Corpus(stack, (sample_bernoulli(Shape.interval(0, 26), stack, [half, half], seed=7),)),
+    )
+    for i, p in enumerate((Fraction(1, 10), Fraction(9, 10))):
+        block = sample_bernoulli(Shape.interval(0, 200), stack, [[p, 1 - p], half], seed=9 + i)
+        files.write_measure(tmp_path / f"v{i}.json", block_measure(block, 2))
+    p = write_config(
+        tmp_path,
+        alphabet=[2, 2],
+        target_vertices=["v0.json", "v1.json"],
+        schedule={"eps1": "1/2", "depths": [2, 2], "folner_indices": [1, 4], "tile_sides": [3, 9]},
+        representatives={"source": "vertex", "vertex": 0, "count": 6},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(p), "--out", str(out), "construct"]) == 0
+    rundir = next(out.glob("run-*"))
+    assert len((rundir / "stages.csv").read_text().splitlines()) == 3
