@@ -134,9 +134,12 @@ def cmd_freq(cfg: ExperimentConfig, args: argparse.Namespace, rundir: Path) -> i
     sep = "" if all(s <= 10 for s in sizes) else "-"
     per_row, texts = files._pattern_texts(sizes, base, sep)
     fmt = "|".join([sep.join(["%s"] * per_row)] * args.level)
+    counts = table.counts
+    fr = {n: ratio_str(n, table.total) for n in set(counts.values())}
+    keys = sorted(counts)
     rows = [
-        [args.block, args.level, fmt % texts(key), n, embeddings, ratio_str(n, table.total)]
-        for key, n in sorted(table.counts.items())
+        (args.block, args.level, fmt % t, n, embeddings, fr[n])
+        for t, n in zip(texts(keys), map(counts.__getitem__, keys))
     ]
     files.write_csv(
         rundir / f"freq_k{args.level}_b{args.block}.csv",

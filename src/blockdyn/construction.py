@@ -87,14 +87,16 @@ def select_representative(
     """The candidate whose frequencies are closest to the target hull.
 
     Ties break lexicographically on block entries, so the choice is
-    deterministic for a fixed candidate list.
+    deterministic for a fixed candidate list.  Candidates with the same
+    entries are one block, solved once.
     """
     if not candidates:
         raise ValueError("empty candidate list")
     if any(cand.shape != shape for cand in candidates):
         raise ValueError("candidate with a different shape")
+    distinct = {cand.symbols: cand for cand in candidates}.values()
     return min(
-        ((cand, dist_to_hull(cand, target, families)) for cand in candidates),
+        ((cand, dist_to_hull(cand, target, families)) for cand in distinct),
         key=lambda scored: (scored[1].value, scored[0].symbols),
     )
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import gcd, prod
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .frequency import block_measure_gap_bound
 from .group import Shape, _Record
@@ -131,14 +131,20 @@ def _dump(obj: Any, write: Callable[[str], Any], pad: str) -> None:
         keys = sorted(obj)
         _items([_quote(k) + ": " for k in keys], [obj[k] for k in keys], "{}", write, pad)
     elif isinstance(obj, _Records):
-        # One format per list and one write per record, so the list is never
-        # held as text; an empty list is "[]".
+        # One format per list, the separator before a record included, and
+        # one write per record, so the list is never held as text; an empty
+        # list is "[]".
         inner = pad + " "
-        fmt, sep = _template(obj.layout, inner), "[" + inner
-        for leaves in obj.values:
-            write(sep + fmt % leaves)
-            sep = "," + inner
-        write("[]" if sep[0] == "[" else pad + "]")
+        fmt = "," + inner + _template(obj.layout, inner)
+        values = iter(obj.values)
+        first = next(values, None)
+        if first is None:
+            write("[]")
+            return
+        write("[" + fmt[1:] % first)
+        for leaves in values:
+            write(fmt % leaves)
+        write(pad + "]")
     elif obj is _HOLE:
         write("%s")
     else:
@@ -200,14 +206,21 @@ def read_json(path: Path) -> Any:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    """One line per row, written 1,024 rows at a time, so the table is never
-    held as text: a job's peak memory does not grow with its largest
-    table, and each write still joins many lines."""
+    """One line per row, each filled into one %-format of the header's width
+    and written 1,024 rows at a time, so the table is never held as text: a
+    job's peak memory does not grow with its largest table, and each write
+    still joins many lines.  A row of another width is a ValueError that
+    names it, raised before the file is opened."""
+    width = len(header)
+    for i, n in enumerate(map(len, rows)):
+        if n != width:
+            raise ValueError(f"row {i} has {n} fields, the header {width}")
+    fmt = ",".join(["%s"] * width) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(map(str, header)) + "\n")
         for i in range(0, len(rows), 1024):
-            f.write("\n".join([",".join(map(str, row)) for row in rows[i : i + 1024]]) + "\n")
+            f.write("".join([fmt % tuple(row) for row in rows[i : i + 1024]]))
 
 
 def _box_of(block: Block) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -331,16 +344,24 @@ def _pattern_layout(holes: int, depth: int) -> list[list[object]]:
     return [[_HOLE] * holes] * depth
 
 
+# How many codes ``_pattern_texts`` spells at a time.  On the 2-D census
+# jobs, chunks of 16 were slower than spelling one code at a time; whole
+# columns were faster than 128, but a writer then held every spelled entry
+# of its file at once, where 128 holds a few records' text.
+_SPELL_CHUNK = 128
+
+
 def _pattern_texts(
     sizes: Sequence[int], base: Shape, sep: str
-) -> tuple[int, Callable[[int], tuple[str, ...]]]:
+) -> tuple[int, Callable[[Iterable[int]], Iterator[tuple[str, ...]]]]:
     """How the patterns on base x rows[1..len(sizes)] are spelled from their
-    codes: the number of runs in a row, and a function from a code to the
-    texts of its runs in ``Block.symbols`` order, each run's symbols joined
-    by ``sep``.  A run is one last-axis line of a box base, or a whole row of
-    any other base.  Texts are memoized by run code for the life of the
-    function, so each distinct run is decoded once and no pattern's symbol
-    tuple is built."""
+    codes: the number of runs in a row, and a function from codes to the
+    texts of each code's runs in ``Block.symbols`` order, each run's symbols
+    joined by ``sep``.  A run is one last-axis line of a box base, or a whole
+    row of any other base.  The codes are read ``_SPELL_CHUNK`` at a time,
+    one run column of a chunk at a time; texts are memoized by run code for
+    the life of the function, so each distinct run is decoded once and no
+    pattern's symbol tuple is built."""
     cells = len(base)
     if base.is_box():
         lo, hi = base.bounds()
@@ -349,18 +370,28 @@ def _pattern_texts(
         run = max(cells, 1)
     per_row = cells // run
     memos: dict[int, dict[int, str]] = {size: {} for size in sizes}
-    steps = [(size**run, size, memos[size]) for size in reversed(sizes) for _ in range(per_row)]
+    # Per run column in file order: the divisor that brings it to the bottom
+    # of a code, its radix and the memo of its alphabet size.
+    columns = []
+    div = 1
+    for size in reversed(sizes):
+        top = size**run
+        for _ in range(per_row):
+            columns.append((div, top, size, memos[size]))
+            div *= top
+    columns.reverse()
 
-    def texts(code: int) -> tuple[str, ...]:
-        out = []
-        for top, size, memo in steps:
-            code, r = divmod(code, top)
-            text = memo.get(r)
-            if text is None:
-                text = memo[r] = sep.join(map(str, decode_pattern(r, (size,), run)))
-            out.append(text)
-        out.reverse()
-        return tuple(out)
+    def texts(codes: Iterable[int]) -> Iterator[tuple[str, ...]]:
+        codes = iter(codes)
+        while chunk := list(islice(codes, _SPELL_CHUNK)):
+            spelled = []
+            for div, top, size, memo in columns:
+                column = [c // div % top for c in chunk]
+                for r in set(column).difference(memo):
+                    memo[r] = sep.join(map(str, decode_pattern(r, (size,), run)))
+                spelled.append(map(memo.__getitem__, column))
+            # A base of no cells has no runs: each of its patterns is spelled ().
+            yield from zip(*spelled) if spelled else [()] * len(chunk)
 
     return per_row, texts
 
@@ -378,6 +409,8 @@ def write_measure(path: Path, measure: CylinderMeasure) -> None:
     den = atoms.total
     per_row, texts = _pattern_texts(measure.sizes, measure.base, _MEASURE_ENTRY_SEP)
     layout = {"mass": _HOLE, "pattern": _pattern_layout(per_row, measure.depth)}
+    counts = atoms.counts
+    mass = {n: _quote(ratio_str(n, den)) for n in set(counts.values())}
     obj = {
         "kind": "measure",
         "dim": measure.base.dim,
@@ -387,7 +420,7 @@ def write_measure(path: Path, measure: CylinderMeasure) -> None:
         "base_max": hi,
         "masses": _Records(
             layout,
-            ((_quote(ratio_str(n, den)), *texts(key)) for key, n in atoms.counts.items()),
+            ((m, *t) for m, t in zip(map(mass.__getitem__, counts.values()), texts(counts))),
         ),
     }
     write_json(path, obj)
@@ -500,7 +533,7 @@ def write_family(path: Path, family: BlockFamily) -> None:
         "dim": family.base.dim,
         "level": family.level,
         "alphabet": list(family.sizes),
-        "patterns": _Records(_pattern_layout(per_row, family.level), map(texts, family.keys)),
+        "patterns": _Records(_pattern_layout(per_row, family.level), texts(family.keys)),
     }
     write_json(path, obj)
 

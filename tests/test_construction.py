@@ -120,6 +120,28 @@ def test_select_representative_tie_breaks_lexicographically():
     assert block == a
 
 
+def test_select_representative_solves_each_distinct_candidate_once(monkeypatch):
+    from blockdyn import construction
+
+    target = two_vertex_target()
+    shape = Shape.interval(0, 4)
+    a = constant_block(shape, 1, (2,), 0)
+    b = Block(shape, 1, (2,), (0, 1, 0, 1, 0))
+    c = Block(shape, 1, (2,), (0, 1, 0, 1, 0))  # equal to b, another object
+    fams = family_from(a, b)
+    solved = []
+    solve = construction.dist_to_hull
+
+    def counted(block, *args):
+        solved.append(block.symbols)
+        return solve(block, *args)
+
+    monkeypatch.setattr(construction, "dist_to_hull", counted)
+    block, hd = select_representative(shape, target, [b, a, c, b, a], fams)
+    assert sorted(solved) == sorted([a.symbols, b.symbols])
+    assert block == a and hd.value == 0
+
+
 def test_select_representative_empty_errors():
     with pytest.raises(ValueError):
         select_representative(Shape.interval(0, 1), two_vertex_target(), [], [])

@@ -12,6 +12,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from blockdyn import cli, files, symbolic
 from blockdyn.files import _HOLE, _Records, canonical_json, ratio_str
 from blockdyn.group import Shape
 from blockdyn.measures import block_measure
-from blockdyn.symbolic import Block
+from blockdyn.symbolic import AlphabetStack, Block, Corpus, enumerate_family
 
 # Text with "%", quotes, backslashes and non-ASCII characters, as layout
 # keys, fixed layout strings and varying leaves alike.
@@ -107,13 +108,18 @@ def test_ratio_str_edge_values():
         assert ratio_str(n, d) == str(Fraction(n, d))
 
 
-def planar_measure():
-    """The level-2 empirical measure of a seeded 40 x 40 block over (2, 2):
-    about 1,300 patterns on the 5 x 5 box, nearly all distinct."""
+def planar_block():
+    """A seeded 40 x 40 block over (2, 2): about 1,300 level-2 patterns on
+    the 5 x 5 box, nearly all distinct."""
     rng = random.Random("planar")
     window = Shape.box((0, 0), (39, 39))
     symbols = tuple(rng.randrange(2) for _ in range(2 * len(window)))
-    return block_measure(Block(window, 2, (2, 2), symbols), 2)
+    return Block(window, 2, (2, 2), symbols)
+
+
+def planar_measure():
+    """The level-2 empirical measure of ``planar_block``."""
+    return block_measure(planar_block(), 2)
 
 
 def test_writing_a_measure_streams_its_text(tmp_path):
@@ -131,6 +137,46 @@ def test_writing_a_measure_streams_its_text(tmp_path):
     # the file; a streaming writer holds one record at a time.
     assert peak < size / 10, (peak, size)
     assert files.read_measure(path) == mu
+
+
+def test_writing_a_family_streams_its_text(tmp_path):
+    block = planar_block()
+    family = enumerate_family(Corpus(AlphabetStack((2, 2)), (block,)), 2)
+    path = tmp_path / "family.json"
+    tracemalloc.start()
+    try:
+        files.write_family(path, family)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 400_000
+    # Codes are spelled a chunk at a time, so the writer holds a chunk's
+    # texts and one record's, never a column of the file.
+    assert peak < size / 10, (peak, size)
+    assert path.read_text() == canonical_json(family_obj(family))
+
+
+def family_obj(family):
+    """The family file's object, built from the family's decoded blocks."""
+    return {
+        "kind": "family",
+        "dim": family.base.dim,
+        "level": family.level,
+        "alphabet": list(family.sizes),
+        "patterns": [files.block_to_obj(b)["rows"] for b in family.blocks],
+    }
+
+
+def test_write_csv_refuses_a_ragged_row(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="row 1 "):
+        files.write_csv(path, ["a", "b"], [(1, 2), (3,), (4, 5)])
+    with pytest.raises(ValueError, match="row 0 "):
+        files.write_csv(path, ["a", "b"], [[1, 2, 3]])
+    assert not path.exists()
+    files.write_csv(path, ["a", "b"], [(1, "x"), [Fraction(1, 3), None]])
+    assert path.read_text() == "a,b\n1,x\n1/3,None\n"
 
 
 def test_freq_builds_no_block_per_pattern(tmp_path, monkeypatch):
